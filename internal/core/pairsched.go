@@ -373,7 +373,9 @@ func (d *Detector) solveGroup(wc *windowCtx, ws *windowSolver, g *sigGroup) *gro
 	tracer := d.opt.Tracer
 	gr := &groupResult{attempts: g.baseAttempts}
 	if ws != nil && ws.dirty {
+		span := col.StartPhase(telemetry.PhaseRollback)
 		ws.s.Rollback(ws.ck)
+		span.End()
 		ws.dirty = false
 		col.CountPairRollback()
 	}
@@ -517,7 +519,9 @@ func (d *Detector) retryDeferred(wc *windowCtx, ws *windowSolver, g *sigGroup, g
 		var guard sat.Lit
 		if !d.opt.MergeRaceVars {
 			if ws.dirty {
+				span := col.StartPhase(telemetry.PhaseRollback)
 				ws.s.Rollback(ws.ck)
+				span.End()
 				ws.dirty = false
 				col.CountPairRollback()
 			}

@@ -140,6 +140,9 @@ func (s *Solver) Pop(n int) {
 // models. The race detector's pair scheduler rolls the theory back
 // between query groups so every group sees the seeded trace-order
 // potentials, making models — and witnesses — canonical.
+//
+// Rollback cuts only the edges added since off the adjacency-list tails,
+// and copies every variable's potential back from the checkpoint.
 type Checkpoint struct {
 	nVars  int
 	nEdges int

@@ -357,6 +357,7 @@ var metricDefs = []metricDef{
 				{"trace_scan", p.TraceScan}, {"cop_enumeration", p.Enumerate},
 				{"mhb", p.MHB}, {"quick_check", p.QuickCheck},
 				{"encode", p.Encode}, {"solve", p.Solve}, {"witness", p.Witness},
+				{"rollback", p.Rollback},
 			}
 			out := make([]sample, len(phases))
 			for i, ph := range phases {

@@ -14,6 +14,7 @@ package sat
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 )
@@ -109,9 +110,13 @@ type Theory interface {
 var ErrUnsat = errors.New("sat: formula is unsatisfiable at root level")
 
 type clause struct {
-	lits    []Lit
+	lits []Lit
+	act  float64
+	// saved is the undo epoch (Solver.epoch) in which lits' checkpoint
+	// order was logged; a clause created since the last restore carries
+	// that restore's epoch, so it is never logged.
+	saved   uint32
 	learned bool
-	act     float64
 }
 
 type watcher struct {
@@ -211,6 +216,36 @@ type Solver struct {
 	abortCause AbortCause
 	rootUnsat  bool
 	model      []Value
+
+	// addMark is AddClause's duplicate/complement test: per variable,
+	// addGen<<1 | polarity of the literal the current call kept.
+	addMark []uint32
+	addGen  uint32
+
+	// The undo log behind Rollback. Checkpoint and every Rollback start a
+	// new epoch; a watch list or base clause stamped with an older epoch
+	// still holds its checkpoint contents and is copied into the log the
+	// first time it changes. Lists and clauses created since carry the
+	// current epoch and are never logged: Rollback drops them.
+	ck         *Checkpoint // the checkpoint the log is relative to
+	epoch      uint32
+	watchSaved []uint32    // per checkpoint Lit: epoch the list was last logged in
+	undoWatch  []watchSave // logged lists; their watchers follow each other in undoWatchW
+	undoWatchW []watcher
+	// Logged clauses' literal slices (kept instead of the clauses, to
+	// spare Rollback a load per clause); their contents follow each other
+	// in undoLits.
+	undoClause [][]Lit
+	undoLits   []Lit
+	// watchLogStale is set by rebuildWatches: every list was rewritten
+	// wholesale, so Rollback must rebuild them instead of replaying.
+	watchLogStale bool
+}
+
+// watchSave is one logged watch list: its literal and length.
+type watchSave struct {
+	lit Lit
+	n   int32
 }
 
 // New returns an empty solver. If theory is nil the solver is a plain SAT
@@ -268,24 +303,35 @@ func (s *Solver) AddClause(lits ...Lit) error {
 	if s.decisionLevel() != 0 {
 		panic("sat: AddClause above root level")
 	}
-	// Normalise: sort-free dedup and tautology/falsified-literal removal.
+	// Normalise: sort-free dedup and tautology/falsified-literal removal,
+	// checked against per-variable marks of the literals kept so far.
+	s.addGen++
+	if s.addGen == 1<<31 {
+		clear(s.addMark)
+		s.addGen = 1
+	}
+	if n := len(s.assign) - len(s.addMark); n > 0 {
+		s.addMark = append(s.addMark, make([]uint32, n)...)
+	}
+	mark := s.addGen << 1
 	out := lits[:0:0]
-	seen := make(map[Lit]bool, len(lits))
 	for _, l := range lits {
-		if int(l.Var()) >= len(s.assign) {
+		v := l.Var()
+		if int(v) >= len(s.assign) {
 			panic("sat: literal references unallocated variable")
 		}
+		m := s.addMark[v]
 		switch {
-		case seen[l]:
-			continue
-		case seen[l.Neg()]:
+		case m == mark|uint32(l&1):
+			continue // duplicate
+		case m&^1 == mark:
 			return nil // tautology
 		case s.value(l) == True:
 			return nil // already satisfied at root
 		case s.value(l) == False:
 			continue // cannot contribute
 		}
-		seen[l] = true
+		s.addMark[v] = mark | uint32(l&1)
 		out = append(out, l)
 	}
 	switch len(out) {
@@ -300,7 +346,7 @@ func (s *Solver) AddClause(lits ...Lit) error {
 		}
 		return nil
 	}
-	c := &clause{lits: out}
+	c := &clause{lits: out, saved: s.epoch}
 	s.clauses = append(s.clauses, c)
 	s.watchClause(c)
 	return nil
@@ -308,10 +354,70 @@ func (s *Solver) AddClause(lits ...Lit) error {
 
 func (s *Solver) watchClause(c *clause) {
 	// Watch the first two literals.
-	s.watches[c.lits[0].Neg()] = append(s.watches[c.lits[0].Neg()],
-		watcher{c: c, blocker: c.lits[1]})
-	s.watches[c.lits[1].Neg()] = append(s.watches[c.lits[1].Neg()],
-		watcher{c: c, blocker: c.lits[0]})
+	s.addWatch(c.lits[0].Neg(), watcher{c: c, blocker: c.lits[1]})
+	s.addWatch(c.lits[1].Neg(), watcher{c: c, blocker: c.lits[0]})
+}
+
+// addWatch appends w to watch list l, logging the list first.
+func (s *Solver) addWatch(l Lit, w watcher) {
+	if s.unsaved(l) {
+		s.saveWatches(l)
+	}
+	s.watches[l] = append(s.watches[l], w)
+}
+
+// unsaved reports whether watch list l still holds checkpoint contents
+// that the undo log lacks. Lists created since the checkpoint need none.
+func (s *Solver) unsaved(l Lit) bool {
+	return int(l) < len(s.watchSaved) && s.watchSaved[l] != s.epoch
+}
+
+// saveWatches logs watch list l's contents before its first change of the
+// epoch; callers test s.unsaved(l) first.
+func (s *Solver) saveWatches(l Lit) {
+	s.watchSaved[l] = s.epoch
+	if s.watchLogStale {
+		return
+	}
+	ws := s.watches[l]
+	s.undoWatch = logAppend(s.undoWatch, watchSave{lit: l, n: int32(len(ws))})
+	s.undoWatchW = logAppend(s.undoWatchW, ws...)
+}
+
+// saveLits logs c's literal order before its first reordering of the
+// epoch; callers test c.saved != s.epoch first.
+func (s *Solver) saveLits(c *clause) {
+	c.saved = s.epoch
+	s.undoClause = logAppend(s.undoClause, c.lits)
+	s.undoLits = logAppend(s.undoLits, c.lits...)
+}
+
+// logAppend appends to an undo log, doubling its capacity when full. A
+// log keeps its capacity across epochs and tends to grow a little at each
+// new high, and append's gentler growth for large slices would then
+// reallocate it nearly every time.
+func logAppend[T any](log []T, elems ...T) []T {
+	if len(log)+len(elems) > cap(log) {
+		log = slices.Grow(log, len(log)+len(elems))
+	}
+	return append(log, elems...)
+}
+
+// rebuildWatches rebuilds every watch list from scratch: problem clauses
+// in order, then learned clauses. With no learned clauses this is the
+// canonical layout Checkpoint establishes. The rebuild rewrites lists
+// wholesale, so it marks the watch log stale.
+func (s *Solver) rebuildWatches() {
+	s.watchLogStale = true
+	for i := range s.watches {
+		s.watches[i] = s.watches[i][:0]
+	}
+	for _, c := range s.clauses {
+		s.watchClause(c)
+	}
+	for _, c := range s.learnts {
+		s.watchClause(c)
+	}
 }
 
 func (s *Solver) decisionLevel() int32 { return int32(len(s.trailLim)) }
@@ -338,7 +444,11 @@ func (s *Solver) propagate() *clause {
 		p := s.trail[s.qhead] // p is true; scan watchers of p (lit.Neg()==p watch list index p)
 		s.qhead++
 		s.Stats.Propagations++
+		// The list is compacted in place. Until its first change every
+		// watcher is rewritten onto itself, so the list still holds its
+		// old contents when that change logs it.
 		ws := s.watches[p]
+		logP := s.unsaved(p)
 		kept := ws[:0]
 		var conflict *clause
 		for wi := 0; wi < len(ws); wi++ {
@@ -355,9 +465,16 @@ func (s *Solver) propagate() *clause {
 			// Ensure the false literal (¬p) is lits[1].
 			np := p.Neg()
 			if c.lits[0] == np {
+				if c.saved != s.epoch {
+					s.saveLits(c)
+				}
 				c.lits[0], c.lits[1] = c.lits[1], c.lits[0]
 			}
 			first := c.lits[0]
+			if first != w.blocker && logP {
+				s.saveWatches(p) // the blocker is about to be rewritten
+				logP = false
+			}
 			if first != w.blocker && s.value(first) == True {
 				kept = append(kept, watcher{c: c, blocker: first})
 				continue
@@ -366,10 +483,15 @@ func (s *Solver) propagate() *clause {
 			moved := false
 			for k := 2; k < len(c.lits); k++ {
 				if s.value(c.lits[k]) != False {
+					if c.saved != s.epoch {
+						s.saveLits(c)
+					}
+					if logP {
+						s.saveWatches(p) // the watcher leaves p's list
+						logP = false
+					}
 					c.lits[1], c.lits[k] = c.lits[k], c.lits[1]
-					s.watches[c.lits[1].Neg()] = append(
-						s.watches[c.lits[1].Neg()],
-						watcher{c: c, blocker: first})
+					s.addWatch(c.lits[1].Neg(), watcher{c: c, blocker: first})
 					moved = true
 					break
 				}
@@ -427,7 +549,7 @@ func (s *Solver) conflictClause(confl []Lit) *clause {
 		}
 		lits[i] = l.Neg()
 	}
-	return &clause{lits: lits, learned: true}
+	return &clause{lits: lits, learned: true, saved: s.epoch}
 }
 
 // analyze performs first-UIP conflict analysis, returning the learned
@@ -484,6 +606,9 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int32) {
 		skip = c.lits[0] == p
 		if !skip {
 			// Theory-learned reasons may not have p first; locate and move.
+			if c.saved != s.epoch {
+				s.saveLits(c)
+			}
 			for i, l := range c.lits {
 				if l == p {
 					c.lits[0], c.lits[i] = c.lits[i], c.lits[0]
@@ -607,16 +732,9 @@ func (s *Solver) reduceDB() {
 	}
 	s.learnts = kept
 	// Rebuild all watch lists (simpler than surgical removal and amortised
-	// over maxLearnts conflicts).
-	for i := range s.watches {
-		s.watches[i] = s.watches[i][:0]
-	}
-	for _, c := range s.clauses {
-		s.watchClause(c)
-	}
-	for _, c := range s.learnts {
-		s.watchClause(c)
-	}
+	// over maxLearnts conflicts). This is the one change the undo log does
+	// not record; the next Rollback rebuilds the lists instead.
+	s.rebuildWatches()
 }
 
 // backtrack undoes assignments above the given level.
@@ -631,6 +749,7 @@ func (s *Solver) backtrack(level int32) {
 	for i := len(s.trail) - 1; i >= limit; i-- {
 		v := s.trail[i].Var()
 		s.assign[v] = Unknown
+		s.level[v] = 0
 		s.reason[v] = nil
 		s.heap.push(v)
 	}
@@ -847,7 +966,7 @@ func (s *Solver) learn(lits []Lit) {
 		s.enqueue(lits[0], nil)
 		return
 	}
-	c := &clause{lits: lits, learned: true}
+	c := &clause{lits: lits, learned: true, saved: s.epoch}
 	s.learnts = append(s.learnts, c)
 	s.watchClause(c)
 	s.enqueue(lits[0], c)
@@ -859,120 +978,167 @@ func (s *Solver) learn(lits []Lit) {
 // conflict-budget exhaustion.
 func (s *Solver) LastAbortCause() AbortCause { return s.abortCause }
 
-// Checkpoint is a full snapshot of a solver's search-relevant root-level
-// state, taken with Solver.Checkpoint and restored with Solver.Rollback.
-// It exists for the replica-solver architecture of the race detector's
-// pair scheduler: one base formula is asserted once, checkpointed, and
-// every query group is solved from the exact same canonical state, so the
-// models found — and hence the extracted witnesses — are bit-identical no
-// matter which worker solves which group in which order.
+// Checkpoint is the root-level state of a solver, taken with
+// Solver.Checkpoint and restored with Solver.Rollback. It exists for the
+// replica-solver architecture of the race detector's pair scheduler: one
+// base formula is asserted once, checkpointed, and every query group is
+// solved from the exact same canonical state, so the models found — and
+// hence the extracted witnesses — are bit-identical no matter which worker
+// solves which group in which order.
+//
+// A Checkpoint copies the phases, activities and decision heap, which
+// any search rewrites wholesale. The rest needs no copy. Watch lists and
+// clause literal orders go to the solver's undo log the first time they
+// change. The root trail only ever grows, and at the root
+// level a variable is assigned, and has a reason, exactly when it is on
+// the trail, with level 0 either way (backtracking resets levels); so
+// undoing the trail entries added since restores assignments, reasons and
+// levels.
 type Checkpoint struct {
-	nVars    int
-	nClauses int
-	// clauseLits restores each base clause's literal order: propagation
-	// permanently swaps watched literals inside clauses, so rolled-back
-	// clauses must get their snapshot order (and thus watch pairs) back.
-	clauseLits [][]Lit
-	trail      []Lit
-	qhead      int
-	thead      int
-	assign     []Value
-	level      []int32
-	reason     []*clause
-	phase      []bool
-	activity   []float64
-	varInc     float64
-	clauseInc  float64
-	rootUnsat  bool
+	nVars     int
+	nClauses  int
+	nTrail    int
+	qhead     int
+	thead     int
+	phase     []bool
+	activity  []float64
+	heapData  []Var
+	heapPos   []int32
+	varInc    float64
+	clauseInc float64
+	rootUnsat bool
 }
 
-// Checkpoint snapshots the solver's complete state. It must be taken at
-// the root level (decision level 0), i.e. outside any Solve call — the
-// normal state between AddClause batches. Taking a checkpoint also
-// canonicalises the live state (watch lists, variable heap) to exactly
-// what Rollback reproduces, so the first query after Checkpoint starts
-// from the same state as every query after a Rollback.
+// Checkpoint snapshots the solver's state. It must be taken at the root
+// level (decision level 0), i.e. outside any Solve call — the normal state
+// between AddClause batches. Taking a checkpoint also canonicalises the
+// live state: learned clauses are dropped, the watch lists rebuilt in
+// clause order and the decision heap rebuilt in variable order. That is
+// exactly the state Rollback reproduces, so the first query after
+// Checkpoint starts from the same state as every query after a Rollback.
+// A new Checkpoint supersedes the solver's previous one.
 func (s *Solver) Checkpoint() *Checkpoint {
 	if s.decisionLevel() != 0 {
 		panic("sat: Checkpoint above root level")
 	}
-	ck := &Checkpoint{
-		nVars:      len(s.assign),
-		nClauses:   len(s.clauses),
-		clauseLits: make([][]Lit, len(s.clauses)),
-		trail:      append([]Lit(nil), s.trail...),
-		qhead:      s.qhead,
-		thead:      s.thead,
-		assign:     append([]Value(nil), s.assign...),
-		level:      append([]int32(nil), s.level...),
-		reason:     append([]*clause(nil), s.reason...),
-		phase:      append([]bool(nil), s.phase...),
-		activity:   append([]float64(nil), s.activity...),
-		varInc:     s.varInc,
-		clauseInc:  s.clauseInc,
-		rootUnsat:  s.rootUnsat,
-	}
-	for i, c := range s.clauses {
-		ck.clauseLits[i] = append([]Lit(nil), c.lits...)
-	}
-	s.Rollback(ck) // canonicalise watches and heap in place
-	return ck
-}
-
-// Rollback restores the state captured by ck: variables and clauses added
-// since are discarded, learned clauses dropped, assignments, phases,
-// activities and the theory-assertion queue restored, and watch lists and
-// the decision heap rebuilt canonically. It must be called at the root
-// level. The restored state is byte-for-byte the state Checkpoint left
-// behind, so repeated Rollback/solve cycles are deterministic.
-func (s *Solver) Rollback(ck *Checkpoint) {
-	if s.decisionLevel() != 0 {
-		panic("sat: Rollback above root level")
-	}
-	// Variables.
-	s.assign = append(s.assign[:0], ck.assign...)
-	s.level = append(s.level[:0], ck.level...)
-	s.reason = append(s.reason[:0], ck.reason...)
-	s.phase = append(s.phase[:0], ck.phase...)
-	s.activity = append(s.activity[:0], ck.activity...)
-	s.varInc, s.clauseInc = ck.varInc, ck.clauseInc
-	s.rootUnsat = ck.rootUnsat
-	// Clauses: drop post-checkpoint ones, restore literal order, forget
-	// every learned clause (they may mention discarded variables, and a
-	// canonical restart state must not depend on earlier searches).
-	s.clauses = s.clauses[:ck.nClauses]
-	for i, c := range s.clauses {
-		copy(c.lits, ck.clauseLits[i])
-		c.act = 0
-	}
 	s.learnts = s.learnts[:0]
-	// Trail and queues.
-	s.trail = append(s.trail[:0], ck.trail...)
-	s.trailLim = s.trailLim[:0]
-	s.qhead, s.thead = ck.qhead, ck.thead
-	// Watch lists: truncate to the checkpoint's variables and rebuild in
-	// clause order (the same canonicalisation reduceDB uses).
-	s.watches = s.watches[:2*ck.nVars]
-	for i := range s.watches {
-		s.watches[i] = s.watches[i][:0]
-	}
-	for _, c := range s.clauses {
-		s.watchClause(c)
-	}
-	// Decision heap: rebuild with every variable present in index order,
-	// the same shape NewVar left behind.
+	s.rebuildWatches()
 	s.heap.data = s.heap.data[:0]
-	if len(s.heap.pos) > ck.nVars {
-		s.heap.pos = s.heap.pos[:ck.nVars]
-	}
-	for i := range s.heap.pos {
-		s.heap.pos[i] = -1
-	}
-	for v := 0; v < ck.nVars; v++ {
+	s.heap.pos = s.heap.pos[:0]
+	for v := range s.assign {
 		s.heap.push(Var(v))
 	}
 	s.model = s.model[:0]
 	s.abortCause = AbortNone
+	s.watchSaved = append(s.watchSaved[:0], make([]uint32, len(s.watches))...)
+	s.ck = &Checkpoint{
+		nVars:     len(s.assign),
+		nClauses:  len(s.clauses),
+		nTrail:    len(s.trail),
+		qhead:     s.qhead,
+		thead:     s.thead,
+		phase:     append([]bool(nil), s.phase...),
+		activity:  append([]float64(nil), s.activity...),
+		heapData:  append([]Var(nil), s.heap.data...),
+		heapPos:   append([]int32(nil), s.heap.pos...),
+		varInc:    s.varInc,
+		clauseInc: s.clauseInc,
+		rootUnsat: s.rootUnsat,
+	}
+	s.newEpoch()
+	return s.ck
+}
+
+// Rollback restores the state captured by ck, which must be the solver's
+// latest Checkpoint: variables and clauses added since are discarded,
+// learned clauses dropped, and everything else put back — watch lists
+// with their order and blockers, clause literal orders, assignments,
+// phases, activities, the trail and the decision heap. It must be called
+// at the root level. The restored state is byte-for-byte the state
+// Checkpoint left behind, so repeated Rollback/solve cycles are
+// deterministic.
+//
+// The cost is what the solver changed since the last restore — the logged
+// watch lists and clauses and the root trail's growth — plus flat copies
+// of ck's phases, activities and heap. Only if a learned-clause reduction
+// rewrote every watch list since does Rollback rebuild the lists, exactly
+// as Checkpoint did.
+func (s *Solver) Rollback(ck *Checkpoint) {
+	if s.decisionLevel() != 0 {
+		panic("sat: Rollback above root level")
+	}
+	if ck != s.ck {
+		panic("sat: Rollback to a checkpoint other than the latest")
+	}
+	// Clauses: restore the logged literal orders, drop post-checkpoint
+	// clauses and forget every learned clause (they may mention discarded
+	// variables, and a canonical restart state must not depend on earlier
+	// searches).
+	off := 0
+	for _, lits := range s.undoClause {
+		off += copy(lits, s.undoLits[off:])
+	}
+	// Dropped entries are cleared so the slices' spare capacity does not
+	// keep the discarded clauses and lists from the collector.
+	clear(s.clauses[ck.nClauses:])
+	s.clauses = s.clauses[:ck.nClauses]
+	clear(s.learnts)
+	s.learnts = s.learnts[:0]
+	// Watch lists: drop the discarded variables' lists, then put back the
+	// logged ones (or rebuild them all if the log went stale).
+	clear(s.watches[2*ck.nVars:])
+	s.watches = s.watches[:2*ck.nVars]
+	if s.watchLogStale {
+		s.rebuildWatches()
+	} else {
+		off = 0
+		for _, w := range s.undoWatch {
+			end := off + int(w.n)
+			s.watches[w.lit] = append(s.watches[w.lit][:0], s.undoWatchW[off:end]...)
+			off = end
+		}
+	}
+	// Variables: unassign what the root trail gained, then truncate.
+	for _, l := range s.trail[ck.nTrail:] {
+		if v := l.Var(); int(v) < ck.nVars {
+			s.assign[v] = Unknown
+			s.reason[v] = nil
+		}
+	}
+	s.trail = s.trail[:ck.nTrail]
+	s.trailLim = s.trailLim[:0]
+	s.qhead, s.thead = ck.qhead, ck.thead
+	s.assign = s.assign[:ck.nVars]
+	s.level = s.level[:ck.nVars]
+	clear(s.reason[ck.nVars:])
+	s.reason = s.reason[:ck.nVars]
+	s.phase = append(s.phase[:0], ck.phase...)
+	s.activity = append(s.activity[:0], ck.activity...)
+	s.heap.data = append(s.heap.data[:0], ck.heapData...)
+	s.heap.pos = append(s.heap.pos[:0], ck.heapPos...)
+	s.varInc, s.clauseInc = ck.varInc, ck.clauseInc
+	s.rootUnsat = ck.rootUnsat
+	s.model = s.model[:0]
+	s.abortCause = AbortNone
+	s.newEpoch()
+}
+
+// newEpoch empties the undo log and starts a new epoch, so every current
+// watch list and problem clause counts as unlogged checkpoint state.
+func (s *Solver) newEpoch() {
+	s.undoWatch = s.undoWatch[:0]
+	s.undoWatchW = s.undoWatchW[:0]
+	s.undoClause = s.undoClause[:0]
+	s.undoLits = s.undoLits[:0]
+	s.watchLogStale = false
+	s.epoch++
+	if s.epoch == 0 { // wrapped: clear the stamps so none looks current
+		clear(s.watchSaved)
+		for _, c := range s.clauses {
+			c.saved = 0
+		}
+		s.epoch = 1
+	}
 }
 
 // ModelValue returns the value of v in the most recent Sat model.
@@ -986,7 +1152,7 @@ func (s *Solver) ModelValue(v Var) Value {
 // varHeap is a max-heap of variables ordered by activity.
 type varHeap struct {
 	data     []Var
-	pos      []int // var -> index in data, -1 if absent
+	pos      []int32 // var -> index in data, -1 if absent
 	activity *[]float64
 }
 
@@ -996,8 +1162,8 @@ func (h *varHeap) less(i, j int) bool {
 
 func (h *varHeap) swap(i, j int) {
 	h.data[i], h.data[j] = h.data[j], h.data[i]
-	h.pos[h.data[i]] = i
-	h.pos[h.data[j]] = j
+	h.pos[h.data[i]] = int32(i)
+	h.pos[h.data[j]] = int32(j)
 }
 
 func (h *varHeap) up(i int) {
@@ -1038,8 +1204,8 @@ func (h *varHeap) push(v Var) {
 		return
 	}
 	h.data = append(h.data, v)
-	h.pos[v] = len(h.data) - 1
-	h.up(h.pos[v])
+	h.pos[v] = int32(len(h.data) - 1)
+	h.up(len(h.data) - 1)
 }
 
 func (h *varHeap) popMax() (Var, bool) {
@@ -1059,6 +1225,6 @@ func (h *varHeap) popMax() (Var, bool) {
 
 func (h *varHeap) update(v Var) {
 	if int(v) < len(h.pos) && h.pos[v] >= 0 {
-		h.up(h.pos[v])
+		h.up(int(h.pos[v]))
 	}
 }

@@ -79,6 +79,54 @@ func TestDuplicateLiteralsMerged(t *testing.T) {
 	}
 }
 
+// TestAddClauseNormalisation checks AddClause's normalisation of short
+// and long clauses: duplicates merged in first-occurrence order,
+// root-false literals dropped, tautologies and root-satisfied clauses
+// discarded — also after a Rollback has discarded variables the
+// per-variable marks still cover.
+func TestAddClauseNormalisation(t *testing.T) {
+	s := New(nil)
+	v := make([]Var, 20)
+	for i := range v {
+		v[i] = s.NewVar()
+	}
+	pos := func(i int) Lit { return MkLit(v[i], true) }
+	neg := func(i int) Lit { return MkLit(v[i], false) }
+	s.AddClause(neg(0)) // v0 false at the root
+	ck := s.Checkpoint()
+	for _, n := range []int{3, 12} {
+		for round := 0; round < 2; round++ {
+			if round == 0 {
+				s.NewVar() // a variable the rollback discards again
+			}
+			var lits []Lit
+			for i := 1; i <= n; i++ {
+				lits = append(lits, pos(i), pos(i)) // every literal twice
+			}
+			lits = append(lits, pos(0)) // root-false: dropped
+			if err := s.AddClause(lits...); err != nil {
+				t.Fatal(err)
+			}
+			got := s.clauses[len(s.clauses)-1].lits
+			if len(got) != n {
+				t.Fatalf("%d-literal clause normalised to %v", n, got)
+			}
+			for i, l := range got {
+				if l != pos(i+1) {
+					t.Fatalf("%d-literal clause normalised to %v", n, got)
+				}
+			}
+			before := s.NumClauses()
+			s.AddClause(append(lits[:len(lits):len(lits)], neg(n))...) // tautology
+			s.AddClause(append(lits[:len(lits):len(lits)], neg(0))...) // satisfied at the root
+			if s.NumClauses() != before {
+				t.Fatalf("%d-literal tautology or satisfied clause was stored", n)
+			}
+			s.Rollback(ck)
+		}
+	}
+}
+
 func TestUnsatChain(t *testing.T) {
 	// (a ∨ b) ∧ (¬a ∨ b) ∧ (a ∨ ¬b) ∧ (¬a ∨ ¬b) is unsat.
 	s := New(nil)

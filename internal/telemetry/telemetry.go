@@ -59,6 +59,10 @@ const (
 	PhaseSolve
 	// PhaseWitness is witness-schedule reconstruction from models.
 	PhaseWitness
+	// PhaseRollback is restoring a window solver to its checkpointed base
+	// before a pair-scheduler signature group (it runs between encode and
+	// solve; it is last only so the other phases keep their numbers).
+	PhaseRollback
 
 	numPhases
 )
@@ -80,6 +84,8 @@ func (p Phase) String() string {
 		return "solve"
 	case PhaseWitness:
 		return "witness"
+	case PhaseRollback:
+		return "rollback"
 	}
 	return fmt.Sprintf("phase(%d)", uint8(p))
 }
@@ -950,6 +956,7 @@ func (c *Collector) Snapshot() *Metrics {
 			Encode:     c.phases[PhaseEncode].Load(),
 			Solve:      c.phases[PhaseSolve].Load(),
 			Witness:    c.phases[PhaseWitness].Load(),
+			Rollback:   c.phases[PhaseRollback].Load(),
 		},
 		Solver: SolverCounters{
 			Decisions:         c.decisions.Load(),
@@ -1080,12 +1087,13 @@ type PhaseNanos struct {
 	Encode     int64 `json:"encode_ns"`
 	Solve      int64 `json:"solve_ns"`
 	Witness    int64 `json:"witness_ns"`
+	Rollback   int64 `json:"rollback_ns"`
 }
 
 // Total returns the summed phase time.
 func (p PhaseNanos) Total() time.Duration {
 	return time.Duration(p.TraceScan + p.Enumerate + p.MHB + p.QuickCheck +
-		p.Encode + p.Solve + p.Witness)
+		p.Encode + p.Solve + p.Witness + p.Rollback)
 }
 
 // PairSchedCounters describes the intra-window pair scheduler: how many

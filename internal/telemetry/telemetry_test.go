@@ -227,6 +227,7 @@ func TestStableNames(t *testing.T) {
 		PhaseEncode:     "encode",
 		PhaseSolve:      "solve",
 		PhaseWitness:    "witness",
+		PhaseRollback:   "rollback",
 	}
 	for p, want := range wantPhases {
 		if got := p.String(); got != want {
@@ -254,8 +255,8 @@ func TestStableNames(t *testing.T) {
 
 // TestPhaseTotal checks Total sums every phase bucket.
 func TestPhaseTotal(t *testing.T) {
-	p := PhaseNanos{TraceScan: 1, Enumerate: 2, QuickCheck: 3, Encode: 4, Solve: 5, Witness: 6}
-	if got := p.Total(); got != 21 {
-		t.Errorf("Total = %d, want 21", got)
+	p := PhaseNanos{TraceScan: 1, Enumerate: 2, MHB: 3, QuickCheck: 4, Encode: 5, Solve: 6, Witness: 7, Rollback: 8}
+	if got := p.Total(); got != 36 {
+		t.Errorf("Total = %d, want 36", got)
 	}
 }
