@@ -149,8 +149,7 @@ func (s *scrapeTracer) WindowDone(int, int, time.Duration) {
 // candidate-funnel identity the dashboard depends on:
 //
 //	enumerated = quick_check_filtered + signature_dedup + mhb_filtered
-//	           + triage_confirmed + triage_wcp_confirmed
-//	           + triage_syncp_confirmed + triage_cp_confirmed + dispatched
+//	           + triage_confirmed + triage_syncp_confirmed + dispatched
 func TestMetricsFunnelInvariantLive(t *testing.T) {
 	tr := crashFixture()
 	sc := &scrapeTracer{windows: 4}
@@ -191,9 +190,7 @@ func TestMetricsFunnelInvariantLive(t *testing.T) {
 		v("rvpredict_signature_dedup_total") +
 		v("rvpredict_mhb_filtered_total") +
 		v("rvpredict_triage_confirmed_total") +
-		v("rvpredict_triage_wcp_confirmed_total") +
 		v("rvpredict_triage_syncp_confirmed_total") +
-		v("rvpredict_triage_cp_confirmed_total") +
 		v("rvpredict_triage_dispatched_total")
 	if enumerated == 0 {
 		t.Error("no candidates enumerated by the last window")

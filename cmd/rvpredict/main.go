@@ -108,7 +108,7 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		timeout    = fs.Duration("timeout", 60*time.Second, "per-pair solver timeout")
 		parallel   = fs.Int("parallel", 0, "analyse windows with this many workers (rv only)")
 		pairPar    = fs.Int("pair-parallel", 0, "solve pairs inside each window with this many workers (rv only; deterministic)")
-		triage     = fs.String("triage", "on", "triage ladder rung: on, off, shb, wcp, syncp or cp (rv only; results identical at every rung)")
+		triage     = fs.String("triage", "syncp", "triage ladder rung: off, shb or syncp (rv only; results identical at every rung)")
 		witness    = fs.Bool("witness", false, "print a witness schedule per race")
 		dump       = fs.Bool("dump", false, "dump the trace instead of analysing it")
 		deadlocks  = fs.Bool("deadlock", false, "predict lock-inversion deadlocks instead of races")
@@ -294,6 +294,7 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		GlobalBudget:     *budget,
 		Parallelism:      *parallel,
 		PairParallelism:  *pairPar,
+		TriageLevel:      *triage,
 		Witness:          *witness,
 		Telemetry:        *stats || *jsonOut,
 		Journal:          *journalTo,
@@ -312,15 +313,8 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		inj = in
 		opt.FaultInjector = inj
 	}
-	switch mode := strings.ToLower(*triage); mode {
-	case "on":
-		// default: the full witness-backed ladder (SHB → WCP → SyncP)
-	case "off":
-		opt.NoTriage = true
-	case "shb", "wcp", "syncp", "cp":
-		opt.TriageLevel = mode
-	default:
-		fmt.Fprintf(stderr, "rvpredict: unknown -triage mode %q (want on, off, shb, wcp, syncp or cp)\n", *triage)
+	if err := opt.Validate(); err != nil {
+		fmt.Fprintln(stderr, "rvpredict:", err)
 		return 2
 	}
 	if *progress {
@@ -797,10 +791,9 @@ func printTelemetry(w io.Writer, t *rvpredict.Telemetry) {
 		fmt.Fprintf(w, "pair scheduler: %d groups, %d workers, %d replicas, %d rollbacks, queue wait %s\n",
 			ps.Groups, ps.Workers, ps.Replicas, ps.Rollbacks, ms(ps.QueueWaitNS))
 	}
-	if tg := t.Triage; tg.Confirmed+tg.WCPConfirmed+tg.SyncPConfirmed+tg.CPConfirmed+tg.Dispatched > 0 {
-		fmt.Fprintf(w, "triage: %d confirmed (%d shb, %d wcp, %d syncp, %d cp), %d dispatched to smt, fast path %s\n",
-			tg.Confirmed+tg.WCPConfirmed+tg.SyncPConfirmed+tg.CPConfirmed,
-			tg.Confirmed, tg.WCPConfirmed, tg.SyncPConfirmed, tg.CPConfirmed,
+	if tg := t.Triage; tg.Confirmed+tg.SyncPConfirmed+tg.Dispatched > 0 {
+		fmt.Fprintf(w, "triage: %d confirmed (%d shb, %d syncp), %d dispatched to smt, fast path %s\n",
+			tg.Confirmed+tg.SyncPConfirmed, tg.Confirmed, tg.SyncPConfirmed,
 			tg.Dispatched, ms(tg.FastPathNS))
 	}
 	fmt.Fprintf(w, "windows: %d\n", t.WindowCount)

@@ -42,7 +42,6 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -67,7 +66,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		solve        = fs.Duration("solve", 60*time.Second, "per-pair solver timeout")
 		witness      = fs.Bool("witness", false, "include a witness schedule per race")
 		pairPar      = fs.Int("pair-parallel", 0, "solve pairs inside each window with this many workers (deterministic)")
-		triage       = fs.String("triage", "on", "vector-clock triage tier: on, off or cp")
+		triage       = fs.String("triage", "syncp", "triage ladder rung: off, shb or syncp (results identical at every rung)")
 		maxSessions  = fs.Int("max-sessions", 16, "admission limit on concurrent sessions")
 		maxWindows   = fs.Int("max-windows", 0, "windows in SMT analysis at once across all sessions (0 = GOMAXPROCS)")
 		degradeAfter = fs.Duration("degrade-after", 0, "shed the SMT tier for a window after blocking this long on a solver slot (0 = never degrade)")
@@ -104,16 +103,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		SolveTimeout:    *solve,
 		Witness:         *witness,
 		PairParallelism: *pairPar,
-	}
-	switch strings.ToLower(*triage) {
-	case "on":
-	case "off":
-		detect.NoTriage = true
-	case "cp":
-		detect.TriageCP = true
-	default:
-		fmt.Fprintf(stderr, "rvpredictd: unknown -triage mode %q (want on, off or cp)\n", *triage)
-		return 2
+		TriageLevel:     *triage,
 	}
 
 	var inj *faultinject.Injector

@@ -51,12 +51,13 @@ type daemonChild struct {
 	http string // introspection listener, "" unless -http given
 }
 
-// startChild re-execs the test binary as rvpredictd and waits for its
-// rendezvous lines.
-func startChild(t *testing.T, stateDir string, withHTTP bool) *daemonChild {
+// startChild re-execs the test binary as rvpredictd, with any extra
+// flags appended, and waits for its rendezvous lines.
+func startChild(t *testing.T, stateDir string, withHTTP bool, extra ...string) *daemonChild {
 	t.Helper()
 	args := []string{"-test.run=^TestHelperProcess$", "--",
 		"-listen", "127.0.0.1:0", "-state-dir", stateDir, "-window", "8", "-witness"}
+	args = append(args, extra...)
 	if withHTTP {
 		args = append(args, "-http", "127.0.0.1:0")
 	}
@@ -286,6 +287,7 @@ func TestUsageErrors(t *testing.T) {
 		"no-state-dir": {"-listen", "127.0.0.1:0"},
 		"positional":   {"-state-dir", os.TempDir(), "extra"},
 		"bad-triage":   {"-state-dir", os.TempDir(), "-triage", "maybe"},
+		"retired-rung": {"-state-dir", os.TempDir(), "-triage", "cp"},
 		"bad-flag":     {"-no-such-flag"},
 	} {
 		t.Run(name, func(t *testing.T) {
@@ -294,6 +296,14 @@ func TestUsageErrors(t *testing.T) {
 				t.Errorf("run(%v) = %d, want 2 (stderr: %s)", args, got, errb.String())
 			}
 		})
+	}
+}
+
+// TestTriageFlag: -triage takes the rung names of Options.TriageLevel;
+// an accepted rung starts the daemon (TestUsageErrors covers rejection).
+func TestTriageFlag(t *testing.T) {
+	if child := startChild(t, t.TempDir(), false, "-triage", "shb"); child.addr == "" {
+		t.Fatal("daemon with -triage shb announced no listener")
 	}
 }
 

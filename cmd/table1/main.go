@@ -33,6 +33,7 @@ import (
 	"repro/internal/said"
 	"repro/internal/telemetry"
 	"repro/internal/workloads"
+	"repro/rvpredict"
 	"repro/trace"
 )
 
@@ -116,7 +117,11 @@ func main() {
 			col = telemetry.NewCollector()
 		}
 		qc := lockset.New(lockset.Options{WindowSize: window}).Detect(tr)
-		rv := core.New(core.Options{WindowSize: window, SolveTimeout: *timeout, Telemetry: col}).Detect(tr)
+		// Core's spelling, not rvpredict's: -timeout 0 means unbounded,
+		// as it does for the Said column below.
+		copt := rvpredict.Options{WindowSize: window, SolveTimeout: *timeout}.CoreOptions()
+		copt.Telemetry = col
+		rv := core.New(copt).Detect(tr)
 		var sd race.Result
 		sdTime := "-"
 		if !*skipSaid {

@@ -85,41 +85,25 @@ type Options struct {
 	// NoPruning disables the ≺-based constraint reductions of Section 3.2
 	// (ablation knob; results are unchanged, formulas grow).
 	NoPruning bool
-	// NoTriage disables the sound vector-clock triage tier that runs
-	// before the pair scheduler (triage.go): quick-check survivors that
-	// are concurrent under schedulable happens-before (HB plus reads-from
-	// edges) are confirmed as races without a solver query. The race
-	// result is bit-identical with triage on or off — the fast path fires
-	// only where the SMT query is guaranteed satisfiable — absent real
-	// wall-clock solver timeouts, which are inherently timing-dependent.
-	// Triage is also inactive when NoQuickCheck is set (it shares the
-	// quick check's locksets and MHB pass).
-	NoTriage bool
-	// TriageLevel selects how far down the sound triage ladder a
-	// quick-check survivor may be confirmed before SMT dispatch:
+	// TriageLevel selects how far up the sound triage ladder (triage.go)
+	// a quick-check survivor may be confirmed as a race without a solver
+	// query:
 	//
-	//	"shb"   — SHB epoch/clock tier only (PR 4's behaviour)
-	//	"wcp"   — plus the weak-causally-precedes gate backed by the
-	//	          sync-preserving witness check (internal/wcp)
-	//	"syncp" — plus the sync-preserving witness check on its own
-	//	          (internal/syncp); the default ("" means "syncp")
-	//	"cp"    — plus the opt-in causally-precedes tier (see TriageCP)
+	//	"off"   — no triage: every survivor goes to the pair scheduler
+	//	"shb"   — the schedulable-happens-before clock rung only
+	//	"syncp" — plus the sync-preserving witness check (internal/syncp);
+	//	          the default ("" means "syncp")
 	//
-	// Every level yields a bit-identical race.Result — the tiers only
-	// decide which pairs skip the solver — so the level is a pure
+	// Every level yields a bit-identical race.Result — a rung fires only
+	// where the SMT query is guaranteed satisfiable, so the level only
+	// decides which pairs skip the solver — absent real wall-clock solver
+	// timeouts, which are inherently timing-dependent. It is a pure
 	// performance knob, excluded from the journal fingerprint.
-	// Unrecognised values fall back to the default. Ignored when
-	// NoTriage is set.
+	// Unrecognised values fall back to the default; validation with typed
+	// errors lives in the public rvpredict layer. Triage is also inactive
+	// when NoQuickCheck is set (it shares the quick check's locksets and
+	// MHB pass).
 	TriageLevel string
-	// TriageCP enables the full ladder including the causally-precedes
-	// tier (equivalent to TriageLevel "cp", kept for compatibility):
-	// pairs no witness-backed tier confirms are checked against the CP
-	// relation composed with SHB, and concurrent pairs are confirmed
-	// without a solver query (the paper's CP ⊆ RV inclusion chain;
-	// bit-identity is test-enforced across the bundled workloads). Off
-	// by default — the witness-backed tiers are provably exact per pair,
-	// while the CP tier inherits the CP soundness theorem's assumptions.
-	TriageCP bool
 	// MaxAttemptsPerSig bounds how many COPs of one signature are solved
 	// before giving up on that signature (0 = unlimited, the paper's
 	// behaviour).
@@ -496,7 +480,7 @@ func (wr *windowRun) analyze(ctx context.Context, globalDeadline time.Time, w *t
 		// canonical order, no witness), the rest of the group is shed.
 		// Confirmations are sound, so a degraded window never reports a
 		// false race — it may only miss SMT-only ones.
-		var att *attributor
+		var att *ladder
 		for _, g := range groups {
 			reported := false
 			for k := range g.cops {
@@ -515,7 +499,7 @@ func (wr *windowRun) analyze(ctx context.Context, globalDeadline time.Time, w *t
 						Sig: g.sig,
 					}
 					if att == nil {
-						att = newAttributor(w)
+						att = newLadder(w, nil)
 					}
 					att.stamp(&r, widx, offset)
 					r.Prov.Degraded = true
@@ -544,8 +528,8 @@ func (wr *windowRun) analyze(ctx context.Context, globalDeadline time.Time, w *t
 			spanParent: wspan.ID(),
 		}
 		// Provenance attribution is lazy: only windows that report a
-		// race pay for the attributor's clock passes.
-		var att *attributor
+		// race pay for the ladder's clock passes.
+		var att *ladder
 		for i, gr := range d.solveGroups(wc, groups) {
 			if gr == nil {
 				continue
@@ -574,7 +558,7 @@ func (wr *windowRun) analyze(ctx context.Context, globalDeadline time.Time, w *t
 				}
 				r := gr.race
 				if att == nil {
-					att = newAttributor(w)
+					att = newLadder(w, nil)
 				}
 				att.stamp(&r, widx, offset)
 				res.Races = append(res.Races, r)
@@ -671,12 +655,7 @@ type WindowRunner struct {
 // is ignored (windows arrive one at a time); PairParallelism applies
 // within each window as in batch mode.
 func NewWindowRunner(opt Options) *WindowRunner {
-	d := New(opt)
-	workers := opt.PairParallelism
-	if workers < 1 {
-		workers = 1
-	}
-	d.budget = make(chan struct{}, workers)
+	d := NewWindowDetector(opt)
 	run := d.newWindowRun()
 	run.timed = true
 	return &WindowRunner{d: d, run: run, start: time.Now()}

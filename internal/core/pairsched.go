@@ -128,7 +128,7 @@ func (d *Detector) partition(w *trace.Trace, cops []race.COP,
 		mhb    *vc.MHB
 		sets   *lockset.Sets
 		setsOK bool
-		tri    *triage
+		tri    *ladder
 	)
 	for _, cop := range cops {
 		sig := race.SigOf(w, cop.A, cop.B)
@@ -161,11 +161,11 @@ func (d *Detector) partition(w *trace.Trace, cops []race.COP,
 			}
 		}
 		confirmed := false
-		if sets != nil && d.triageOn() {
+		if sets != nil && d.opt.TriageLevel != "off" {
 			if tri == nil {
-				tri = d.newTriage(w)
+				tri = newLadder(w, col)
 			}
-			confirmed = tri.confirm(cop)
+			confirmed = tri.confirm(cop, d.opt.TriageLevel)
 		}
 		gi, ok := index[sig]
 		if !ok {
@@ -484,7 +484,7 @@ func (d *Detector) solveGroup(wc *windowCtx, ws *windowSolver, g *sigGroup) *gro
 			}
 			// Query stats for provenance; kept only if the merge-time
 			// attribution decides the SMT tier was necessary
-			// (attributor.stamp zeroes them otherwise).
+			// (ladder.stamp zeroes them otherwise).
 			gr.race.Prov.Decisions = qs.decisions
 			gr.race.Prov.Propagations = qs.propagations
 			gr.race.Prov.Conflicts = qs.conflicts

@@ -2,80 +2,16 @@
 //
 // Attribution is computed at merge time, once per reported race, and is
 // deliberately independent of the run's triage configuration: a race is
-// attributed to the cheapest tier of the inclusion chain (SHB → WCP →
-// SyncP → CP → SMT) that proves it, whether or not that tier's fast path
-// actually fired this run. That independence is what lets the triage
-// identity matrix include provenance in its bit-identity contract — a
-// NoTriage run, an SHB-triage run and a full-ladder run all stamp the
-// same tier on the same race. Only windows that report races pay for the
-// clock passes, so the cost is negligible next to the solves that found
-// them.
+// attributed to the cheapest tier of the inclusion chain (SHB → SyncP →
+// SMT) that proves it, whether or not that tier's fast path actually
+// fired this run. That independence is what lets the triage identity
+// matrix include provenance in its bit-identity contract — a triage-off
+// run, an SHB-triage run and a full-ladder run all stamp the same tier
+// on the same race. Only windows that report races pay for the clock
+// passes, so the cost is negligible next to the solves that found them.
 package core
 
-import (
-	"repro/internal/cp"
-	"repro/internal/hb"
-	"repro/internal/race"
-	"repro/internal/syncp"
-	"repro/internal/wcp"
-	"repro/trace"
-)
-
-// attributor classifies reported races of one window by confirming
-// tier. The SHB clocks are computed on construction; the witness state
-// (SR clocks, sync-preserving index, WCP gate) and the CP relation
-// lazily, only when some race is not confirmed by a cheaper tier.
-type attributor struct {
-	w    *trace.Trace
-	shb  *hb.EventClocks
-	sr   *hb.EventClocks
-	sidx *syncp.Index
-	wrel *wcp.Relation
-	rel  *cp.Relation
-}
-
-func newAttributor(w *trace.Trace) *attributor {
-	return &attributor{w: w, shb: hb.SHBClocks(w)}
-}
-
-// tier returns the confirming tier of one proven race, given in
-// window-local coordinates. The checks mirror triage.confirm exactly
-// (triage.go documents why they are sound confirmations), so the
-// attribution never disagrees with a fast path that fired.
-func (a *attributor) tier(cop race.COP) string {
-	if syncp.ConfirmSHB(a.shb, cop.A, cop.B) {
-		return race.TierSHB
-	}
-	if a.sr == nil {
-		a.sr = hb.SRClocks(a.w)
-		a.sidx = syncp.NewIndex(a.w, a.sr)
-		a.wrel = wcp.ComputeWith(a.w, a.sr)
-	}
-	if a.sidx.Check(cop.A, cop.B) {
-		if !a.wrel.Ordered(cop.A, cop.B) {
-			return race.TierWCP
-		}
-		return race.TierSyncP
-	}
-	if a.rel == nil {
-		a.rel = cp.ComputeWith(a.w, a.shb)
-	}
-	if !a.rel.Ordered(cop.A, cop.B) {
-		return race.TierCP
-	}
-	return race.TierSMT
-}
-
-// release returns the clock storage to the shared slab pools.
-func (a *attributor) release() {
-	if a.rel != nil {
-		a.rel.Release()
-	}
-	if a.sr != nil {
-		a.sr.Release() // the witness index and WCP gate borrow these clocks
-	}
-	a.shb.Release()
-}
+import "repro/internal/race"
 
 // stamp fills one merged race's provenance: the confirming tier, the
 // global window index and the witness length. Solver query stats were
@@ -83,8 +19,8 @@ func (a *attributor) release() {
 // races a sound tier confirms the solver is optional (the triage fast
 // path skips it), so keeping its stats would break bit-identity between
 // triage modes.
-func (a *attributor) stamp(r *race.Race, widx, offset int) {
-	r.Prov.Tier = a.tier(race.COP{A: r.A - offset, B: r.B - offset})
+func (l *ladder) stamp(r *race.Race, widx, offset int) {
+	r.Prov.Tier = l.tier(race.COP{A: r.A - offset, B: r.B - offset}, true)
 	r.Prov.Window = widx
 	r.Prov.WitnessLen = len(r.Witness)
 	if r.Prov.Tier != race.TierSMT {

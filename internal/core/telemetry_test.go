@@ -160,8 +160,7 @@ func TestTelemetryWindowRecordsAddUp(t *testing.T) {
 	// The outcome tallies count solver queries only; pairs the triage tier
 	// confirmed never reach the solver and are accounted in the triage
 	// block, so the funnel adds up across the two.
-	confirmed := m.Triage.Confirmed + m.Triage.WCPConfirmed +
-		m.Triage.SyncPConfirmed + m.Triage.CPConfirmed
+	confirmed := m.Triage.Confirmed + m.Triage.SyncPConfirmed
 	if confirmed == 0 {
 		t.Error("triage confirmed = 0, want > 0 (fixture races are plain HB races)")
 	}

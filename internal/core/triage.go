@@ -16,20 +16,10 @@
 //     reads-from edge (the pre-join check, hb.RFRaceable). Together with
 //     the quick check's disjoint locksets this soundly proves the SMT
 //     query satisfiable.
-//   - wcp: the SHB tier cannot confirm the pair, but it is unordered by
-//     the weak-causally-precedes gate (internal/wcp) and the
+//   - syncp: the SHB rung cannot confirm the pair, but the
 //     sync-preserving witness check (internal/syncp) constructs an
-//     explicit reads-from-preserving witness. The witness carries the
-//     soundness; the gate attributes the confirmation to the cheapest
-//     plausible rung of the literature's hierarchy.
-//   - syncp: the WCP gate orders the pair, but the witness check still
-//     proves the race. This is the strongest witness-backed rung and the
-//     default ladder top (Options.TriageLevel).
-//   - cp (opt-in, Options.TriageCP / TriageLevel "cp"): pairs no
-//     witness-backed tier confirms are checked against the
-//     causally-precedes relation composed with SHB; concurrent pairs are
-//     confirmed. Unlike the rungs above, this tier rests on the CP
-//     soundness theorem rather than an explicit witness.
+//     explicit reads-from-preserving witness. This is the strongest rung
+//     and the default ladder top (Options.TriageLevel).
 //   - dispatched: everything else goes to the pair scheduler unchanged.
 //
 // Confirmed pairs skip the solver entirely; when Options.Witness demands
@@ -41,168 +31,97 @@
 // write→read value flow carries no HB edge, yet the read may guard (via a
 // branch) one of the racing accesses, forcing an order HB never sees —
 // the pair is HB-concurrent but the SMT query is UNSAT. The reads-from
-// edges close exactly that hole; the witness-backed rungs inherit the
-// same discipline by building on the SR order (hb.SRClocks), which keeps
+// edges close exactly that hole; the witness rung inherits the same
+// discipline by building on the SR order (hb.SRClocks), which keeps
 // every reads-from edge.
 package core
 
 import (
 	"time"
 
-	"repro/internal/cp"
 	"repro/internal/hb"
 	"repro/internal/race"
 	"repro/internal/syncp"
-	"repro/internal/wcp"
+	"repro/internal/telemetry"
 	"repro/trace"
 )
 
-// triageLevel is the resolved ladder height, ordered by strength.
-type triageLevel int
-
-const (
-	triageOff triageLevel = iota
-	triageSHB
-	triageWCP
-	triageSyncP
-	triageCP
-)
-
-// resolveTriageLevel maps the option surface (NoTriage, TriageLevel,
-// TriageCP) onto a ladder height. Unrecognised TriageLevel strings fall
-// back to the default; validation with typed errors lives in the public
-// rvpredict layer.
-func (d *Detector) resolveTriageLevel() triageLevel {
-	if d.opt.NoTriage || d.opt.NoQuickCheck {
-		return triageOff
-	}
-	lv := triageSyncP
-	switch d.opt.TriageLevel {
-	case "shb":
-		lv = triageSHB
-	case "wcp":
-		lv = triageWCP
-	case "", "syncp":
-		lv = triageSyncP
-	case "cp":
-		lv = triageCP
-	}
-	if d.opt.TriageCP && lv < triageCP {
-		lv = triageCP
-	}
-	return lv
-}
-
-// triageOn reports whether the triage ladder runs: not disabled, and the
-// quick check (whose locksets and MHB pass the ladder shares) is active.
-func (d *Detector) triageOn() bool { return d.resolveTriageLevel() != triageOff }
-
-// triage is the per-window classifier. Clock computations are lazy: the
-// SHB pass runs once per window with surviving candidates; the SR
-// clocks, witness index and WCP gate only when some pair reaches the
-// witness-backed rungs; the CP relation only at the cp level when a pair
-// reaches the last rung. All clock state lives on the vc slab pool and is
-// returned by release.
-type triage struct {
-	d    *Detector
+// ladder is one window's sound-tier classifier, shared by the triage fast
+// path and provenance attribution so the two never disagree. Clock
+// computations are lazy: the SHB pass runs on construction, the SR clocks
+// and witness index only when some pair reaches the syncp rung. Their
+// cost is charged to col's triage fast-path counter (nil for attribution
+// — the ladder is an addition to the pipeline, not a stage of it). All
+// clock state lives on the vc slab pool and is returned by release.
+type ladder struct {
 	w    *trace.Trace
-	lv   triageLevel
+	col  *telemetry.Collector
 	shb  *hb.EventClocks
-	sr   *hb.EventClocks // lazy, wcp and above
+	sr   *hb.EventClocks // lazy, syncp rung only
 	sidx *syncp.Index    // lazy, borrows sr
-	wrel *wcp.Relation   // lazy, borrows sr
-	rel  *cp.Relation    // lazy, cp level only
 }
 
-// newTriage computes the window's SHB clocks (charged to the triage
-// fast-path counter, not to a pipeline phase — the ladder is an addition
-// to the pipeline, not a stage of it).
-func (d *Detector) newTriage(w *trace.Trace) *triage {
-	col := d.opt.Telemetry
-	var t0 time.Time
-	if col.Enabled() {
-		t0 = time.Now()
-	}
-	t := &triage{d: d, w: w, lv: d.resolveTriageLevel(), shb: hb.SHBClocks(w)}
-	if col.Enabled() {
-		col.AddTriageFastPath(time.Since(t0))
-	}
-	return t
+func newLadder(w *trace.Trace, col *telemetry.Collector) *ladder {
+	l := &ladder{w: w, col: col}
+	l.timed(func() { l.shb = hb.SHBClocks(w) })
+	return l
 }
 
-// witnessState lazily builds the SR clocks, the sync-preserving witness
-// index and the WCP gate, charged to the fast-path counter.
-func (t *triage) witnessState() {
-	if t.sr != nil {
+// timed runs f, charging its time to the triage fast-path counter.
+func (l *ladder) timed(f func()) {
+	if !l.col.Enabled() {
+		f()
 		return
 	}
-	col := t.d.opt.Telemetry
-	var t0 time.Time
-	if col.Enabled() {
-		t0 = time.Now()
-	}
-	t.sr = hb.SRClocks(t.w)
-	t.sidx = syncp.NewIndex(t.w, t.sr)
-	t.wrel = wcp.ComputeWith(t.w, t.sr)
-	if col.Enabled() {
-		col.AddTriageFastPath(time.Since(t0))
-	}
+	t0 := time.Now()
+	f()
+	l.col.AddTriageFastPath(time.Since(t0))
 }
 
-// confirm classifies one quick-check survivor and tallies the verdict,
-// attributed to the cheapest rung that proves it. Callers guarantee the
-// pair already passed the lockset quick check (disjoint locksets,
-// MHB-concurrent) — the lockset half of the SHB confirmation condition —
-// so only the order checks remain. The SHB rung is O(1) per pair
-// (FastTrack-style epochs against full clocks); the witness-backed rungs
-// scan the pair's trace span once.
-func (t *triage) confirm(cop race.COP) bool {
-	col := t.d.opt.Telemetry
-	if syncp.ConfirmSHB(t.shb, cop.A, cop.B) {
-		col.CountTriageConfirmed(race.TierSHB)
-		return true
+// tier returns the cheapest tier that proves cop (window-local) a race:
+// TierSHB, TierSyncP when the syncp rung is enabled, else TierSMT. Callers
+// guarantee the pair already passed the lockset quick check (disjoint
+// locksets, MHB-concurrent) — the lockset half of the SHB confirmation
+// condition — so only the order checks remain. The SHB rung is O(1) per
+// pair (FastTrack-style epochs against full clocks); the witness rung
+// scans the pair's trace span once.
+func (l *ladder) tier(cop race.COP, syncpRung bool) string {
+	if syncp.ConfirmSHB(l.shb, cop.A, cop.B) {
+		return race.TierSHB
 	}
-	if t.lv >= triageWCP {
-		t.witnessState()
-		if t.sidx.Check(cop.A, cop.B) {
-			if !t.wrel.Ordered(cop.A, cop.B) {
-				col.CountTriageConfirmed(race.TierWCP)
-				return true
-			}
-			if t.lv >= triageSyncP {
-				col.CountTriageConfirmed(race.TierSyncP)
-				return true
-			}
-		}
+	if !syncpRung {
+		return race.TierSMT
 	}
-	if t.lv >= triageCP {
-		if t.rel == nil {
-			var t0 time.Time
-			if col.Enabled() {
-				t0 = time.Now()
-			}
-			t.rel = cp.ComputeWith(t.w, t.shb)
-			if col.Enabled() {
-				col.AddTriageFastPath(time.Since(t0))
-			}
-		}
-		if !t.rel.Ordered(cop.A, cop.B) {
-			col.CountTriageConfirmed(race.TierCP)
-			return true
-		}
+	if l.sr == nil {
+		l.timed(func() {
+			l.sr = hb.SRClocks(l.w)
+			l.sidx = syncp.NewIndex(l.w, l.sr)
+		})
 	}
-	col.CountTriageDispatched()
-	return false
+	if l.sidx.Check(cop.A, cop.B) {
+		return race.TierSyncP
+	}
+	return race.TierSMT
+}
+
+// confirm classifies one quick-check survivor at the given TriageLevel
+// ("shb" or "syncp") and tallies the verdict, attributed to the cheapest
+// rung that proves it.
+func (l *ladder) confirm(cop race.COP, level string) bool {
+	tier := l.tier(cop, level != "shb")
+	if tier == race.TierSMT {
+		l.col.CountTriageDispatched()
+		return false
+	}
+	l.col.CountTriageConfirmed(tier)
+	return true
 }
 
 // release returns the ladder's clock storage to the shared slab pool once
 // classification for the window is complete.
-func (t *triage) release() {
-	if t.rel != nil {
-		t.rel.Release()
+func (l *ladder) release() {
+	if l.sr != nil {
+		l.sr.Release() // the witness index borrows these clocks
 	}
-	if t.sr != nil {
-		t.sr.Release() // the witness index and WCP gate borrow these clocks
-	}
-	t.shb.Release()
+	l.shb.Release()
 }

@@ -100,8 +100,8 @@ func assertProvenance(t *testing.T, label string, res race.Result, window int) {
 // TestTriageBitIdentityMatrix is the triage ladder's acceptance test:
 // the full race.Result — races in order, signatures, witnesses,
 // COPsChecked, per-race provenance, flags — must be bit-identical with
-// the ladder off and at every rung (shb, wcp, syncp, the default, and
-// cp), across every planted race motif, with and without witness
+// the ladder off and at every rung (shb, syncp and the default), across
+// every planted race motif, with and without witness
 // schedules, under every Parallelism × PairParallelism combination. Run
 // under -race in CI it doubles as the data-race check for the shared
 // clock slabs.
@@ -109,7 +109,7 @@ func TestTriageBitIdentityMatrix(t *testing.T) {
 	withProcs(t, 4)
 	for _, tc := range triageFixtures(t) {
 		for _, witness := range []bool{false, true} {
-			base := triageResult(tc.tr, tc.window, Options{NoTriage: true, Witness: witness})
+			base := triageResult(tc.tr, tc.window, Options{TriageLevel: "off", Witness: witness})
 			if tc.racy && len(base.Races) == 0 {
 				t.Fatalf("%s: expected races in the fixture", tc.name)
 			}
@@ -122,9 +122,7 @@ func TestTriageBitIdentityMatrix(t *testing.T) {
 					}{
 						{"default", Options{Witness: witness, Parallelism: par, PairParallelism: pairPar}},
 						{"shb", Options{Witness: witness, TriageLevel: "shb", Parallelism: par, PairParallelism: pairPar}},
-						{"wcp", Options{Witness: witness, TriageLevel: "wcp", Parallelism: par, PairParallelism: pairPar}},
 						{"syncp", Options{Witness: witness, TriageLevel: "syncp", Parallelism: par, PairParallelism: pairPar}},
-						{"cp", Options{Witness: witness, TriageCP: true, Parallelism: par, PairParallelism: pairPar}},
 					}
 					for _, m := range modes {
 						got := triageResult(tc.tr, tc.window, m.opt)
@@ -168,17 +166,16 @@ func TestTriageTelemetryCounters(t *testing.T) {
 	}
 
 	col = telemetry.NewCollector()
-	res = New(Options{WindowSize: 10000, NoTriage: true, Telemetry: col}).Detect(tr)
+	res = New(Options{WindowSize: 10000, TriageLevel: "off", Telemetry: col}).Detect(tr)
 	m = col.Snapshot()
-	if tg := m.Triage; tg.Confirmed != 0 || tg.WCPConfirmed != 0 || tg.SyncPConfirmed != 0 ||
-		tg.CPConfirmed != 0 || tg.Dispatched != 0 || tg.FastPathNS != 0 {
-		t.Errorf("NoTriage run has non-zero triage block: %+v", tg)
+	if tg := m.Triage; tg.Confirmed != 0 || tg.SyncPConfirmed != 0 || tg.Dispatched != 0 || tg.FastPathNS != 0 {
+		t.Errorf("triage-off run has non-zero triage block: %+v", tg)
 	}
 	if m.Outcomes.Sat != int64(ex.RV) {
-		t.Errorf("NoTriage sat outcomes = %d, want %d", m.Outcomes.Sat, ex.RV)
+		t.Errorf("triage-off sat outcomes = %d, want %d", m.Outcomes.Sat, ex.RV)
 	}
 	if len(res.Races) != ex.RV {
-		t.Errorf("NoTriage races = %d, want %d", len(res.Races), ex.RV)
+		t.Errorf("triage-off races = %d, want %d", len(res.Races), ex.RV)
 	}
 }
 
@@ -199,11 +196,10 @@ func TestTriageWitnessesStillSolve(t *testing.T) {
 	}
 }
 
-// TestProvenanceTierAttribution pins the attributor's exact tier per
+// TestProvenanceTierAttribution pins the provenance ladder's exact tier per
 // motif shape on hand-built filler-free traces (the fuzzed workload
-// fixtures add filler lock traffic that legitimately shifts WCP
-// attributions — rule (a) edges appear — so exact-tier assertions need
-// bare shapes). Each trace plants exactly one race; the expected tier is
+// fixtures add filler lock traffic that can shift attributions, so
+// exact-tier assertions need bare shapes). Each trace plants exactly one race; the expected tier is
 // the cheapest rung of the ladder that proves it, derived in the motif
 // comments of internal/workloads and verified by hand against the
 // witness-check algorithm.
@@ -236,8 +232,8 @@ func TestProvenanceTierAttribution(t *testing.T) {
 			b.At(4).ReadV(2, x, 1)
 			return b.Trace()
 		}},
-		{"cp-race", race.TierWCP, func() *trace.Trace {
-			// Non-conflicting sections: no WCP edge, witness via acquire swap.
+		{"cp-race", race.TierSyncP, func() *trace.Trace {
+			// Non-conflicting sections: witness via acquire swap.
 			b := trace.NewBuilder()
 			b.Acquire(1, l)
 			b.At(1).Write(1, x, 1)
@@ -249,7 +245,7 @@ func TestProvenanceTierAttribution(t *testing.T) {
 			return b.Trace()
 		}},
 		{"said-race", race.TierSyncP, func() *trace.Trace {
-			// Write/write section conflict: WCP-ordered, witness still exists.
+			// Write/write section conflict: the witness still exists.
 			b := trace.NewBuilder()
 			b.Acquire(1, l)
 			b.At(1).Write(1, x, 1)
@@ -290,8 +286,8 @@ func TestProvenanceTierAttribution(t *testing.T) {
 		if err := tr.Validate(); err != nil {
 			t.Fatalf("%s: fixture invalid: %v", sh.name, err)
 		}
-		// NoTriage: attribution must not depend on which fast path fired.
-		for _, opt := range []Options{{}, {NoTriage: true}, {TriageCP: true}} {
+		// Attribution must not depend on which fast path fired.
+		for _, opt := range []Options{{}, {TriageLevel: "off"}, {TriageLevel: "shb"}} {
 			res := New(opt).Detect(tr)
 			if len(res.Races) != 1 {
 				t.Fatalf("%s (opt %+v): races = %d, want exactly 1", sh.name, opt, len(res.Races))

@@ -112,17 +112,7 @@ type section struct {
 // Compute builds the CP relation of tr: critical-section contents, the
 // rule (i) seed pairs, and the rule (ii) fixpoint.
 func Compute(tr *trace.Trace) *Relation {
-	return ComputeWith(tr, hb.Clocks(tr))
-}
-
-// ComputeWith is Compute with a caller-supplied composition order for rule
-// (iii), for pipelines that already hold happens-before clocks of tr. Any
-// sound strengthening of HB is admissible: composing with a larger order
-// can only add CP ordering, which for a no-false-positive consumer is the
-// conservative direction (the triage tier passes its reads-from-extended
-// SHB clocks here).
-func ComputeWith(tr *trace.Trace, comp *hb.EventClocks) *Relation {
-	r := &Relation{hb: comp, hard: hb.ClocksOpt(tr, false)}
+	r := &Relation{hb: hb.Clocks(tr), hard: hb.ClocksOpt(tr, false)}
 
 	// Gather critical sections per lock, with per-section access summaries
 	// (only the owning thread's accesses between the endpoints).
@@ -245,11 +235,6 @@ func (r *Relation) cpBetween(i, j int) bool {
 	}
 	return false
 }
-
-// Release returns the relation's internal clock storage to the shared
-// slab pool. The caller-supplied composition clocks are not touched (the
-// caller owns them); after Release the relation must not be queried.
-func (r *Relation) Release() { r.hard.Release() }
 
 // CP reports whether event i causally-precedes event j.
 func (r *Relation) CP(i, j int) bool { return r.cpBetween(i, j) }

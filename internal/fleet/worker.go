@@ -197,7 +197,12 @@ func (w *worker) call(conn net.Conn, br *bufio.Reader, payload []byte, ttl time.
 // window boundary. acked reports whether at least one result reached
 // the coordinator's journal.
 func (w *worker) analyseShard(ctx context.Context, conn net.Conn, br *bufio.Reader, g grant) (acked bool, err error) {
-	det := core.NewWindowDetector(w.coreOptions())
+	// The same rvpredict.Options.CoreOptions mapping as the sharded
+	// reader path, so a worker-analysed window's outcome is
+	// byte-identical to the single-process run's.
+	copt := w.det.CoreOptions()
+	copt.FaultInjector = w.opt.FaultInjector
+	det := core.NewWindowDetector(copt)
 	ttl := time.Duration(g.ttlMS) * time.Millisecond
 	inj := w.opt.FaultInjector
 	err = w.det.TraceReader.Windows(w.det.WindowSize, func(win *trace.Trace, widx, offset int) error {
@@ -266,25 +271,4 @@ func (w *worker) analyseShard(ctx context.Context, conn net.Conn, br *bufio.Read
 		return acked, fmt.Errorf("%w: unexpected shard-done reply 0x%02x", ErrProtocol, reply[0])
 	}
 	return acked, nil
-}
-
-// coreOptions maps the worker's detection options onto the per-window
-// detector exactly as rvpredict's sharded reader path does, so a
-// worker-analysed window's outcome is byte-identical to the
-// single-process run's.
-func (w *worker) coreOptions() core.Options {
-	det := w.det
-	return core.Options{
-		WindowSize:       det.WindowSize,
-		SolveTimeout:     det.SolveTimeout,
-		FirstPassTimeout: det.FirstPassTimeout,
-		GlobalBudget:     det.GlobalBudget,
-		MaxConflicts:     det.MaxConflicts,
-		Witness:          det.Witness,
-		PairParallelism:  det.PairParallelism,
-		NoTriage:         det.NoTriage,
-		TriageLevel:      det.TriageLevel,
-		TriageCP:         det.TriageCP,
-		FaultInjector:    w.opt.FaultInjector,
-	}
 }

@@ -140,12 +140,11 @@ func (s *Server) Close() error {
 // With the default pipeline (quick check + triage on) the identity
 //
 //	enumerated = quick_check_filtered + signature_dedup + mhb_filtered
-//	           + triage_confirmed + triage_wcp_confirmed
-//	           + triage_syncp_confirmed + triage_cp_confirmed + dispatched
+//	           + triage_confirmed + triage_syncp_confirmed + dispatched
 //
 // holds exactly: partition classifies every enumerated candidate into
 // exactly one of those bins (solve-time skips count separately as
-// pair_skips). The NoTriage/NoQuickCheck ablations bypass classification,
+// pair_skips). The triage-off and NoQuickCheck ablations bypass classification,
 // so the triage terms undercount there.
 type Funnel struct {
 	Enumerated           int64 `json:"candidates_enumerated"`
@@ -153,9 +152,7 @@ type Funnel struct {
 	SigDedup             int64 `json:"signature_dedup"`
 	MHBFiltered          int64 `json:"mhb_filtered"`
 	TriageConfirmed      int64 `json:"triage_confirmed"`
-	TriageWCPConfirmed   int64 `json:"triage_wcp_confirmed"`
 	TriageSyncPConfirmed int64 `json:"triage_syncp_confirmed"`
-	TriageCPConfirmed    int64 `json:"triage_cp_confirmed"`
 	Dispatched           int64 `json:"dispatched"`
 	PairSkips            int64 `json:"pair_skips"`
 	QueriesSolved        int64 `json:"queries_solved"`
@@ -178,9 +175,7 @@ func (s *Server) funnel() Funnel {
 		SigDedup:             m.Outcomes.SigDedupHits,
 		MHBFiltered:          m.Outcomes.MHBFiltered,
 		TriageConfirmed:      m.Triage.Confirmed,
-		TriageWCPConfirmed:   m.Triage.WCPConfirmed,
 		TriageSyncPConfirmed: m.Triage.SyncPConfirmed,
-		TriageCPConfirmed:    m.Triage.CPConfirmed,
 		Dispatched:           m.Triage.Dispatched,
 		PairSkips:            m.PairSched.SigSkips,
 		QueriesSolved:        m.Outcomes.Solved,
@@ -430,12 +425,8 @@ var metricDefs = []metricDef{
 		func(_ *Server, m *telemetry.Metrics) []sample { return one(secs(m.PairSched.QueueWaitNS)) }},
 	{"rvpredict_triage_confirmed_total", "counter", "COPs confirmed as races by the SHB vector-clock triage tier.",
 		func(_ *Server, m *telemetry.Metrics) []sample { return one(float64(m.Triage.Confirmed)) }},
-	{"rvpredict_triage_wcp_confirmed_total", "counter", "COPs confirmed as races by the weak-causally-precedes triage tier.",
-		func(_ *Server, m *telemetry.Metrics) []sample { return one(float64(m.Triage.WCPConfirmed)) }},
 	{"rvpredict_triage_syncp_confirmed_total", "counter", "COPs confirmed as races by the sync-preserving witness triage tier.",
 		func(_ *Server, m *telemetry.Metrics) []sample { return one(float64(m.Triage.SyncPConfirmed)) }},
-	{"rvpredict_triage_cp_confirmed_total", "counter", "COPs confirmed as races by the causally-precedes triage tier.",
-		func(_ *Server, m *telemetry.Metrics) []sample { return one(float64(m.Triage.CPConfirmed)) }},
 	{"rvpredict_triage_dispatched_total", "counter", "COPs the triage tier passed to the SMT scheduler.",
 		func(_ *Server, m *telemetry.Metrics) []sample { return one(float64(m.Triage.Dispatched)) }},
 	{"rvpredict_triage_fast_path_seconds_total", "counter", "Wall-clock time spent in the triage fast path.",

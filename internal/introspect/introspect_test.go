@@ -20,8 +20,7 @@ import (
 
 // seedCollector populates a collector with a self-consistent candidate
 // funnel: 12 enumerated = 2 quick-filtered + 1 dedup + 0 mhb + 3 SHB-
-// confirmed + 1 WCP-confirmed + 1 SyncP-confirmed + 1 CP-confirmed +
-// 3 dispatched.
+// confirmed + 3 SyncP-confirmed + 3 dispatched.
 func seedCollector() *telemetry.Collector {
 	col := telemetry.NewCollector()
 	col.CountEnumerated(12)
@@ -31,10 +30,8 @@ func seedCollector() *telemetry.Collector {
 	for i := 0; i < 3; i++ {
 		col.CountTriageConfirmed(race.TierSHB)
 	}
-	col.CountTriageConfirmed(race.TierWCP)
-	col.CountTriageConfirmed(race.TierSyncP)
-	col.CountTriageConfirmed(race.TierCP)
 	for i := 0; i < 3; i++ {
+		col.CountTriageConfirmed(race.TierSyncP)
 		col.CountTriageDispatched()
 	}
 	col.CountPairGroups(4)
@@ -159,9 +156,7 @@ func TestMetricsScrape(t *testing.T) {
 		get("rvpredict_signature_dedup_total") +
 		get("rvpredict_mhb_filtered_total") +
 		get("rvpredict_triage_confirmed_total") +
-		get("rvpredict_triage_wcp_confirmed_total") +
 		get("rvpredict_triage_syncp_confirmed_total") +
-		get("rvpredict_triage_cp_confirmed_total") +
 		get("rvpredict_triage_dispatched_total")
 	if enumerated != 12 || classified != enumerated {
 		t.Errorf("funnel identity broken: enumerated %v, classified %v", enumerated, classified)
@@ -239,8 +234,7 @@ func TestProgressSSE(t *testing.T) {
 			t.Errorf("funnel enumerated = %d, want 12", f.Enumerated)
 		}
 		if sum := f.QuickCheckFiltered + f.SigDedup + f.MHBFiltered +
-			f.TriageConfirmed + f.TriageWCPConfirmed + f.TriageSyncPConfirmed +
-			f.TriageCPConfirmed + f.Dispatched; sum != f.Enumerated {
+			f.TriageConfirmed + f.TriageSyncPConfirmed + f.Dispatched; sum != f.Enumerated {
 			t.Errorf("funnel identity broken in SSE event: %+v", f)
 		}
 		events++

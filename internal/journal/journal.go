@@ -59,11 +59,13 @@ import (
 // Version 2 added per-race provenance (confirming tier, window, solver
 // query stats, replay origin); version 3 the degradation markers of the
 // streaming daemon (outcome-level Degraded/PairsShed, per-race Degraded
-// flag). Older-version journals are rejected as ErrFormat, which Resume
-// treats like any unusable journal — the run simply starts fresh.
+// flag); version 4 retired the "wcp" and "cp" confirming tiers, which
+// older journals may carry. Recover rejects older-version journals as
+// ErrFormat; Resume replaces them with a fresh journal, so the run
+// simply starts over.
 const (
 	Magic   = "RVPJ"
-	Version = 3
+	Version = 4
 )
 
 // Decode-hardening caps, in the spirit of tracefile.Decode: a hostile or
@@ -85,6 +87,10 @@ var (
 	// wrong magic, unsupported version, or a corrupt header frame. Unlike
 	// a torn tail, this is not recoverable by truncation.
 	ErrFormat = errors.New("journal: malformed journal")
+	// errStale is the ErrFormat of an intact journal written by an older
+	// format version: nothing in it is readable now, so Resume may
+	// replace it.
+	errStale = fmt.Errorf("%w: older format version", ErrFormat)
 	// ErrFingerprint reports a structurally valid journal written by a
 	// different run — another trace, or result-affecting options that
 	// changed. Resuming it would splice unrelated results into the
@@ -359,9 +365,14 @@ func Inspect(path string) (Fingerprint, RecoverInfo, error) {
 // Resume recovers the journal at path, truncates any torn tail in place,
 // and reopens it for appending. The returned writer continues the same
 // journal: windows analysed after the resume are appended behind the
-// replayed ones.
+// replayed ones. A journal of an older format version is replaced by a
+// fresh one (nothing is replayed); any other damage is an error.
 func Resume(path string, fp Fingerprint, opt Options) (*Writer, RecoverInfo, error) {
 	info, err := Recover(path, fp)
+	if errors.Is(err, errStale) {
+		w, err := Create(path, fp, opt)
+		return w, RecoverInfo{}, err
+	}
 	if err != nil {
 		return nil, RecoverInfo{}, err
 	}
@@ -671,6 +682,9 @@ func decodeStream(r io.Reader) (Fingerprint, RecoverInfo, error) {
 		return fp, RecoverInfo{}, fmt.Errorf("%w: bad magic", ErrFormat)
 	}
 	ver, err := readUvarint(c)
+	if err == nil && ver < Version {
+		return fp, RecoverInfo{}, errStale
+	}
 	if err != nil || ver != Version {
 		return fp, RecoverInfo{}, fmt.Errorf("%w: unsupported version", ErrFormat)
 	}

@@ -194,6 +194,14 @@ func TestCorruptionTable(t *testing.T) {
 			wantErr: ErrFormat,
 		},
 		{
+			// A version-3 journal may carry the retired "wcp"/"cp"
+			// tiers: refused here, replaced by Resume (see
+			// rvpredict's TestResumeOlderJournalStartsFresh).
+			name:    "older version",
+			mutate:  func(b []byte) []byte { b[4] = Version - 1; return b },
+			wantErr: ErrFormat,
+		},
+		{
 			name:    "header payload flipped",
 			mutate:  func(b []byte) []byte { return faultinject.Corrupt(b, 10, 0x40) },
 			wantErr: ErrFormat,

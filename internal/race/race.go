@@ -37,32 +37,28 @@ func SigOf(tr *trace.Trace, a, b int) Signature {
 }
 
 // Confirming-tier names used in Provenance.Tier, ordered by the triage
-// ladder SHB → WCP → SyncP → CP → SMT (the detection-side refinement of
-// the paper's Table 1 inclusion chain HB ⊆ CP ⊆ RV): the named tier is
-// the cheapest sound argument that proves the race, independent of which
-// execution path happened to fire for it in a given run (that
-// independence is what makes provenance bit-identical across triage
-// modes).
+// ladder SHB → SyncP → SMT (the detection-side refinement of the paper's
+// Table 1 inclusion chain HB ⊆ CP ⊆ RV): the named tier is the cheapest
+// sound argument that proves the race, independent of which execution
+// path happened to fire for it in a given run (that independence is what
+// makes provenance bit-identical across triage modes). The remaining
+// names mark the fixed tiers of the Table 1 baseline detectors.
 const (
 	// TierSHB: the pair is concurrent under schedulable happens-before
 	// (SHB clocks, including the reads-from pre-join check), which —
 	// together with disjoint locksets — soundly proves the SMT query
 	// satisfiable (see internal/core/triage.go).
 	TierSHB = "shb"
-	// TierWCP: SHB cannot confirm the pair, but it is unordered by the
-	// weak-causally-precedes gate (internal/wcp) and the sync-preserving
+	// TierSyncP: SHB cannot confirm the pair, but the sync-preserving
 	// witness check (internal/syncp) proves the race with an explicit
 	// reads-from-preserving reordering.
-	TierWCP = "wcp"
-	// TierSyncP: the WCP gate orders the pair, but the sync-preserving
-	// witness check still proves the race.
 	TierSyncP = "syncp"
-	// TierCP: no witness-backed tier confirms the pair, but it is
-	// unordered by the causally-precedes relation composed with SHB.
-	TierCP = "cp"
 	// TierSMT: only the full DPLL(T) solve proves the race; solver query
 	// stats are recorded alongside.
 	TierSMT = "smt"
+	// TierCausallyPrecedes marks races reported by the
+	// causally-precedes baseline detector (Algorithm CausallyPrecedes).
+	TierCausallyPrecedes = "cp"
 	// TierHB marks races reported by the happens-before baseline
 	// detector (Algorithm HappensBefore).
 	TierHB = "hb"

@@ -15,6 +15,7 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/race"
 	"repro/internal/stream"
+	"repro/internal/telemetry"
 	"repro/rvpredict"
 	"repro/trace"
 )
@@ -178,20 +179,13 @@ func TestStreamMatchesBatch(t *testing.T) {
 // changes delivery, triage changes attribution, neither changes results.
 func TestStreamTriageRungsMatchBatch(t *testing.T) {
 	tr := richTrace()
-	rungs := []struct {
-		name         string
-		noTriage, cp bool
-		level        string
-	}{
-		{name: "default"}, {name: "notriage", noTriage: true},
-		{name: "shb", level: "shb"}, {name: "wcp", level: "wcp"},
-		{name: "syncp", level: "syncp"}, {name: "cp", cp: true},
+	rungs := []struct{ name, level string }{
+		{"default", ""}, {"notriage", "off"}, {"shb", "shb"}, {"syncp", "syncp"},
 	}
 	var baseline map[string]bool
 	for _, rung := range rungs {
 		t.Run(rung.name, func(t *testing.T) {
-			opt := rvpredict.Options{WindowSize: 24, Witness: true}
-			opt.NoTriage, opt.TriageCP, opt.TriageLevel = rung.noTriage, rung.cp, rung.level
+			opt := rvpredict.Options{WindowSize: 24, Witness: true, TriageLevel: rung.level}
 			_, addr := startDaemon(t, stream.Options{
 				StateDir: t.TempDir(),
 				Detect:   opt,
@@ -212,6 +206,51 @@ func TestStreamTriageRungsMatchBatch(t *testing.T) {
 				baseline = verdicts
 			} else if !reflect.DeepEqual(verdicts, baseline) {
 				t.Errorf("verdict surface differs across rungs: %v vs %v", verdicts, baseline)
+			}
+		})
+	}
+}
+
+// TestStreamTriageCountersMatchBatch: the daemon derives its detector
+// options through the same mapping as a batch run, so the triage level
+// reaches its sessions. At the shb rung the daemon's triage counters must
+// equal a batch run's — the syncp rung, which the fixture does exercise
+// at the default level, must stay silent.
+func TestStreamTriageCountersMatchBatch(t *testing.T) {
+	// Each block races x across two lock-ordered but non-conflicting
+	// critical sections: HB (and so SHB) orders the pair, and only the
+	// sync-preserving witness — swapping the sections — confirms it.
+	b := trace.NewBuilder()
+	lk := trace.Addr(1)
+	for i := 0; i < 6; i++ {
+		l := trace.Loc(100 * (i + 1))
+		x, u := trace.Addr(10+2*i), trace.Addr(11+2*i)
+		b.Acquire(1, lk)
+		b.At(l+1).Write(1, x, 1)
+		b.Release(1, lk)
+		b.Acquire(2, lk)
+		b.At(l+2).Write(2, u, 1)
+		b.Release(2, lk)
+		b.At(l+3).Read(2, x)
+	}
+	tr := b.Trace()
+	for _, level := range []string{"", "shb"} {
+		t.Run("level="+level, func(t *testing.T) {
+			opt := rvpredict.Options{WindowSize: 24, Witness: true, TriageLevel: level}
+			col := telemetry.NewCollector()
+			_, addr := startDaemon(t, stream.Options{StateDir: t.TempDir(), Detect: opt, Collector: col})
+			streamed(t, addr, "tok", tr, 3)
+			got := col.Snapshot().Triage
+
+			opt.Telemetry = true
+			want := batchReport(t, tr, opt).Telemetry.Triage
+			if got.Confirmed != want.Confirmed || got.SyncPConfirmed != want.SyncPConfirmed ||
+				got.Dispatched != want.Dispatched {
+				t.Errorf("daemon triage counters %+v, batch %+v", got, want)
+			}
+			if (level == "shb") != (want.SyncPConfirmed == 0) {
+				t.Errorf("batch syncp_confirmed = %d at level %q; the fixture must exercise the syncp rung by default only",
+					want.SyncPConfirmed, level)
 			}
 		})
 	}
@@ -336,8 +375,7 @@ func TestDegradationSoundness(t *testing.T) {
 		if !r.Provenance.Degraded {
 			t.Errorf("race %d,%d lacks the Degraded provenance flag", r.First, r.Second)
 		}
-		if tier := r.Provenance.Tier; tier != race.TierSHB && tier != race.TierWCP &&
-			tier != race.TierSyncP && tier != race.TierCP {
+		if tier := r.Provenance.Tier; tier != race.TierSHB && tier != race.TierSyncP {
 			t.Errorf("race %d,%d confirmed by tier %q under degradation, want a sound non-SMT tier",
 				r.First, r.Second, tier)
 		}

@@ -167,21 +167,12 @@ func (d *Daemon) openSession(ctx context.Context, token string) (*session, error
 			d.logf("stream: session %s: journal append: %v", token, err)
 		}
 	}
-	det := d.opt.Detect
-	s.runner = core.NewWindowRunner(core.Options{
-		WindowSize:       det.WindowSize,
-		SolveTimeout:     det.SolveTimeout,
-		FirstPassTimeout: det.FirstPassTimeout,
-		MaxConflicts:     det.MaxConflicts,
-		Witness:          det.Witness,
-		PairParallelism:  det.PairParallelism,
-		NoTriage:         det.NoTriage,
-		TriageCP:         det.TriageCP,
-		Telemetry:        d.col,
-		FaultInjector:    d.inj,
-		OnWindowDone:     hook,
-		ResumeWindows:    s.resume,
-	})
+	copt := d.opt.Detect.CoreOptions()
+	copt.Telemetry = d.col
+	copt.FaultInjector = d.inj
+	copt.OnWindowDone = hook
+	copt.ResumeWindows = s.resume
+	s.runner = core.NewWindowRunner(copt)
 
 	for i, p := range payloads {
 		rec, err := decodeRecord(p)

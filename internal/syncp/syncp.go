@@ -306,9 +306,9 @@ type Options struct {
 
 // Detector is the standalone cumulative sync-preserving detector: it
 // reports every COP the SHB tier or the witness check confirms, one per
-// signature. By construction its race set contains the standalone WCP
-// detector's (internal/wcp) and is contained in the maximal detector's —
-// the inclusion chain the oracle tests enforce.
+// signature. By construction its race set contains the SHB tier's and
+// is contained in the maximal detector's — the inclusion chain the
+// oracle test enforces.
 type Detector struct {
 	opt Options
 }

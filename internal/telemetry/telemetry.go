@@ -229,12 +229,10 @@ type Collector struct {
 	degradedWindows  atomic.Int64
 
 	// Triage-tier tallies (sound fast paths before SMT, per ladder rung).
-	triConfirmed    atomic.Int64
-	triWCPConfirmed atomic.Int64
-	triSPConfirmed  atomic.Int64
-	triCPConfirmed  atomic.Int64
-	triDispatched   atomic.Int64
-	triFastPath     atomic.Int64
+	triConfirmed   atomic.Int64
+	triSPConfirmed atomic.Int64
+	triDispatched  atomic.Int64
+	triFastPath    atomic.Int64
 
 	// Durable-journal tallies (internal/journal).
 	journalRecords  atomic.Int64
@@ -652,22 +650,15 @@ func (c *Collector) AddQueueWait(d time.Duration) {
 
 // CountTriageConfirmed tallies one COP soundly confirmed as a race by the
 // triage ladder without a solver query, attributed to the cheapest rung
-// that proves it: "shb" (epoch/clock fast path), "wcp"
-// (weak-causally-precedes gate plus sync-preserving witness), "syncp"
-// (sync-preserving witness alone) or "cp" (the opt-in causally-precedes
-// tier). Unknown tiers count as "shb" defensively.
+// that proves it: "shb" (epoch/clock fast path) or "syncp"
+// (sync-preserving witness). Unknown tiers count as "shb" defensively.
 func (c *Collector) CountTriageConfirmed(tier string) {
 	if c == nil {
 		return
 	}
-	switch tier {
-	case "wcp":
-		c.triWCPConfirmed.Add(1)
-	case "syncp":
+	if tier == "syncp" {
 		c.triSPConfirmed.Add(1)
-	case "cp":
-		c.triCPConfirmed.Add(1)
-	default:
+	} else {
 		c.triConfirmed.Add(1)
 	}
 }
@@ -1003,9 +994,7 @@ func (c *Collector) Snapshot() *Metrics {
 		},
 		Triage: TriageCounters{
 			Confirmed:      c.triConfirmed.Load(),
-			WCPConfirmed:   c.triWCPConfirmed.Load(),
 			SyncPConfirmed: c.triSPConfirmed.Load(),
-			CPConfirmed:    c.triCPConfirmed.Load(),
 			Dispatched:     c.triDispatched.Load(),
 			FastPathNS:     c.triFastPath.Load(),
 		},
@@ -1116,19 +1105,15 @@ type PairSchedCounters struct {
 // TriageCounters describes the sound triage ladder that runs before the
 // pair scheduler, one counter per rung: Confirmed COPs were proven races
 // by the SHB epoch/clock fast path alone (no solver query unless a
-// witness was requested), WCPConfirmed by the weak-causally-precedes gate
-// plus the sync-preserving witness check, SyncPConfirmed by the witness
-// check alone, CPConfirmed by the opt-in causally-precedes tier, and
-// Dispatched COPs went to the SMT scheduler unchanged. The counts are
+// witness was requested), SyncPConfirmed by the sync-preserving witness
+// check, and Dispatched COPs went to the SMT scheduler unchanged. The counts are
 // deterministic (classification happens in canonical order before
 // dispatch, attributed to the cheapest rung that proves the pair);
 // FastPathNS is the ladder's wall-clock cost and is excluded from
 // NonTiming.
 type TriageCounters struct {
 	Confirmed      int64 `json:"confirmed"`
-	WCPConfirmed   int64 `json:"wcp_confirmed"`
 	SyncPConfirmed int64 `json:"syncp_confirmed"`
-	CPConfirmed    int64 `json:"cp_confirmed"`
 	Dispatched     int64 `json:"dispatched"`
 	FastPathNS     int64 `json:"fast_path_ns"`
 }

@@ -46,7 +46,7 @@ func TestIntrospectionConcurrentWithDetection(t *testing.T) {
 		Witness:         true,
 		Parallelism:     2,
 		PairParallelism: 2,
-		NoTriage:        true, // force solver work so the run has real duration
+		TriageLevel:     "off", // force solver work so the run has real duration
 	}
 	quiet, err := rvpredict.Run(nil, tr, base)
 	if err != nil {

@@ -158,24 +158,7 @@ func runReaderDetect(ctx context.Context, rd TraceReader, opt Options, mergeMode
 // full (unsharded) reader run and an N-shard merge reconstruct the same
 // race list.
 func detectReader(ctx context.Context, rd TraceReader, opt Options, col *telemetry.Collector) (race.Result, error) {
-	copt := core.Options{
-		WindowSize:       opt.WindowSize,
-		SolveTimeout:     opt.SolveTimeout,
-		FirstPassTimeout: opt.FirstPassTimeout,
-		GlobalBudget:     opt.GlobalBudget,
-		MaxConflicts:     opt.MaxConflicts,
-		Witness:          opt.Witness,
-		PairParallelism:  opt.PairParallelism,
-		NoTriage:         opt.NoTriage,
-		TriageLevel:      opt.TriageLevel,
-		TriageCP:         opt.TriageCP,
-		Telemetry:        col,
-		Tracer:           opt.Tracer,
-		FaultInjector:    opt.FaultInjector,
-		OnWindowDone:     opt.onWindowDone,
-		ResumeWindows:    opt.resumeWindows,
-	}
-	d := core.NewWindowDetector(copt)
+	d := core.NewWindowDetector(opt.runCoreOptions(col))
 	var globalDeadline time.Time
 	if opt.GlobalBudget > 0 {
 		globalDeadline = time.Now().Add(opt.GlobalBudget)

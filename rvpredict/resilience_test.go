@@ -96,11 +96,11 @@ func TestInterruptedKeyAlwaysPresent(t *testing.T) {
 func TestWindowFailuresSurfaceInReport(t *testing.T) {
 	inj := faultinject.New().
 		Script(faultinject.Scoped(faultinject.PointSolve, 1), 0, faultinject.FaultPanic)
-	// NoTriage: the fault script targets the scripted window's first solver
-	// query, which the triage fast path would otherwise skip entirely.
+	// Triage off: the fault script targets the scripted window's first
+	// solver query, which the triage fast path would otherwise skip.
 	rep := rvpredict.Detect(racyWindows(), rvpredict.Options{
 		WindowSize:    50,
-		NoTriage:      true,
+		TriageLevel:   "off",
 		FaultInjector: inj,
 		Telemetry:     true,
 	})
@@ -134,11 +134,11 @@ func TestWindowFailuresSurfaceInReport(t *testing.T) {
 // adaptive scheduler: PairsRetried and the telemetry tallies.
 func TestTwoPassRetrySurfacesInReport(t *testing.T) {
 	inj := faultinject.New().Script(faultinject.PointSolve, 0, faultinject.FaultTimeout)
-	// NoTriage: the injected timeout targets the first solver query, which
-	// the triage fast path would otherwise skip entirely.
+	// Triage off: the injected timeout targets the first solver query,
+	// which the triage fast path would otherwise skip entirely.
 	rep := rvpredict.Detect(racyWindows(), rvpredict.Options{
 		WindowSize:       50,
-		NoTriage:         true,
+		TriageLevel:      "off",
 		FirstPassTimeout: 50 * time.Millisecond,
 		FaultInjector:    inj,
 		Telemetry:        true,

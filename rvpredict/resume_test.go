@@ -79,25 +79,17 @@ func TestResumeMatrixBitIdentical(t *testing.T) {
 	type combo struct {
 		name         string
 		par, pairPar int
-		noTriage, cp bool
 		level        string
 		fullCompare  bool // parallel merges share verdicts, so PairsChecked may differ
 	}
 	var combos []combo
 	for _, par := range []int{0, 2} {
 		for _, pairPar := range []int{0, 2} {
-			for _, tri := range []struct {
-				name         string
-				noTriage, cp bool
-				level        string
-			}{
-				{name: "triage"}, {name: "notriage", noTriage: true},
-				{name: "shb", level: "shb"}, {name: "wcp", level: "wcp"},
-				{name: "syncp", level: "syncp"}, {name: "cp", cp: true},
+			for _, tri := range []struct{ name, level string }{
+				{"triage", ""}, {"notriage", "off"}, {"shb", "shb"}, {"syncp", "syncp"},
 			} {
 				combos = append(combos, combo{
-					name: tri.name, par: par, pairPar: pairPar,
-					noTriage: tri.noTriage, cp: tri.cp, level: tri.level,
+					name: tri.name, par: par, pairPar: pairPar, level: tri.level,
 					fullCompare: par <= 1,
 				})
 			}
@@ -108,7 +100,7 @@ func TestResumeMatrixBitIdentical(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			base := runOpts()
 			base.Parallelism, base.PairParallelism = c.par, c.pairPar
-			base.NoTriage, base.TriageCP, base.TriageLevel = c.noTriage, c.cp, c.level
+			base.TriageLevel = c.level
 			clean, err := rvpredict.Run(nil, tr, base)
 			if err != nil {
 				t.Fatalf("clean run failed: %v", err)
@@ -145,10 +137,10 @@ func TestResumeMatrixBitIdentical(t *testing.T) {
 			// Replayed windows never re-enter the solver. Triage can
 			// legitimately drive live queries to zero, so the strict
 			// comparison runs where the solver is guaranteed busy.
-			if c.noTriage {
+			if c.level == "off" {
 				cs, rs := clean.Telemetry.Outcomes.Solved, resumed.Telemetry.Outcomes.Solved
 				if cs == 0 {
-					t.Fatal("clean NoTriage run issued no solver queries (fixture drifted)")
+					t.Fatal("clean triage-off run issued no solver queries (fixture drifted)")
 				}
 				if rs >= cs {
 					t.Errorf("par %d × pairPar %d: resume solved %d queries, want strictly fewer than the clean run's %d",
@@ -253,12 +245,40 @@ func TestResumeFingerprintMismatch(t *testing.T) {
 		ok := opt
 		ok.Resume = true
 		ok.Parallelism, ok.PairParallelism = 2, 2
-		ok.NoTriage = true
+		ok.TriageLevel = "off"
 		ok.JournalGroupCommit = 1 // sync every append
 		if _, err := rvpredict.Run(nil, resumeFixture(), ok); err != nil {
 			t.Fatalf("resume under different observational options failed: %v", err)
 		}
 	})
+}
+
+// TestResumeOlderJournalStartsFresh: a journal of an older format
+// version (its tiers may name retired rungs) is not replayed — Run with
+// Resume starts a fresh journal over it and reports exactly what a clean
+// run does.
+func TestResumeOlderJournalStartsFresh(t *testing.T) {
+	old := tornJournal(t)
+	old[len(journal.Magic)] = journal.Version - 1 // the one-byte version varint
+	opt := runOpts()
+	opt.Journal = filepath.Join(t.TempDir(), "old.journal")
+	if err := os.WriteFile(opt.Journal, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	opt.Resume = true
+	rep, err := rvpredict.Run(nil, resumeFixture(), opt)
+	if err != nil {
+		t.Fatalf("resume over an older-version journal: %v", err)
+	}
+	clean, _ := rvpredict.Run(nil, resumeFixture(), runOpts())
+	if n := rep.Telemetry.Journal.WindowsReplayed; n != 0 || !reflect.DeepEqual(rep.Races, clean.Races) {
+		t.Errorf("windows_replayed = %d, races equal to a clean run = %t; want 0, true",
+			n, reflect.DeepEqual(rep.Races, clean.Races))
+	}
+	if _, info, err := journal.Inspect(opt.Journal); err != nil || len(info.Outcomes) != rep.Windows {
+		t.Errorf("rewritten journal: %d outcomes, err %v; want %d at the current version",
+			len(info.Outcomes), err, rep.Windows)
+	}
 }
 
 // TestResumeMissingJournal: resuming a path that does not exist is an

@@ -172,26 +172,15 @@ type Options struct {
 	// run (see core.Options.PairParallelism). The two knobs compose under
 	// one worker budget of max(Parallelism, PairParallelism).
 	PairParallelism int
-	// NoTriage disables the sound triage ladder of the MaximalCF
-	// detector, which confirms candidate pairs as races without a solver
-	// query. The report is bit-identical with triage on or off (absent
-	// real wall-clock solver timeouts); the knob exists for measurement
-	// and as an escape hatch. See doc/performance.md.
-	NoTriage bool
-	// TriageLevel caps the triage ladder at a named rung (MaximalCF
-	// only): "shb" (vector clocks only), "wcp" (adds the
-	// weak-causally-precedes gate over the sync-preserving witness
-	// check), "syncp" (adds the witness check alone — the default, also
-	// spelled ""), or "cp" (adds the opt-in causally-precedes tier).
-	// Every level produces a bit-identical report; the knob trades
+	// TriageLevel caps the sound triage ladder of the MaximalCF detector,
+	// which confirms candidate pairs as races without a solver query:
+	// "off" (every pair goes to the solver), "shb" (vector clocks only)
+	// or "syncp" (adds the sync-preserving witness check — the default,
+	// also spelled ""). Every level produces a bit-identical report
+	// (absent real wall-clock solver timeouts); the knob trades
 	// per-window analysis time against solver queries. Unknown values
-	// fail Validate. See core.Options.TriageLevel and
-	// doc/performance.md.
+	// fail Validate. See core.Options.TriageLevel and doc/performance.md.
 	TriageLevel string
-	// TriageCP additionally enables the causally-precedes top tier for
-	// lock-heavy traces (MaximalCF only; off by default). Equivalent to
-	// TriageLevel "cp"; kept for compatibility. See core.Options.TriageCP.
-	TriageCP bool
 	// Telemetry attaches a Telemetry metrics snapshot to the report:
 	// phase timings, solver counters and outcome tallies. Collection is
 	// allocation-light but not free; leave it off on hot paths. Enabling
@@ -335,19 +324,10 @@ func (o Options) Validate() error {
 	if o.MaxConflicts < 0 {
 		return &OptionsError{Field: "MaxConflicts", Reason: "negative; use 0 for an unbounded search"}
 	}
-	if o.NoTriage && o.TriageCP {
-		return &OptionsError{Field: "TriageCP", Reason: "requests a second triage tier while NoTriage disables triage entirely"}
-	}
 	switch o.TriageLevel {
-	case "", "shb", "wcp", "syncp", "cp":
+	case "", "off", "shb", "syncp":
 	default:
-		return &OptionsError{Field: "TriageLevel", Reason: fmt.Sprintf("%q; want shb, wcp, syncp or cp (empty for the default)", o.TriageLevel)}
-	}
-	if o.NoTriage && o.TriageLevel != "" {
-		return &OptionsError{Field: "TriageLevel", Reason: "selects a triage ladder rung while NoTriage disables triage entirely"}
-	}
-	if o.TriageCP && o.TriageLevel != "" && o.TriageLevel != "cp" {
-		return &OptionsError{Field: "TriageLevel", Reason: fmt.Sprintf("%q conflicts with TriageCP, which demands the full ladder", o.TriageLevel)}
+		return &OptionsError{Field: "TriageLevel", Reason: fmt.Sprintf("%q; want off, shb or syncp (empty for the default)", o.TriageLevel)}
 	}
 	if o.Resume && o.Journal == "" {
 		return &OptionsError{Field: "Resume", Reason: "requires Journal: there is nothing to resume from"}
@@ -421,6 +401,43 @@ func (o Options) normalise() Options {
 // the same options agree bit for bit.
 func (o Options) Normalised() Options { return o.normalise() }
 
+// CoreOptions derives the MaximalCF detector's options from o: the one
+// mapping every driver uses — batch, out-of-core reader, daemon session
+// and fleet worker — so a field cannot reach one mode and miss another.
+// The caller fills in only what it owns: the telemetry collector, the
+// window-completion hook, the resume map and the fault injector.
+//
+// The fields are copied as they are, in core's spelling (0 = unbounded),
+// so o must already be normalised: call Normalised first unless o came
+// from it. Normalising is not idempotent — it maps a negative to 0
+// (unbounded) and a 0 to the default — so CoreOptions does not do it.
+func (o Options) CoreOptions() core.Options {
+	return core.Options{
+		WindowSize:       o.WindowSize,
+		SolveTimeout:     o.SolveTimeout,
+		FirstPassTimeout: o.FirstPassTimeout,
+		GlobalBudget:     o.GlobalBudget,
+		MaxConflicts:     o.MaxConflicts,
+		Witness:          o.Witness,
+		Parallelism:      o.Parallelism,
+		PairParallelism:  o.PairParallelism,
+		TriageLevel:      o.TriageLevel,
+		Tracer:           o.Tracer,
+	}
+}
+
+// runCoreOptions is CoreOptions plus what the batch and reader drivers
+// own: the run's collector, its fault injector and Run's journal
+// plumbing.
+func (o Options) runCoreOptions(col *telemetry.Collector) core.Options {
+	c := o.CoreOptions()
+	c.Telemetry = col
+	c.FaultInjector = o.FaultInjector
+	c.OnWindowDone = o.onWindowDone
+	c.ResumeWindows = o.resumeWindows
+	return c
+}
+
 // ResultFingerprint returns the canonical string of every
 // result-affecting option (see the journal fingerprint contract): two
 // option values with equal ResultFingerprint produce identical reports
@@ -429,7 +446,7 @@ func (o Options) Normalised() Options { return o.normalise() }
 func (o Options) ResultFingerprint() string { return o.fingerprintString() }
 
 // Provenance records, for one reported race, which confirming tier
-// established it (SHB triage, CP triage, the SMT solver, or a baseline
+// established it (SHB or SyncP triage, the SMT solver, or a baseline
 // detector's fixed tier), in which analysis window, and — when the SMT
 // solver ran — what the query cost. It is attributed at merge time from
 // the window's relations, so it is identical whichever execution
@@ -694,24 +711,7 @@ func DetectContext(ctx context.Context, tr *trace.Trace, opt Options) Report {
 	case QuickCheck:
 		det = uncancellable{lockset.New(lockset.Options{WindowSize: opt.WindowSize})}
 	default:
-		det = core.New(core.Options{
-			WindowSize:       opt.WindowSize,
-			SolveTimeout:     opt.SolveTimeout,
-			FirstPassTimeout: opt.FirstPassTimeout,
-			GlobalBudget:     opt.GlobalBudget,
-			MaxConflicts:     opt.MaxConflicts,
-			Witness:          opt.Witness,
-			Parallelism:      opt.Parallelism,
-			PairParallelism:  opt.PairParallelism,
-			NoTriage:         opt.NoTriage,
-			TriageLevel:      opt.TriageLevel,
-			TriageCP:         opt.TriageCP,
-			Telemetry:        col,
-			Tracer:           opt.Tracer,
-			FaultInjector:    opt.FaultInjector,
-			OnWindowDone:     opt.onWindowDone,
-			ResumeWindows:    opt.resumeWindows,
-		})
+		det = core.New(opt.runCoreOptions(col))
 	}
 	res := det.DetectContext(ctx, tr)
 	scan := col.StartPhase(telemetry.PhaseTraceScan)
@@ -765,7 +765,7 @@ func publicProvenance(r race.Race, opt Options) race.Provenance {
 	}
 	switch opt.Algorithm {
 	case CausallyPrecedes:
-		p.Tier = race.TierCP
+		p.Tier = race.TierCausallyPrecedes
 	case HappensBefore:
 		p.Tier = race.TierHB
 	case QuickCheck:

@@ -95,16 +95,55 @@ func TestOptionDefaults(t *testing.T) {
 	}
 }
 
+// TestNegativeOptionsDisableBounds: WindowSize -1 analyses a trace
+// longer than the 10000-event default as one window, on both the
+// in-memory and the reader path, so a race whose accesses sit 10500
+// events apart is still found. Normalising twice would turn the -1 into
+// 0 and then into the default, splitting the trace and losing the race.
 func TestNegativeOptionsDisableBounds(t *testing.T) {
 	b := trace.NewBuilder()
 	b.Write(1, 5, 1)
+	for i := 0; i < 10500; i++ {
+		b.Write(1, trace.Addr(100+i), 1)
+	}
 	b.ReadV(2, 5, 1)
-	rep := rvpredict.Detect(b.Trace(), rvpredict.Options{
-		WindowSize:   -1,
-		SolveTimeout: -1 * time.Second,
-	})
-	if len(rep.Races) != 1 {
-		t.Fatal("race must be found with unbounded options")
+	tr := b.Trace()
+	opt := rvpredict.Options{WindowSize: -1, SolveTimeout: -1}
+	check := func(name string, rep rvpredict.Report) {
+		t.Helper()
+		if rep.Windows != 1 {
+			t.Errorf("%s: windows = %d, want 1", name, rep.Windows)
+		}
+		if len(rep.Races) != 1 {
+			t.Errorf("%s: races = %d, want 1", name, len(rep.Races))
+		}
+	}
+	check("Detect", rvpredict.Detect(tr, opt))
+	sharded := opt
+	sharded.Shards = 1
+	rep, err := rvpredict.Run(nil, tr, sharded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("reader", rep)
+}
+
+// TestCoreOptionsMapsNormalisedSentinels: CoreOptions copies normalised
+// options as they are — negatives have become core's 0 (unbounded) and
+// zeros the paper's defaults — and never re-normalises, which would turn
+// an unbounded 0 back into a default.
+func TestCoreOptionsMapsNormalisedSentinels(t *testing.T) {
+	c := rvpredict.Options{WindowSize: -1, SolveTimeout: -1}.Normalised().CoreOptions()
+	if c.WindowSize != 0 || c.SolveTimeout != 0 {
+		t.Errorf("unbounded: window %d, solve %v; want 0, 0", c.WindowSize, c.SolveTimeout)
+	}
+	c = rvpredict.Options{}.Normalised().CoreOptions()
+	if c.WindowSize != 10000 || c.SolveTimeout != 60*time.Second {
+		t.Errorf("defaults: window %d, solve %v; want 10000, 60s", c.WindowSize, c.SolveTimeout)
+	}
+	c = rvpredict.Options{TriageLevel: "shb", Witness: true, MaxConflicts: 7}.Normalised().CoreOptions()
+	if c.TriageLevel != "shb" || !c.Witness || c.MaxConflicts != 7 {
+		t.Errorf("fields not carried: %+v", c)
 	}
 }
 

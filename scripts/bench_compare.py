@@ -56,8 +56,7 @@ def load_table1(text):
         row = json.loads(line)
         metrics = {"rv_races": row["rv"]["races"]}
         for block, keys in (
-            ("triage", ("confirmed", "wcp_confirmed", "syncp_confirmed",
-                        "cp_confirmed", "dispatched")),
+            ("triage", ("confirmed", "syncp_confirmed", "dispatched")),
             ("journal", ("records_written", "windows_replayed")),
         ):
             for key, val in (row.get(block) or {}).items():

@@ -34,9 +34,7 @@ FUNNEL_PARTS = [
     "rvpredict_signature_dedup_total",
     "rvpredict_mhb_filtered_total",
     "rvpredict_triage_confirmed_total",
-    "rvpredict_triage_wcp_confirmed_total",
     "rvpredict_triage_syncp_confirmed_total",
-    "rvpredict_triage_cp_confirmed_total",
     "rvpredict_triage_dispatched_total",
 ]
 
