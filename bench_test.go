@@ -133,6 +133,9 @@ func BenchmarkDetect(b *testing.B) {
 			b.ReportMetric(float64(m.Solver.Propagations), "propagations")
 			b.ReportMetric(float64(m.Solver.Conflicts), "conflicts")
 			b.ReportMetric(float64(m.Outcomes.Solved), "queries")
+			// Clauses of the window encodings: the size of what the
+			// replicas encode, informational next to the queries gate.
+			b.ReportMetric(float64(m.Solver.Clauses), "clauses")
 			b.ReportMetric(float64(m.Outcomes.Enumerated), "candidates")
 			// Triage fast-path allocation regression: every rung of the
 			// ladder borrows its clock state from the vc slab pools, so

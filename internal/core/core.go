@@ -98,7 +98,11 @@ type Options struct {
 	// where the SMT query is guaranteed satisfiable, so the level only
 	// decides which pairs skip the solver — absent real wall-clock solver
 	// timeouts, which are inherently timing-dependent. It is a pure
-	// performance knob, excluded from the journal fingerprint.
+	// performance knob, excluded from the journal fingerprint. "off" and
+	// "shb" still run the full ladder, untallied beyond their own rungs,
+	// because its verdicts choose the pair scheduler's warm prefix
+	// (pairsched.go): the base encoding, and with it every solver query's
+	// search, is the same at every level.
 	// Unrecognised values fall back to the default; validation with typed
 	// errors lives in the public rvpredict layer. Triage is also inactive
 	// when NoQuickCheck is set (it shares the quick check's locksets and
@@ -482,32 +486,29 @@ func (wr *windowRun) analyze(ctx context.Context, globalDeadline time.Time, w *t
 		// false race — it may only miss SMT-only ones.
 		var att *ladder
 		for _, g := range groups {
-			reported := false
-			for k := range g.cops {
-				if !reported && g.confirmed != nil && g.confirmed[k] &&
-					(d.skipSig == nil || !d.skipSig(g.sig)) {
-					reported = true
-					seen[g.sig] = true
-					if d.foundSig != nil {
-						d.foundSig(g.sig)
-					}
-					res.COPsChecked++
-					solved++
-					wChecked++
-					r := race.Race{
-						COP: race.COP{A: g.cops[k].A + offset, B: g.cops[k].B + offset},
-						Sig: g.sig,
-					}
-					if att == nil {
-						att = newLadder(w, nil)
-					}
-					att.stamp(&r, widx, offset)
-					r.Prov.Degraded = true
-					res.Races = append(res.Races, r)
-				} else {
-					wShed++
-				}
+			k := g.confirmed
+			if k < 0 || (d.skipSig != nil && d.skipSig(g.sig)) {
+				wShed += len(g.cops)
+				continue
 			}
+			wShed += len(g.cops) - 1
+			seen[g.sig] = true
+			if d.foundSig != nil {
+				d.foundSig(g.sig)
+			}
+			res.COPsChecked++
+			solved++
+			wChecked++
+			r := race.Race{
+				COP: race.COP{A: g.cops[k].A + offset, B: g.cops[k].B + offset},
+				Sig: g.sig,
+			}
+			if att == nil {
+				att = newLadder(w, nil)
+			}
+			att.stamp(&r, widx, offset)
+			r.Prov.Degraded = true
+			res.Races = append(res.Races, r)
 		}
 		if att != nil {
 			att.release()
@@ -891,10 +892,33 @@ type windowSolver struct {
 	bad bool // window constraints themselves unsatisfiable
 
 	// ck is the canonical base state (base constraints + warmed cf
-	// definitions); dirty tracks whether the solver has diverged from it
-	// since the last rollback.
-	ck    *smt.Checkpoint
-	dirty bool
+	// definitions) and cfMark the cf memo's position at ck; dirty tracks
+	// whether the solver has diverged from it since the last rollback.
+	ck     *smt.Checkpoint
+	cfMark int
+	dirty  bool
+}
+
+// checkpoint records the current state as the canonical base.
+func (ws *windowSolver) checkpoint() {
+	ws.ck = ws.s.Checkpoint()
+	ws.cfMark = ws.cf.Mark()
+}
+
+// rollback restores the canonical base if anything was encoded or solved
+// since: the solver rolls back to ck and the cf memo forgets the
+// definitions encoded after it, so an instance outside the warm prefix is
+// encoded afresh, to the identical literals, each time it is prepared.
+func (ws *windowSolver) rollback(col *telemetry.Collector) {
+	if !ws.dirty {
+		return
+	}
+	span := col.StartPhase(telemetry.PhaseRollback)
+	ws.s.Rollback(ws.ck)
+	ws.cf.Reset(ws.cfMark)
+	span.End()
+	ws.dirty = false
+	col.CountPairRollback()
 }
 
 func (d *Detector) newWindowSolver(w *trace.Trace, mhb *vc.MHB) *windowSolver {

@@ -14,12 +14,18 @@
 //     instance proves the race, its witness, its outcome tallies) depends
 //     only on the group's own solving sequence.
 //   - Every worker owns a replica of the window encoding: Φ_mhb + Φ_lock +
-//     the control-flow definitions of every instance it could ever be
-//     asked to solve, built once per worker by the same deterministic
-//     construction sequence and then checkpointed (smt.Checkpoint). Before
-//     each group the worker rolls back to the checkpoint, so a group is
-//     always solved from the canonical base state no matter which worker
-//     picks it up or what it solved before.
+//     the control-flow definitions of each group's warm prefix — the
+//     instances before the group's first one the full triage ladder
+//     proves racy, which are the only ones the default ladder ever hands
+//     the solver (warmCount) — built once per worker by the same
+//     deterministic construction sequence and then checkpointed
+//     (smt.Checkpoint, encode.CF.Mark). Before each group the worker rolls
+//     back to the checkpoint, so a group is always solved from the
+//     canonical base state no matter which worker picks it up or what it
+//     solved before. An instance past the prefix (dispatched only at
+//     TriageLevel "off" or "shb") has its definitions encoded after the
+//     checkpoint and discarded by the next rollback. A window none of
+//     whose groups reaches the solver builds no replica at all.
 //   - Groups are dispatched from a shared queue (an atomic cursor over the
 //     canonical group order) and merged back in canonical order, so races,
 //     witnesses, counters and window records are deterministic.
@@ -56,25 +62,43 @@ import (
 type sigGroup struct {
 	sig  race.Signature
 	cops []race.COP
-	// confirmed holds the triage tier's verdict per instance, parallel to
-	// cops: true means the instance is a sound vector-clock-confirmed race
-	// whose solve may be skipped (triage.go). Nil when the tier is off.
-	confirmed []bool
+	// proved is the index of the first instance the full triage ladder
+	// (SHB → SyncP, triage.go) proves racy, whatever the run's
+	// TriageLevel; confirmed is the index of the first one the run's level
+	// lets skip its solve (the fast path). Both are -1 when there is no
+	// such instance, and always without the quick check.
+	proved, confirmed int
 	// baseAttempts is attempts[sig] at partition time; the group enforces
 	// MaxAttemptsPerSig against baseAttempts + its own attempts.
 	baseAttempts int
 }
 
-// warmCount is how many instances of the group can ever be prepared on a
-// window solver — the control-flow definitions of exactly these instances
-// must be encoded before the checkpoint, so no prepared instance ever
-// references encoder state that a rollback would discard.
-func (d *Detector) warmCount(g *sigGroup) int {
+// attemptable is how many instances of the group its attempt budget
+// lets the scheduler try.
+func (d *Detector) attemptable(g *sigGroup) int {
 	n := len(g.cops)
 	if d.opt.MaxAttemptsPerSig > 0 {
 		if rem := d.opt.MaxAttemptsPerSig - g.baseAttempts; rem < n {
 			n = rem
 		}
+	}
+	return n
+}
+
+// warmCount is the length of the group's warm prefix: the instances whose
+// control-flow definitions the replica encodes before its checkpoint.
+// Without a witness request the prefix stops at the group's first
+// ladder-proved instance. At the default level that instance is
+// fast-pathed and the group stops there, so nothing past the prefix
+// reaches the solver; "off" and "shb" may dispatch it, and they encode
+// it after the checkpoint (see windowSolver.rollback). The cut depends
+// on the ladder's verdicts, never on TriageLevel, so every level solves
+// its queries from the same base encoding. With a witness request every
+// attemptable instance is solved, and all are warmed.
+func (d *Detector) warmCount(g *sigGroup) int {
+	n := d.attemptable(g)
+	if !d.opt.Witness && g.proved >= 0 && g.proved < n {
+		n = g.proved
 	}
 	return n
 }
@@ -116,9 +140,11 @@ type windowCtx struct {
 // decided costs no clock pass — and the single MHB pass is shared by the
 // quick check, the triage tier and (via the returned value) the window
 // encoders, where the old driver paid for it twice. Survivors are
-// classified by the triage tier (triage.go) at partition time, in
-// canonical enumeration order, so the tier's telemetry tallies are
-// deterministic under any worker count.
+// classified by the full triage ladder (triage.go) at partition time, in
+// canonical enumeration order, so the ladder's telemetry tallies are
+// deterministic under any worker count. The ladder runs at every
+// TriageLevel — untallied at "off" — because its verdicts also choose
+// the warm prefix (warmCount).
 func (d *Detector) partition(w *trace.Trace, cops []race.COP,
 	seen map[race.Signature]bool, attempts map[race.Signature]int) ([]*sigGroup, *vc.MHB) {
 	col := d.opt.Telemetry
@@ -160,13 +186,6 @@ func (d *Detector) partition(w *trace.Trace, cops []race.COP,
 				continue
 			}
 		}
-		confirmed := false
-		if sets != nil && d.opt.TriageLevel != "off" {
-			if tri == nil {
-				tri = newLadder(w, col)
-			}
-			confirmed = tri.confirm(cop, d.opt.TriageLevel)
-		}
 		gi, ok := index[sig]
 		if !ok {
 			if index == nil {
@@ -174,12 +193,27 @@ func (d *Detector) partition(w *trace.Trace, cops []race.COP,
 			}
 			gi = len(groups)
 			index[sig] = gi
-			groups = append(groups, &sigGroup{sig: sig, baseAttempts: attempts[sig]})
+			groups = append(groups, &sigGroup{sig: sig, baseAttempts: attempts[sig],
+				proved: -1, confirmed: -1})
 		}
-		groups[gi].cops = append(groups[gi].cops, cop)
-		if tri != nil {
-			groups[gi].confirmed = append(groups[gi].confirmed, confirmed)
+		g := groups[gi]
+		if sets != nil {
+			if tri == nil {
+				tcol := col // "off" classifies for the warm prefix only, untallied
+				if d.opt.TriageLevel == "off" {
+					tcol = nil
+				}
+				tri = newLadder(w, tcol)
+			}
+			tier := tri.tier(cop)
+			if tier != race.TierSMT && g.proved < 0 {
+				g.proved = len(g.cops)
+			}
+			if tri.confirm(tier, d.opt.TriageLevel) && g.confirmed < 0 {
+				g.confirmed = len(g.cops)
+			}
 		}
+		g.cops = append(g.cops, cop)
 	}
 	if tri != nil {
 		tri.release()
@@ -188,10 +222,10 @@ func (d *Detector) partition(w *trace.Trace, cops []race.COP,
 }
 
 // buildReplica constructs one worker's window encoding: base constraints,
-// then the control-flow definitions of every instance any group could
-// prepare, in canonical order, then the checkpoint. Every replica runs the
-// identical construction sequence, so all replicas are bit-identical and a
-// group solved after Rollback sees the same state on any worker.
+// then the control-flow definitions of every group's warm prefix
+// (warmCount), in canonical order, then the checkpoint. Every replica runs
+// the identical construction sequence, so all replicas are bit-identical
+// and a group solved after a rollback sees the same state on any worker.
 func (d *Detector) buildReplica(wc *windowCtx, groups []*sigGroup) *windowSolver {
 	ws := d.newWindowSolver(wc.w, wc.mhb)
 	ws.s.SetCancel(wc.cancel)
@@ -205,7 +239,7 @@ func (d *Detector) buildReplica(wc *windowCtx, groups []*sigGroup) *windowSolver
 		}
 		span.End()
 	}
-	ws.ck = ws.s.Checkpoint()
+	ws.checkpoint()
 	return ws
 }
 
@@ -235,9 +269,11 @@ func (d *Detector) tryAcquireBudget() bool {
 }
 
 // solveGroups runs the window's groups to completion and returns their
-// results in canonical group order. With PairParallelism ≤ 1 (or a single
-// group) everything runs inline on the caller; otherwise up to PP−1 extra
-// workers are spawned, gated on the global worker budget. A panic on any
+// results in canonical group order. With PairParallelism ≤ 1 (or at most
+// one group that can reach the solver) everything runs inline on the
+// caller; otherwise up to PP−1 extra workers are spawned, gated on the
+// global worker budget. When no group can reach the solver, no replica is
+// built: the coordinator records the fast-path verdicts alone. A panic on any
 // worker stops the pool, is re-raised on the caller and handled by the
 // window-level isolation in detectWindows; the window then contributes no
 // results (deterministic drop — see race.WindowFailure).
@@ -245,6 +281,19 @@ func (d *Detector) solveGroups(wc *windowCtx, groups []*sigGroup) []*groupResult
 	col := d.opt.Telemetry
 	release := d.acquireBudget()
 	defer release()
+
+	// Only groups that can reach the solver need a replica and a worker:
+	// all of them with a witness request, else those whose first instance
+	// is not fast-pathed.
+	dispatching := 0
+	for _, g := range groups {
+		if d.opt.Witness || g.confirmed != 0 {
+			dispatching++
+		}
+		if !d.opt.MergeRaceVars {
+			col.CountWarmSkipped(d.attemptable(g) - d.warmCount(g))
+		}
+	}
 
 	results := make([]*groupResult, len(groups))
 	var (
@@ -313,7 +362,7 @@ func (d *Detector) solveGroups(wc *windowCtx, groups []*sigGroup) []*groupResult
 		}()
 		lane := telemetry.WorkerLane(wc.widx, k)
 		var ws *windowSolver
-		if !d.opt.MergeRaceVars {
+		if !d.opt.MergeRaceVars && dispatching > 0 {
 			if k > 0 {
 				col.CountPairReplica()
 			}
@@ -328,13 +377,14 @@ func (d *Detector) solveGroups(wc *windowCtx, groups []*sigGroup) []*groupResult
 	// Pair solving is CPU-bound and every extra worker must pay for a full
 	// replica encoding before it contributes, so workers beyond the
 	// schedulable core count can never win that investment back: cap the
-	// pool at GOMAXPROCS. Results are identical for any worker count — the
-	// cap only trims overhead.
+	// pool at GOMAXPROCS, and at the groups that can reach the solver (a
+	// fast-pathed group needs no replica). Results are identical for any
+	// worker count — the cap only trims overhead.
 	if procs := runtime.GOMAXPROCS(0); pp > procs {
 		pp = procs
 	}
 	var wg sync.WaitGroup
-	for k := 1; k < pp && k < len(groups); k++ {
+	for k := 1; k < pp && k < dispatching; k++ {
 		if !d.tryAcquireBudget() {
 			break
 		}
@@ -372,12 +422,8 @@ func (d *Detector) solveGroup(wc *windowCtx, ws *windowSolver, g *sigGroup) *gro
 	col := d.opt.Telemetry
 	tracer := d.opt.Tracer
 	gr := &groupResult{attempts: g.baseAttempts}
-	if ws != nil && ws.dirty {
-		span := col.StartPhase(telemetry.PhaseRollback)
-		ws.s.Rollback(ws.ck)
-		span.End()
-		ws.dirty = false
-		col.CountPairRollback()
+	if ws != nil {
+		ws.rollback(col)
 	}
 	passTimeout := d.passOneTimeout()
 	for k, cop := range g.cops {
@@ -413,7 +459,7 @@ func (d *Detector) solveGroup(wc *windowCtx, ws *windowSolver, g *sigGroup) *gro
 		if tracer != nil {
 			qstart = time.Now()
 		}
-		if g.confirmed != nil && g.confirmed[k] && !d.opt.Witness {
+		if k == g.confirmed && !d.opt.Witness {
 			// Triage fast path: the vector-clock tier proved this instance's
 			// query satisfiable (triage.go), so the SAT verdict is recorded
 			// without touching the solver. The attempt still counts exactly
@@ -518,13 +564,7 @@ func (d *Detector) retryDeferred(wc *windowCtx, ws *windowSolver, g *sigGroup, g
 		}
 		var guard sat.Lit
 		if !d.opt.MergeRaceVars {
-			if ws.dirty {
-				span := col.StartPhase(telemetry.PhaseRollback)
-				ws.s.Rollback(ws.ck)
-				span.End()
-				ws.dirty = false
-				col.CountPairRollback()
-			}
+			ws.rollback(col)
 			ws.dirty = true
 			var hasG bool
 			guard, hasG = ws.prepare(d, cop)

@@ -20,7 +20,7 @@ import "repro/internal/race"
 // path skips it), so keeping its stats would break bit-identity between
 // triage modes.
 func (l *ladder) stamp(r *race.Race, widx, offset int) {
-	r.Prov.Tier = l.tier(race.COP{A: r.A - offset, B: r.B - offset}, true)
+	r.Prov.Tier = l.tier(race.COP{A: r.A - offset, B: r.B - offset})
 	r.Prov.Window = widx
 	r.Prov.WitnessLen = len(r.Witness)
 	if r.Prov.Tier != race.TierSMT {

@@ -26,6 +26,11 @@
 // a schedule the pair instead runs the normal (guaranteed-SAT) solve so
 // the witness is bit-identical to the triage-off run.
 //
+// The full ladder runs at every TriageLevel, untallied at "off": its
+// verdicts, not the level's, choose each group's warm prefix in the pair
+// scheduler (pairsched.go), so the base encoding — and every solver
+// query's search — is the same whichever level the run uses.
+//
 // Why SHB and not bare HB for the first rung: HB concurrency alone is NOT
 // sufficient under maximal-causality semantics. A non-volatile
 // write→read value flow carries no HB edge, yet the read may guard (via a
@@ -51,7 +56,8 @@ import (
 // computations are lazy: the SHB pass runs on construction, the SR clocks
 // and witness index only when some pair reaches the syncp rung. Their
 // cost is charged to col's triage fast-path counter (nil for attribution
-// — the ladder is an addition to the pipeline, not a stage of it). All
+// — the ladder is an addition to the pipeline, not a stage of it — and at
+// TriageLevel "off"). All
 // clock state lives on the vc slab pool and is returned by release.
 type ladder struct {
 	w    *trace.Trace
@@ -79,18 +85,14 @@ func (l *ladder) timed(f func()) {
 }
 
 // tier returns the cheapest tier that proves cop (window-local) a race:
-// TierSHB, TierSyncP when the syncp rung is enabled, else TierSMT. Callers
-// guarantee the pair already passed the lockset quick check (disjoint
-// locksets, MHB-concurrent) — the lockset half of the SHB confirmation
-// condition — so only the order checks remain. The SHB rung is O(1) per
-// pair (FastTrack-style epochs against full clocks); the witness rung
-// scans the pair's trace span once.
-func (l *ladder) tier(cop race.COP, syncpRung bool) string {
+// TierSHB, TierSyncP, else TierSMT. Callers guarantee the pair already
+// passed the lockset quick check (disjoint locksets, MHB-concurrent) — the
+// lockset half of the SHB confirmation condition — so only the order
+// checks remain. The SHB rung is O(1) per pair (FastTrack-style epochs
+// against full clocks); the witness rung scans the pair's trace span once.
+func (l *ladder) tier(cop race.COP) string {
 	if syncp.ConfirmSHB(l.shb, cop.A, cop.B) {
 		return race.TierSHB
-	}
-	if !syncpRung {
-		return race.TierSMT
 	}
 	if l.sr == nil {
 		l.timed(func() {
@@ -104,12 +106,16 @@ func (l *ladder) tier(cop race.COP, syncpRung bool) string {
 	return race.TierSMT
 }
 
-// confirm classifies one quick-check survivor at the given TriageLevel
-// ("shb" or "syncp") and tallies the verdict, attributed to the cheapest
-// rung that proves it.
-func (l *ladder) confirm(cop race.COP, level string) bool {
-	tier := l.tier(cop, level != "shb")
-	if tier == race.TierSMT {
+// confirm tallies one quick-check survivor, classified by the full ladder
+// as tier, at the given TriageLevel and reports whether its solve may be
+// skipped: "off" skips nothing and tallies nothing, "shb" skips only
+// SHB-tier pairs, anything else every pair a sound tier proves.
+// Confirmations are attributed to the cheapest rung that proves them.
+func (l *ladder) confirm(tier, level string) bool {
+	switch {
+	case level == "off":
+		return false
+	case tier == race.TierSMT, tier == race.TierSyncP && level == "shb":
 		l.col.CountTriageDispatched()
 		return false
 	}

@@ -22,7 +22,12 @@ type triageFixture struct {
 // row of the paper's Table 1 taxonomy, including the motifs where the
 // vector-clock tiers must NOT fire (qc-only has no sound race at all,
 // rv-region and rv-incomplete are invisible to HB/CP) — plus the Figure 1
-// example and the pair scheduler's own fixture.
+// example, the pair scheduler's own fixture, and a mixed window: the
+// ftpserver row's motif mix shrunk into one window, where SHB-tier,
+// SyncP-tier and SMT-tier races share one base encoding. That last one
+// is the fixture that pins the warm prefix to the ladder's verdicts: cut
+// it at the run's own fast-path confirmations instead and the SMT-tier
+// races' solver stats differ between triage levels.
 func triageFixtures(t *testing.T) []triageFixture {
 	t.Helper()
 	motifs := []struct {
@@ -53,7 +58,23 @@ func triageFixtures(t *testing.T) []triageFixture {
 	ex, _ := workloads.Example()
 	fx = append(fx, triageFixture{"figure1", ex, 10000, true})
 	fx = append(fx, triageFixture{"pair-rich", pairRichTrace(), 24, true})
+	fx = append(fx, triageFixture{"mixed-window", mixedWindowTrace(t), 10000, true})
 	return fx
+}
+
+// mixedWindowTrace is the ftpserver Table 1 row at 1000 events: one
+// window holding 27 SHB-tier, 6 SyncP-tier and 20 SMT-tier races.
+func mixedWindowTrace(t *testing.T) *trace.Trace {
+	t.Helper()
+	for _, spec := range workloads.Rows() {
+		if spec.Name == "ftpserver" {
+			spec.Events = 1000
+			tr, _ := workloads.Build(spec)
+			return tr
+		}
+	}
+	t.Fatal("no ftpserver row in workloads.Rows")
+	return nil
 }
 
 // triageResult runs detection and zeroes the timing field for bit-for-bit

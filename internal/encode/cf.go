@@ -33,6 +33,9 @@ type CF struct {
 	depWindow int
 
 	lits map[int]sat.Lit // event -> its cf definition literal
+	// log records the events of lits in insertion order, so Reset can
+	// forget exactly the definitions created since a Mark.
+	log []int
 
 	// threadEvents lists event indices per thread in program order;
 	// lastBranchUpTo[t][k] is the index of the last branch among the first
@@ -46,6 +49,23 @@ type CF struct {
 func NewCF(enc *Encoder, s *smt.Solver, depWindow int) *CF {
 	return &CF{enc: enc, s: s, tr: enc.Trace(),
 		depWindow: depWindow, lits: make(map[int]sat.Lit)}
+}
+
+// Mark returns the memo's current position, to be taken together with an
+// smt.Checkpoint on the same solver.
+func (c *CF) Mark() int { return len(c.log) }
+
+// Reset forgets every cf definition created since Mark returned m. Call
+// it with Solver.Rollback to the checkpoint taken with that mark: the
+// rollback discards those definitions' literals and clauses, and a memo
+// entry that outlived them would hand later queries a dangling literal.
+// Encoding the same events again after Reset recreates the identical
+// literals and clauses.
+func (c *CF) Reset(m int) {
+	for _, e := range c.log[m:] {
+		delete(c.lits, e)
+	}
+	c.log = c.log[:m]
 }
 
 func (c *CF) buildThreadIndex() {
@@ -116,6 +136,7 @@ func (c *CF) cfLit(e int) sat.Lit {
 	}
 	l := c.s.NewBoolLit()
 	c.lits[e] = l
+	c.log = append(c.log, e)
 	var def *smt.Formula
 	ev := c.tr.Event(e)
 	switch ev.Op {

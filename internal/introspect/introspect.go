@@ -421,6 +421,8 @@ var metricDefs = []metricDef{
 		func(_ *Server, m *telemetry.Metrics) []sample { return one(float64(m.PairSched.Rollbacks)) }},
 	{"rvpredict_pair_skips_total", "counter", "Dispatched group instances skipped at solve time (verdict already decided).",
 		func(_ *Server, m *telemetry.Metrics) []sample { return one(float64(m.PairSched.SigSkips)) }},
+	{"rvpredict_pair_warm_skipped_total", "counter", "Group instances whose control-flow definitions the window base encoding left out.",
+		func(_ *Server, m *telemetry.Metrics) []sample { return one(float64(m.PairSched.WarmSkipped)) }},
 	{"rvpredict_pair_queue_wait_seconds_total", "counter", "Aggregate signature-group dispatch latency.",
 		func(_ *Server, m *telemetry.Metrics) []sample { return one(secs(m.PairSched.QueueWaitNS)) }},
 	{"rvpredict_triage_confirmed_total", "counter", "COPs confirmed as races by the SHB vector-clock triage tier.",

@@ -210,6 +210,7 @@ type Collector struct {
 	pairReplicas  atomic.Int64
 	pairRollbacks atomic.Int64
 	pairSkips     atomic.Int64
+	warmSkipped   atomic.Int64
 	queueWait     atomic.Int64
 
 	// Live gauges (never part of the Metrics snapshot: they describe the
@@ -490,6 +491,16 @@ func (c *Collector) CountPairRollback() {
 		return
 	}
 	c.pairRollbacks.Add(1)
+}
+
+// CountWarmSkipped tallies n group instances whose control-flow
+// definitions a window's base encoding left out, counted once per window
+// however many replicas it builds.
+func (c *Collector) CountWarmSkipped(n int) {
+	if c == nil {
+		return
+	}
+	c.warmSkipped.Add(int64(n))
 }
 
 // CountPairSkip tallies one dispatched signature-group instance skipped at
@@ -990,6 +1001,7 @@ func (c *Collector) Snapshot() *Metrics {
 			Replicas:    c.pairReplicas.Load(),
 			Rollbacks:   c.pairRollbacks.Load(),
 			SigSkips:    c.pairSkips.Load(),
+			WarmSkipped: c.warmSkipped.Load(),
 			QueueWaitNS: c.queueWait.Load(),
 		},
 		Triage: TriageCounters{
@@ -1098,7 +1110,12 @@ type PairSchedCounters struct {
 	// because their signature's verdict was already decided. Deterministic
 	// for sequential and pair-parallel runs; under window parallelism the
 	// cross-slice verdict share makes it timing-dependent.
-	SigSkips    int64 `json:"sig_skips"`
+	SigSkips int64 `json:"sig_skips"`
+	// WarmSkipped counts group instances within their attempt budget
+	// whose control-flow definitions the window's base encoding left out:
+	// those at or past the group's first ladder-proved instance.
+	// Deterministic, counted once per window whatever the worker count.
+	WarmSkipped int64 `json:"warm_skipped"`
 	QueueWaitNS int64 `json:"queue_wait_ns"`
 }
 

@@ -30,6 +30,11 @@ flagged QUERIES-REGRESSION, and with --queries-gate the exit status is
 increase means candidate pairs that a sound tier used to confirm are
 reaching the solver again.
 
+The `clauses` metric (problem clauses of the window encodings per /RV
+row) is deterministic too, but it is a size, not a gate: fewer clauses
+means the replicas encode less, and its delta is printed for every row
+(even below the threshold) without ever counting as a regression.
+
 --heap-gate checks the out-of-core invariant, and unlike the other
 gates it looks only at the NEW snapshot: benchmarks that report both
 trace_events and live_heap_mb (the BenchmarkChunkedDetect size pair)
@@ -185,6 +190,11 @@ def main() -> int:
                 queries_regressions += 1
                 extras.append(f"queries {ov:g}→{nv:g}")
                 flags.append("QUERIES-REGRESSION")
+                continue
+            if key == "clauses":
+                # Encoding size: informational, never a regression.
+                if ov != nv:
+                    extras.append(f"clauses {ov:g}→{nv:g}")
                 continue
             if ov == 0:
                 if nv != 0:
