@@ -9,13 +9,16 @@ import (
 	"repro/internal/race"
 	"repro/internal/telemetry"
 	"repro/internal/workloads"
+	"repro/trace"
 )
 
 // TestWarmPrefixReplay: an instance past its group's warm prefix — one
 // only "off" and "shb" hand the solver — is encoded after the checkpoint.
 // Rolling back and preparing it again must rebuild the identical guard
 // literal and clauses and reach the same verdict, and the rollback must
-// leave the replica at its base size.
+// leave the replica at its base size. Writes and branches whose cf first
+// resolves (to the literal of their thread's last read) during such an
+// instance must no longer resolve after the rollback.
 func TestWarmPrefixReplay(t *testing.T) {
 	tr := mixedWindowTrace(t)
 	d := New(Options{TriageLevel: "off"})
@@ -26,6 +29,21 @@ func TestWarmPrefixReplay(t *testing.T) {
 		cancel: func() bool { return false }}
 	ws := d.buildReplica(wc, groups)
 	baseVars, baseClauses, _ := ws.s.Size()
+
+	// resolved lists the writes and branches whose cf has a literal.
+	resolved := func() map[int]bool {
+		m := map[int]bool{}
+		for e := 0; e < tr.Len(); e++ {
+			if op := tr.Event(e).Op; op == trace.OpWrite || op == trace.OpBranch {
+				if _, ok := ws.cf.Defined(e); ok {
+					m[e] = true
+				}
+			}
+		}
+		return m
+	}
+	base := resolved()
+	aliased := map[trace.Op]int{}
 
 	outside := 0
 	for _, g := range groups {
@@ -50,7 +68,13 @@ func TestWarmPrefixReplay(t *testing.T) {
 			isRace, _, _, _ := ws.solve(d, 0, cop, guard, time.Minute, time.Time{})
 			return prepared{int(guard), clauses, isRace}
 		}
-		first, again := prepare(), prepare()
+		first := prepare()
+		for e := range resolved() {
+			if !base[e] {
+				aliased[tr.Event(e).Op]++
+			}
+		}
+		again := prepare()
 		if first != again {
 			t.Errorf("group %v: replay after rollback = %+v, first prepare %+v", g.sig, again, first)
 		}
@@ -63,9 +87,17 @@ func TestWarmPrefixReplay(t *testing.T) {
 			t.Errorf("group %v: rollback left %d vars / %d clauses, base is %d / %d",
 				g.sig, vars, clauses, baseVars, baseClauses)
 		}
+		if after := resolved(); !reflect.DeepEqual(after, base) {
+			t.Errorf("group %v: %d writes/branches resolve after rollback, %d at base",
+				g.sig, len(after), len(base))
+		}
 	}
 	if outside == 0 {
 		t.Fatal("no instance outside a warm prefix (fixture drifted)")
+	}
+	if aliased[trace.OpWrite] == 0 || aliased[trace.OpBranch] == 0 {
+		t.Fatalf("instances past the prefix resolved %d writes and %d branches, want both (fixture drifted)",
+			aliased[trace.OpWrite], aliased[trace.OpBranch])
 	}
 }
 

@@ -16,11 +16,16 @@ import (
 //   - ⟨cf⟩(e) asserts cf of the last branch of every thread that must
 //     happen before e (the set B_e).
 //
-// The definitions are mutually recursive and may be cyclic across threads;
-// CF allocates one definition literal per event and ties the knot with
-// smt.Ref. Cyclic justifications are excluded automatically: a read-from
-// cycle alternates O_w < O_r atoms with program-order atoms and is
-// contradictory in the order theory.
+// The conjunction over preceding reads is encoded as a chain, so the
+// encoding stays linear in thread length: cf(r) implies ReadConsistent(r)
+// and cf of the previous read of r's thread, and a write or branch takes
+// the literal of its thread's last read before it (no literal of its own).
+// A write or branch with no earlier read gets an unconstrained literal.
+// The definitions are mutually recursive and may be cyclic across
+// threads; CF allocates each literal before building its definition and
+// ties the knot with smt.Ref. Cyclic justifications are excluded
+// automatically: a read-from cycle alternates O_w < O_r atoms with
+// program-order atoms and is contradictory in the order theory.
 type CF struct {
 	enc *Encoder
 	s   *smt.Solver
@@ -28,20 +33,23 @@ type CF struct {
 
 	// depWindow > 0 bounds how many of the thread's preceding reads a
 	// branch or write depends on — the weaker-axiom variant of the paper's
-	// Section 2.3 Discussion. 0 keeps the conservative full-history
-	// semantics.
+	// Section 2.3 Discussion. There a write or branch conjoins its last
+	// depWindow reads directly and cf(read) is ReadConsistent alone. 0
+	// keeps the conservative full-history semantics, encoded as the chain.
 	depWindow int
 
-	lits map[int]sat.Lit // event -> its cf definition literal
+	lits map[int]sat.Lit // event -> its cf literal; none for an alias (see owner)
 	// log records the events of lits in insertion order, so Reset can
 	// forget exactly the definitions created since a Mark.
 	log []int
 
 	// threadEvents lists event indices per thread in program order;
 	// lastBranchUpTo[t][k] is the index of the last branch among the first
-	// k events of thread t (-1 if none). Both are built lazily.
+	// k events of thread t (-1 if none); prevRead[e] is the last read of
+	// e's thread before e (-1 if none). All are built lazily.
 	threadEvents   map[trace.TID][]int
 	lastBranchUpTo map[trace.TID][]int
+	prevRead       []int32
 }
 
 // NewCF returns a cf builder over enc and s. depWindow 0 uses the paper's
@@ -74,13 +82,20 @@ func (c *CF) buildThreadIndex() {
 	}
 	c.threadEvents = c.tr.ByThread()
 	c.lastBranchUpTo = make(map[trace.TID][]int, len(c.threadEvents))
+	c.prevRead = make([]int32, c.tr.Len())
 	for t, evs := range c.threadEvents {
 		lb := make([]int, len(evs)+1)
 		lb[0] = -1
+		pr := int32(-1)
 		for k, ei := range evs {
-			if c.tr.Event(ei).Op == trace.OpBranch {
+			c.prevRead[ei] = pr
+			switch c.tr.Event(ei).Op {
+			case trace.OpBranch:
 				lb[k+1] = ei
-			} else {
+			case trace.OpRead:
+				pr = int32(ei)
+				lb[k+1] = lb[k]
+			default:
 				lb[k+1] = lb[k]
 			}
 		}
@@ -127,48 +142,99 @@ func (c *CF) ControlFlow(e int) *smt.Formula {
 	return smt.And(refs...)
 }
 
-// cfLit returns the definition literal of cf(e), creating and defining it
-// on first use. The literal is allocated before the definition is built so
-// cyclic cf dependencies resolve to references.
+// Defined reports whether cf(e) currently has a literal, and which.
+func (c *CF) Defined(e int) (sat.Lit, bool) {
+	l, ok := c.lits[c.owner(e)]
+	return l, ok
+}
+
+// owner returns the event whose literal stands for cf(e): at depWindow 0
+// a write or branch after a read of its thread shares that read's
+// literal, and so adds nothing to the memo, the log or the solver.
+func (c *CF) owner(e int) int {
+	c.buildThreadIndex()
+	if p := c.prevRead[e]; c.depWindow == 0 && p >= 0 && c.tr.Event(e).Op != trace.OpRead {
+		return int(p)
+	}
+	return e
+}
+
+// cfLit returns the literal of cf(e), creating and defining it on first
+// use. The literal is allocated before its definition is built so cyclic
+// cf dependencies resolve to references.
 func (c *CF) cfLit(e int) sat.Lit {
+	e = c.owner(e)
 	if l, ok := c.lits[e]; ok {
 		return l
 	}
-	l := c.s.NewBoolLit()
-	c.lits[e] = l
-	c.log = append(c.log, e)
+	isRead := c.tr.Event(e).Op == trace.OpRead
+	if isRead && c.depWindow == 0 {
+		return c.readChain(e)
+	}
+	l := c.newLit(e)
 	var def *smt.Formula
-	ev := c.tr.Event(e)
-	switch ev.Op {
-	case trace.OpRead:
-		def = c.enc.ReadConsistent(e, func(w int) *smt.Formula {
-			return smt.Ref(c.cfLit(w))
-		})
-	case trace.OpWrite, trace.OpBranch:
-		// cf(e) = ⋀ cf(r) over the reads of e's thread before e (or its
-		// last depWindow reads under the weaker bounded-history axioms).
-		c.buildThreadIndex()
-		var reads []int
-		for _, ei := range c.threadEvents[ev.Tid] {
-			if ei >= e {
-				break
-			}
-			if c.tr.Event(ei).Op == trace.OpRead {
-				reads = append(reads, ei)
-			}
+	if isRead {
+		def = c.readConsistent(e)
+	} else {
+		// cf(e) = ⋀ cf(r) over the last depWindow reads of e's thread
+		// before e (the weaker bounded-history axioms). With no earlier
+		// read, in either mode, the conjunction is empty and l stays
+		// unconstrained.
+		var reads []int // newest first
+		for p := c.prevRead[e]; p >= 0 && len(reads) < c.depWindow; p = c.prevRead[p] {
+			reads = append(reads, int(p))
 		}
-		if c.depWindow > 0 && len(reads) > c.depWindow {
-			reads = reads[len(reads)-c.depWindow:]
-		}
-		refs := make([]*smt.Formula, len(reads))
-		for i, ei := range reads {
-			refs[i] = smt.Ref(c.cfLit(ei))
+		refs := make([]*smt.Formula, 0, len(reads))
+		for i := len(reads) - 1; i >= 0; i-- {
+			refs = append(refs, smt.Ref(c.cfLit(reads[i])))
 		}
 		def = smt.And(refs...)
-	default:
-		def = smt.True()
 	}
 	// Ignore a root-level unsat signal here; Solve reports it.
 	_ = c.s.Implies(l, def)
+	return l
+}
+
+// readChain defines cf(r) := ReadConsistent(r) ∧ cf(prev(r)) for r and
+// every read before it in its thread that has no literal yet, walking the
+// chain iteratively rather than recursing once per read. All the chain's
+// literals are allocated before any definition is built, so a definition
+// that reaches back into the chain through another thread resolves to a
+// reference.
+func (c *CF) readChain(r int) sat.Lit {
+	chain := []int{r} // newest first
+	for p := c.prevRead[r]; p >= 0; p = c.prevRead[p] {
+		if _, ok := c.lits[int(p)]; ok {
+			break
+		}
+		chain = append(chain, int(p))
+	}
+	for i := len(chain) - 1; i >= 0; i-- {
+		c.newLit(chain[i])
+	}
+	for i := len(chain) - 1; i >= 0; i-- {
+		ri := chain[i]
+		def := c.readConsistent(ri)
+		if p := c.prevRead[ri]; p >= 0 {
+			def = smt.And(def, smt.Ref(c.lits[int(p)]))
+		}
+		// Ignore a root-level unsat signal here; Solve reports it.
+		_ = c.s.Implies(c.lits[ri], def)
+	}
+	return c.lits[r]
+}
+
+// readConsistent is ReadConsistent(r) with each candidate write's own cf.
+func (c *CF) readConsistent(r int) *smt.Formula {
+	return c.enc.ReadConsistent(r, func(w int) *smt.Formula {
+		return smt.Ref(c.cfLit(w))
+	})
+}
+
+// newLit allocates and memoises the literal of cf(e).
+func (c *CF) newLit(e int) sat.Lit {
+	l := c.s.NewBoolLit()
+	c.lits[e] = l
+	c.log = append(c.log, e)
 	return l
 }
