@@ -34,6 +34,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/cp"
 	"repro/internal/deadlock"
+	"repro/internal/encode"
 	"repro/internal/hb"
 	"repro/internal/idl"
 	"repro/internal/lockset"
@@ -45,6 +46,7 @@ import (
 	"repro/internal/telemetry"
 	"repro/internal/tracefile"
 	"repro/internal/tracev2"
+	"repro/internal/vc"
 	"repro/internal/workloads"
 	"repro/minilang"
 	"repro/rvpredict"
@@ -212,10 +214,39 @@ func BenchmarkAblationRaceEncoding(b *testing.B) {
 	})
 	b.Run("merged", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			core.New(core.Options{WindowSize: window, MergeRaceVars: true,
-				SolveTimeout: time.Minute}).Detect(tr)
+			detectMerged(tr, window)
 		}
 	})
+}
+
+// detectMerged is the paper's detection architecture, kept as the
+// race-encoding ablation: per window, the hybrid quick check, then one
+// fresh solver per surviving candidate pair, with the race condition
+// encoded by merging the pair's order variables (O_a := O_b), skipping
+// signatures already proved racy. It returns the number of races.
+func detectMerged(tr *trace.Trace, window int) int {
+	found := make(map[race.Signature]bool)
+	race.EachWindow(tr, window, func(w *trace.Trace, _, _ int) error {
+		mhb := vc.ComputeMHB(w)
+		sets := lockset.ComputeWith(w, mhb)
+		for _, cop := range race.EnumerateCOPs(w) {
+			sig := race.SigOf(w, cop.A, cop.B)
+			if found[sig] || !sets.Pass(cop.A, cop.B) {
+				continue
+			}
+			s := smt.NewSolver()
+			s.SetDeadline(time.Now().Add(time.Minute))
+			enc := encode.New(w, s, mhb, cop.A, cop.B)
+			cf := encode.NewCF(enc, s, 0)
+			if enc.AssertMHB() == nil && enc.AssertLocks() == nil &&
+				cf.AssertControlFlow(cop.A) == nil && cf.AssertControlFlow(cop.B) == nil &&
+				s.Solve() == sat.Sat {
+				found[sig] = true
+			}
+		}
+		return nil
+	})
+	return len(found)
 }
 
 func BenchmarkAblationPruning(b *testing.B) {

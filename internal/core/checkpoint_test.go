@@ -13,8 +13,7 @@ import (
 )
 
 // collectOutcomes runs detection with the window-completion hook installed
-// and returns the result plus the outcomes keyed by window index. The hook
-// may fire concurrently under Parallelism > 1, so the map is mutex-guarded.
+// and returns the result plus the outcomes keyed by window index.
 func collectOutcomes(t *testing.T, tr *trace.Trace, opt Options) (race.Result, map[int]race.WindowOutcome) {
 	t.Helper()
 	var mu sync.Mutex
@@ -90,9 +89,10 @@ func TestWindowOutcomeHookMatchesResult(t *testing.T) {
 	}
 }
 
-// TestWindowOutcomeHookParallel: with window parallelism the hook fires
-// from worker goroutines, but the union of outcomes must still be the
-// sequential truth — same windows, same races in whole-trace coordinates.
+// TestWindowOutcomeHookParallel: with window parallelism the windows are
+// analysed on worker goroutines, but the union of outcomes must still be
+// the sequential truth — same windows, same races in whole-trace
+// coordinates.
 func TestWindowOutcomeHookParallel(t *testing.T) {
 	withProcs(t, 4)
 	tr := pairRichTrace()

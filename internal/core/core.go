@@ -26,6 +26,14 @@
 // schedule (Theorem 3, soundness); unsatisfiable ⇒ no sound detector can
 // report it from this trace (Theorem 3, maximality).
 //
+// Every mode analyses windows through one pipeline, the Runner: a window
+// (Section 4) is analysed into a race.WindowOutcome in whole-trace
+// coordinates — or replayed from a journaled one — and merged into the
+// race.Result in window order, one race per location-pair signature.
+// Batch, window-parallel, resumed, out-of-core, sharded, daemon and fleet
+// runs differ only in where the windows come from and whether signature
+// verdicts carry from one window to the next (SigState).
+//
 // The detector is fully instrumented (see internal/telemetry): with a
 // collector and/or tracer in Options it reports phase timings, solver
 // counters, candidate-funnel tallies and per-window records. Telemetry
@@ -35,9 +43,10 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/encode"
@@ -108,21 +117,13 @@ type Options struct {
 	// when NoQuickCheck is set (it shares the quick check's locksets and
 	// MHB pass).
 	TriageLevel string
-	// MaxAttemptsPerSig bounds how many COPs of one signature are solved
-	// before giving up on that signature (0 = unlimited, the paper's
-	// behaviour).
-	MaxAttemptsPerSig int
-	// MergeRaceVars uses the paper's variable-merging race encoding
-	// (O_a := O_b) instead of the default explicit adjacency
-	// |O_a − O_b| = 1 (ablation knob; merging degenerates the atoms
-	// between the two racing events, see encode.Encoder).
-	MergeRaceVars bool
-	// Parallelism > 1 analyses windows concurrently with that many
-	// workers. The reported signature set always equals the sequential
-	// run's; which COP instance represents a signature (and COPsChecked)
-	// may vary between runs, because workers share signature verdicts to
-	// skip redundant solving. MaxAttemptsPerSig is enforced per window in
-	// parallel mode.
+	// Parallelism > 1 analyses up to that many windows concurrently, each
+	// Isolated (see SigState), and merges their outcomes in window order,
+	// so the race.Result — races, witnesses, counters — is the same for
+	// every worker count, and equals the reader, shard and fleet report of
+	// the same trace. A sequential run may carry signature verdicts across
+	// windows instead, which changes COPsChecked, never the races, when a
+	// signature recurs.
 	Parallelism int
 	// PairParallelism > 1 solves the candidate pairs *inside* each window
 	// concurrently with that many workers, each owning a replica of the
@@ -167,22 +168,20 @@ type Options struct {
 	// window whose analysis reached a final verdict: clean completions
 	// and isolated panics alike, but not windows cut short by
 	// cancellation or the global budget (a partial outcome must never be
-	// replayed as the window's final one). Outcomes are in whole-trace
-	// coordinates. With Parallelism > 1 the hook is invoked concurrently
-	// from window workers; implementations must serialise internally. It
-	// is the attachment point of the durable window journal
+	// replayed as the window's final one), nor journal replays. Outcomes
+	// are in whole-trace coordinates and carry the window's own races,
+	// before the cross-window signature dedup. The hook is called in
+	// window order, on the goroutine that called Run or RunWindow. It is
+	// the attachment point of the durable window journal
 	// (internal/journal).
 	OnWindowDone func(race.WindowOutcome)
 	// ResumeWindows maps window index → previously journaled outcome. A
-	// window present in the map is not analysed: its outcome is replayed
-	// into the canonical merge exactly as if the window had just
-	// completed — races (and witnesses), failures, counter deltas,
-	// signature verdicts and the telemetry window record — and tallied
-	// as windows_replayed. Outcomes must come from a run over the same
-	// trace with result-affecting options unchanged (the journal's
-	// header fingerprint enforces this). MaxAttemptsPerSig > 0 is not
-	// supported together with ResumeWindows: per-signature attempt
-	// tallies are not part of the journaled outcome.
+	// window present in the map is not analysed: its outcome is merged
+	// exactly as if the window had just completed — races (and
+	// witnesses), failures, counter deltas and the telemetry window
+	// record — and tallied as windows_replayed. Outcomes must come from a
+	// run over the same trace with result-affecting options unchanged
+	// (the journal's header fingerprint enforces this).
 	ResumeWindows map[int]race.WindowOutcome
 }
 
@@ -190,23 +189,10 @@ type Options struct {
 type Detector struct {
 	opt Options
 
-	// skipSig/foundSig, when set, share signature verdicts across the
-	// parallel window workers (see detectParallel).
-	skipSig  func(race.Signature) bool
-	foundSig func(race.Signature)
-
-	// winBase and traceOffset localise telemetry when this detector
-	// analyses one slice of a larger trace (parallel mode): winBase is the
-	// global index of the first window, traceOffset the slice's first
-	// event index in the full trace.
-	winBase     int
-	traceOffset int
-
 	// budget is the run-wide worker budget, capacity
 	// max(Parallelism, PairParallelism, 1): window coordinators
 	// block-acquire a slot, extra pair workers spawn only when a slot is
-	// free (see solveGroups). Created per DetectContext call and shared by
-	// the per-window detector copies.
+	// free (see solveGroups). Set by NewRunner.
 	budget chan struct{}
 }
 
@@ -221,32 +207,21 @@ func (d *Detector) Detect(tr *trace.Trace) race.Result {
 	return d.DetectContext(context.Background(), tr)
 }
 
-// DetectContext runs maximal race detection over tr under ctx. The
-// context is polled between windows, between pairs, and — via the
-// cooperative cancel hook — inside the CDCL conflict loop, so a run can
-// be stopped mid-solve. The partial Result is always well-formed: it
-// covers every window completed before the cancel and is flagged
-// Cancelled. A nil ctx is treated as context.Background().
+// DetectContext runs maximal race detection over tr under ctx: a Runner
+// carrying signature verdicts across tr's windows. The context is polled
+// between windows, between pairs, and — via the cooperative cancel hook
+// — inside the CDCL conflict loop, so a run can be stopped mid-solve. The
+// partial Result is always well-formed: it covers every window completed
+// before the cancel and is flagged Cancelled. Windows counts every window
+// of tr, analysed or not. A nil ctx is treated as context.Background().
 func (d *Detector) DetectContext(ctx context.Context, tr *trace.Trace) race.Result {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	var globalDeadline time.Time
-	if d.opt.GlobalBudget > 0 {
-		globalDeadline = time.Now().Add(d.opt.GlobalBudget)
-	}
-	workers := d.opt.Parallelism
-	if d.opt.PairParallelism > workers {
-		workers = d.opt.PairParallelism
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	d.budget = make(chan struct{}, workers)
-	if d.opt.Parallelism > 1 {
-		return d.detectParallel(ctx, globalDeadline, tr)
-	}
-	return d.detectWindows(ctx, globalDeadline, tr)
+	r := NewRunner(d.opt, Carried)
+	r.Run(ctx, func(f func(w *trace.Trace, widx, offset int) error) error {
+		return race.EachWindow(tr, d.opt.WindowSize, f)
+	})
+	res := r.Result()
+	res.Windows = race.WindowCount(tr.Len(), d.opt.WindowSize)
+	return res
 }
 
 // Retry-policy constants of the two-pass scheduler: each retry multiplies
@@ -318,52 +293,27 @@ func windowFailure(win, offset, events int, r any) race.WindowFailure {
 	}
 }
 
-// detectWindows is the window-sequential detection driver: one window at a
-// time, pairs scheduled per window by the pair scheduler (pairsched.go),
-// each window isolated against worker panics.
-func (d *Detector) detectWindows(ctx context.Context, globalDeadline time.Time, tr *trace.Trace) race.Result {
-	start := time.Now()
-	run := d.newWindowRun()
-	localWin := 0
-	run.res.Windows = race.Windows(tr, d.opt.WindowSize, func(w *trace.Trace, offset int) {
-		widx := d.winBase + localWin
-		localWin++
-		run.analyze(ctx, globalDeadline, w, widx, offset, false)
-	})
-	if ctx.Err() != nil {
-		run.res.Cancelled = true
-	}
-	run.res.Elapsed = time.Since(start)
-	return run.res
-}
+// SigState says what signature state a Runner carries from one window to
+// the next.
+type SigState int
 
-// windowRun threads the sequential driver's cross-window state: the
-// accumulated result plus the signature seen/attempt maps that make later
-// windows' partitions depend on earlier verdicts. detectWindows drives it
-// over race.Windows; the streaming session layer (internal/stream) drives
-// it one externally-materialised window at a time through WindowRunner.
-type windowRun struct {
-	d        *Detector
-	res      race.Result
-	seen     map[race.Signature]bool
-	attempts map[race.Signature]int
-	// timed forces per-window wall-clock measurement (and outcome
-	// construction) even without telemetry or a completion hook — the
-	// streaming runner consumes the outcome directly. The batch driver
-	// leaves it false so an untelemetered run still performs no clock
-	// reads.
-	timed bool
-}
+const (
+	// Isolated analyses every window with empty signature state, so a
+	// window's outcome depends only on its own content, never on which
+	// other windows the process analysed. That is what lets the reader
+	// path, window shards, MergeShards, fleet workers and Parallelism > 1
+	// analyse any subset of the windows, in any order, and still merge one
+	// canonical report.
+	Isolated SigState = iota
+	// Carried skips, in each window, the signatures earlier windows proved
+	// racy: fewer solver queries when a signature recurs, the same races.
+	// It needs the windows in trace order on one worker, so Run analyses
+	// Isolated under Parallelism > 1. A sequential in-memory run and a
+	// daemon session carry.
+	Carried
+)
 
-func (d *Detector) newWindowRun() *windowRun {
-	return &windowRun{
-		d:        d,
-		seen:     make(map[race.Signature]bool),
-		attempts: make(map[race.Signature]int),
-	}
-}
-
-// WindowStatus classifies how analyze disposed of one window.
+// WindowStatus classifies how a Runner disposed of one window.
 type WindowStatus int
 
 const (
@@ -380,62 +330,289 @@ const (
 	WindowCut
 )
 
-// analyze runs one window to a verdict and merges it into the
-// accumulated result — the body of the sequential detection loop. With
+// Runner is the window pipeline every mode goes through: a window is
+// analysed (or, when journaled, replayed) into a race.WindowOutcome, and
+// merge folds the outcome into one race.Result. Run pulls windows from a
+// source, sequentially or on Parallelism workers; RunWindow takes them
+// pushed one at a time (daemon sessions and fleet workers). A Runner is
+// not safe for concurrent use.
+type Runner struct {
+	d     *Detector
+	state SigState
+	// timed forces per-window wall-clock measurement even without
+	// telemetry, a tracer or a completion hook: RunWindow's callers
+	// consume the outcome's ElapsedNS directly. Run leaves it off, so an
+	// uninstrumented run performs no clock reads.
+	timed bool
+	// deadline is the global budget's expiry, set by Run; the zero time
+	// means unbounded, as it always is for RunWindow.
+	deadline time.Time
+	res      race.Result
+	seen     map[race.Signature]bool // signatures merged so far
+	start    time.Time
+}
+
+// NewRunner returns a runner with the given options and signature state.
+func NewRunner(opt Options, state SigState) *Runner {
+	return &Runner{
+		d:     &Detector{opt: opt, budget: make(chan struct{}, max(opt.Parallelism, opt.PairParallelism, 1))},
+		state: state,
+		seen:  make(map[race.Signature]bool),
+		start: time.Now(),
+	}
+}
+
+// errStopWindows stops a source's iteration at the first cut window.
+var errStopWindows = errors.New("core: stop window iteration")
+
+// Run pulls windows from source, which calls its argument once per
+// window in trace order with the window's trace, index and whole-trace
+// offset (as race.EachWindow and tracev2's readers do), analyses them
+// and merges their outcomes in the order the source yielded them. With
+// Parallelism ≤ 1 one window is analysed at a time under the runner's
+// SigState; with more, up to Parallelism windows are analysed
+// concurrently, each Isolated, so the merged result does not depend on
+// the worker count. The first window cut short by cancellation or the
+// global budget stops the source. Run returns the source's own error,
+// if any; the result so far stays in Result.
+func (r *Runner) Run(ctx context.Context, source func(func(w *trace.Trace, widx, offset int) error) error) error {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if b := r.d.opt.GlobalBudget; b > 0 {
+		r.deadline = time.Now().Add(b)
+	}
+	var err error
+	if r.d.opt.Parallelism > 1 {
+		err = r.runParallel(ctx, source)
+	} else {
+		err = source(func(w *trace.Trace, widx, offset int) error {
+			if r.step(ctx, w, widx, offset, false).status == WindowCut {
+				return errStopWindows
+			}
+			return nil
+		})
+	}
+	if ctx.Err() != nil {
+		r.res.Cancelled = true
+	}
+	if err == errStopWindows {
+		err = nil
+	}
+	return err
+}
+
+// runParallel analyses up to Parallelism windows at a time, each
+// Isolated, and merges them in source order on the calling goroutine as
+// soon as every earlier window has merged.
+func (r *Runner) runParallel(ctx context.Context, source func(func(w *trace.Trace, widx, offset int) error) error) error {
+	var (
+		pending []chan windowResult // windows in flight, in source order
+		slots   = make(chan struct{}, r.d.opt.Parallelism)
+		cut     atomic.Bool
+	)
+	// mergeDone merges the finished windows at the head of pending,
+	// waiting for each one when wait is set.
+	mergeDone := func(wait bool) {
+		for len(pending) > 0 {
+			var wr windowResult
+			if wait {
+				wr = <-pending[0]
+			} else {
+				select {
+				case wr = <-pending[0]:
+				default:
+					return
+				}
+			}
+			pending = pending[1:]
+			r.merge(wr)
+		}
+	}
+	err := source(func(w *trace.Trace, widx, offset int) error {
+		mergeDone(false)
+		if cut.Load() {
+			return errStopWindows
+		}
+		slots <- struct{}{}
+		done := make(chan windowResult, 1)
+		pending = append(pending, done)
+		go func() {
+			wr := r.analyze(ctx, w, widx, offset, false, nil)
+			if wr.status == WindowCut {
+				cut.Store(true)
+			}
+			<-slots
+			done <- wr
+		}()
+		return nil
+	})
+	mergeDone(true)
+	return err
+}
+
+// RunWindow analyses one pushed window whose first event sits at the
+// given whole-trace offset and merges it. Windows must arrive in trace
+// order; a Carried runner needs every window, with consecutive indices.
+// The outcome is returned in whole-trace
+// coordinates for every status: fresh verdicts (WindowAnalyzed, also
+// delivered to OnWindowDone), journal replays (WindowReplayed, races
+// stamped Replayed, hook not re-fired) and cuts (WindowCut, partial,
+// must not be persisted). Parallelism and GlobalBudget do not apply;
+// PairParallelism does, within the window. With degraded set the SMT
+// tier is shed — see analyze.
+func (r *Runner) RunWindow(ctx context.Context, w *trace.Trace, widx, offset int, degraded bool) (race.WindowOutcome, WindowStatus) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	r.timed = true
+	wr := r.step(ctx, w, widx, offset, degraded)
+	return wr.out, wr.status
+}
+
+// step analyses one window under the runner's SigState and merges it.
+func (r *Runner) step(ctx context.Context, w *trace.Trace, widx, offset int, degraded bool) windowResult {
+	var seen map[race.Signature]bool
+	if r.state == Carried {
+		seen = r.seen
+	}
+	wr := r.analyze(ctx, w, widx, offset, degraded, seen)
+	r.merge(wr)
+	return wr
+}
+
+// Result returns the result merged so far. Windows counts the windows
+// that reached a verdict or were replayed.
+func (r *Runner) Result() race.Result {
+	res := r.res
+	res.Elapsed = time.Since(r.start)
+	if len(res.Races) > 0 {
+		res.Races = append([]race.Race(nil), res.Races...)
+	}
+	return res
+}
+
+// windowResult is one window's analysis: its outcome in whole-trace
+// coordinates, how the window was disposed of, and, for a cut window,
+// which limit cut it.
+type windowResult struct {
+	out                   race.WindowOutcome
+	status                WindowStatus
+	cancelled, budgetGone bool
+}
+
+// merge folds one window into the run's result, and is the only place
+// the result grows. Races dedup by signature, the earliest merged window
+// winning (windows merge in trace order, a window's races in canonical
+// group order); counters and failures add up. A cut window still
+// contributes the races it found before the cut, as the partial-report
+// contract requires, but only a window that reached a verdict is
+// counted, and only a fresh verdict goes to OnWindowDone.
+func (r *Runner) merge(wr windowResult) {
+	res, out := &r.res, wr.out
+	res.COPsChecked += out.COPsChecked
+	res.SolverAborts += out.SolverAborts
+	res.PairsRetried += out.PairsRetried
+	for _, x := range out.Races {
+		if !r.seen[x.Sig] {
+			r.seen[x.Sig] = true
+			res.Races = append(res.Races, x)
+		}
+	}
+	for range out.Failures {
+		r.d.opt.Telemetry.CountWindowFailure()
+	}
+	res.Failures = append(res.Failures, out.Failures...)
+	res.Cancelled = res.Cancelled || wr.cancelled
+	res.BudgetExhausted = res.BudgetExhausted || wr.budgetGone
+	if wr.status == WindowCut {
+		return
+	}
+	res.Windows++
+	if hook := r.d.opt.OnWindowDone; hook != nil && wr.status == WindowAnalyzed {
+		hook(out)
+	}
+}
+
+// replay stands in for the analysis of a window whose journaled outcome
+// is in ResumeWindows: no solver query is issued, the races are stamped
+// Replayed (provenance otherwise travels with the journaled race), and
+// telemetry records the window as replayed.
+func (r *Runner) replay(out race.WindowOutcome) windowResult {
+	col := r.d.opt.Telemetry
+	tracer := r.d.opt.Tracer
+	if tracer != nil {
+		tracer.WindowStart(out.Window, out.Events)
+	}
+	if len(out.Races) > 0 {
+		out.Races = append([]race.Race(nil), out.Races...)
+		for i := range out.Races {
+			out.Races[i].Prov.Replayed = true
+		}
+	}
+	col.CountWindowReplayed()
+	col.WindowDone(telemetry.WindowRecord{
+		Offset:     out.Offset,
+		Events:     out.Events,
+		Candidates: out.Candidates,
+		Solved:     out.Solved,
+		Findings:   len(out.Races),
+		ElapsedNS:  out.ElapsedNS,
+	})
+	if tracer != nil {
+		tracer.WindowDone(out.Window, len(out.Races), time.Duration(out.ElapsedNS))
+	}
+	return windowResult{out: out, status: WindowReplayed}
+}
+
+// analyze runs one window, whose first event sits at the given
+// whole-trace offset, to a verdict; seen holds the signatures to skip
+// (nil when Isolated). A journaled window is replayed instead. With
 // degraded set, the SMT tier is shed: only pairs the sound vector-clock
 // triage tier already confirmed are reported (flagged Degraded in
 // provenance and in the outcome), unconfirmed pairs are shed and counted
 // in PairsShed, and no solver query is issued — the verdict stays sound
 // but is no longer maximal.
-func (wr *windowRun) analyze(ctx context.Context, globalDeadline time.Time, w *trace.Trace, widx, offset int, degraded bool) (out race.WindowOutcome, status WindowStatus) {
-	d := wr.d
+func (r *Runner) analyze(ctx context.Context, w *trace.Trace, widx, offset int, degraded bool, seen map[race.Signature]bool) (wr windowResult) {
+	d := r.d
 	col := d.opt.Telemetry
 	tracer := d.opt.Tracer
-	hook := d.opt.OnWindowDone
-	instrumented := col != nil || tracer != nil || hook != nil || wr.timed
-	res := &wr.res
-	seen, attempts := wr.seen, wr.attempts
-	cancel := func() bool { return ctx.Err() != nil }
-	// Resume: a journaled window's outcome is merged without
-	// re-analysis, before the cancellation and budget gates — replay
-	// is free and its results are already durable, so even a run
-	// interrupted immediately still reflects them.
+	instrumented := col != nil || tracer != nil || d.opt.OnWindowDone != nil || r.timed
+	// Resume: a journaled window is replayed before the cancellation and
+	// budget gates — replay is free and its results are already durable.
 	if prev, ok := d.opt.ResumeWindows[widx]; ok {
-		d.replayWindow(res, prev, seen)
-		return prev, WindowReplayed
+		return r.replay(prev)
 	}
+	out := &wr.out
+	*out = race.WindowOutcome{Window: widx, Offset: offset, Events: w.Len()}
+	wr.status = WindowCut
 	if ctx.Err() != nil {
-		res.Cancelled = true
-		return out, WindowCut
+		wr.cancelled = true
+		return wr
 	}
-	if !globalDeadline.IsZero() && time.Now().After(globalDeadline) {
-		res.BudgetExhausted = true
-		return out, WindowCut
+	if !r.deadline.IsZero() && time.Now().After(r.deadline) {
+		wr.budgetGone = true
+		return wr
 	}
-	status = WindowCut
 	// Panic isolation: an encoder or solver bug in this window — on
-	// the coordinator or on any pair worker — is recovered here,
+	// the coordinator or on any pair worker — is recovered here and
 	// recorded as a WindowFailure, and the run continues with every
 	// other window's results intact. The failed window contributes no
-	// results: its races merge only after the scheduler completes, so
-	// the drop is all-or-nothing and deterministic. The failure is
-	// itself a final, durable verdict — the completion hook records
-	// it so a resumed run reproduces this run's report exactly
+	// results: its races are collected only after the scheduler
+	// completes, so the drop is all-or-nothing and deterministic. The
+	// failure is itself a final, durable verdict — the completion hook
+	// records it so a resumed run reproduces this run's report exactly
 	// instead of silently retrying the window.
 	defer func() {
-		if r := recover(); r != nil {
-			f := windowFailure(widx, d.traceOffset+offset, w.Len(), r)
-			res.Failures = append(res.Failures, f)
-			col.CountWindowFailure()
-			out = race.WindowOutcome{
-				Window:   widx,
-				Offset:   d.traceOffset + offset,
-				Events:   w.Len(),
-				Failures: []race.WindowFailure{f},
-			}
-			status = WindowAnalyzed
-			if hook != nil {
-				hook(out)
+		if p := recover(); p != nil {
+			wr = windowResult{
+				out: race.WindowOutcome{
+					Window:   widx,
+					Offset:   offset,
+					Events:   w.Len(),
+					Failures: []race.WindowFailure{windowFailure(widx, offset, w.Len(), p)},
+				},
+				status: WindowAnalyzed,
 			}
 		}
 	}()
@@ -456,10 +633,6 @@ func (wr *windowRun) analyze(ctx context.Context, globalDeadline time.Time, w *t
 	if instrumented {
 		wstart = time.Now()
 	}
-	racesBefore := len(res.Races)
-	solved := 0
-	wChecked, wAborts, wRetried, wShed := 0, 0, 0, 0
-	final := true // no cancellation/budget cut — the outcome is replayable
 
 	span := col.StartPhase(telemetry.PhaseEnumerate)
 	esp := col.BeginSpan("enumerate", lane, wspan.ID())
@@ -467,15 +640,26 @@ func (wr *windowRun) analyze(ctx context.Context, globalDeadline time.Time, w *t
 	esp.End()
 	span.End()
 	col.CountEnumerated(len(cops))
+	out.Candidates = len(cops)
 
 	// Prefilters and signature grouping run up front; the pair
 	// scheduler then solves the groups (in parallel when
-	// PairParallelism > 1) and the results merge below in canonical
-	// group order, so the window's contribution is deterministic.
+	// PairParallelism > 1) and the results are collected below in
+	// canonical group order, so the window's outcome is deterministic.
 	psp := col.BeginSpan("mhb+triage", lane, wspan.ID())
-	groups, mhb := d.partition(w, cops, seen, attempts)
+	groups, mhb := d.partition(w, cops, seen)
 	psp.End()
 	col.CountPairGroups(len(groups))
+	// Provenance attribution is lazy: only windows that report a race
+	// pay for the ladder's clock passes.
+	var att *ladder
+	report := func(x race.Race) {
+		if att == nil {
+			att = newLadder(w, nil)
+		}
+		att.stamp(&x, widx, offset)
+		out.Races = append(out.Races, x)
+	}
 	switch {
 	case len(groups) > 0 && ctx.Err() == nil && degraded:
 		// Graceful degradation: no solver is constructed and no query
@@ -484,34 +668,19 @@ func (wr *windowRun) analyze(ctx context.Context, globalDeadline time.Time, w *t
 		// canonical order, no witness), the rest of the group is shed.
 		// Confirmations are sound, so a degraded window never reports a
 		// false race — it may only miss SMT-only ones.
-		var att *ladder
 		for _, g := range groups {
 			k := g.confirmed
-			if k < 0 || (d.skipSig != nil && d.skipSig(g.sig)) {
-				wShed += len(g.cops)
+			if k < 0 {
+				out.PairsShed += len(g.cops)
 				continue
 			}
-			wShed += len(g.cops) - 1
-			seen[g.sig] = true
-			if d.foundSig != nil {
-				d.foundSig(g.sig)
-			}
-			res.COPsChecked++
-			solved++
-			wChecked++
-			r := race.Race{
-				COP: race.COP{A: g.cops[k].A + offset, B: g.cops[k].B + offset},
-				Sig: g.sig,
-			}
-			if att == nil {
-				att = newLadder(w, nil)
-			}
-			att.stamp(&r, widx, offset)
-			r.Prov.Degraded = true
-			res.Races = append(res.Races, r)
-		}
-		if att != nil {
-			att.release()
+			out.PairsShed += len(g.cops) - 1
+			out.COPsChecked++
+			report(race.Race{
+				COP:  race.COP{A: g.cops[k].A + offset, B: g.cops[k].B + offset},
+				Sig:  g.sig,
+				Prov: race.Provenance{Degraded: true},
+			})
 		}
 	case len(groups) > 0 && ctx.Err() == nil:
 		if mhb == nil {
@@ -525,50 +694,27 @@ func (wr *windowRun) analyze(ctx context.Context, globalDeadline time.Time, w *t
 		}
 		wc := &windowCtx{
 			ctx: ctx, w: w, mhb: mhb, widx: widx, offset: offset,
-			globalDeadline: globalDeadline, cancel: cancel,
+			globalDeadline: r.deadline, cancel: func() bool { return ctx.Err() != nil },
 			spanParent: wspan.ID(),
 		}
-		// Provenance attribution is lazy: only windows that report a
-		// race pay for the ladder's clock passes.
-		var att *ladder
-		for i, gr := range d.solveGroups(wc, groups) {
+		for _, gr := range d.solveGroups(wc, groups) {
 			if gr == nil {
 				continue
 			}
-			g := groups[i]
-			res.COPsChecked += gr.solved
-			solved += gr.solved
-			wChecked += gr.solved
-			res.SolverAborts += gr.aborts
-			wAborts += gr.aborts
-			res.PairsRetried += gr.retried
-			wRetried += gr.retried
-			attempts[g.sig] = gr.attempts
-			if gr.cancelled {
-				res.Cancelled = true
-				final = false
-			}
-			if gr.budgetGone {
-				res.BudgetExhausted = true
-				final = false
-			}
+			out.COPsChecked += gr.solved
+			out.SolverAborts += gr.aborts
+			out.PairsRetried += gr.retried
+			wr.cancelled = wr.cancelled || gr.cancelled
+			wr.budgetGone = wr.budgetGone || gr.budgetGone
 			if gr.isRace {
-				seen[g.sig] = true
-				if d.foundSig != nil {
-					d.foundSig(g.sig)
-				}
-				r := gr.race
-				if att == nil {
-					att = newLadder(w, nil)
-				}
-				att.stamp(&r, widx, offset)
-				res.Races = append(res.Races, r)
+				report(gr.race)
 			}
-		}
-		if att != nil {
-			att.release()
 		}
 	}
+	if att != nil {
+		att.release()
+	}
+	out.Solved = out.COPsChecked
 	if mhb != nil {
 		// Clean window completion: return the clock slab to the shared
 		// pool. The panic path above skips this deliberately — a worker
@@ -576,306 +722,33 @@ func (wr *windowRun) analyze(ctx context.Context, globalDeadline time.Time, w *t
 		mhb.Release()
 	}
 	if ctx.Err() != nil {
-		res.Cancelled = true
-		final = false
+		wr.cancelled = true
 	}
+	final := !wr.cancelled && !wr.budgetGone
 	// Counted per completed degraded window — candidates or not — so the
 	// gauge always agrees with Report.DegradedWindows.
 	if degraded && final {
 		col.CountDegradedWindow()
+		out.Degraded = true
 	}
-
-	if col != nil {
-		col.WindowDone(telemetry.WindowRecord{
-			Offset:     d.traceOffset + offset,
-			Events:     w.Len(),
-			Candidates: len(cops),
-			Solved:     solved,
-			Findings:   len(res.Races) - racesBefore,
-			ElapsedNS:  int64(time.Since(wstart)),
-		})
+	if instrumented {
+		out.ElapsedNS = int64(time.Since(wstart))
 	}
-	if tracer != nil {
-		tracer.WindowDone(widx, len(res.Races)-racesBefore, time.Since(wstart))
-	}
-	if final {
-		status = WindowAnalyzed
-	}
-	if (hook != nil || wr.timed) && final {
-		out = race.WindowOutcome{
-			Window:       widx,
-			Offset:       d.traceOffset + offset,
-			Events:       w.Len(),
-			Candidates:   len(cops),
-			Solved:       solved,
-			COPsChecked:  wChecked,
-			SolverAborts: wAborts,
-			PairsRetried: wRetried,
-			ElapsedNS:    int64(time.Since(wstart)),
-			Degraded:     degraded,
-			PairsShed:    wShed,
-		}
-		if n := len(res.Races) - racesBefore; n > 0 {
-			// The hook contract is whole-trace coordinates; rebase a
-			// parallel slice's races (copies — res keeps its own).
-			out.Races = make([]race.Race, n)
-			copy(out.Races, res.Races[racesBefore:])
-			if d.traceOffset != 0 {
-				for i := range out.Races {
-					out.Races[i].A += d.traceOffset
-					out.Races[i].B += d.traceOffset
-					if out.Races[i].Witness != nil {
-						out.Races[i].Witness = rebase(out.Races[i].Witness, d.traceOffset)
-					}
-				}
-			}
-		}
-		if hook != nil {
-			hook(out)
-		}
-	}
-	return out, status
-}
-
-// WindowRunner drives the sequential detection pipeline over
-// externally-materialised windows — the streaming session layer's entry
-// point into the detector (internal/stream). It preserves detectWindows'
-// exact cross-window semantics: windows must be supplied in trace order
-// with consecutive indices, and the signature seen/attempt state threads
-// across calls, so the accumulated Result — and every per-window
-// outcome — is bit-identical to a batch run over the concatenated trace.
-// Not safe for concurrent use.
-type WindowRunner struct {
-	d       *Detector
-	run     *windowRun
-	start   time.Time
-	windows int
-}
-
-// NewWindowRunner returns a runner with the given options. Parallelism
-// is ignored (windows arrive one at a time); PairParallelism applies
-// within each window as in batch mode.
-func NewWindowRunner(opt Options) *WindowRunner {
-	d := NewWindowDetector(opt)
-	run := d.newWindowRun()
-	run.timed = true
-	return &WindowRunner{d: d, run: run, start: time.Now()}
-}
-
-// RunWindow analyses one window whose first event sits at the given
-// whole-trace offset. Outcomes are returned in whole-trace coordinates
-// for every status: fresh verdicts (WindowAnalyzed, also delivered to
-// OnWindowDone), journal replays (WindowReplayed, the journaled outcome,
-// hook not re-fired) and cancellation cuts (WindowCut, partial, must not
-// be persisted). With degraded set the SMT tier is shed — see
-// windowRun.analyze.
-func (r *WindowRunner) RunWindow(ctx context.Context, w *trace.Trace, widx, offset int, degraded bool) (race.WindowOutcome, WindowStatus) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	r.windows++
-	return r.run.analyze(ctx, time.Time{}, w, widx, offset, degraded)
-}
-
-// Result finalises and returns the result accumulated so far: the
-// canonical merge of every window passed to RunWindow, exactly as
-// DetectContext would have produced over the whole trace.
-func (r *WindowRunner) Result() race.Result {
-	res := r.run.res
-	res.Windows = r.windows
-	res.Elapsed = time.Since(r.start)
-	if len(res.Races) > 0 {
-		res.Races = append([]race.Race(nil), res.Races...)
-	}
-	return res
-}
-
-// NewWindowDetector returns a detector prepared for DetectWindow calls:
-// the out-of-core driver's entry point (rvpredict's sharded reader
-// path). Parallelism is ignored — windows arrive one at a time from the
-// sequential chunk reader; PairParallelism applies within each window
-// as in batch mode.
-func NewWindowDetector(opt Options) *Detector {
-	d := New(opt)
-	workers := opt.PairParallelism
-	if workers < 1 {
-		workers = 1
-	}
-	d.budget = make(chan struct{}, workers)
-	return d
-}
-
-// DetectWindow analyses one window in isolation: unlike WindowRunner,
-// every call gets fresh per-window signature state, so the verdict
-// depends only on the window's own content — never on which other
-// windows this process happened to analyse. That independence is what
-// makes the deterministic widx-mod-N shard partition mergeable: any
-// assignment of windows to processes yields the same per-window
-// outcomes, and a signature-deduplicating merge in window order
-// reconstructs one canonical report. Races, witnesses and failures in
-// both the outcome and the result are in whole-trace coordinates
-// (window-local indices plus offset).
-//
-// ResumeWindows replay, OnWindowDone delivery, telemetry and panic
-// isolation all behave as in the sequential driver; globalDeadline (the
-// zero time means unbounded) and ctx can cut the window short, in which
-// case the partial result is flagged and the outcome must not be
-// persisted (WindowCut).
-func (d *Detector) DetectWindow(ctx context.Context, globalDeadline time.Time, w *trace.Trace, widx, offset int) (race.WindowOutcome, WindowStatus, race.Result) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	run := d.newWindowRun()
-	run.timed = true
-	out, status := run.analyze(ctx, globalDeadline, w, widx, offset, false)
-	return out, status, run.res
-}
-
-// replayWindow merges one journaled outcome as if the window had just
-// completed its analysis: races enter the result in their original
-// detection order with their signatures marked seen (and shared with
-// parallel workers via foundSig), failures and counter deltas are
-// re-applied, and telemetry records the window as replayed. No solver
-// query is issued.
-func (d *Detector) replayWindow(res *race.Result, out race.WindowOutcome, seen map[race.Signature]bool) {
-	col := d.opt.Telemetry
-	tracer := d.opt.Tracer
-	if tracer != nil {
-		tracer.WindowStart(out.Window, out.Events)
-	}
-	res.COPsChecked += out.COPsChecked
-	res.SolverAborts += out.SolverAborts
-	res.PairsRetried += out.PairsRetried
-	for _, r := range out.Races {
-		// Journaled races are in whole-trace coordinates; the in-flight
-		// result of a parallel slice uses slice-local ones (the parallel
-		// merge re-adds the slice offset).
-		if d.traceOffset != 0 {
-			r.A -= d.traceOffset
-			r.B -= d.traceOffset
-			if r.Witness != nil {
-				r.Witness = rebase(r.Witness, -d.traceOffset)
-			}
-		}
-		// Provenance travels with the journaled race; only the replay
-		// origin is this run's own fact.
-		r.Prov.Replayed = true
-		seen[r.Sig] = true
-		if d.foundSig != nil {
-			d.foundSig(r.Sig)
-		}
-		res.Races = append(res.Races, r)
-	}
-	// Failures are journaled — and merged — in whole-trace coordinates in
-	// both modes, so they append unchanged.
-	for range out.Failures {
-		col.CountWindowFailure()
-	}
-	res.Failures = append(res.Failures, out.Failures...)
-	col.CountWindowReplayed()
 	col.WindowDone(telemetry.WindowRecord{
-		Offset:     out.Offset,
-		Events:     out.Events,
-		Candidates: out.Candidates,
+		Offset:     offset,
+		Events:     w.Len(),
+		Candidates: len(cops),
 		Solved:     out.Solved,
 		Findings:   len(out.Races),
 		ElapsedNS:  out.ElapsedNS,
 	})
 	if tracer != nil {
-		tracer.WindowDone(out.Window, len(out.Races), time.Duration(out.ElapsedNS))
+		tracer.WindowDone(widx, len(out.Races), time.Duration(out.ElapsedNS))
 	}
-}
-
-// detectParallel fans the windows out over Parallelism workers. Each
-// window is detected independently (its own solver, quick check and
-// per-window signature budget); the per-window results are merged in
-// window order with cross-window signature deduplication, so the final
-// report is deterministic and equals the sequential report up to which
-// COP instance represents a signature.
-func (d *Detector) detectParallel(ctx context.Context, globalDeadline time.Time, tr *trace.Trace) race.Result {
-	start := time.Now()
-	slices := race.WindowSlices(tr, d.opt.WindowSize)
-	perWindow := make([]race.Result, len(slices))
-
-	// Best-effort cross-window deduplication: once any worker proves a
-	// signature racy, other workers skip further instances. This only
-	// suppresses redundant solver calls — the final merge below still
-	// deduplicates deterministically — so the race set is unchanged while
-	// COPsChecked may vary run to run.
-	var sharedSeen sync.Map
-
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, d.opt.Parallelism)
-	single := *d
-	single.opt.Parallelism = 0
-	single.opt.WindowSize = 0 // each slice is exactly one window
-	single.opt.GlobalBudget = 0
-	single.skipSig = func(sig race.Signature) bool {
-		_, ok := sharedSeen.Load(sig)
-		return ok
+	if final {
+		wr.status = WindowAnalyzed
 	}
-	single.foundSig = func(sig race.Signature) {
-		sharedSeen.Store(sig, true)
-	}
-	for i := range slices {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			// Defence in depth: detectWindows isolates per-window panics
-			// itself, but a panic escaping it (e.g. from the windowing
-			// driver) must never kill the whole process when workers run
-			// as bare goroutines. Recover here records the failure with
-			// the window's global coordinates and lets the merge proceed.
-			defer func() {
-				if r := recover(); r != nil {
-					perWindow[i].Failures = append(perWindow[i].Failures,
-						windowFailure(i, slices[i].Offset, slices[i].Trace.Len(), r))
-					d.opt.Telemetry.CountWindowFailure()
-				}
-			}()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			// A per-goroutine copy carries the window's global index and
-			// offset so telemetry records and tracer callbacks stay in
-			// whole-trace coordinates. The shared collector is atomic.
-			// The global deadline is passed through directly: the budget
-			// is one wall-clock window shared by all workers.
-			worker := single
-			worker.winBase = i
-			worker.traceOffset = slices[i].Offset
-			perWindow[i] = worker.detectWindows(ctx, globalDeadline, slices[i].Trace)
-		}(i)
-	}
-	wg.Wait()
-
-	res := race.Result{Windows: len(slices)}
-	seen := make(map[race.Signature]bool)
-	for i, wres := range perWindow {
-		offset := slices[i].Offset
-		res.COPsChecked += wres.COPsChecked
-		res.SolverAborts += wres.SolverAborts
-		res.PairsRetried += wres.PairsRetried
-		res.Cancelled = res.Cancelled || wres.Cancelled
-		res.BudgetExhausted = res.BudgetExhausted || wres.BudgetExhausted
-		res.Failures = append(res.Failures, wres.Failures...)
-		for _, r := range wres.Races {
-			if seen[r.Sig] {
-				continue
-			}
-			seen[r.Sig] = true
-			r.A += offset
-			r.B += offset
-			if r.Witness != nil {
-				r.Witness = rebase(r.Witness, offset)
-			}
-			res.Races = append(res.Races, r)
-		}
-	}
-	if ctx.Err() != nil {
-		res.Cancelled = true
-	}
-	res.Elapsed = time.Since(start)
-	return res
+	return wr
 }
 
 // windowSolver is the long-lived solver of one analysis window: Φ_mhb and
@@ -1006,68 +879,6 @@ func (ws *windowSolver) solve(d *Detector, widx int, cop race.COP, g sat.Lit,
 		return true, witness, telemetry.OutcomeSat, qs
 	case sat.Aborted:
 		return false, nil, telemetry.OutcomeOf(ws.s, false, true), qs
-	}
-	return false, nil, telemetry.OutcomeUnsat, qs
-}
-
-// checkMerged decides one COP with the paper's variable-merging encoding
-// (ablation path; one solver per COP, rolled into telemetry individually).
-// Retries on this path rebuild the solver from scratch — the encoding is
-// deterministic, so only the budget differs between attempts.
-func (d *Detector) checkMerged(w *trace.Trace, mhb *vc.MHB, cop race.COP, widx int,
-	timeout time.Duration, globalDeadline time.Time, cancel func() bool) (isRace bool, witness []int, outcome telemetry.Outcome, qs queryStats) {
-	if f := d.fireFault(faultinject.PointSolve, widx); f == faultinject.FaultTimeout {
-		return false, nil, telemetry.OutcomeTimeout, qs
-	}
-	col := d.opt.Telemetry
-	s := smt.NewSolver()
-	defer col.AddSolver(s)
-	s.SetDeadline(solveDeadline(timeout, globalDeadline))
-	s.SetCancel(cancel)
-	if d.opt.MaxConflicts > 0 {
-		s.SetMaxConflicts(d.opt.MaxConflicts)
-	}
-	span := col.StartPhase(telemetry.PhaseEncode)
-	enc := encode.New(w, s, mhb, cop.A, cop.B)
-	enc.Pruning = !d.opt.NoPruning
-	if err := enc.AssertMHB(); err != nil {
-		span.End()
-		return false, nil, telemetry.OutcomeUnsat, qs
-	}
-	if err := enc.AssertLocks(); err != nil {
-		span.End()
-		return false, nil, telemetry.OutcomeUnsat, qs
-	}
-	cf := encode.NewCF(enc, s, d.opt.BranchDepWindow)
-	if err := cf.AssertControlFlow(cop.A); err != nil {
-		span.End()
-		return false, nil, telemetry.OutcomeUnsat, qs
-	}
-	if err := cf.AssertControlFlow(cop.B); err != nil {
-		span.End()
-		return false, nil, telemetry.OutcomeUnsat, qs
-	}
-	span.End()
-	span = col.StartPhase(telemetry.PhaseSolve)
-	verdict := s.Solve()
-	span.End()
-	switch verdict {
-	case sat.Sat:
-		// A fresh solver per query on this path: the stats are absolute.
-		st := s.Stats()
-		qs = queryStats{
-			decisions:    st.Decisions,
-			propagations: st.Propagations,
-			conflicts:    st.Conflicts,
-		}
-		if d.opt.Witness {
-			span = col.StartPhase(telemetry.PhaseWitness)
-			witness = enc.Witness(cop.A, cop.B)
-			span.End()
-		}
-		return true, witness, telemetry.OutcomeSat, qs
-	case sat.Aborted:
-		return false, nil, telemetry.OutcomeOf(s, false, true), qs
 	}
 	return false, nil, telemetry.OutcomeUnsat, qs
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/faultinject"
+	"repro/internal/fixtures"
 	"repro/internal/race"
 	"repro/internal/telemetry"
 	"repro/trace"
@@ -295,5 +296,55 @@ func TestPairParallelTwoPassRetry(t *testing.T) {
 	// never silently dropped.
 	if m := col.Snapshot(); m.Outcomes.RetriesScheduled != 1 {
 		t.Errorf("telemetry retries scheduled = %d, want 1", m.Outcomes.RetriesScheduled)
+	}
+}
+
+// TestRecurringSignatureDeterminism: on a trace whose location pairs race
+// again in every window, window parallelism analyses each window Isolated
+// and merges in window order, so every Parallelism × PairParallelism
+// combination must give a race.Result bit-identical to the Isolated
+// sequential runner's. The Carried sequential run must report the same
+// races with strictly fewer COPsChecked — the proof that the fixture
+// really recurs, and that carrying changes work, never verdicts.
+func TestRecurringSignatureDeterminism(t *testing.T) {
+	withProcs(t, 4)
+	const windows = 4
+	tr := fixtures.RecurringRaces(windows)
+	isolated := NewRunner(Options{WindowSize: fixtures.RecurringBlock, Witness: true}, Isolated)
+	isolated.Run(context.Background(), func(f func(w *trace.Trace, widx, offset int) error) error {
+		return race.EachWindow(tr, fixtures.RecurringBlock, f)
+	})
+	want := isolated.Result()
+	want.Elapsed = 0
+	if want.Windows != windows {
+		t.Fatalf("Windows = %d, want %d (fixture drifted)", want.Windows, windows)
+	}
+	smt := 0
+	for _, r := range want.Races {
+		if r.Prov.Tier == race.TierSMT {
+			smt++
+		}
+	}
+	if smt == 0 {
+		t.Fatalf("no SMT-tier race among %+v (fixture drifted)", want.Races)
+	}
+	for _, par := range []int{2, 4} {
+		for _, pairPar := range []int{1, 4} {
+			got := detect(t, tr, Options{WindowSize: fixtures.RecurringBlock,
+				Parallelism: par, PairParallelism: pairPar})
+			got.Elapsed = 0
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("par %d × pairPar %d: result differs from the isolated sequential runner\n got %+v\nwant %+v",
+					par, pairPar, got, want)
+			}
+		}
+	}
+	carried := detect(t, tr, Options{WindowSize: fixtures.RecurringBlock})
+	if !reflect.DeepEqual(carried.Races, want.Races) {
+		t.Errorf("carried races differ from isolated:\n got %+v\nwant %+v", carried.Races, want.Races)
+	}
+	if carried.COPsChecked >= want.COPsChecked {
+		t.Errorf("carried COPsChecked = %d, want fewer than isolated %d (no signature recurred)",
+			carried.COPsChecked, want.COPsChecked)
 	}
 }

@@ -1,11 +1,10 @@
 // Pair scheduler: intra-window parallel COP solving with replicated
 // window solvers and deterministic merging.
 //
-// The window driver (detectWindows) used to solve every candidate pair
-// sequentially on one shared windowSolver, so a trace producing one big
-// window got zero speedup from extra cores. This file fans the pairs of a
-// window out over Options.PairParallelism workers while keeping the result
-// bit-identical to the sequential path:
+// Window parallelism (Runner.Run) cannot help a trace that produces one
+// big window. This file fans the candidate pairs of one window out over
+// Options.PairParallelism workers while keeping the window's outcome
+// bit-identical to solving them one by one on a single windowSolver:
 //
 //   - The unit of work is a signature group: every COP instance of one
 //     signature surviving the prefilters, in enumeration order. Signature
@@ -36,8 +35,11 @@
 //     escalating budget, exactly like the sequential second pass.
 //
 // Real wall-clock solver timeouts are inherently timing-dependent; the
-// determinism guarantee is: absent solver aborts, the full race.Result is
-// identical for every (Parallelism, PairParallelism) combination.
+// determinism guarantee is: absent solver aborts, a window's outcome is
+// identical for every PairParallelism, and — windows being Isolated under
+// Parallelism > 1 and merged in window order — the full race.Result is
+// identical for every Parallelism ≥ 2 and PairParallelism combination, and
+// to the sequential run's wherever no signature recurs across windows.
 package core
 
 import (
@@ -50,15 +52,14 @@ import (
 
 	"repro/internal/lockset"
 	"repro/internal/race"
-	"repro/internal/sat"
 	"repro/internal/telemetry"
 	"repro/internal/vc"
 	"repro/trace"
 )
 
 // sigGroup is the pair scheduler's unit of work: every COP instance of one
-// signature in one window that survived the seen-set, attempt-budget and
-// lockset quick-check prefilters, in enumeration order.
+// signature in one window that survived the seen-set and lockset
+// quick-check prefilters, in enumeration order.
 type sigGroup struct {
 	sig  race.Signature
 	cops []race.COP
@@ -68,21 +69,6 @@ type sigGroup struct {
 	// lets skip its solve (the fast path). Both are -1 when there is no
 	// such instance, and always without the quick check.
 	proved, confirmed int
-	// baseAttempts is attempts[sig] at partition time; the group enforces
-	// MaxAttemptsPerSig against baseAttempts + its own attempts.
-	baseAttempts int
-}
-
-// attemptable is how many instances of the group its attempt budget
-// lets the scheduler try.
-func (d *Detector) attemptable(g *sigGroup) int {
-	n := len(g.cops)
-	if d.opt.MaxAttemptsPerSig > 0 {
-		if rem := d.opt.MaxAttemptsPerSig - g.baseAttempts; rem < n {
-			n = rem
-		}
-	}
-	return n
 }
 
 // warmCount is the length of the group's warm prefix: the instances whose
@@ -94,9 +80,9 @@ func (d *Detector) attemptable(g *sigGroup) int {
 // it after the checkpoint (see windowSolver.rollback). The cut depends
 // on the ladder's verdicts, never on TriageLevel, so every level solves
 // its queries from the same base encoding. With a witness request every
-// attemptable instance is solved, and all are warmed.
+// instance is solved, and all are warmed.
 func (d *Detector) warmCount(g *sigGroup) int {
-	n := d.attemptable(g)
+	n := len(g.cops)
 	if !d.opt.Witness && g.proved >= 0 && g.proved < n {
 		n = g.proved
 	}
@@ -108,7 +94,6 @@ func (d *Detector) warmCount(g *sigGroup) int {
 type groupResult struct {
 	solved     int // pass-1 solve attempts (COPsChecked, WindowRecord.Solved)
 	aborts     int // solver aborts that were not retried
-	attempts   int // final attempts[sig] value
 	retried    int // pairs deferred to the second pass
 	cancelled  bool
 	budgetGone bool
@@ -123,8 +108,8 @@ type windowCtx struct {
 	ctx            context.Context
 	w              *trace.Trace
 	mhb            *vc.MHB
-	widx           int // global window index (tracer, fault injection)
-	offset         int // window offset inside the analysed trace
+	widx           int // window index (tracer, fault injection)
+	offset         int // whole-trace index of the window's first event
 	globalDeadline time.Time
 	cancel         func() bool
 	spanParent     uint64 // window span ID, parent of worker/group spans
@@ -132,8 +117,8 @@ type windowCtx struct {
 
 // partition runs the prefilters over the enumerated COPs and groups the
 // survivors by signature, in order of each signature's first surviving
-// instance. seen and attempts are stable for the whole window (they are
-// only updated at merge time), so the partition is deterministic. The
+// instance. seen is stable for the whole window (it is only updated at
+// merge time), so the partition is deterministic. The
 // window MHB clocks and the lockset quick check are computed lazily, on
 // the first instance that survives the cheap map lookups — preserving the
 // old driver's property that a window whose candidates are all already
@@ -145,8 +130,7 @@ type windowCtx struct {
 // deterministic under any worker count. The ladder runs at every
 // TriageLevel — untallied at "off" — because its verdicts also choose
 // the warm prefix (warmCount).
-func (d *Detector) partition(w *trace.Trace, cops []race.COP,
-	seen map[race.Signature]bool, attempts map[race.Signature]int) ([]*sigGroup, *vc.MHB) {
+func (d *Detector) partition(w *trace.Trace, cops []race.COP, seen map[race.Signature]bool) ([]*sigGroup, *vc.MHB) {
 	col := d.opt.Telemetry
 	var (
 		groups []*sigGroup
@@ -159,10 +143,6 @@ func (d *Detector) partition(w *trace.Trace, cops []race.COP,
 	for _, cop := range cops {
 		sig := race.SigOf(w, cop.A, cop.B)
 		if seen[sig] {
-			col.CountSigDedup()
-			continue
-		}
-		if d.opt.MaxAttemptsPerSig > 0 && attempts[sig] >= d.opt.MaxAttemptsPerSig {
 			col.CountSigDedup()
 			continue
 		}
@@ -193,8 +173,7 @@ func (d *Detector) partition(w *trace.Trace, cops []race.COP,
 			}
 			gi = len(groups)
 			index[sig] = gi
-			groups = append(groups, &sigGroup{sig: sig, baseAttempts: attempts[sig],
-				proved: -1, confirmed: -1})
+			groups = append(groups, &sigGroup{sig: sig, proved: -1, confirmed: -1})
 		}
 		g := groups[gi]
 		if sets != nil {
@@ -249,17 +228,11 @@ func (d *Detector) buildReplica(wc *windowCtx, groups []*sigGroup) *windowSolver
 // block-acquire (the cap is ≥ Parallelism, so they always progress), extra
 // pair workers only spawn on tryAcquireBudget.
 func (d *Detector) acquireBudget() func() {
-	if d.budget == nil {
-		return func() {}
-	}
 	d.budget <- struct{}{}
 	return func() { <-d.budget }
 }
 
 func (d *Detector) tryAcquireBudget() bool {
-	if d.budget == nil {
-		return false
-	}
 	select {
 	case d.budget <- struct{}{}:
 		return true
@@ -275,7 +248,7 @@ func (d *Detector) tryAcquireBudget() bool {
 // global worker budget. When no group can reach the solver, no replica is
 // built: the coordinator records the fast-path verdicts alone. A panic on any
 // worker stops the pool, is re-raised on the caller and handled by the
-// window-level isolation in detectWindows; the window then contributes no
+// window-level isolation in Runner.analyze; the window then contributes no
 // results (deterministic drop — see race.WindowFailure).
 func (d *Detector) solveGroups(wc *windowCtx, groups []*sigGroup) []*groupResult {
 	col := d.opt.Telemetry
@@ -290,9 +263,7 @@ func (d *Detector) solveGroups(wc *windowCtx, groups []*sigGroup) []*groupResult
 		if d.opt.Witness || g.confirmed != 0 {
 			dispatching++
 		}
-		if !d.opt.MergeRaceVars {
-			col.CountWarmSkipped(d.attemptable(g) - d.warmCount(g))
-		}
+		col.CountWarmSkipped(len(g.cops) - d.warmCount(g))
 	}
 
 	results := make([]*groupResult, len(groups))
@@ -362,7 +333,7 @@ func (d *Detector) solveGroups(wc *windowCtx, groups []*sigGroup) []*groupResult
 		}()
 		lane := telemetry.WorkerLane(wc.widx, k)
 		var ws *windowSolver
-		if !d.opt.MergeRaceVars && dispatching > 0 {
+		if dispatching > 0 {
 			if k > 0 {
 				col.CountPairReplica()
 			}
@@ -415,13 +386,13 @@ func groupSpanName(col *telemetry.Collector, kind string, g *sigGroup) string {
 
 // solveGroup decides one signature group from the canonical base state:
 // instances are attempted in enumeration order until one is satisfiable
-// (a race), the attempt budget runs out, or the run is cancelled. The
+// (a race) or the run is cancelled. The
 // group's result depends only on the checkpointed base and the group
 // itself, never on the worker or on other groups.
 func (d *Detector) solveGroup(wc *windowCtx, ws *windowSolver, g *sigGroup) *groupResult {
 	col := d.opt.Telemetry
 	tracer := d.opt.Tracer
-	gr := &groupResult{attempts: g.baseAttempts}
+	gr := &groupResult{}
 	if ws != nil {
 		ws.rollback(col)
 	}
@@ -432,19 +403,11 @@ func (d *Detector) solveGroup(wc *windowCtx, ws *windowSolver, g *sigGroup) *gro
 			break
 		}
 		// Instances decided after dispatch (the signature's race already
-		// found, shared parallel verdict, attempt budget reached mid-group)
-		// are pair-scheduler skips, not signature-dedup hits: partition
-		// already classified them, so counting them as dedup again would
-		// break the candidate-funnel identity the /metrics endpoint checks.
+		// found) are pair-scheduler skips, not signature-dedup hits:
+		// partition already classified them, so counting them as dedup
+		// again would break the candidate-funnel identity the /metrics
+		// endpoint checks.
 		if gr.isRace {
-			col.CountPairSkip()
-			continue
-		}
-		if d.skipSig != nil && d.skipSig(g.sig) {
-			col.CountPairSkip()
-			continue
-		}
-		if d.opt.MaxAttemptsPerSig > 0 && gr.attempts >= d.opt.MaxAttemptsPerSig {
 			col.CountPairSkip()
 			continue
 		}
@@ -454,7 +417,6 @@ func (d *Detector) solveGroup(wc *windowCtx, ws *windowSolver, g *sigGroup) *gro
 			continue
 		}
 		gr.solved++
-		gr.attempts++
 		var qstart time.Time
 		if tracer != nil {
 			qstart = time.Now()
@@ -463,8 +425,7 @@ func (d *Detector) solveGroup(wc *windowCtx, ws *windowSolver, g *sigGroup) *gro
 			// Triage fast path: the vector-clock tier proved this instance's
 			// query satisfiable (triage.go), so the SAT verdict is recorded
 			// without touching the solver. The attempt still counts exactly
-			// like a solved query — COPsChecked, attempt budgets and the
-			// reported race are bit-identical to the triage-off run — and the
+			// like a solved query — COPsChecked and the reported race are bit-identical to the triage-off run — and the
 			// tracer still sees the finding, but the solver outcome tallies
 			// deliberately exclude it: they count solver queries, and the
 			// triage telemetry block accounts for the confirmed pairs. When a
@@ -476,8 +437,8 @@ func (d *Detector) solveGroup(wc *windowCtx, ws *windowSolver, g *sigGroup) *gro
 				Sig: g.sig,
 			}
 			if tracer != nil {
-				tracer.QuerySolved(wc.widx, cop.A+wc.offset+d.traceOffset,
-					cop.B+wc.offset+d.traceOffset, telemetry.OutcomeSat, time.Since(qstart))
+				tracer.QuerySolved(wc.widx, cop.A+wc.offset, cop.B+wc.offset,
+					telemetry.OutcomeSat, time.Since(qstart))
 			}
 			continue
 		}
@@ -487,26 +448,18 @@ func (d *Detector) solveGroup(wc *windowCtx, ws *windowSolver, g *sigGroup) *gro
 			outcome telemetry.Outcome
 			qs      queryStats
 		)
-		if d.opt.MergeRaceVars {
-			// Merging fuses the pair onto one order variable, so the
-			// encoding is rebuilt per COP (the ablation path): no shared
-			// replica, but the scheduler structure is identical.
-			isRace, witness, outcome, qs = d.checkMerged(wc.w, wc.mhb, cop, wc.widx,
-				passTimeout, wc.globalDeadline, wc.cancel)
+		ws.dirty = true
+		guard, hasG := ws.prepare(d, cop)
+		if !hasG {
+			isRace, witness, outcome = false, nil, telemetry.OutcomeUnsat
 		} else {
-			ws.dirty = true
-			guard, hasG := ws.prepare(d, cop)
-			if !hasG {
-				isRace, witness, outcome = false, nil, telemetry.OutcomeUnsat
-			} else {
-				isRace, witness, outcome, qs = ws.solve(d, wc.widx, cop, guard,
-					passTimeout, wc.globalDeadline)
-			}
+			isRace, witness, outcome, qs = ws.solve(d, wc.widx, cop, guard,
+				passTimeout, wc.globalDeadline)
 		}
 		col.CountOutcome(outcome)
 		if tracer != nil {
-			tracer.QuerySolved(wc.widx, cop.A+wc.offset+d.traceOffset,
-				cop.B+wc.offset+d.traceOffset, outcome, time.Since(qstart))
+			tracer.QuerySolved(wc.widx, cop.A+wc.offset, cop.B+wc.offset,
+				outcome, time.Since(qstart))
 		}
 		if outcome == telemetry.OutcomeTimeout && d.twoPass() {
 			// Deferred, not abandoned: the second pass below re-solves it
@@ -562,20 +515,16 @@ func (d *Detector) retryDeferred(wc *windowCtx, ws *windowSolver, g *sigGroup, g
 			col.CountPairSkip()
 			continue
 		}
-		var guard sat.Lit
-		if !d.opt.MergeRaceVars {
-			ws.rollback(col)
-			ws.dirty = true
-			var hasG bool
-			guard, hasG = ws.prepare(d, cop)
-			if !hasG {
-				// The first pass prepared this pair successfully, so the
-				// deterministic replay cannot fail; handle it as unsat for
-				// defence in depth.
-				col.CountOutcome(telemetry.OutcomeUnsat)
-				col.CountRetrySolved(false)
-				continue
-			}
+		ws.rollback(col)
+		ws.dirty = true
+		guard, hasG := ws.prepare(d, cop)
+		if !hasG {
+			// The first pass prepared this pair successfully, so the
+			// deterministic replay cannot fail; handle it as unsat for
+			// defence in depth.
+			col.CountOutcome(telemetry.OutcomeUnsat)
+			col.CountRetrySolved(false)
+			continue
 		}
 		var (
 			isRace  bool
@@ -606,17 +555,12 @@ func (d *Detector) retryDeferred(wc *windowCtx, ws *windowSolver, g *sigGroup, g
 			if tracer != nil {
 				qstart = time.Now()
 			}
-			if d.opt.MergeRaceVars {
-				isRace, witness, final, qs = d.checkMerged(wc.w, wc.mhb, cop, wc.widx,
-					budget, wc.globalDeadline, wc.cancel)
-			} else {
-				isRace, witness, final, qs = ws.solve(d, wc.widx, cop, guard,
-					budget, wc.globalDeadline)
-			}
+			isRace, witness, final, qs = ws.solve(d, wc.widx, cop, guard,
+				budget, wc.globalDeadline)
 			col.CountOutcome(final)
 			if tracer != nil {
-				tracer.QuerySolved(wc.widx, cop.A+wc.offset+d.traceOffset,
-					cop.B+wc.offset+d.traceOffset, final, time.Since(qstart))
+				tracer.QuerySolved(wc.widx, cop.A+wc.offset, cop.B+wc.offset,
+					final, time.Since(qstart))
 			}
 			if final != telemetry.OutcomeTimeout || capped {
 				break

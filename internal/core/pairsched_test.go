@@ -22,8 +22,7 @@ import (
 func TestWarmPrefixReplay(t *testing.T) {
 	tr := mixedWindowTrace(t)
 	d := New(Options{TriageLevel: "off"})
-	groups, mhb := d.partition(tr, race.EnumerateCOPs(tr),
-		map[race.Signature]bool{}, map[race.Signature]int{})
+	groups, mhb := d.partition(tr, race.EnumerateCOPs(tr), nil)
 	defer mhb.Release()
 	wc := &windowCtx{ctx: context.Background(), w: tr, mhb: mhb,
 		cancel: func() bool { return false }}
@@ -47,7 +46,7 @@ func TestWarmPrefixReplay(t *testing.T) {
 
 	outside := 0
 	for _, g := range groups {
-		if d.warmCount(g) == d.attemptable(g) {
+		if d.warmCount(g) == len(g.cops) {
 			continue
 		}
 		outside++

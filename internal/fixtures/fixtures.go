@@ -108,3 +108,43 @@ func Figure2Indices(branchCase bool) (writeX, readX int) {
 	}
 	return 0, 3
 }
+
+// RecurringBlock is the length of one RecurringRaces block; with it as
+// the window size, each block is one analysis window.
+const RecurringBlock = 24
+
+// RecurringRaces returns a trace of the given number of blocks in which
+// the same three location pairs race in every block — the case where a
+// run that carries signature verdicts across windows issues fewer solver
+// queries than one that analyses each window in isolation, while both
+// report the same races. Per block:
+//
+//   - (1,2): a plain write/read race, confirmed by the SHB triage rung;
+//   - (3,4): a write/write race;
+//   - (5,6): the Figure 1 race — t2's critical section must move before
+//     t1's, which only the SMT tier can justify;
+//
+// then branches pad the block to RecurringBlock events.
+func RecurringRaces(blocks int) *trace.Trace {
+	const x, y, z, g, l trace.Addr = 1, 2, 3, 4, 100
+	b := trace.NewBuilder()
+	for i := 0; i < blocks; i++ {
+		b.At(1).Write(1, x, 1)
+		b.At(2).ReadV(2, x, 1)
+		b.At(3).Write(1, y, 2)
+		b.At(4).Write(2, y, 2)
+		b.At(0).Acquire(1, l)
+		b.At(5).Write(1, z, 1)
+		b.At(0).Write(1, g, 1)
+		b.At(0).Release(1, l)
+		b.At(0).Acquire(2, l)
+		b.At(0).Read(2, g)
+		b.At(0).Release(2, l)
+		b.At(6).Read(2, z)
+		for j := 0; j < 6; j++ {
+			b.At(7).Branch(1)
+			b.At(8).Branch(2)
+		}
+	}
+	return b.Trace()
+}

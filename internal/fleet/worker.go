@@ -202,7 +202,7 @@ func (w *worker) analyseShard(ctx context.Context, conn net.Conn, br *bufio.Read
 	// byte-identical to the single-process run's.
 	copt := w.det.CoreOptions()
 	copt.FaultInjector = w.opt.FaultInjector
-	det := core.NewWindowDetector(copt)
+	runner := core.NewRunner(copt, core.Isolated)
 	ttl := time.Duration(g.ttlMS) * time.Millisecond
 	inj := w.opt.FaultInjector
 	err = w.det.TraceReader.Windows(w.det.WindowSize, func(win *trace.Trace, widx, offset int) error {
@@ -223,7 +223,7 @@ func (w *worker) analyseShard(ctx context.Context, conn net.Conn, br *bufio.Read
 		if w.opt.testHoldWindow != nil {
 			w.opt.testHoldWindow(widx)
 		}
-		out, status, _ := det.DetectWindow(ctx, time.Time{}, win, widx, offset)
+		out, status := runner.RunWindow(ctx, win, widx, offset, false)
 		if status == core.WindowCut {
 			return ctx.Err()
 		}

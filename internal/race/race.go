@@ -188,8 +188,7 @@ type WindowFailure struct {
 // solver.
 //
 // Races (including witness indices) and Failures are in whole-trace
-// coordinates, regardless of whether the window was analysed
-// sequentially or as a parallel slice.
+// coordinates, whichever mode analysed the window.
 type WindowOutcome struct {
 	// Window is the window's index in trace order; Offset the index of
 	// its first event in the whole trace; Events its length.
@@ -278,10 +277,12 @@ func EnumerateCOPs(tr *trace.Trace) []COP {
 	return out
 }
 
-// Windows invokes f on consecutive fixed-size windows of tr (the strategy
-// of Section 4; the last window may be shorter). offset is the index of the
-// window's first event in tr, letting callers report global indices.
-// A size ≤ 0 means a single window covering the whole trace.
+// EachWindow calls f on consecutive fixed-size windows of tr (the
+// strategy of Section 4; the last window may be shorter), in order, with
+// the window's trace, its index, and offset, the index of its first event
+// in tr. A size ≤ 0 means a single window covering the whole trace. A
+// non-nil error from f stops the iteration and is returned verbatim.
+// Windows are built one at a time, never all up front.
 //
 // Each window is analysed as an execution in its own right whose initial
 // memory state is the state observed at the window boundary: the last
@@ -289,12 +290,48 @@ func EnumerateCOPs(tr *trace.Trace) []COP {
 // the window's initial value. Without this, any read whose writer fell in
 // an earlier window would be unsatisfiable under the read-consistency
 // encodings, silently suppressing races near window boundaries.
-func Windows(tr *trace.Trace, size int, f func(w *trace.Trace, offset int)) int {
-	ws := WindowSlices(tr, size)
-	for _, w := range ws {
-		f(w.Trace, w.Offset)
+func EachWindow(tr *trace.Trace, size int, f func(w *trace.Trace, widx, offset int) error) error {
+	if size <= 0 || tr.Len() <= size {
+		return f(tr, 0, 0)
 	}
-	return len(ws)
+	carried := make(map[trace.Addr]int64)
+	for lo := 0; lo < tr.Len(); lo += size {
+		hi := min(lo+size, tr.Len())
+		w := tr.Slice(lo, hi)
+		for a, v := range carried {
+			w.SetInitial(a, v)
+		}
+		if err := f(w, lo/size, lo); err != nil {
+			return err
+		}
+		for i := lo; i < hi; i++ {
+			if e := tr.Event(i); e.Op == trace.OpWrite {
+				carried[e.Addr] = e.Value
+			}
+		}
+	}
+	return nil
+}
+
+// WindowCount is the number of windows EachWindow yields for a trace of
+// n events.
+func WindowCount(n, size int) int {
+	if size <= 0 || n <= size {
+		return 1
+	}
+	return (n + size - 1) / size
+}
+
+// Windows invokes f on each window of tr (see EachWindow) and returns the
+// window count.
+func Windows(tr *trace.Trace, size int, f func(w *trace.Trace, offset int)) int {
+	n := 0
+	EachWindow(tr, size, func(w *trace.Trace, _, offset int) error {
+		f(w, offset)
+		n++
+		return nil
+	})
+	return n
 }
 
 // WindowSlice is one analysis window with its offset in the parent trace.
@@ -303,30 +340,14 @@ type WindowSlice struct {
 	Offset int
 }
 
-// WindowSlices materialises the windows of tr (see Windows), each with the
-// carried-in initial memory state installed. The slices are independent,
-// so callers may analyse them concurrently.
+// WindowSlices materialises the windows of tr (see EachWindow), each with
+// the carried-in initial memory state installed. The slices are
+// independent, so callers may analyse them concurrently.
 func WindowSlices(tr *trace.Trace, size int) []WindowSlice {
-	if size <= 0 || tr.Len() <= size {
-		return []WindowSlice{{Trace: tr, Offset: 0}}
-	}
-	carried := make(map[trace.Addr]int64)
 	var out []WindowSlice
-	for lo := 0; lo < tr.Len(); lo += size {
-		hi := lo + size
-		if hi > tr.Len() {
-			hi = tr.Len()
-		}
-		w := tr.Slice(lo, hi)
-		for a, v := range carried {
-			w.SetInitial(a, v)
-		}
-		out = append(out, WindowSlice{Trace: w, Offset: lo})
-		for i := lo; i < hi; i++ {
-			if e := tr.Event(i); e.Op == trace.OpWrite {
-				carried[e.Addr] = e.Value
-			}
-		}
-	}
+	EachWindow(tr, size, func(w *trace.Trace, _, offset int) error {
+		out = append(out, WindowSlice{Trace: w, Offset: offset})
+		return nil
+	})
 	return out
 }

@@ -13,6 +13,7 @@ import (
 
 	"repro/capture"
 	"repro/internal/faultinject"
+	"repro/internal/fixtures"
 	"repro/internal/race"
 	"repro/internal/stream"
 	"repro/internal/telemetry"
@@ -145,6 +146,9 @@ func TestStreamMatchesBatch(t *testing.T) {
 		"rich":  richTrace(),
 		"small": smallTrace(),
 		"empty": trace.New(0),
+		// The same location pairs race in every window: the session and
+		// the batch run carry signature verdicts alike.
+		"recurring": fixtures.RecurringRaces(4),
 	}
 	for _, window := range []int{-1, 8, 24} {
 		for name, tr := range traces {

@@ -15,9 +15,10 @@ import (
 
 // session is the per-client state machine: it ingests data records,
 // assembles analysis windows online with exactly the batch windower's
-// semantics (race.WindowSlices), drives them through a core.WindowRunner
-// in trace order, and renders races at window-close time while the
-// window's events are still in memory. Every mutation is mirrored to
+// semantics (race.EachWindow), drives them in trace order through a
+// core.Runner that carries signature verdicts across windows, and
+// renders races at window-close time while the window's events are
+// still in memory. Every mutation is mirrored to
 // the ingest log first, so replaying the log through a fresh session
 // reconstructs this state bit-identically — the single recovery path
 // shared by client reconnects and daemon restarts.
@@ -32,7 +33,7 @@ type session struct {
 	jw     *journal.Writer
 	jerr   error // first journal append failure, surfaced in logs
 
-	runner *core.WindowRunner
+	runner *core.Runner
 	resume map[int]race.WindowOutcome
 
 	// Online windowing state. cur is the window being filled; its
@@ -172,7 +173,7 @@ func (d *Daemon) openSession(ctx context.Context, token string) (*session, error
 	copt.FaultInjector = d.inj
 	copt.OnWindowDone = hook
 	copt.ResumeWindows = s.resume
-	s.runner = core.NewWindowRunner(copt)
+	s.runner = core.NewRunner(copt, core.Carried)
 
 	for i, p := range payloads {
 		rec, err := decodeRecord(p)
@@ -363,11 +364,7 @@ func (s *session) dispatchWindow(ctx context.Context, live bool) error {
 	if out.Degraded {
 		s.degraded++
 	}
-	for _, r := range out.Races {
-		rr := r
-		if status == core.WindowReplayed {
-			rr.Prov.Replayed = true
-		}
+	for _, rr := range out.Races {
 		// Render with window-local indices against the window trace;
 		// descriptions and locations come out identical to a batch
 		// render against the whole trace.
@@ -391,7 +388,7 @@ func (s *session) dispatchWindow(ctx context.Context, live bool) error {
 
 // finalize performs end-of-stream windowing: the non-empty remainder is
 // analysed as the last window, and an empty stream still gets its one
-// empty window — both exactly as race.WindowSlices slices a
+// empty window — both exactly as race.EachWindow slices a
 // materialised trace.
 func (s *session) finalize(ctx context.Context, live bool) error {
 	if s.cur != nil {

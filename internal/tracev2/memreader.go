@@ -3,45 +3,53 @@ package tracev2
 import (
 	"crypto/sha256"
 	"fmt"
+	"sync"
 
+	"repro/internal/race"
 	"repro/internal/tracefile"
 	"repro/trace"
 )
 
 // MemReader adapts an already-materialised *trace.Trace to the Reader
 // access surface (NumEvents/Stats/ContentHash/LocName/Event/Windows/
-// ReadAll), so the sharded analysis driver runs identically whether the
-// trace came from a chunked file or a legacy decode. Windows replicates
-// race.WindowSlices over Slice, and the content hash streams the
-// canonical legacy encoding through SHA-256 — the same value a chunked
-// file's footer carries for the same trace.
+// ReadAll), so the analysis driver runs identically whether the trace
+// came from a chunked file or a legacy decode. Windows is race.EachWindow,
+// and the content hash streams the canonical legacy encoding through
+// SHA-256 — the same value a chunked file's footer carries for the same
+// trace. Stats and the hash are computed on first use, so a run that
+// never journals never encodes the trace.
 type MemReader struct {
-	tr    *trace.Trace
-	stats trace.Stats
-	hash  [sha256.Size]byte
+	tr *trace.Trace
+
+	statsOnce sync.Once
+	stats     trace.Stats
+	hashOnce  sync.Once
+	hash      [sha256.Size]byte
 }
 
-// FromTrace wraps tr. The trace must not be mutated afterwards (the
-// hash and stats are computed here).
-func FromTrace(tr *trace.Trace) (*MemReader, error) {
-	h := sha256.New()
-	if err := tracefile.Encode(h, tr); err != nil {
-		return nil, err
-	}
-	m := &MemReader{tr: tr, stats: tr.ComputeStats()}
-	h.Sum(m.hash[:0])
-	return m, nil
-}
+// FromTrace wraps tr. The trace must not be mutated afterwards.
+func FromTrace(tr *trace.Trace) *MemReader { return &MemReader{tr: tr} }
 
 // NumEvents returns the trace's event count.
 func (m *MemReader) NumEvents() int { return m.tr.Len() }
 
 // Stats returns the trace's summary metrics.
-func (m *MemReader) Stats() trace.Stats { return m.stats }
+func (m *MemReader) Stats() trace.Stats {
+	m.statsOnce.Do(func() { m.stats = m.tr.ComputeStats() })
+	return m.stats
+}
 
 // ContentHash returns the canonical-encoding SHA-256, matching
 // journal.TraceFingerprint.
-func (m *MemReader) ContentHash() [sha256.Size]byte { return m.hash }
+func (m *MemReader) ContentHash() [sha256.Size]byte {
+	m.hashOnce.Do(func() {
+		h := sha256.New()
+		// A hash never fails a write, so neither can the encoding.
+		_ = tracefile.Encode(h, m.tr)
+		h.Sum(m.hash[:0])
+	})
+	return m.hash
+}
 
 // LocName renders a program location.
 func (m *MemReader) LocName(l trace.Loc) string { return m.tr.LocName(l) }
@@ -54,36 +62,9 @@ func (m *MemReader) Event(i int) (trace.Event, error) {
 	return m.tr.Event(i), nil
 }
 
-// Windows invokes f per analysis window with race.WindowSlices
-// semantics: same boundaries, same carried last-write installation,
-// built over Slice.
+// Windows invokes f per analysis window (race.EachWindow).
 func (m *MemReader) Windows(size int, f func(w *trace.Trace, widx, offset int) error) error {
-	tr := m.tr
-	if size <= 0 || tr.Len() <= size {
-		return f(tr, 0, 0)
-	}
-	carried := make(map[trace.Addr]int64)
-	widx := 0
-	for lo := 0; lo < tr.Len(); lo += size {
-		hi := lo + size
-		if hi > tr.Len() {
-			hi = tr.Len()
-		}
-		w := tr.Slice(lo, hi)
-		for a, v := range carried {
-			w.SetInitial(a, v)
-		}
-		if err := f(w, widx, lo); err != nil {
-			return err
-		}
-		for i := lo; i < hi; i++ {
-			if e := tr.Event(i); e.Op == trace.OpWrite {
-				carried[e.Addr] = e.Value
-			}
-		}
-		widx++
-	}
-	return nil
+	return race.EachWindow(m.tr, size, f)
 }
 
 // ReadAll returns the wrapped trace.

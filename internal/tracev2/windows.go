@@ -52,7 +52,7 @@ func (r *Reader) windowLinks(lo, hi int) []trace.NotifyLink {
 }
 
 // Windows invokes f for each analysis window in trace order,
-// replicating race.WindowSlices semantics exactly — same window
+// replicating race.EachWindow semantics exactly — same window
 // boundaries, same carried last-write installation into each window's
 // initial-value map, same notify-link filtering — while holding only
 // O(window + chunk) events live. Each window is a fresh *trace.Trace
@@ -84,7 +84,7 @@ func (r *Reader) Windows(size int, f func(w *trace.Trace, widx, offset int) erro
 			return err
 		}
 		// The next window inherits this one's final write per address —
-		// WindowSlices' carried map, updated after the window is cut.
+		// EachWindow's carried map, updated after the window is cut.
 		for _, e := range w.Events() {
 			if e.Op == trace.OpWrite {
 				carried[e.Addr] = e.Value

@@ -8,7 +8,6 @@ import (
 	"repro/internal/introspect"
 	"repro/internal/race"
 	"repro/internal/telemetry"
-	"repro/trace"
 )
 
 // SpanRecorder is the bounded, lock-free ring buffer the detectors
@@ -64,12 +63,6 @@ func BuildInfo() BuildID {
 		}
 	})
 	return buildID
-}
-
-// locOfTrace adapts a materialised trace to the event-index → location
-// accessor startIntrospection renders race views through.
-func locOfTrace(tr *trace.Trace) func(int) string {
-	return func(i int) string { return tr.LocName(tr.Event(i).Loc) }
 }
 
 // startIntrospection binds Options.DebugAddr, serves the debug surface

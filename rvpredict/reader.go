@@ -3,9 +3,7 @@ package rvpredict
 import (
 	"context"
 	"crypto/sha256"
-	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/journal"
@@ -21,11 +19,11 @@ import (
 // through the random-access Event/LocName path. Both implementations
 // live in internal/tracev2: the chunked-file Reader (mmap-backed) and
 // the in-memory MemReader adapter over a materialised trace, which
-// exists so sharded runs and reader-path tests work without a file.
+// every in-memory run analyses through.
 //
-// The contract mirrors trace.Trace + race.WindowSlices exactly:
+// The contract mirrors trace.Trace + race.EachWindow exactly:
 // Windows must yield the same window boundaries, carried initial
-// values, and per-window events as race.WindowSlices over the
+// values, and per-window events as race.EachWindow over the
 // materialised trace, so the reader path and the batch path confirm
 // identical races. ContentHash must equal journal.TraceFingerprint of
 // the materialised trace, so journals bind across formats unchanged.
@@ -42,7 +40,7 @@ type TraceReader interface {
 	LocName(l trace.Loc) string
 	// Event returns event i by random access (chunk-cached for files).
 	Event(i int) (trace.Event, error)
-	// Windows streams the race.WindowSlices windowing: f is called once
+	// Windows streams the race.EachWindow windowing: f is called once
 	// per window with the window's trace (whole-trace link indices
 	// rebased to the window, carried initial values applied), its index,
 	// and the whole-trace index of its first event. A non-nil error from
@@ -52,59 +50,37 @@ type TraceReader interface {
 	ReadAll() (*trace.Trace, error)
 }
 
-// errStopWindows is the sentinel detectReader uses to stop the window
-// iteration when a window is cut (cancellation or global budget); it
-// never escapes to callers.
-var errStopWindows = errors.New("rvpredict: stop window iteration")
-
-// runReader is Run's out-of-core path, entered when Options.TraceReader
-// is set or Options.Shards requests a sharded run. Exactly one trace
-// source must be supplied: the reader, or (for sharded runs over an
-// already-materialised trace) a non-nil tr, which is wrapped in the
-// in-memory adapter. Baseline algorithms materialise the trace and take
-// the ordinary path; MaximalCF analyses window by window via
-// core.DetectWindow, whose per-window independence is what makes the
-// shard partition mergeable.
-func runReader(ctx context.Context, tr *trace.Trace, opt Options) (Report, error) {
-	rd := opt.TraceReader
-	switch {
-	case rd == nil && tr == nil:
-		return Report{}, &OptionsError{Field: "TraceReader", Reason: "sharded analysis needs a trace source: set TraceReader or pass a non-nil trace"}
-	case rd != nil && tr != nil:
-		return Report{}, &OptionsError{Field: "TraceReader", Reason: "both TraceReader and a materialised trace were supplied; pass exactly one"}
-	case rd == nil:
-		var err error
-		rd, err = tracev2.FromTrace(tr)
-		if err != nil {
-			return Report{}, err
-		}
-	}
-	if opt.Algorithm != MaximalCF {
-		// Baselines hold whole-trace vector-clock state; stream-windowing
-		// them buys nothing, so materialise and take the ordinary path.
-		mtr, err := rd.ReadAll()
-		if err != nil {
-			return Report{}, err
-		}
-		opt.TraceReader = nil
-		return Run(ctx, mtr, opt)
-	}
-	return runReaderDetect(ctx, rd, opt, false)
-}
-
-// runReaderDetect is the reader-path driver shared by sharded runs,
-// plain out-of-core runs, and MergeShards (mergeMode): it wires
-// telemetry, introspection and the journal exactly as the in-memory
-// path does, streams windows through detectReader, and renders the
-// report through the reader. In mergeMode the combined report is the
-// authoritative run, so the per-race Replayed flag (an operational
-// detail of how the merge obtained each window) is cleared — the merged
-// report is identical to a clean single-process reader run's.
-func runReaderDetect(ctx context.Context, rd TraceReader, opt Options, mergeMode bool) (Report, error) {
+// run is the one driver behind Run, DetectContext and MergeShards. The
+// trace source is opt.TraceReader or, when that is nil, tr in an
+// in-memory reader. MaximalCF streams the source's windows through one
+// core.Runner: an in-memory unsharded run carries signature verdicts
+// across windows, every other run analyses each window Isolated, so any
+// window assignment — shards, fleet workers, a merge — yields the same
+// outcomes. The baselines analyse the materialised trace. Every report
+// is rendered through the source. merged marks MergeShards, whose report
+// is the authoritative run: the per-race Replayed flag (how the merge
+// obtained each window) is cleared, so the merged report is identical to
+// a clean single-process reader run's.
+func run(ctx context.Context, tr *trace.Trace, opt Options, merged bool) (Report, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	opt = opt.normalise()
+	inMemory := opt.TraceReader == nil && opt.Shards == 0
+	det := baseline(opt)
+	rd := opt.TraceReader
+	switch {
+	case rd == nil:
+		rd = tracev2.FromTrace(tr)
+	case det != nil:
+		// Baselines hold whole-trace vector-clock state; stream-windowing
+		// them buys nothing, so they analyse the materialised trace.
+		var err error
+		if tr, err = rd.ReadAll(); err != nil {
+			return Report{}, err
+		}
+		rd = tracev2.FromTrace(tr)
+	}
 	col := opt.col
 	if col == nil {
 		col = newCollector(opt)
@@ -120,89 +96,74 @@ func runReaderDetect(ctx context.Context, rd TraceReader, opt Options, mergeMode
 		}
 		defer srv.Close()
 	}
-	var finish func() error
+	finish := func() error { return nil }
 	if opt.Journal != "" {
 		fp := journal.Fingerprint{
 			Trace:   rd.ContentHash(),
 			Options: journal.OptionsFingerprint(opt.fingerprintString()),
 		}
 		var err error
-		finish, err = attachJournalWriter(&opt, fp, col)
-		if err != nil {
+		if finish, err = attachJournalWriter(&opt, fp, col); err != nil {
 			return Report{}, err
 		}
 	}
-	res, err := detectReader(ctx, rd, opt, col)
-	if finish != nil {
-		if jerr := finish(); jerr != nil && err == nil {
-			err = jerr
+	// The run span is the root of the exported timeline: everything the
+	// detectors record (windows, phases, workers, journal fsyncs) parents
+	// onto it via SpanRoot.
+	runSpan := col.BeginSpan("run", telemetry.RunLane(), 0)
+	col.Spans().SetRoot(runSpan.ID())
+	var res race.Result
+	var err error
+	if det != nil {
+		res = det.DetectContext(ctx, tr)
+	} else {
+		res, err = detectMaximal(ctx, rd, opt, inMemory)
+		if merged {
+			for i := range res.Races {
+				res.Races[i].Prov.Replayed = false
+			}
 		}
+	}
+	if jerr := finish(); err == nil {
+		err = jerr
 	}
 	if err != nil {
 		return Report{}, err
 	}
-	if mergeMode {
-		for i := range res.Races {
-			res.Races[i].Prov.Replayed = false
-		}
-	}
-	return buildReaderReport(rd, res, opt, col)
+	scan := col.StartPhase(telemetry.PhaseTraceScan)
+	stats := rd.Stats()
+	scan.End()
+	runSpan.End()
+	return render(rd, stats, res, opt, col)
 }
 
-// detectReader streams the reader's windows through an isolated
-// per-window detector (core.DetectWindow) and merges the outcomes in
-// window order. In a sharded run only the windows whose index ≡ ShardID
-// (mod Shards) are analysed; the rest are skipped (and counted). The
-// merge deduplicates races by signature, earliest window first —
-// exactly the order the sequential batch driver confirms them in — so a
-// full (unsharded) reader run and an N-shard merge reconstruct the same
-// race list.
-func detectReader(ctx context.Context, rd TraceReader, opt Options, col *telemetry.Collector) (race.Result, error) {
-	d := core.NewWindowDetector(opt.runCoreOptions(col))
-	var globalDeadline time.Time
-	if opt.GlobalBudget > 0 {
-		globalDeadline = time.Now().Add(opt.GlobalBudget)
+// detectMaximal streams rd's windows through one core.Runner, Carried
+// for an in-memory unsharded run (which also reports every window of the
+// trace, analysed or not) and Isolated otherwise. A sharded run analyses
+// only the windows whose index ≡ ShardID (mod Shards).
+func detectMaximal(ctx context.Context, rd TraceReader, opt Options, inMemory bool) (race.Result, error) {
+	state := core.Isolated
+	if inMemory {
+		state = core.Carried
 	}
-	runSpan := col.BeginSpan("run", telemetry.RunLane(), 0)
-	col.Spans().SetRoot(runSpan.ID())
-	start := time.Now()
-	var agg race.Result
-	seen := make(map[race.Signature]bool)
-	err := rd.Windows(opt.WindowSize, func(w *trace.Trace, widx, offset int) error {
-		if opt.Shards > 0 {
-			owned := widx%opt.Shards == opt.ShardID
-			col.CountShardWindow(owned)
-			if !owned {
-				return nil
+	runner := core.NewRunner(opt.runCoreOptions(opt.col), state)
+	err := runner.Run(ctx, func(f func(w *trace.Trace, widx, offset int) error) error {
+		return rd.Windows(opt.WindowSize, func(w *trace.Trace, widx, offset int) error {
+			if opt.Shards > 0 {
+				owned := widx%opt.Shards == opt.ShardID
+				opt.col.CountShardWindow(owned)
+				if !owned {
+					return nil
+				}
 			}
-		}
-		out, status, res := d.DetectWindow(ctx, globalDeadline, w, widx, offset)
-		_ = out
-		agg.COPsChecked += res.COPsChecked
-		agg.SolverAborts += res.SolverAborts
-		agg.PairsRetried += res.PairsRetried
-		agg.Cancelled = agg.Cancelled || res.Cancelled
-		agg.BudgetExhausted = agg.BudgetExhausted || res.BudgetExhausted
-		agg.Failures = append(agg.Failures, res.Failures...)
-		for _, r := range res.Races {
-			if seen[r.Sig] {
-				continue
-			}
-			seen[r.Sig] = true
-			agg.Races = append(agg.Races, r)
-		}
-		if status == core.WindowCut {
-			return errStopWindows
-		}
-		agg.Windows++
-		return nil
+			return f(w, widx, offset)
+		})
 	})
-	runSpan.End()
-	agg.Elapsed = time.Since(start)
-	if err != nil && err != errStopWindows {
-		return agg, err
+	res := runner.Result()
+	if inMemory {
+		res.Windows = race.WindowCount(rd.NumEvents(), opt.WindowSize)
 	}
-	return agg, nil
+	return res, err
 }
 
 // locOfReader adapts a TraceReader to the event-index → location
@@ -217,16 +178,11 @@ func locOfReader(rd TraceReader) func(int) string {
 	}
 }
 
-// buildReaderReport renders the merged result through the reader's
-// random-access path, producing the same report DetectContext builds
-// from a materialised trace: stats from the reader's precomputed
-// whole-trace statistics, race locations and descriptions through
+// render builds the report of a result through the trace source's
+// random-access path: race locations and descriptions through
 // Event/LocName (byte-identical to race.Describe over the materialised
-// trace).
-func buildReaderReport(rd TraceReader, res race.Result, opt Options, col *telemetry.Collector) (Report, error) {
-	scan := col.StartPhase(telemetry.PhaseTraceScan)
-	stats := rd.Stats()
-	scan.End()
+// trace), so a report reads the same whatever the source.
+func render(rd TraceReader, stats trace.Stats, res race.Result, opt Options, col *telemetry.Collector) (Report, error) {
 	rep := Report{
 		Algorithm:       opt.Algorithm,
 		Stats:           stats,
@@ -240,6 +196,8 @@ func buildReaderReport(rd TraceReader, res race.Result, opt Options, col *teleme
 		Build:           BuildInfo(),
 	}
 	if opt.Telemetry {
+		// The collector may exist solely for DebugAddr/Spans; the report
+		// carries a snapshot only when telemetry was asked for.
 		rep.Telemetry = col.Snapshot()
 	}
 	for _, f := range res.Failures {
@@ -314,5 +272,5 @@ func MergeShards(ctx context.Context, opt Options, shardJournals []string) (Repo
 		col.CountShardOutcomeMerged()
 	}
 	opt.resumeWindows = outcomes
-	return runReaderDetect(ctx, opt.TraceReader, opt, true)
+	return run(ctx, nil, opt, true)
 }

@@ -27,7 +27,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/atomicity"
@@ -115,7 +114,8 @@ type Telemetry = telemetry.Metrics
 
 // Tracer receives live progress callbacks during detection (window
 // lifecycle and per-query verdicts). Implementations must be safe for
-// concurrent use when Options.Parallelism > 1.
+// concurrent use when Options.Parallelism or Options.PairParallelism is
+// above 1.
 type Tracer = telemetry.Tracer
 
 // Outcome classifies how one solver query ended (see Tracer.QuerySolved).
@@ -163,7 +163,12 @@ type Options struct {
 	// Witness requests a witness schedule per race (SMT techniques only).
 	Witness bool
 	// Parallelism > 1 analyses trace windows concurrently with that many
-	// workers (MaximalCF only); reports stay deterministic.
+	// workers (MaximalCF only), on every trace source. Each window is
+	// analysed with fresh signature state and the outcomes merge in window
+	// order, so the report is deterministic and identical to the reader,
+	// shard and fleet report of the same trace; it differs from a
+	// sequential in-memory run only in PairsChecked, and only when a
+	// signature recurs across windows.
 	Parallelism int
 	// PairParallelism > 1 solves the candidate pairs inside each window
 	// concurrently with that many workers (MaximalCF only). It is the
@@ -188,7 +193,8 @@ type Options struct {
 	Telemetry bool
 	// Tracer, when non-nil, receives live progress callbacks (window
 	// lifecycle, per-query verdicts) during SMT-based detection. It is
-	// independent of Telemetry.
+	// independent of Telemetry. Under Parallelism or PairParallelism > 1
+	// the callbacks arrive concurrently.
 	Tracer Tracer
 	// FaultInjector, when non-nil, wires a deterministic fault-injection
 	// script into the MaximalCF pipeline. It exists for resilience tests
@@ -237,9 +243,9 @@ type Options struct {
 	// Reader and its in-memory adapter. MaximalCF analyses out-of-core;
 	// baseline algorithms materialise the trace via ReadAll first.
 	// Honoured by Run only. Every window is analysed with fresh
-	// per-window signature state (see core.DetectWindow), so the report
-	// carries the same races as the batch path but counts solver work
-	// per window; Parallelism is ignored.
+	// per-window signature state (core.Isolated), so the report carries
+	// the same races as the in-memory path but counts solver work per
+	// window. Parallelism applies as on the in-memory path.
 	TraceReader TraceReader
 	// Shards, when > 0, enables deterministic window sharding over the
 	// reader path (MaximalCF via Run only): this process analyses only
@@ -273,10 +279,10 @@ type Options struct {
 	// snapshot.
 	Collector *telemetry.Collector
 
-	// onWindowDone and resumeWindows are the journal plumbing installed
-	// by Run; col carries Run's pre-created collector so the journal
-	// writer and the detector share one. DetectContext passes them
-	// through untouched.
+	// onWindowDone and resumeWindows are the journal and introspection
+	// plumbing the driver installs (MergeShards presets resumeWindows);
+	// col carries the run's collector so the journal writer, the
+	// introspection server and the detector share one.
 	onWindowDone  func(race.WindowOutcome)
 	resumeWindows map[int]race.WindowOutcome
 	col           *telemetry.Collector
@@ -555,65 +561,28 @@ func Detect(tr *trace.Trace, opt Options) Report {
 // are replayed instead of re-analysed, producing a report identical to
 // an uninterrupted run's while issuing strictly fewer solver queries.
 // Detection errors (an unreadable journal, a fingerprint mismatch) are
-// returned, not absorbed. Without Journal, Run is DetectContext plus
-// validation. A nil ctx is treated as context.Background().
+// returned, not absorbed. Without Journal, DebugAddr, TraceReader or
+// Shards, Run is DetectContext plus validation. A nil ctx is treated as
+// context.Background().
 func Run(ctx context.Context, tr *trace.Trace, opt Options) (Report, error) {
 	if err := opt.Validate(); err != nil {
 		return Report{}, err
 	}
-	if opt.TraceReader != nil || opt.Shards > 0 {
-		return runReader(ctx, tr, opt)
+	switch {
+	case opt.TraceReader != nil && tr != nil:
+		return Report{}, &OptionsError{Field: "TraceReader", Reason: "both TraceReader and a materialised trace were supplied; pass exactly one"}
+	case opt.TraceReader == nil && tr == nil && opt.Shards > 0:
+		return Report{}, &OptionsError{Field: "TraceReader", Reason: "sharded analysis needs a trace source: set TraceReader or pass a non-nil trace"}
 	}
-	if opt.DebugAddr != "" {
-		if opt.col == nil {
-			opt.col = newCollector(opt)
-		}
-		srv, err := startIntrospection(locOfTrace(tr), &opt)
-		if err != nil {
-			return Report{}, err
-		}
-		defer srv.Close()
-	}
-	if opt.Journal == "" {
-		return DetectContext(ctx, tr, opt), nil
-	}
-	return detectJournalled(ctx, tr, opt)
-}
-
-// detectJournalled wires a journal writer (and, on resume, the recovered
-// outcomes) into the core detector's window-completion hook, then runs
-// the ordinary detection path.
-func detectJournalled(ctx context.Context, tr *trace.Trace, opt Options) (Report, error) {
-	traceFP, err := journal.TraceFingerprint(tr)
-	if err != nil {
-		return Report{}, err
-	}
-	fp := journal.Fingerprint{
-		Trace:   traceFP,
-		Options: journal.OptionsFingerprint(opt.fingerprintString()),
-	}
-	col := opt.col
-	if col == nil {
-		col = newCollector(opt)
-	}
-	opt.col = col
-	finish, err := attachJournalWriter(&opt, fp, col)
-	if err != nil {
-		return Report{}, err
-	}
-	rep := DetectContext(ctx, tr, opt)
-	return rep, finish()
+	return run(ctx, tr, opt, false)
 }
 
 // attachJournalWriter opens (or resumes) the journal at opt.Journal,
 // loads any recovered outcomes into opt.resumeWindows, and composes the
 // writer into opt.onWindowDone ahead of any hook already installed (the
-// introspection feed): durability first, observation after. Appends run
-// concurrently under Parallelism > 1 (the writer locks internally); the
-// first append error is kept and surfaced by the returned finish
-// function — a race that could not be made durable must not be silently
-// undurable. Shared by the in-memory path (detectJournalled) and the
-// out-of-core reader path (runReader).
+// introspection feed): durability first, observation after. The first
+// append error is kept and surfaced by the returned finish function — a
+// race that could not be made durable must not be silently undurable.
 func attachJournalWriter(opt *Options, fp journal.Fingerprint, col *telemetry.Collector) (finish func() error, err error) {
 	gc := opt.JournalGroupCommit
 	if gc == 0 {
@@ -649,26 +618,18 @@ func attachJournalWriter(opt *Options, fp journal.Fingerprint, col *telemetry.Co
 	}
 
 	prev := opt.onWindowDone
-	var appendMu sync.Mutex
 	var appendErr error
 	opt.onWindowDone = func(out race.WindowOutcome) {
-		if err := w.Append(out); err != nil {
-			appendMu.Lock()
-			if appendErr == nil {
-				appendErr = err
-			}
-			appendMu.Unlock()
+		if err := w.Append(out); err != nil && appendErr == nil {
+			appendErr = err
 		}
 		if prev != nil {
 			prev(out)
 		}
 	}
 	return func() error {
-		closeErr := w.Close()
-		appendMu.Lock()
-		defer appendMu.Unlock()
-		if appendErr == nil {
-			appendErr = closeErr
+		if err := w.Close(); appendErr == nil {
+			appendErr = err
 		}
 		return appendErr
 	}, nil
@@ -680,78 +641,37 @@ func attachJournalWriter(opt *Options, fp journal.Fingerprint, col *telemetry.Co
 // Interrupted set. Every race in a partial report is still real; only
 // coverage is affected. A nil ctx is treated as context.Background().
 func DetectContext(ctx context.Context, tr *trace.Trace, opt Options) Report {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	opt = opt.normalise()
-	col := opt.col
-	if col == nil {
-		col = newCollector(opt)
-	}
-	// The run span is the root of the exported timeline: everything the
-	// detectors record (windows, phases, workers, journal fsyncs) parents
-	// onto it via SpanRoot.
-	runSpan := col.BeginSpan("run", telemetry.RunLane(), 0)
-	col.Spans().SetRoot(runSpan.ID())
-	var det interface {
-		DetectContext(ctx context.Context, tr *trace.Trace) race.Result
-	}
+	// The options honoured by Run only: DetectContext analyses tr,
+	// unsharded, unjournaled and without the introspection server.
+	opt.TraceReader, opt.Shards, opt.ShardID = nil, 0, 0
+	opt.Journal, opt.Resume = "", false
+	opt.DebugAddr, opt.OnDebugAddr = "", nil
+	// An in-memory source without a journal cannot fail.
+	rep, _ := run(ctx, tr, opt, false)
+	return rep
+}
+
+// baseline returns the detector of a baseline algorithm, or nil for
+// MaximalCF.
+func baseline(opt Options) interface {
+	DetectContext(ctx context.Context, tr *trace.Trace) race.Result
+} {
 	switch opt.Algorithm {
 	case SaidEtAl:
-		det = said.New(said.Options{
+		return said.New(said.Options{
 			WindowSize:   opt.WindowSize,
 			SolveTimeout: opt.SolveTimeout,
 			MaxConflicts: opt.MaxConflicts,
 			Witness:      opt.Witness,
 		})
 	case CausallyPrecedes:
-		det = uncancellable{cp.New(cp.Options{WindowSize: opt.WindowSize})}
+		return uncancellable{cp.New(cp.Options{WindowSize: opt.WindowSize})}
 	case HappensBefore:
-		det = uncancellable{hb.New(hb.Options{WindowSize: opt.WindowSize})}
+		return uncancellable{hb.New(hb.Options{WindowSize: opt.WindowSize})}
 	case QuickCheck:
-		det = uncancellable{lockset.New(lockset.Options{WindowSize: opt.WindowSize})}
-	default:
-		det = core.New(opt.runCoreOptions(col))
+		return uncancellable{lockset.New(lockset.Options{WindowSize: opt.WindowSize})}
 	}
-	res := det.DetectContext(ctx, tr)
-	scan := col.StartPhase(telemetry.PhaseTraceScan)
-	stats := tr.ComputeStats()
-	scan.End()
-	runSpan.End()
-	rep := Report{
-		Algorithm:       opt.Algorithm,
-		Stats:           stats,
-		PairsChecked:    res.COPsChecked,
-		Windows:         res.Windows,
-		SolverTimeouts:  res.SolverAborts,
-		Elapsed:         res.Elapsed,
-		PairsRetried:    res.PairsRetried,
-		Interrupted:     res.Cancelled,
-		BudgetExhausted: res.BudgetExhausted,
-		Build:           BuildInfo(),
-	}
-	if opt.Telemetry {
-		// The collector may exist solely for DebugAddr/Spans; the report
-		// carries a snapshot only when telemetry was asked for.
-		rep.Telemetry = col.Snapshot()
-	}
-	for _, f := range res.Failures {
-		rep.WindowFailures = append(rep.WindowFailures, WindowFailure(f))
-	}
-	for _, r := range res.Races {
-		rep.Races = append(rep.Races, Race{
-			First:  r.A,
-			Second: r.B,
-			Locations: [2]string{
-				tr.LocName(tr.Event(r.A).Loc),
-				tr.LocName(tr.Event(r.B).Loc),
-			},
-			Description: r.Describe(tr),
-			Witness:     r.Witness,
-			Provenance:  publicProvenance(r, opt),
-		})
-	}
-	return rep
+	return nil
 }
 
 // publicProvenance returns the race's provenance, stamping the baseline

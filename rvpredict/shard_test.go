@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/fixtures"
 	"repro/internal/journal"
 	"repro/internal/telemetry"
 	"repro/internal/tracev2"
@@ -76,33 +77,76 @@ func shardOpts() rvpredict.Options {
 	return rvpredict.Options{WindowSize: 8, Witness: true}
 }
 
+// shardCases are the shard and reader identity fixtures with their
+// window sizes: the block-unique shardFixture, and one whose location
+// pairs race again in every window.
+func shardCases() []struct {
+	name   string
+	tr     *trace.Trace
+	window int
+} {
+	return []struct {
+		name   string
+		tr     *trace.Trace
+		window int
+	}{
+		{"blocks", shardFixture(), 8},
+		{"recurring", fixtures.RecurringRaces(6), fixtures.RecurringBlock},
+	}
+}
+
 // TestReaderMatchesBatch: an out-of-core reader run must report the
 // same races as the ordinary in-memory batch run. (Solver-work counters
-// can differ — the reader analyses every window with fresh signature
-// state — so only the races and windows are compared.)
+// can differ when a signature recurs — the reader analyses every window
+// with fresh signature state — so only the races and windows are
+// compared.) Window parallelism analyses windows that way too, so an
+// in-memory and a reader run with Parallelism 2 must both equal the
+// reader run in full.
 func TestReaderMatchesBatch(t *testing.T) {
-	tr := shardFixture()
-	batch, err := rvpredict.Run(nil, tr, shardOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt := shardOpts()
-	opt.TraceReader = chunkedFixtureReader(t, tr)
-	reader, err := rvpredict.Run(nil, nil, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(batch.Races) == 0 {
-		t.Fatal("fixture found no races")
-	}
-	ra, _ := json.Marshal(batch.Races)
-	rb, _ := json.Marshal(reader.Races)
-	if !bytes.Equal(ra, rb) {
-		t.Errorf("races differ:\nbatch:  %s\nreader: %s", ra, rb)
-	}
-	if batch.Windows != reader.Windows || batch.Stats != reader.Stats {
-		t.Errorf("windows/stats differ: %d/%v vs %d/%v",
-			batch.Windows, batch.Stats, reader.Windows, reader.Stats)
+	for _, c := range shardCases() {
+		opts := shardOpts()
+		opts.WindowSize = c.window
+		batch, err := rvpredict.Run(nil, c.tr, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt := opts
+		opt.TraceReader = chunkedFixtureReader(t, c.tr)
+		reader, err := rvpredict.Run(nil, nil, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(batch.Races) == 0 {
+			t.Fatalf("%s: fixture found no races", c.name)
+		}
+		ra, _ := json.Marshal(batch.Races)
+		rb, _ := json.Marshal(reader.Races)
+		if !bytes.Equal(ra, rb) {
+			t.Errorf("%s: races differ:\nbatch:  %s\nreader: %s", c.name, ra, rb)
+		}
+		if batch.Windows != reader.Windows || batch.Stats != reader.Stats {
+			t.Errorf("%s: windows/stats differ: %d/%v vs %d/%v",
+				c.name, batch.Windows, batch.Stats, reader.Windows, reader.Stats)
+		}
+
+		opt = opts
+		opt.Parallelism = 2
+		parMem, err := rvpredict.Run(nil, c.tr, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt.TraceReader = chunkedFixtureReader(t, c.tr)
+		parReader, err := rvpredict.Run(nil, nil, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := normalise(t, reader)
+		if got := normalise(t, parMem); got != want {
+			t.Errorf("%s: in-memory Parallelism 2 differs from the reader run:\n got %s\nwant %s", c.name, got, want)
+		}
+		if got := normalise(t, parReader); got != want {
+			t.Errorf("%s: reader Parallelism 2 differs from the reader run:\n got %s\nwant %s", c.name, got, want)
+		}
 	}
 }
 
@@ -111,38 +155,41 @@ func TestReaderMatchesBatch(t *testing.T) {
 // shard journals, must reproduce the single-process reader run
 // byte-for-byte (modulo wall-clock and the telemetry snapshot).
 func TestShardMergeBitIdentical(t *testing.T) {
-	tr := shardFixture()
-	for _, shards := range []int{2, 3, 5} {
-		dir := t.TempDir()
-		var journals []string
-		for id := 0; id < shards; id++ {
-			opt := shardOpts()
-			opt.TraceReader = chunkedFixtureReader(t, tr)
-			opt.Shards, opt.ShardID = shards, id
-			opt.Journal = filepath.Join(dir, "shard-"+strings.Repeat("i", id+1)+".journal")
-			journals = append(journals, opt.Journal)
-			if _, err := rvpredict.Run(nil, nil, opt); err != nil {
-				t.Fatalf("shards=%d shard %d: %v", shards, id, err)
+	for _, c := range shardCases() {
+		opts := shardOpts()
+		opts.WindowSize = c.window
+		for _, shards := range []int{2, 3, 5} {
+			dir := t.TempDir()
+			var journals []string
+			for id := 0; id < shards; id++ {
+				opt := opts
+				opt.TraceReader = chunkedFixtureReader(t, c.tr)
+				opt.Shards, opt.ShardID = shards, id
+				opt.Journal = filepath.Join(dir, "shard-"+strings.Repeat("i", id+1)+".journal")
+				journals = append(journals, opt.Journal)
+				if _, err := rvpredict.Run(nil, nil, opt); err != nil {
+					t.Fatalf("%s shards=%d shard %d: %v", c.name, shards, id, err)
+				}
 			}
-		}
-		mopt := shardOpts()
-		mopt.TraceReader = chunkedFixtureReader(t, tr)
-		merged, err := rvpredict.MergeShards(nil, mopt, journals)
-		if err != nil {
-			t.Fatalf("shards=%d: merge: %v", shards, err)
-		}
-		sopt := shardOpts()
-		sopt.TraceReader = chunkedFixtureReader(t, tr)
-		single, err := rvpredict.Run(nil, nil, sopt)
-		if err != nil {
-			t.Fatalf("shards=%d: single: %v", shards, err)
-		}
-		if got, want := normalise(t, merged), normalise(t, single); got != want {
-			t.Errorf("shards=%d: merged report differs from single-process run:\nmerged: %s\nsingle: %s",
-				shards, got, want)
-		}
-		if len(merged.Races) == 0 {
-			t.Fatalf("shards=%d: merged report has no races", shards)
+			mopt := opts
+			mopt.TraceReader = chunkedFixtureReader(t, c.tr)
+			merged, err := rvpredict.MergeShards(nil, mopt, journals)
+			if err != nil {
+				t.Fatalf("%s shards=%d: merge: %v", c.name, shards, err)
+			}
+			sopt := opts
+			sopt.TraceReader = chunkedFixtureReader(t, c.tr)
+			single, err := rvpredict.Run(nil, nil, sopt)
+			if err != nil {
+				t.Fatalf("%s shards=%d: single: %v", c.name, shards, err)
+			}
+			if got, want := normalise(t, merged), normalise(t, single); got != want {
+				t.Errorf("%s shards=%d: merged report differs from single-process run:\nmerged: %s\nsingle: %s",
+					c.name, shards, got, want)
+			}
+			if len(merged.Races) == 0 {
+				t.Fatalf("%s shards=%d: merged report has no races", c.name, shards)
+			}
 		}
 	}
 }
