@@ -108,7 +108,6 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		timeout    = fs.Duration("timeout", 60*time.Second, "per-pair solver timeout")
 		parallel   = fs.Int("parallel", 0, "analyse windows with this many workers (rv only)")
 		pairPar    = fs.Int("pair-parallel", 0, "solve pairs inside each window with this many workers (rv only; deterministic)")
-		triage     = fs.String("triage", "syncp", "triage ladder rung: off, shb or syncp (rv only; results identical at every rung)")
 		witness    = fs.Bool("witness", false, "print a witness schedule per race")
 		dump       = fs.Bool("dump", false, "dump the trace instead of analysing it")
 		deadlocks  = fs.Bool("deadlock", false, "predict lock-inversion deadlocks instead of races")
@@ -294,7 +293,6 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		GlobalBudget:     *budget,
 		Parallelism:      *parallel,
 		PairParallelism:  *pairPar,
-		TriageLevel:      *triage,
 		Witness:          *witness,
 		Telemetry:        *stats || *jsonOut,
 		Journal:          *journalTo,

@@ -62,10 +62,7 @@ func TestExitCodes(t *testing.T) {
 		{"bad flag", []string{"-definitely-not-a-flag", racy}, 2},
 		{"bad algo", []string{"-algo", "nope", racy}, 2},
 		{"hb clean on fig1 races", []string{"-algo", "hb", racy}, 0},
-		{"triage off", []string{"-triage", "off", racy}, 1},
-		{"triage shb", []string{"-triage", "shb", racy}, 1},
-		{"retired triage rung", []string{"-triage", "wcp", racy}, 2},
-		{"bad triage level", []string{"-triage", "on", racy}, 2},
+		{"retired triage flag", []string{"-triage", "syncp", racy}, 2},
 	}
 	for _, tc := range cases {
 		out.Reset()

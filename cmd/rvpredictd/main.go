@@ -22,8 +22,8 @@
 //     flow control pushes back on clients.
 //   - Graceful degradation: with -degrade-after set, a session blocked
 //     that long sheds the SMT tier for the blocked window and reports
-//     only sound vector-clock-confirmed races, flagged degraded in
-//     provenance. Degradation never invents a race.
+//     only the races the sound triage ladder proves, flagged degraded
+//     in provenance. Degradation never invents a race.
 //   - Graceful shutdown: SIGTERM/SIGINT stops accepting, drains
 //     in-flight sessions, then exits 0. A second signal exits
 //     immediately; suspended sessions resume on the next start.
@@ -66,7 +66,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		solve        = fs.Duration("solve", 60*time.Second, "per-pair solver timeout")
 		witness      = fs.Bool("witness", false, "include a witness schedule per race")
 		pairPar      = fs.Int("pair-parallel", 0, "solve pairs inside each window with this many workers (deterministic)")
-		triage       = fs.String("triage", "syncp", "triage ladder rung: off, shb or syncp (results identical at every rung)")
 		maxSessions  = fs.Int("max-sessions", 16, "admission limit on concurrent sessions")
 		maxWindows   = fs.Int("max-windows", 0, "windows in SMT analysis at once across all sessions (0 = GOMAXPROCS)")
 		degradeAfter = fs.Duration("degrade-after", 0, "shed the SMT tier for a window after blocking this long on a solver slot (0 = never degrade)")
@@ -103,7 +102,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		SolveTimeout:    *solve,
 		Witness:         *witness,
 		PairParallelism: *pairPar,
-		TriageLevel:     *triage,
 	}
 
 	var inj *faultinject.Injector

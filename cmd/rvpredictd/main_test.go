@@ -299,11 +299,15 @@ func TestUsageErrors(t *testing.T) {
 	}
 }
 
-// TestTriageFlag: -triage takes the rung names of Options.TriageLevel;
-// an accepted rung starts the daemon (TestUsageErrors covers rejection).
+// TestTriageFlag: the triage ladder has no knob, so -triage — even with
+// the old default rung — is a usage error that names the flag.
 func TestTriageFlag(t *testing.T) {
-	if child := startChild(t, t.TempDir(), false, "-triage", "shb"); child.addr == "" {
-		t.Fatal("daemon with -triage shb announced no listener")
+	var out, errb strings.Builder
+	if got := run([]string{"-state-dir", t.TempDir(), "-triage", "syncp"}, &out, &errb); got != 2 {
+		t.Fatalf("run(-triage syncp) = %d, want 2", got)
+	}
+	if !strings.Contains(errb.String(), "-triage") {
+		t.Errorf("stderr does not name the flag: %s", errb.String())
 	}
 }
 

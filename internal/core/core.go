@@ -26,6 +26,13 @@
 // schedule (Theorem 3, soundness); unsatisfiable ⇒ no sound detector can
 // report it from this trace (Theorem 3, maximality).
 //
+// The verdict is the query's alone. Each window's partition (pairsched.go)
+// classifies every candidate pair once with the sound triage ladder
+// (SHB → SyncP, triage.go): a pair a rung proves has a certainly
+// satisfiable query, so it is reported without one unless a witness is
+// requested, and the rung becomes the race's provenance tier. Every other
+// race is SMT-tier.
+//
 // Every mode analyses windows through one pipeline, the Runner: a window
 // (Section 4) is analysed into a race.WindowOutcome in whole-trace
 // coordinates — or replayed from a journaled one — and merged into the
@@ -87,36 +94,15 @@ type Options struct {
 	MaxConflicts int64
 	// Witness requests witness schedules on detected races.
 	Witness bool
-	// NoQuickCheck disables the hybrid lockset/weak-HB prefilter, sending
-	// every COP to the solver (ablation knob; the result set is unchanged
-	// because quick-check failures are unsatisfiable encodings).
+	// NoQuickCheck disables the hybrid lockset/weak-HB prefilter: a
+	// quick-check failure is dispatched to the solver, unclassified by the
+	// triage ladder, instead of dropped (ablation knob; the result set is
+	// unchanged because quick-check failures are unsatisfiable encodings,
+	// only the queries grow).
 	NoQuickCheck bool
 	// NoPruning disables the ≺-based constraint reductions of Section 3.2
 	// (ablation knob; results are unchanged, formulas grow).
 	NoPruning bool
-	// TriageLevel selects how far up the sound triage ladder (triage.go)
-	// a quick-check survivor may be confirmed as a race without a solver
-	// query:
-	//
-	//	"off"   — no triage: every survivor goes to the pair scheduler
-	//	"shb"   — the schedulable-happens-before clock rung only
-	//	"syncp" — plus the sync-preserving witness check (internal/syncp);
-	//	          the default ("" means "syncp")
-	//
-	// Every level yields a bit-identical race.Result — a rung fires only
-	// where the SMT query is guaranteed satisfiable, so the level only
-	// decides which pairs skip the solver — absent real wall-clock solver
-	// timeouts, which are inherently timing-dependent. It is a pure
-	// performance knob, excluded from the journal fingerprint. "off" and
-	// "shb" still run the full ladder, untallied beyond their own rungs,
-	// because its verdicts choose the pair scheduler's warm prefix
-	// (pairsched.go): the base encoding, and with it every solver query's
-	// search, is the same at every level.
-	// Unrecognised values fall back to the default; validation with typed
-	// errors lives in the public rvpredict layer. Triage is also inactive
-	// when NoQuickCheck is set (it shares the quick check's locksets and
-	// MHB pass).
-	TriageLevel string
 	// Parallelism > 1 analyses up to that many windows concurrently, each
 	// Isolated (see SigState), and merges their outcomes in window order,
 	// so the race.Result — races, witnesses, counters — is the same for
@@ -568,9 +554,9 @@ func (r *Runner) replay(out race.WindowOutcome) windowResult {
 // analyze runs one window, whose first event sits at the given
 // whole-trace offset, to a verdict; seen holds the signatures to skip
 // (nil when Isolated). A journaled window is replayed instead. With
-// degraded set, the SMT tier is shed: only pairs the sound vector-clock
-// triage tier already confirmed are reported (flagged Degraded in
-// provenance and in the outcome), unconfirmed pairs are shed and counted
+// degraded set, the SMT tier is shed: only pairs the sound triage ladder
+// proved are reported (flagged Degraded in provenance and in the
+// outcome), the other pairs are shed and counted
 // in PairsShed, and no solver query is issued — the verdict stays sound
 // but is no longer maximal.
 func (r *Runner) analyze(ctx context.Context, w *trace.Trace, widx, offset int, degraded bool, seen map[race.Signature]bool) (wr windowResult) {
@@ -650,53 +636,32 @@ func (r *Runner) analyze(ctx context.Context, w *trace.Trace, widx, offset int, 
 	groups, mhb := d.partition(w, cops, seen)
 	psp.End()
 	col.CountPairGroups(len(groups))
-	// Provenance attribution is lazy: only windows that report a race
-	// pay for the ladder's clock passes.
-	var att *ladder
-	report := func(x race.Race) {
-		if att == nil {
-			att = newLadder(w, nil)
-		}
-		att.stamp(&x, widx, offset)
-		out.Races = append(out.Races, x)
+	wc := &windowCtx{
+		ctx: ctx, w: w, mhb: mhb, widx: widx, offset: offset,
+		globalDeadline: r.deadline, cancel: func() bool { return ctx.Err() != nil },
+		spanParent: wspan.ID(),
 	}
 	switch {
 	case len(groups) > 0 && ctx.Err() == nil && degraded:
 		// Graceful degradation: no solver is constructed and no query
-		// issued. Each group's first triage-confirmed instance is
-		// reported exactly as the fast path would have (same COP, same
-		// canonical order, no witness), the rest of the group is shed.
-		// Confirmations are sound, so a degraded window never reports a
-		// false race — it may only miss SMT-only ones.
+		// issued. Each group's ladder-proved instance is reported exactly
+		// as the fast path would have (same COP, same canonical order, no
+		// witness), the rest of the group is shed. The ladder is sound, so
+		// a degraded window never reports a false race — it may only miss
+		// SMT-only ones.
 		for _, g := range groups {
-			k := g.confirmed
-			if k < 0 {
+			if g.proved < 0 {
 				out.PairsShed += len(g.cops)
 				continue
 			}
 			out.PairsShed += len(g.cops) - 1
 			out.COPsChecked++
-			report(race.Race{
-				COP:  race.COP{A: g.cops[k].A + offset, B: g.cops[k].B + offset},
-				Sig:  g.sig,
-				Prov: race.Provenance{Degraded: true},
-			})
+			var gr groupResult
+			gr.found(wc, g, g.proved, nil, queryStats{})
+			gr.race.Prov.Degraded = true
+			out.Races = append(out.Races, gr.race)
 		}
 	case len(groups) > 0 && ctx.Err() == nil:
-		if mhb == nil {
-			// NoQuickCheck runs: partition computed no clocks, but the
-			// window encoders still need the MHB pass.
-			span = col.StartPhase(telemetry.PhaseMHB)
-			msp := col.BeginSpan("mhb", lane, wspan.ID())
-			mhb = vc.ComputeMHB(w)
-			msp.End()
-			span.End()
-		}
-		wc := &windowCtx{
-			ctx: ctx, w: w, mhb: mhb, widx: widx, offset: offset,
-			globalDeadline: r.deadline, cancel: func() bool { return ctx.Err() != nil },
-			spanParent: wspan.ID(),
-		}
 		for _, gr := range d.solveGroups(wc, groups) {
 			if gr == nil {
 				continue
@@ -707,12 +672,9 @@ func (r *Runner) analyze(ctx context.Context, w *trace.Trace, widx, offset int, 
 			wr.cancelled = wr.cancelled || gr.cancelled
 			wr.budgetGone = wr.budgetGone || gr.budgetGone
 			if gr.isRace {
-				report(gr.race)
+				out.Races = append(out.Races, gr.race)
 			}
 		}
-	}
-	if att != nil {
-		att.release()
 	}
 	out.Solved = out.COPsChecked
 	if mhb != nil {
@@ -765,30 +727,21 @@ type windowSolver struct {
 	bad bool // window constraints themselves unsatisfiable
 
 	// ck is the canonical base state (base constraints + warmed cf
-	// definitions) and cfMark the cf memo's position at ck; dirty tracks
-	// whether the solver has diverged from it since the last rollback.
-	ck     *smt.Checkpoint
-	cfMark int
-	dirty  bool
-}
-
-// checkpoint records the current state as the canonical base.
-func (ws *windowSolver) checkpoint() {
-	ws.ck = ws.s.Checkpoint()
-	ws.cfMark = ws.cf.Mark()
+	// definitions); dirty tracks whether the solver has diverged from it
+	// since the last rollback.
+	ck    *smt.Checkpoint
+	dirty bool
 }
 
 // rollback restores the canonical base if anything was encoded or solved
-// since: the solver rolls back to ck and the cf memo forgets the
-// definitions encoded after it, so an instance outside the warm prefix is
-// encoded afresh, to the identical literals, each time it is prepared.
+// since. Only warm-prefix instances are ever prepared, and their cf
+// definitions all predate ck, so the cf memo needs no rollback of its own.
 func (ws *windowSolver) rollback(col *telemetry.Collector) {
 	if !ws.dirty {
 		return
 	}
 	span := col.StartPhase(telemetry.PhaseRollback)
 	ws.s.Rollback(ws.ck)
-	ws.cf.Reset(ws.cfMark)
 	span.End()
 	ws.dirty = false
 	col.CountPairRollback()

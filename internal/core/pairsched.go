@@ -12,19 +12,20 @@
 //     race to decide the same signature — and a group's verdict (which
 //     instance proves the race, its witness, its outcome tallies) depends
 //     only on the group's own solving sequence.
+//   - partition classifies every instance once, with the triage ladder
+//     (triage.go). A group's first ladder-proved instance is certainly
+//     satisfiable: without a witness request it is reported without a
+//     solve and ends the group, and it names the race's provenance tier.
 //   - Every worker owns a replica of the window encoding: Φ_mhb + Φ_lock +
-//     the control-flow definitions of each group's warm prefix — the
-//     instances before the group's first one the full triage ladder
-//     proves racy, which are the only ones the default ladder ever hands
-//     the solver (warmCount) — built once per worker by the same
-//     deterministic construction sequence and then checkpointed
-//     (smt.Checkpoint, encode.CF.Mark). Before each group the worker rolls
+//     the control-flow definitions of each group's warm prefix — every
+//     instance the group can hand the solver (warmCount) — built once per
+//     worker by the same deterministic construction sequence and then
+//     checkpointed (smt.Checkpoint). Before each group the worker rolls
 //     back to the checkpoint, so a group is always solved from the
 //     canonical base state no matter which worker picks it up or what it
-//     solved before. An instance past the prefix (dispatched only at
-//     TriageLevel "off" or "shb") has its definitions encoded after the
-//     checkpoint and discarded by the next rollback. A window none of
-//     whose groups reaches the solver builds no replica at all.
+//     solved before. No instance past a warm prefix is ever prepared, so
+//     the cf memo never outlives a rollback. A window none of whose
+//     groups reaches the solver builds no replica at all.
 //   - Groups are dispatched from a shared queue (an atomic cursor over the
 //     canonical group order) and merged back in canonical order, so races,
 //     witnesses, counters and window records are deterministic.
@@ -63,30 +64,24 @@ import (
 type sigGroup struct {
 	sig  race.Signature
 	cops []race.COP
-	// proved is the index of the first instance the full triage ladder
-	// (SHB → SyncP, triage.go) proves racy, whatever the run's
-	// TriageLevel; confirmed is the index of the first one the run's level
-	// lets skip its solve (the fast path). Both are -1 when there is no
-	// such instance, and always without the quick check.
-	proved, confirmed int
+	// proved is the index of the first instance the triage ladder (SHB →
+	// SyncP, triage.go) proves racy, -1 if none, and tier the rung that
+	// proved it.
+	proved int
+	tier   string
 }
 
 // warmCount is the length of the group's warm prefix: the instances whose
 // control-flow definitions the replica encodes before its checkpoint.
 // Without a witness request the prefix stops at the group's first
-// ladder-proved instance. At the default level that instance is
-// fast-pathed and the group stops there, so nothing past the prefix
-// reaches the solver; "off" and "shb" may dispatch it, and they encode
-// it after the checkpoint (see windowSolver.rollback). The cut depends
-// on the ladder's verdicts, never on TriageLevel, so every level solves
-// its queries from the same base encoding. With a witness request every
-// instance is solved, and all are warmed.
+// ladder-proved instance, which is fast-pathed and ends the group, so
+// nothing past the prefix reaches the solver. With a witness request
+// every instance can be solved, and all are warmed.
 func (d *Detector) warmCount(g *sigGroup) int {
-	n := len(g.cops)
-	if !d.opt.Witness && g.proved >= 0 && g.proved < n {
-		n = g.proved
+	if !d.opt.Witness && g.proved >= 0 {
+		return g.proved
 	}
-	return n
+	return len(g.cops)
 }
 
 // groupResult is one signature group's contribution to the window result,
@@ -98,8 +93,34 @@ type groupResult struct {
 	cancelled  bool
 	budgetGone bool
 	isRace     bool
-	race       race.Race  // window-local coordinates, set when isRace
-	deferred   []race.COP // pass-1 timeouts awaiting the escalating pass
+	race       race.Race // whole-trace coordinates, set when isRace
+	deferred   []int     // instances (g.cops indices) timed out in pass 1
+}
+
+// found records instance k of g as the group's race, in whole-trace
+// coordinates, with its provenance. The instance takes the group's
+// ladder tier when it is the proved one and the SMT tier otherwise. The
+// query stats are kept only for an SMT-tier race: a sound-tier race's
+// query is optional (the fast path skips it), so its stats would make
+// provenance depend on the witness request.
+func (gr *groupResult) found(wc *windowCtx, g *sigGroup, k int, witness []int, qs queryStats) {
+	cop := g.cops[k]
+	gr.isRace = true
+	gr.race = race.Race{
+		COP:  race.COP{A: cop.A + wc.offset, B: cop.B + wc.offset},
+		Sig:  g.sig,
+		Prov: race.Provenance{Tier: race.TierSMT, Window: wc.widx, WitnessLen: len(witness)},
+	}
+	if k == g.proved {
+		gr.race.Prov.Tier = g.tier
+	} else {
+		gr.race.Prov.Decisions = qs.decisions
+		gr.race.Prov.Propagations = qs.propagations
+		gr.race.Prov.Conflicts = qs.conflicts
+	}
+	if witness != nil {
+		gr.race.Witness = rebase(witness, wc.offset)
+	}
 }
 
 // windowCtx bundles the per-window invariants threaded through the
@@ -118,18 +139,15 @@ type windowCtx struct {
 // partition runs the prefilters over the enumerated COPs and groups the
 // survivors by signature, in order of each signature's first surviving
 // instance. seen is stable for the whole window (it is only updated at
-// merge time), so the partition is deterministic. The
-// window MHB clocks and the lockset quick check are computed lazily, on
-// the first instance that survives the cheap map lookups — preserving the
-// old driver's property that a window whose candidates are all already
-// decided costs no clock pass — and the single MHB pass is shared by the
-// quick check, the triage tier and (via the returned value) the window
-// encoders, where the old driver paid for it twice. Survivors are
-// classified by the full triage ladder (triage.go) at partition time, in
-// canonical enumeration order, so the ladder's telemetry tallies are
-// deterministic under any worker count. The ladder runs at every
-// TriageLevel — untallied at "off" — because its verdicts also choose
-// the warm prefix (warmCount).
+// merge time), so the partition is deterministic. The window MHB clocks
+// and the lockset quick check are computed lazily, on the first instance
+// that survives the signature lookup, and the single MHB pass is shared
+// by the quick check, the triage ladder and (via the returned value) the
+// window encoders. Every quick-check survivor is classified by the
+// triage ladder (triage.go) here, once, in canonical enumeration order,
+// so its tallies are deterministic under any worker count. Under
+// NoQuickCheck a quick-check failure is dispatched unclassified (the
+// rungs assume the quick check passed) instead of dropped.
 func (d *Detector) partition(w *trace.Trace, cops []race.COP, seen map[race.Signature]bool) ([]*sigGroup, *vc.MHB) {
 	col := d.opt.Telemetry
 	var (
@@ -137,7 +155,6 @@ func (d *Detector) partition(w *trace.Trace, cops []race.COP, seen map[race.Sign
 		index  map[race.Signature]int
 		mhb    *vc.MHB
 		sets   *lockset.Sets
-		setsOK bool
 		tri    *ladder
 	)
 	for _, cop := range cops {
@@ -146,25 +163,20 @@ func (d *Detector) partition(w *trace.Trace, cops []race.COP, seen map[race.Sign
 			col.CountSigDedup()
 			continue
 		}
-		if !setsOK {
-			setsOK = true
-			if !d.opt.NoQuickCheck {
-				span := col.StartPhase(telemetry.PhaseMHB)
-				mhb = vc.ComputeMHB(w)
-				span.End()
-				span = col.StartPhase(telemetry.PhaseQuickCheck)
-				sets = lockset.ComputeWith(w, mhb)
-				span.End()
-			}
-		}
-		if sets != nil {
-			span := col.StartPhase(telemetry.PhaseQuickCheck)
-			pass := sets.Pass(cop.A, cop.B)
+		if sets == nil {
+			span := col.StartPhase(telemetry.PhaseMHB)
+			mhb = vc.ComputeMHB(w)
 			span.End()
-			if !pass {
-				col.CountQuickCheckFiltered()
-				continue
-			}
+			span = col.StartPhase(telemetry.PhaseQuickCheck)
+			sets = lockset.ComputeWith(w, mhb)
+			span.End()
+		}
+		span := col.StartPhase(telemetry.PhaseQuickCheck)
+		pass := sets.Pass(cop.A, cop.B)
+		span.End()
+		if !pass && !d.opt.NoQuickCheck {
+			col.CountQuickCheckFiltered()
+			continue
 		}
 		gi, ok := index[sig]
 		if !ok {
@@ -173,23 +185,22 @@ func (d *Detector) partition(w *trace.Trace, cops []race.COP, seen map[race.Sign
 			}
 			gi = len(groups)
 			index[sig] = gi
-			groups = append(groups, &sigGroup{sig: sig, proved: -1, confirmed: -1})
+			groups = append(groups, &sigGroup{sig: sig, proved: -1})
 		}
 		g := groups[gi]
-		if sets != nil {
+		tier := race.TierSMT
+		if pass {
 			if tri == nil {
-				tcol := col // "off" classifies for the warm prefix only, untallied
-				if d.opt.TriageLevel == "off" {
-					tcol = nil
-				}
-				tri = newLadder(w, tcol)
+				tri = newLadder(w, col)
 			}
-			tier := tri.tier(cop)
-			if tier != race.TierSMT && g.proved < 0 {
-				g.proved = len(g.cops)
-			}
-			if tri.confirm(tier, d.opt.TriageLevel) && g.confirmed < 0 {
-				g.confirmed = len(g.cops)
+			tier = tri.tier(cop)
+		}
+		if tier == race.TierSMT {
+			col.CountTriageDispatched()
+		} else {
+			col.CountTriageConfirmed(tier)
+			if g.proved < 0 {
+				g.proved, g.tier = len(g.cops), tier
 			}
 		}
 		g.cops = append(g.cops, cop)
@@ -218,7 +229,7 @@ func (d *Detector) buildReplica(wc *windowCtx, groups []*sigGroup) *windowSolver
 		}
 		span.End()
 	}
-	ws.checkpoint()
+	ws.ck = ws.s.Checkpoint()
 	return ws
 }
 
@@ -260,7 +271,7 @@ func (d *Detector) solveGroups(wc *windowCtx, groups []*sigGroup) []*groupResult
 	// is not fast-pathed.
 	dispatching := 0
 	for _, g := range groups {
-		if d.opt.Witness || g.confirmed != 0 {
+		if d.opt.Witness || g.proved != 0 {
 			dispatching++
 		}
 		col.CountWarmSkipped(len(g.cops) - d.warmCount(g))
@@ -421,21 +432,17 @@ func (d *Detector) solveGroup(wc *windowCtx, ws *windowSolver, g *sigGroup) *gro
 		if tracer != nil {
 			qstart = time.Now()
 		}
-		if k == g.confirmed && !d.opt.Witness {
-			// Triage fast path: the vector-clock tier proved this instance's
-			// query satisfiable (triage.go), so the SAT verdict is recorded
-			// without touching the solver. The attempt still counts exactly
-			// like a solved query — COPsChecked and the reported race are bit-identical to the triage-off run — and the
-			// tracer still sees the finding, but the solver outcome tallies
-			// deliberately exclude it: they count solver queries, and the
-			// triage telemetry block accounts for the confirmed pairs. When a
-			// witness schedule is requested the pair falls through to the
-			// normal (guaranteed-SAT) solve instead, so witnesses match too.
-			gr.isRace = true
-			gr.race = race.Race{
-				COP: race.COP{A: cop.A + wc.offset, B: cop.B + wc.offset},
-				Sig: g.sig,
-			}
+		if k == g.proved && !d.opt.Witness {
+			// Triage fast path: the ladder proved this instance's query
+			// satisfiable (triage.go), so the SAT verdict is recorded without
+			// touching the solver. The attempt still counts exactly like a
+			// solved query in COPsChecked, and the tracer still sees the
+			// finding, but the solver outcome tallies deliberately exclude
+			// it: they count solver queries, and the triage telemetry block
+			// accounts for the proved pairs. When a witness schedule is
+			// requested the pair falls through to the normal
+			// (guaranteed-SAT) solve instead.
+			gr.found(wc, g, k, nil, queryStats{})
 			if tracer != nil {
 				tracer.QuerySolved(wc.widx, cop.A+wc.offset, cop.B+wc.offset,
 					telemetry.OutcomeSat, time.Since(qstart))
@@ -466,7 +473,7 @@ func (d *Detector) solveGroup(wc *windowCtx, ws *windowSolver, g *sigGroup) *gro
 			// with escalating budgets, on this same worker.
 			gr.retried++
 			col.CountRetryScheduled()
-			gr.deferred = append(gr.deferred, cop)
+			gr.deferred = append(gr.deferred, k)
 			continue
 		}
 		if outcome.Aborted() {
@@ -476,20 +483,7 @@ func (d *Detector) solveGroup(wc *windowCtx, ws *windowSolver, g *sigGroup) *gro
 			}
 		}
 		if isRace {
-			gr.isRace = true
-			gr.race = race.Race{
-				COP: race.COP{A: cop.A + wc.offset, B: cop.B + wc.offset},
-				Sig: g.sig,
-			}
-			// Query stats for provenance; kept only if the merge-time
-			// attribution decides the SMT tier was necessary
-			// (ladder.stamp zeroes them otherwise).
-			gr.race.Prov.Decisions = qs.decisions
-			gr.race.Prov.Propagations = qs.propagations
-			gr.race.Prov.Conflicts = qs.conflicts
-			if witness != nil {
-				gr.race.Witness = rebase(witness, wc.offset)
-			}
+			gr.found(wc, g, k, witness, qs)
 		}
 	}
 	return gr
@@ -504,7 +498,8 @@ func (d *Detector) solveGroup(wc *windowCtx, ws *windowSolver, g *sigGroup) *gro
 func (d *Detector) retryDeferred(wc *windowCtx, ws *windowSolver, g *sigGroup, gr *groupResult) {
 	col := d.opt.Telemetry
 	tracer := d.opt.Tracer
-	for _, cop := range gr.deferred {
+	for _, k := range gr.deferred {
+		cop := g.cops[k]
 		if wc.ctx.Err() != nil {
 			gr.cancelled = true
 			break
@@ -576,17 +571,7 @@ func (d *Detector) retryDeferred(wc *windowCtx, ws *windowSolver, g *sigGroup, g
 			col.CountRetrySolved(isRace)
 		}
 		if isRace {
-			gr.isRace = true
-			gr.race = race.Race{
-				COP: race.COP{A: cop.A + wc.offset, B: cop.B + wc.offset},
-				Sig: g.sig,
-			}
-			gr.race.Prov.Decisions = qs.decisions
-			gr.race.Prov.Propagations = qs.propagations
-			gr.race.Prov.Conflicts = qs.conflicts
-			if witness != nil {
-				gr.race.Witness = rebase(witness, wc.offset)
-			}
+			gr.found(wc, g, k, witness, qs)
 		}
 	}
 }

@@ -4,126 +4,106 @@ import (
 	"context"
 	"reflect"
 	"testing"
-	"time"
 
 	"repro/internal/race"
+	"repro/internal/sat"
 	"repro/internal/telemetry"
 	"repro/internal/workloads"
-	"repro/trace"
 )
 
-// TestWarmPrefixReplay: an instance past its group's warm prefix — one
-// only "off" and "shb" hand the solver — is encoded after the checkpoint.
-// Rolling back and preparing it again must rebuild the identical guard
-// literal and clauses and reach the same verdict, and the rollback must
-// leave the replica at its base size. Writes and branches whose cf first
-// resolves (to the literal of their thread's last read) during such an
-// instance must no longer resolve after the rollback.
+// TestWarmPrefixReplay: every instance the pair scheduler can prepare
+// lies in its group's warm prefix, whose cf definitions the replica
+// encoded before its checkpoint. Preparing one must add no cf memo entry
+// (an entry created after the checkpoint would dangle after the
+// rollback), rolling back must restore the base solver size, and
+// preparing it again must rebuild the identical guard literal and
+// clauses. Checked without and with a witness request, whose prefixes
+// differ.
 func TestWarmPrefixReplay(t *testing.T) {
 	tr := mixedWindowTrace(t)
-	d := New(Options{TriageLevel: "off"})
-	groups, mhb := d.partition(tr, race.EnumerateCOPs(tr), nil)
-	defer mhb.Release()
-	wc := &windowCtx{ctx: context.Background(), w: tr, mhb: mhb,
-		cancel: func() bool { return false }}
-	ws := d.buildReplica(wc, groups)
-	baseVars, baseClauses, _ := ws.s.Size()
+	for _, witness := range []bool{false, true} {
+		d := New(Options{Witness: witness})
+		groups, mhb := d.partition(tr, race.EnumerateCOPs(tr), nil)
+		wc := &windowCtx{ctx: context.Background(), w: tr, mhb: mhb,
+			cancel: func() bool { return false }}
+		ws := d.buildReplica(wc, groups)
+		baseVars, baseClauses, _ := ws.s.Size()
 
-	// resolved lists the writes and branches whose cf has a literal.
-	resolved := func() map[int]bool {
-		m := map[int]bool{}
-		for e := 0; e < tr.Len(); e++ {
-			if op := tr.Event(e).Op; op == trace.OpWrite || op == trace.OpBranch {
+		// memo lists the events whose cf currently has a literal.
+		memo := func() map[int]bool {
+			m := map[int]bool{}
+			for e := 0; e < tr.Len(); e++ {
 				if _, ok := ws.cf.Defined(e); ok {
 					m[e] = true
 				}
 			}
+			return m
 		}
-		return m
-	}
-	base := resolved()
-	aliased := map[trace.Op]int{}
-
-	outside := 0
-	for _, g := range groups {
-		if d.warmCount(g) == len(g.cops) {
-			continue
-		}
-		outside++
-		cop := g.cops[d.warmCount(g)]
-		type prepared struct {
-			guard   int
-			clauses int
-			isRace  bool
-		}
-		prepare := func() prepared {
-			ws.rollback(nil)
-			ws.dirty = true
-			guard, ok := ws.prepare(d, cop)
-			if !ok {
-				t.Fatalf("group %v: prepare failed", g.sig)
+		base := memo()
+		prepared := 0
+		for _, g := range groups {
+			for _, cop := range g.cops[:d.warmCount(g)] {
+				prepare := func() (sat.Lit, int) {
+					ws.rollback(nil)
+					ws.dirty = true
+					guard, ok := ws.prepare(d, cop)
+					if !ok {
+						t.Fatalf("witness=%v group %v: prepare %v failed", witness, g.sig, cop)
+					}
+					_, clauses, _ := ws.s.Size()
+					return guard, clauses
+				}
+				g1, c1 := prepare()
+				if after := memo(); !reflect.DeepEqual(after, base) {
+					t.Errorf("witness=%v group %v: preparing %v changed the cf memo from %d to %d entries",
+						witness, g.sig, cop, len(base), len(after))
+				}
+				if c1 <= baseClauses {
+					t.Errorf("witness=%v group %v: preparing %v added no clause", witness, g.sig, cop)
+				}
+				if g2, c2 := prepare(); g1 != g2 || c1 != c2 {
+					t.Errorf("witness=%v group %v: replay of %v after rollback: guard %v/%v, clauses %d/%d",
+						witness, g.sig, cop, g1, g2, c1, c2)
+				}
+				ws.rollback(nil)
+				if vars, clauses, _ := ws.s.Size(); vars != baseVars || clauses != baseClauses {
+					t.Errorf("witness=%v group %v: rollback left %d vars / %d clauses, base is %d / %d",
+						witness, g.sig, vars, clauses, baseVars, baseClauses)
+				}
+				prepared++
 			}
-			_, clauses, _ := ws.s.Size()
-			isRace, _, _, _ := ws.solve(d, 0, cop, guard, time.Minute, time.Time{})
-			return prepared{int(guard), clauses, isRace}
 		}
-		first := prepare()
-		for e := range resolved() {
-			if !base[e] {
-				aliased[tr.Event(e).Op]++
-			}
+		mhb.Release()
+		if prepared == 0 {
+			t.Fatalf("witness=%v: no warm-prefix instance (fixture drifted)", witness)
 		}
-		again := prepare()
-		if first != again {
-			t.Errorf("group %v: replay after rollback = %+v, first prepare %+v", g.sig, again, first)
-		}
-		if !first.isRace || first.clauses <= baseClauses {
-			t.Errorf("group %v: ladder-proved instance prepared to %+v over %d base clauses, want a race with new clauses",
-				g.sig, first, baseClauses)
-		}
-		ws.rollback(nil)
-		if vars, clauses, _ := ws.s.Size(); vars != baseVars || clauses != baseClauses {
-			t.Errorf("group %v: rollback left %d vars / %d clauses, base is %d / %d",
-				g.sig, vars, clauses, baseVars, baseClauses)
-		}
-		if after := resolved(); !reflect.DeepEqual(after, base) {
-			t.Errorf("group %v: %d writes/branches resolve after rollback, %d at base",
-				g.sig, len(after), len(base))
-		}
-	}
-	if outside == 0 {
-		t.Fatal("no instance outside a warm prefix (fixture drifted)")
-	}
-	if aliased[trace.OpWrite] == 0 || aliased[trace.OpBranch] == 0 {
-		t.Fatalf("instances past the prefix resolved %d writes and %d branches, want both (fixture drifted)",
-			aliased[trace.OpWrite], aliased[trace.OpBranch])
 	}
 }
 
-// TestLadderSettledWindowBuildsNoSolver: when the ladder confirms every
-// group of a window at its first instance, the default level builds no
-// window solver at all, yet reports exactly what the triage-off run (which
-// solves every pair) reports.
+// TestLadderSettledWindowBuildsNoSolver: when the ladder proves every
+// group of a window at its first instance, the default run builds no
+// window solver at all, yet reports exactly the races, tiers and
+// COPsChecked of the witness run, which solves every one of them.
 func TestLadderSettledWindowBuildsNoSolver(t *testing.T) {
 	withProcs(t, 4)
 	tr, ex := workloads.Build(workloads.Spec{
 		Name: "ladder-settled", Workers: 3, Events: 240, Window: 10000,
 		Seed: 950, Motifs: workloads.MotifCounts{Plain: 3},
 	})
-	run := func(level string, pairPar int) (race.Result, *telemetry.Metrics) {
+	run := func(witness bool, pairPar int) (race.Result, *telemetry.Metrics) {
 		col := telemetry.NewCollector()
-		res := New(Options{WindowSize: 10000, TriageLevel: level,
+		res := New(Options{WindowSize: 10000, Witness: witness,
 			PairParallelism: pairPar, Telemetry: col}).Detect(tr)
 		res.Elapsed = 0
 		return res, col.Snapshot()
 	}
-	off, offM := run("off", 1)
-	if len(off.Races) != ex.RV || offM.Solver.Solvers == 0 {
-		t.Fatalf("triage-off run: %d races (want %d) on %d solvers (want > 0)",
-			len(off.Races), ex.RV, offM.Solver.Solvers)
+	solved, solvedM := run(true, 1)
+	if len(solved.Races) != ex.RV || solvedM.Solver.Solvers == 0 {
+		t.Fatalf("witness run: %d races (want %d) on %d solvers (want > 0)",
+			len(solved.Races), ex.RV, solvedM.Solver.Solvers)
 	}
 	for _, pairPar := range []int{1, 4} {
-		res, m := run("", pairPar)
+		res, m := run(false, pairPar)
 		if m.Solver.Solvers != 0 || m.PairSched.Replicas != 0 {
 			t.Errorf("pairPar %d: %d solvers, %d replicas, want none", pairPar,
 				m.Solver.Solvers, m.PairSched.Replicas)
@@ -132,8 +112,8 @@ func TestLadderSettledWindowBuildsNoSolver(t *testing.T) {
 			t.Errorf("pairPar %d: warm_skipped = %d, want one per group (%d)", pairPar,
 				m.PairSched.WarmSkipped, m.PairSched.Groups)
 		}
-		if !reflect.DeepEqual(res, off) {
-			t.Errorf("pairPar %d: result differs from triage off\n got %+v\nwant %+v", pairPar, res, off)
+		if !sameVerdicts(res, solved) {
+			t.Errorf("pairPar %d: result differs from the witness run\n got %+v\nwant %+v", pairPar, res, solved)
 		}
 	}
 }

@@ -18,18 +18,16 @@
 //     query satisfiable.
 //   - syncp: the SHB rung cannot confirm the pair, but the
 //     sync-preserving witness check (internal/syncp) constructs an
-//     explicit reads-from-preserving witness. This is the strongest rung
-//     and the default ladder top (Options.TriageLevel).
+//     explicit reads-from-preserving witness. This is the top rung.
 //   - dispatched: everything else goes to the pair scheduler unchanged.
 //
-// Confirmed pairs skip the solver entirely; when Options.Witness demands
-// a schedule the pair instead runs the normal (guaranteed-SAT) solve so
-// the witness is bit-identical to the triage-off run.
-//
-// The full ladder runs at every TriageLevel, untallied at "off": its
-// verdicts, not the level's, choose each group's warm prefix in the pair
-// scheduler (pairsched.go), so the base encoding — and every solver
-// query's search — is the same whichever level the run uses.
+// The ladder never changes a verdict: the race set is the solver's. It
+// only decides which queries may be skipped because they are certainly
+// satisfiable. A group's first proved instance skips the solver (unless
+// Options.Witness demands a schedule, when it runs the normal,
+// guaranteed-SAT solve), ends the group's warm prefix in the pair
+// scheduler (pairsched.go), and names the reported race's provenance
+// tier.
 //
 // Why SHB and not bare HB for the first rung: HB concurrency alone is NOT
 // sufficient under maximal-causality semantics. A non-volatile
@@ -51,14 +49,12 @@ import (
 	"repro/trace"
 )
 
-// ladder is one window's sound-tier classifier, shared by the triage fast
-// path and provenance attribution so the two never disagree. Clock
-// computations are lazy: the SHB pass runs on construction, the SR clocks
-// and witness index only when some pair reaches the syncp rung. Their
-// cost is charged to col's triage fast-path counter (nil for attribution
-// — the ladder is an addition to the pipeline, not a stage of it — and at
-// TriageLevel "off"). All
-// clock state lives on the vc slab pool and is returned by release.
+// ladder is one window's sound-tier classifier, run once per window by
+// partition. Clock computations are lazy: the SHB pass runs on
+// construction, the SR clocks and witness index only when some pair
+// reaches the syncp rung. Their cost is charged to col's triage fast-path
+// counter. All clock state lives on the vc slab pool and is returned by
+// release.
 type ladder struct {
 	w    *trace.Trace
 	col  *telemetry.Collector
@@ -104,23 +100,6 @@ func (l *ladder) tier(cop race.COP) string {
 		return race.TierSyncP
 	}
 	return race.TierSMT
-}
-
-// confirm tallies one quick-check survivor, classified by the full ladder
-// as tier, at the given TriageLevel and reports whether its solve may be
-// skipped: "off" skips nothing and tallies nothing, "shb" skips only
-// SHB-tier pairs, anything else every pair a sound tier proves.
-// Confirmations are attributed to the cheapest rung that proves them.
-func (l *ladder) confirm(tier, level string) bool {
-	switch {
-	case level == "off":
-		return false
-	case tier == race.TierSMT, tier == race.TierSyncP && level == "shb":
-		l.col.CountTriageDispatched()
-		return false
-	}
-	l.col.CountTriageConfirmed(tier)
-	return true
 }
 
 // release returns the ladder's clock storage to the shared slab pool once

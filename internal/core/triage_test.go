@@ -1,8 +1,10 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/race"
 	"repro/internal/telemetry"
@@ -24,10 +26,7 @@ type triageFixture struct {
 // rv-region and rv-incomplete are invisible to HB/CP) — plus the Figure 1
 // example, the pair scheduler's own fixture, and a mixed window: the
 // ftpserver row's motif mix shrunk into one window, where SHB-tier,
-// SyncP-tier and SMT-tier races share one base encoding. That last one
-// is the fixture that pins the warm prefix to the ladder's verdicts: cut
-// it at the run's own fast-path confirmations instead and the SMT-tier
-// races' solver stats differ between triage levels.
+// SyncP-tier and SMT-tier races share one base encoding.
 func triageFixtures(t *testing.T) []triageFixture {
 	t.Helper()
 	motifs := []struct {
@@ -92,7 +91,7 @@ func triageResult(tr *trace.Trace, window int, opt Options) race.Result {
 // replay mark on a clean run, and solver stats only when the SMT tier
 // confirmed it. The matrix's DeepEqual then extends the bit-identity
 // contract to the whole Provenance struct: provenance must not depend
-// on triage mode, Parallelism or PairParallelism.
+// on Parallelism or PairParallelism.
 func assertProvenance(t *testing.T, label string, res race.Result, window int) {
 	t.Helper()
 	for _, r := range res.Races {
@@ -118,41 +117,148 @@ func assertProvenance(t *testing.T, label string, res race.Result, window int) {
 	}
 }
 
+// sameVerdicts reports whether two results report the same races — COPs,
+// signatures, provenance tiers and windows, in order — and the same
+// COPsChecked, whatever their witnesses and solver stats.
+func sameVerdicts(a, b race.Result) bool {
+	if len(a.Races) != len(b.Races) || a.COPsChecked != b.COPsChecked {
+		return false
+	}
+	for i, x := range a.Races {
+		y := b.Races[i]
+		if x.COP != y.COP || x.Sig != y.Sig || x.Prov.Tier != y.Prov.Tier || x.Prov.Window != y.Prov.Window {
+			return false
+		}
+	}
+	return true
+}
+
 // TestTriageBitIdentityMatrix is the triage ladder's acceptance test:
 // the full race.Result — races in order, signatures, witnesses,
-// COPsChecked, per-race provenance, flags — must be bit-identical with
-// the ladder off and at every rung (shb, syncp and the default), across
-// every planted race motif, with and without witness
-// schedules, under every Parallelism × PairParallelism combination. Run
-// under -race in CI it doubles as the data-race check for the shared
+// COPsChecked, per-race provenance, flags — must be bit-identical to the
+// sequential run under every Parallelism × PairParallelism combination,
+// across every planted race motif, with and without witness schedules.
+// A witness request sends the ladder-proved pairs to the solver instead
+// of the fast path, so the two runs must agree on every verdict and tier.
+// Run under -race in CI it doubles as the data-race check for the shared
 // clock slabs.
 func TestTriageBitIdentityMatrix(t *testing.T) {
 	withProcs(t, 4)
 	for _, tc := range triageFixtures(t) {
-		for _, witness := range []bool{false, true} {
-			base := triageResult(tc.tr, tc.window, Options{TriageLevel: "off", Witness: witness})
+		var bases [2]race.Result
+		for i, witness := range []bool{false, true} {
+			base := triageResult(tc.tr, tc.window, Options{Witness: witness})
+			bases[i] = base
 			if tc.racy && len(base.Races) == 0 {
 				t.Fatalf("%s: expected races in the fixture", tc.name)
 			}
 			assertProvenance(t, tc.name+"/baseline", base, tc.window)
 			for _, par := range []int{1, 4} {
 				for _, pairPar := range []int{1, 4} {
-					modes := []struct {
-						name string
-						opt  Options
-					}{
-						{"default", Options{Witness: witness, Parallelism: par, PairParallelism: pairPar}},
-						{"shb", Options{Witness: witness, TriageLevel: "shb", Parallelism: par, PairParallelism: pairPar}},
-						{"syncp", Options{Witness: witness, TriageLevel: "syncp", Parallelism: par, PairParallelism: pairPar}},
-					}
-					for _, m := range modes {
-						got := triageResult(tc.tr, tc.window, m.opt)
-						if !reflect.DeepEqual(got, base) {
-							t.Errorf("%s: triage=%s witness=%v par %d × pairPar %d: result differs from triage-off baseline\n got %+v\nwant %+v",
-								tc.name, m.name, witness, par, pairPar, got, base)
-						}
+					got := triageResult(tc.tr, tc.window, Options{Witness: witness, Parallelism: par, PairParallelism: pairPar})
+					if !reflect.DeepEqual(got, base) {
+						t.Errorf("%s: witness=%v par %d × pairPar %d: result differs from the sequential run\n got %+v\nwant %+v",
+							tc.name, witness, par, pairPar, got, base)
 					}
 				}
+			}
+		}
+		if !sameVerdicts(bases[0], bases[1]) {
+			t.Errorf("%s: witness run reports different races or tiers\n got %+v\nwant %+v",
+				tc.name, bases[1], bases[0])
+		}
+	}
+}
+
+// TestFastPathSound is the fast path's soundness check: on a fully warmed
+// window solver, every instance the triage ladder proves racy — not only
+// the first one of each group, which the fast path reports without a
+// solve — must solve SAT. Each instance is classified the way partition
+// classifies it, by partitioning it alone.
+func TestFastPathSound(t *testing.T) {
+	d := New(Options{Witness: true}) // warm every instance
+	later := 0                       // proved instances the fast path never sees
+	for _, tc := range triageFixtures(t) {
+		race.EachWindow(tc.tr, tc.window, func(w *trace.Trace, widx, _ int) error { //nolint:errcheck
+			groups, mhb := d.partition(w, race.EnumerateCOPs(w), nil)
+			if len(groups) == 0 {
+				return nil
+			}
+			defer mhb.Release()
+			wc := &windowCtx{ctx: context.Background(), w: w, mhb: mhb,
+				cancel: func() bool { return false }}
+			ws := d.buildReplica(wc, groups)
+			for _, g := range groups {
+				first := -1
+				for k, cop := range g.cops {
+					one, m := d.partition(w, []race.COP{cop}, nil)
+					m.Release()
+					if one[0].proved < 0 {
+						continue
+					}
+					if first < 0 {
+						first = k
+					} else {
+						later++
+					}
+					ws.rollback(nil)
+					ws.dirty = true
+					guard, ok := ws.prepare(d, cop)
+					isRace := false
+					if ok {
+						isRace, _, _, _ = ws.solve(d, widx, cop, guard, 0, time.Time{})
+					}
+					if !isRace {
+						t.Errorf("%s window %d: %s-tier instance %v of %v does not solve SAT",
+							tc.name, widx, one[0].tier, cop, g.sig)
+					}
+				}
+				if first != g.proved {
+					t.Errorf("%s window %d: group %v proved at %d, its first proved instance is %d",
+						tc.name, widx, g.sig, g.proved, first)
+				}
+			}
+			return nil
+		})
+	}
+	if later == 0 {
+		t.Error("no group has a second ladder-proved instance (fixtures drifted)")
+	}
+}
+
+// TestFunnelIdentity: partition puts every enumerated candidate in
+// exactly one funnel bin, in the default run and under the NoQuickCheck
+// ablation, whose quick-check failures are dispatched instead of
+// filtered.
+func TestFunnelIdentity(t *testing.T) {
+	fixtures := []struct {
+		name   string
+		tr     *trace.Trace
+		window int
+	}{
+		{"mixed-window", mixedWindowTrace(t), 10000},
+		{"pair-rich", pairRichTrace(), 24},
+	}
+	for _, fx := range fixtures {
+		for _, noQC := range []bool{false, true} {
+			col := telemetry.NewCollector()
+			res := New(Options{WindowSize: fx.window, NoQuickCheck: noQC, Telemetry: col}).Detect(fx.tr)
+			m := col.Snapshot()
+			o, tg := m.Outcomes, m.Triage
+			sum := o.QuickCheckFiltered + o.SigDedupHits + o.MHBFiltered + tg.Confirmed + tg.SyncPConfirmed + tg.Dispatched
+			if o.Enumerated == 0 || sum != o.Enumerated {
+				t.Errorf("%s noQC=%v: enumerated %d ≠ %d = quick_check_filtered %d + signature_dedup %d + mhb_filtered %d + confirmed %d + syncp_confirmed %d + dispatched %d",
+					fx.name, noQC, o.Enumerated, sum, o.QuickCheckFiltered, o.SigDedupHits, o.MHBFiltered,
+					tg.Confirmed, tg.SyncPConfirmed, tg.Dispatched)
+			}
+			if noQC && o.QuickCheckFiltered != 0 {
+				t.Errorf("%s: NoQuickCheck run filtered %d candidates", fx.name, o.QuickCheckFiltered)
+			}
+			if !noQC && o.QuickCheckFiltered == 0 {
+				t.Errorf("%s: no quick-check failure (fixture drifted)", fx.name)
+			}
+			if len(res.Races) == 0 {
+				t.Errorf("%s noQC=%v: no races", fx.name, noQC)
 			}
 		}
 	}
@@ -161,8 +267,8 @@ func TestTriageBitIdentityMatrix(t *testing.T) {
 // TestTriageTelemetryCounters checks the triage counter block: on a
 // workload whose races are all plain HB races, every reported race must
 // come through the fast path (no SAT verdict ever reaches the solver
-// outcome tallies), and with the tier disabled the block must stay zero
-// while the same races are found by solving.
+// outcome tallies), and with a witness request the block must stay the
+// same while the same races are found by solving.
 func TestTriageTelemetryCounters(t *testing.T) {
 	tr, ex := workloads.Build(workloads.Spec{
 		Name: "triage-counters", Workers: 3, Events: 240, Window: 10000,
@@ -187,16 +293,16 @@ func TestTriageTelemetryCounters(t *testing.T) {
 	}
 
 	col = telemetry.NewCollector()
-	res = New(Options{WindowSize: 10000, TriageLevel: "off", Telemetry: col}).Detect(tr)
-	m = col.Snapshot()
-	if tg := m.Triage; tg.Confirmed != 0 || tg.SyncPConfirmed != 0 || tg.Dispatched != 0 || tg.FastPathNS != 0 {
-		t.Errorf("triage-off run has non-zero triage block: %+v", tg)
+	res = New(Options{WindowSize: 10000, Witness: true, Telemetry: col}).Detect(tr)
+	w := col.Snapshot()
+	if tg, tw := m.Triage, w.Triage; tg.Confirmed != tw.Confirmed || tg.SyncPConfirmed != tw.SyncPConfirmed || tg.Dispatched != tw.Dispatched {
+		t.Errorf("witness run triage block %+v, default %+v", tw, tg)
 	}
-	if m.Outcomes.Sat != int64(ex.RV) {
-		t.Errorf("triage-off sat outcomes = %d, want %d", m.Outcomes.Sat, ex.RV)
+	if w.Outcomes.Sat != int64(ex.RV) {
+		t.Errorf("witness run sat outcomes = %d, want %d", w.Outcomes.Sat, ex.RV)
 	}
 	if len(res.Races) != ex.RV {
-		t.Errorf("triage-off races = %d, want %d", len(res.Races), ex.RV)
+		t.Errorf("witness run races = %d, want %d", len(res.Races), ex.RV)
 	}
 }
 
@@ -307,8 +413,8 @@ func TestProvenanceTierAttribution(t *testing.T) {
 		if err := tr.Validate(); err != nil {
 			t.Fatalf("%s: fixture invalid: %v", sh.name, err)
 		}
-		// Attribution must not depend on which fast path fired.
-		for _, opt := range []Options{{}, {TriageLevel: "off"}, {TriageLevel: "shb"}} {
+		// The tier must not depend on whether the fast path fired.
+		for _, opt := range []Options{{}, {Witness: true}} {
 			res := New(opt).Detect(tr)
 			if len(res.Races) != 1 {
 				t.Fatalf("%s (opt %+v): races = %d, want exactly 1", sh.name, opt, len(res.Races))

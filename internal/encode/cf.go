@@ -39,9 +39,6 @@ type CF struct {
 	depWindow int
 
 	lits map[int]sat.Lit // event -> its cf literal; none for an alias (see owner)
-	// log records the events of lits in insertion order, so Reset can
-	// forget exactly the definitions created since a Mark.
-	log []int
 
 	// threadEvents lists event indices per thread in program order;
 	// lastBranchUpTo[t][k] is the index of the last branch among the first
@@ -57,23 +54,6 @@ type CF struct {
 func NewCF(enc *Encoder, s *smt.Solver, depWindow int) *CF {
 	return &CF{enc: enc, s: s, tr: enc.Trace(),
 		depWindow: depWindow, lits: make(map[int]sat.Lit)}
-}
-
-// Mark returns the memo's current position, to be taken together with an
-// smt.Checkpoint on the same solver.
-func (c *CF) Mark() int { return len(c.log) }
-
-// Reset forgets every cf definition created since Mark returned m. Call
-// it with Solver.Rollback to the checkpoint taken with that mark: the
-// rollback discards those definitions' literals and clauses, and a memo
-// entry that outlived them would hand later queries a dangling literal.
-// Encoding the same events again after Reset recreates the identical
-// literals and clauses.
-func (c *CF) Reset(m int) {
-	for _, e := range c.log[m:] {
-		delete(c.lits, e)
-	}
-	c.log = c.log[:m]
 }
 
 func (c *CF) buildThreadIndex() {
@@ -150,7 +130,7 @@ func (c *CF) Defined(e int) (sat.Lit, bool) {
 
 // owner returns the event whose literal stands for cf(e): at depWindow 0
 // a write or branch after a read of its thread shares that read's
-// literal, and so adds nothing to the memo, the log or the solver.
+// literal, and so adds nothing to the memo or the solver.
 func (c *CF) owner(e int) int {
 	c.buildThreadIndex()
 	if p := c.prevRead[e]; c.depWindow == 0 && p >= 0 && c.tr.Event(e).Op != trace.OpRead {
@@ -235,6 +215,5 @@ func (c *CF) readConsistent(r int) *smt.Formula {
 func (c *CF) newLit(e int) sat.Lit {
 	l := c.s.NewBoolLit()
 	c.lits[e] = l
-	c.log = append(c.log, e)
 	return l
 }

@@ -163,79 +163,3 @@ func TestAssertLocksCutAllowsPrefixOverlapAfterCut(t *testing.T) {
 		t.Fatalf("in-prefix overlap must be rejected: %v", r)
 	}
 }
-
-// TestCFResetAfterRollback: cf definitions encoded after a checkpoint are
-// discarded by the rollback, so the memo must forget them too (Reset to
-// the Mark taken with the checkpoint), including the read literals a write
-// or branch aliases. Preparing the same guarded query again must then
-// rebuild the identical guard literal and clauses and reach the same
-// verdict.
-func TestCFResetAfterRollback(t *testing.T) {
-	b := trace.NewBuilder()
-	b.Write(1, 5, 1) // 0
-	b.ReadV(1, 6, 0) // 1
-	b.Branch(1)      // 2
-	b.Write(1, 7, 1) // 3: warm instance
-	b.ReadV(3, 5, 1) // 4
-	b.Write(3, 9, 1) // 5: aliases cf(4)
-	b.ReadV(2, 9, 1) // 6: its source is write 5
-	b.Branch(2)      // 7: aliases cf(6)
-	b.Write(2, 7, 2) // 8: instance encoded after the checkpoint
-	tr := b.Trace()
-	enc, s, cf := solverFor(tr)
-	if err := enc.AssertMHB(); err != nil {
-		t.Fatal(err)
-	}
-	_ = cf.ControlFlow(3) // the warm prefix
-	baseVars, _, _ := s.Size()
-	ck, mark := s.Checkpoint(), cf.Mark()
-	aliases := []int{5, 7} // a write and a branch first resolved after the mark
-	defined := func() (n int) {
-		for _, e := range aliases {
-			if _, ok := cf.Defined(e); ok {
-				n++
-			}
-		}
-		return n
-	}
-	if defined() != 0 {
-		t.Fatal("write 5 or branch 7 resolved before the mark (fixture drifted)")
-	}
-
-	prepare := func() (sat.Lit, int, sat.Result) {
-		g := s.NewBoolLit()
-		if err := s.Implies(g, enc.Adjacent(3, 8)); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Implies(g, cf.ControlFlow(8)); err != nil {
-			t.Fatal(err)
-		}
-		_, clauses, _ := s.Size()
-		return g, clauses, s.SolveAssuming(g)
-	}
-	g1, c1, r1 := prepare()
-	if len(cf.lits) <= mark || defined() != len(aliases) {
-		t.Fatal("the instance did not resolve write 5 and branch 7 (fixture drifted)")
-	}
-	s.Rollback(ck)
-	cf.Reset(mark)
-	for e, l := range cf.lits {
-		if int(l.Var()) >= baseVars {
-			t.Errorf("memo keeps cf(%d) = %v past the checkpoint's %d variables", e, l, baseVars)
-		}
-		if op := tr.Event(e).Op; op != trace.OpRead && cf.prevRead[e] >= 0 {
-			t.Errorf("memo holds an alias for event %d (%v)", e, op)
-		}
-	}
-	if n := defined(); n != 0 {
-		t.Errorf("%d of write 5 and branch 7 still resolve after Reset", n)
-	}
-	g2, c2, r2 := prepare()
-	if g1 != g2 || c1 != c2 || r1 != r2 {
-		t.Errorf("replay after rollback: guard %v/%v, clauses %d/%d, verdict %v/%v",
-			g1, g2, c1, c2, r1, r2)
-	}
-	if r1 != sat.Sat {
-		t.Errorf("verdict = %v, want sat", r1)
-	}
-}

@@ -148,3 +148,46 @@ func RecurringRaces(blocks int) *trace.Trace {
 	}
 	return b.Trace()
 }
+
+// TierRaces returns a trace of the given number of 8-event blocks, each
+// holding one race at block-unique locations that the named triage tier
+// ("shb", "syncp" or "smt") is the cheapest to prove, padded with a third
+// thread's branches:
+//
+//   - shb: a plain write/read race;
+//   - syncp: lock-ordered but non-conflicting critical sections, which
+//     only a witness that swaps them shows racing;
+//   - smt: a volatile flag orders the pair for every rung, and only
+//     the solver, reading the flag's value abstractly, proves the race.
+func TierRaces(tier string, blocks int) *trace.Trace {
+	const l trace.Addr = 1
+	b := trace.NewBuilder()
+	for i := 0; i < blocks; i++ {
+		loc := trace.Loc(100 * (i + 1))
+		x, u := trace.Addr(10+2*i), trace.Addr(11+2*i)
+		n := b.Mark()
+		switch tier {
+		case "shb":
+			b.At(loc+1).Write(1, x, 1)
+			b.At(loc+2).Read(2, x)
+		case "syncp":
+			b.Acquire(1, l)
+			b.At(loc+1).Write(1, x, 1)
+			b.Release(1, l)
+			b.Acquire(2, l)
+			b.At(loc+3).Write(2, u, 1)
+			b.Release(2, l)
+			b.At(loc+2).Read(2, x)
+		default:
+			b.Volatile(u)
+			b.At(loc+1).Write(1, x, 1)
+			b.At(loc+3).Write(1, u, 1)
+			b.At(loc+4).ReadV(2, u, 1)
+			b.At(loc+2).Read(2, x)
+		}
+		for b.Mark()-n < 8 {
+			b.At(loc + 9).Branch(3)
+		}
+	}
+	return b.Trace()
+}

@@ -137,15 +137,15 @@ func (s *Server) Close() error {
 }
 
 // Funnel is the live candidate-funnel snapshot streamed by /progress.
-// With the default pipeline (quick check + triage on) the identity
+// The identity
 //
 //	enumerated = quick_check_filtered + signature_dedup + mhb_filtered
 //	           + triage_confirmed + triage_syncp_confirmed + dispatched
 //
-// holds exactly: partition classifies every enumerated candidate into
-// exactly one of those bins (solve-time skips count separately as
-// pair_skips). The triage-off and NoQuickCheck ablations bypass classification,
-// so the triage terms undercount there.
+// holds exactly in every configuration: partition classifies every
+// enumerated candidate into exactly one of those bins (solve-time skips
+// count separately as pair_skips; the NoQuickCheck ablation counts its
+// quick-check failures as dispatched).
 type Funnel struct {
 	Enumerated           int64 `json:"candidates_enumerated"`
 	QuickCheckFiltered   int64 `json:"quick_check_filtered"`

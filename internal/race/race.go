@@ -39,10 +39,11 @@ func SigOf(tr *trace.Trace, a, b int) Signature {
 // Confirming-tier names used in Provenance.Tier, ordered by the triage
 // ladder SHB → SyncP → SMT (the detection-side refinement of the paper's
 // Table 1 inclusion chain HB ⊆ CP ⊆ RV): the named tier is the cheapest
-// sound argument that proves the race, independent of which execution
-// path happened to fire for it in a given run (that independence is what
-// makes provenance bit-identical across triage modes). The remaining
-// names mark the fixed tiers of the Table 1 baseline detectors.
+// rung that proves the reported pair, decided once per pair by the
+// window's triage partition, so it does not depend on whether the fast
+// path or the solver produced the verdict in a given run (a witness
+// request sends proved pairs to the solver too). The remaining names mark
+// the fixed tiers of the Table 1 baseline detectors.
 const (
 	// TierSHB: the pair is concurrent under schedulable happens-before
 	// (SHB clocks, including the reads-from pre-join check), which —
@@ -73,8 +74,9 @@ const (
 // durable journal rather than re-derived.
 //
 // Everything except Replayed is deterministic — bit-identical across
-// Parallelism, PairParallelism, triage modes and resume (test-enforced
-// by the triage identity matrix). Replayed is operational metadata: a
+// Parallelism, PairParallelism and resume (test-enforced by the triage
+// identity matrix); Tier, Window and the race itself also agree with and
+// without a witness request. Replayed is operational metadata: a
 // resumed run legitimately differs from a clean one there, exactly like
 // the telemetry Journal block excluded by Metrics.NonTiming.
 type Provenance struct {
@@ -98,8 +100,7 @@ type Provenance struct {
 	Replayed bool `json:"replayed,omitempty"`
 	// Degraded marks a race reported by a window analysed in degraded
 	// mode (streaming daemon under sustained pressure): the SMT tier was
-	// shed and the race rests solely on the sound vector-clock triage
-	// confirmation. The verdict is still sound — degradation can only
+	// shed and the race rests solely on the sound triage ladder's proof. The verdict is still sound — degradation can only
 	// miss races, never invent them — but the window it came from is not
 	// maximal. Always false in batch runs.
 	Degraded bool `json:"degraded,omitempty"`
@@ -217,7 +218,7 @@ type WindowOutcome struct {
 	Failures []WindowFailure
 
 	// Degraded marks a window analysed in degraded mode (SMT tier shed
-	// under pressure): every reported race is triage-confirmed and sound,
+	// under pressure): every reported race is ladder-proved and sound,
 	// but PairsShed candidate instances were never solved, so the window
 	// is not maximal. Replaying a degraded outcome reproduces exactly the
 	// degraded verdict — resume never silently upgrades it.

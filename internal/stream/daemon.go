@@ -41,8 +41,8 @@ type Options struct {
 	// DegradeAfter fires.
 	MaxInFlightWindows int
 	// DegradeAfter is how long a session waits for a solver slot before
-	// degrading the window: the SMT tier is shed and only sound-tier
-	// (vector-clock) confirmed races are reported, flagged Degraded in
+	// degrading the window: the SMT tier is shed and only the races the
+	// sound triage ladder proves are reported, flagged Degraded in
 	// provenance. 0 disables degradation (pure backpressure, exact
 	// results — the default).
 	DegradeAfter time.Duration

@@ -177,70 +177,70 @@ func TestStreamMatchesBatch(t *testing.T) {
 }
 
 // TestStreamTriageRungsMatchBatch is the streaming leg of the triage
-// identity matrix: at every rung of the ladder the daemon's report must
-// be bit-identical to a batch run at the same rung, and the verdict
-// surface (which pairs race) must be the same at every rung — streaming
-// changes delivery, triage changes attribution, neither changes results.
+// identity matrix, over richTrace ("default") and one fixture per
+// provenance tier: races no rung proves ("notriage"), and races the shb
+// and syncp rungs prove. With and without witnesses the daemon's report
+// must be bit-identical to a batch run's, and the two must agree on which
+// pairs race and on every race's tier — the witness request sends the
+// ladder-proved pairs to the solver instead of the fast path, and neither
+// streaming nor the solver may change a verdict or its provenance.
 func TestStreamTriageRungsMatchBatch(t *testing.T) {
-	tr := richTrace()
-	rungs := []struct{ name, level string }{
-		{"default", ""}, {"notriage", "off"}, {"shb", "shb"}, {"syncp", "syncp"},
+	cases := []struct {
+		name, tier string // tier "" puts no constraint on the races' tiers
+		tr         *trace.Trace
+	}{
+		{"default", "", richTrace()},
+		{"notriage", "smt", fixtures.TierRaces("smt", 6)},
+		{"shb", "shb", fixtures.TierRaces("shb", 6)},
+		{"syncp", "syncp", fixtures.TierRaces("syncp", 6)},
 	}
-	var baseline map[string]bool
-	for _, rung := range rungs {
-		t.Run(rung.name, func(t *testing.T) {
-			opt := rvpredict.Options{WindowSize: 24, Witness: true, TriageLevel: rung.level}
-			_, addr := startDaemon(t, stream.Options{
-				StateDir: t.TempDir(),
-				Detect:   opt,
-			})
-			got := normalize(streamed(t, addr, "tok", tr, 3))
-			want := normalize(batchReport(t, tr, opt))
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("stream report differs from batch at this rung:\n got %+v\nwant %+v", got, want)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var surfaces [2]map[string]bool
+			for i, witness := range []bool{false, true} {
+				opt := rvpredict.Options{WindowSize: 24, Witness: witness}
+				_, addr := startDaemon(t, stream.Options{
+					StateDir: t.TempDir(),
+					Detect:   opt,
+				})
+				got := normalize(streamed(t, addr, "tok", c.tr, 3))
+				want := normalize(batchReport(t, c.tr, opt))
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("witness=%v: stream report differs from batch:\n got %+v\nwant %+v", witness, got, want)
+				}
+				if len(got.Races) == 0 {
+					t.Fatal("fixture found no races; the comparison is vacuous")
+				}
+				surfaces[i] = make(map[string]bool, len(got.Races))
+				for _, r := range got.Races {
+					if c.tier != "" && r.Provenance.Tier != c.tier {
+						t.Errorf("race %d,%d has tier %q, want %q", r.First, r.Second, r.Provenance.Tier, c.tier)
+					}
+					surfaces[i][fmt.Sprintf("%d/%d/%s/%s", r.First, r.Second, r.Description, r.Provenance.Tier)] = true
+				}
 			}
-			if len(got.Races) == 0 {
-				t.Fatal("fixture found no races; rung comparison is vacuous")
-			}
-			verdicts := make(map[string]bool, len(got.Races))
-			for _, r := range got.Races {
-				verdicts[fmt.Sprintf("%d/%d/%s", r.First, r.Second, r.Description)] = true
-			}
-			if baseline == nil {
-				baseline = verdicts
-			} else if !reflect.DeepEqual(verdicts, baseline) {
-				t.Errorf("verdict surface differs across rungs: %v vs %v", verdicts, baseline)
+			if !reflect.DeepEqual(surfaces[0], surfaces[1]) {
+				t.Errorf("verdicts differ with a witness request: %v vs %v", surfaces[1], surfaces[0])
 			}
 		})
 	}
 }
 
 // TestStreamTriageCountersMatchBatch: the daemon derives its detector
-// options through the same mapping as a batch run, so the triage level
-// reaches its sessions. At the shb rung the daemon's triage counters must
-// equal a batch run's — the syncp rung, which the fixture does exercise
-// at the default level, must stay silent.
+// options through the same mapping as a batch run, so its sessions run
+// the same triage ladder. level names how far up the ladder the fixture's
+// races need to go: "shb", or "" for the whole ladder (syncp). The
+// daemon's triage counters must equal a batch run's, and only the syncp
+// fixture may exercise the syncp rung.
 func TestStreamTriageCountersMatchBatch(t *testing.T) {
-	// Each block races x across two lock-ordered but non-conflicting
-	// critical sections: HB (and so SHB) orders the pair, and only the
-	// sync-preserving witness — swapping the sections — confirms it.
-	b := trace.NewBuilder()
-	lk := trace.Addr(1)
-	for i := 0; i < 6; i++ {
-		l := trace.Loc(100 * (i + 1))
-		x, u := trace.Addr(10+2*i), trace.Addr(11+2*i)
-		b.Acquire(1, lk)
-		b.At(l+1).Write(1, x, 1)
-		b.Release(1, lk)
-		b.Acquire(2, lk)
-		b.At(l+2).Write(2, u, 1)
-		b.Release(2, lk)
-		b.At(l+3).Read(2, x)
-	}
-	tr := b.Trace()
 	for _, level := range []string{"", "shb"} {
 		t.Run("level="+level, func(t *testing.T) {
-			opt := rvpredict.Options{WindowSize: 24, Witness: true, TriageLevel: level}
+			tier := level
+			if tier == "" {
+				tier = "syncp"
+			}
+			tr := fixtures.TierRaces(tier, 6)
+			opt := rvpredict.Options{WindowSize: 24, Witness: true}
 			col := telemetry.NewCollector()
 			_, addr := startDaemon(t, stream.Options{StateDir: t.TempDir(), Detect: opt, Collector: col})
 			streamed(t, addr, "tok", tr, 3)
@@ -252,9 +252,9 @@ func TestStreamTriageCountersMatchBatch(t *testing.T) {
 				got.Dispatched != want.Dispatched {
 				t.Errorf("daemon triage counters %+v, batch %+v", got, want)
 			}
-			if (level == "shb") != (want.SyncPConfirmed == 0) {
-				t.Errorf("batch syncp_confirmed = %d at level %q; the fixture must exercise the syncp rung by default only",
-					want.SyncPConfirmed, level)
+			if (tier == "shb") != (want.SyncPConfirmed == 0) {
+				t.Errorf("batch syncp_confirmed = %d on the %s fixture; only the syncp fixture may exercise the syncp rung",
+					want.SyncPConfirmed, tier)
 			}
 		})
 	}

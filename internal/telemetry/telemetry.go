@@ -659,9 +659,9 @@ func (c *Collector) AddQueueWait(d time.Duration) {
 	c.queueWait.Add(int64(d))
 }
 
-// CountTriageConfirmed tallies one COP soundly confirmed as a race by the
-// triage ladder without a solver query, attributed to the cheapest rung
-// that proves it: "shb" (epoch/clock fast path) or "syncp"
+// CountTriageConfirmed tallies one COP the triage ladder soundly proves
+// racy, so its solver query may be skipped, attributed to the cheapest
+// rung that proves it: "shb" (epoch/clock fast path) or "syncp"
 // (sync-preserving witness). Unknown tiers count as "shb" defensively.
 func (c *Collector) CountTriageConfirmed(tier string) {
 	if c == nil {
@@ -674,8 +674,9 @@ func (c *Collector) CountTriageConfirmed(tier string) {
 	}
 }
 
-// CountTriageDispatched tallies one COP the triage tier could not decide,
-// dispatched to the SMT pair scheduler unchanged.
+// CountTriageDispatched tallies one COP the triage ladder could not
+// prove — or, under the NoQuickCheck ablation, a quick-check failure it
+// never classifies — dispatched to the SMT pair scheduler unchanged.
 func (c *Collector) CountTriageDispatched() {
 	if c == nil {
 		return

@@ -46,7 +46,6 @@ func TestIntrospectionConcurrentWithDetection(t *testing.T) {
 		Witness:         true,
 		Parallelism:     2,
 		PairParallelism: 2,
-		TriageLevel:     "off", // force solver work so the run has real duration
 	}
 	quiet, err := rvpredict.Run(nil, tr, base)
 	if err != nil {

@@ -24,9 +24,6 @@ func TestValidateRejectsEachBadCombination(t *testing.T) {
 		{"negative first-pass timeout", rvpredict.Options{FirstPassTimeout: -1}, "FirstPassTimeout"},
 		{"negative global budget", rvpredict.Options{GlobalBudget: -1}, "GlobalBudget"},
 		{"negative conflict budget", rvpredict.Options{MaxConflicts: -1}, "MaxConflicts"},
-		{"unknown triage level", rvpredict.Options{TriageLevel: "hb"}, "TriageLevel"},
-		{"retired wcp triage level", rvpredict.Options{TriageLevel: "wcp"}, "TriageLevel"},
-		{"retired cp triage level", rvpredict.Options{TriageLevel: "cp"}, "TriageLevel"},
 		{"resume without a journal", rvpredict.Options{Resume: true}, "Resume"},
 		{"journal on a non-RV algorithm", rvpredict.Options{Journal: "j", Algorithm: rvpredict.HappensBefore}, "Journal"},
 		{"negative group-commit interval", rvpredict.Options{Journal: "j", JournalGroupCommit: -1}, "JournalGroupCommit"},
@@ -67,9 +64,6 @@ func TestValidateAcceptsDefinedOptions(t *testing.T) {
 		{"journal with defaults", rvpredict.Options{Journal: "j"}},
 		{"resume with journal", rvpredict.Options{Journal: "j", Resume: true}},
 		{"full parallel matrix", rvpredict.Options{Parallelism: 8, PairParallelism: 8}},
-		{"explicit default rung", rvpredict.Options{TriageLevel: "syncp"}},
-		{"lowest rung", rvpredict.Options{TriageLevel: "shb"}},
-		{"triage off", rvpredict.Options{TriageLevel: "off"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -96,11 +96,11 @@ func TestInterruptedKeyAlwaysPresent(t *testing.T) {
 func TestWindowFailuresSurfaceInReport(t *testing.T) {
 	inj := faultinject.New().
 		Script(faultinject.Scoped(faultinject.PointSolve, 1), 0, faultinject.FaultPanic)
-	// Triage off: the fault script targets the scripted window's first
+	// Witness: the fault script targets the scripted window's first
 	// solver query, which the triage fast path would otherwise skip.
 	rep := rvpredict.Detect(racyWindows(), rvpredict.Options{
 		WindowSize:    50,
-		TriageLevel:   "off",
+		Witness:       true,
 		FaultInjector: inj,
 		Telemetry:     true,
 	})
@@ -134,11 +134,11 @@ func TestWindowFailuresSurfaceInReport(t *testing.T) {
 // adaptive scheduler: PairsRetried and the telemetry tallies.
 func TestTwoPassRetrySurfacesInReport(t *testing.T) {
 	inj := faultinject.New().Script(faultinject.PointSolve, 0, faultinject.FaultTimeout)
-	// Triage off: the injected timeout targets the first solver query,
-	// which the triage fast path would otherwise skip entirely.
+	// Witness: the injected timeout targets the first solver query, which
+	// the triage fast path would otherwise skip entirely.
 	rep := rvpredict.Detect(racyWindows(), rvpredict.Options{
 		WindowSize:       50,
-		TriageLevel:      "off",
+		Witness:          true,
 		FirstPassTimeout: 50 * time.Millisecond,
 		FaultInjector:    inj,
 		Telemetry:        true,

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/fixtures"
 	"repro/internal/journal"
 	"repro/rvpredict"
 	"repro/trace"
@@ -46,16 +47,16 @@ func runOpts() rvpredict.Options {
 	}
 }
 
-// tornJournal runs one complete journaled run of the fixture and returns
-// the journal bytes with the final record's tail torn off, simulating a
-// crash between the last record's first byte and its fsync.
-func tornJournal(t *testing.T) []byte {
+// tornJournal runs one complete journaled run of tr and returns the
+// journal bytes with the final record's tail torn off, simulating a crash
+// between the last record's first byte and its fsync.
+func tornJournal(t *testing.T, tr *trace.Trace) []byte {
 	t.Helper()
 	dir := t.TempDir()
 	path := filepath.Join(dir, "full.journal")
 	opt := runOpts()
 	opt.Journal = path
-	if _, err := rvpredict.Run(nil, resumeFixture(), opt); err != nil {
+	if _, err := rvpredict.Run(nil, tr, opt); err != nil {
 		t.Fatalf("journaled run failed: %v", err)
 	}
 	data, err := os.ReadFile(path)
@@ -68,43 +69,59 @@ func tornJournal(t *testing.T) []byte {
 	return data[:len(data)-3]
 }
 
-// TestResumeMatrixBitIdentical is the PR's acceptance test: a journal torn
-// mid-record, resumed under every parallelism × triage combination, must
+// TestResumeMatrixBitIdentical is the journal's acceptance test: a journal
+// torn mid-record, resumed under every parallelism combination, must
 // produce a report identical to that combination's uninterrupted run —
-// replaying the intact windows without re-entering the solver.
+// replaying the intact windows without re-entering the solver. It runs
+// over resumeFixture ("triage") and over one fixture per provenance tier:
+// races no rung proves ("notriage"), and races the shb and syncp rungs
+// prove.
 func TestResumeMatrixBitIdentical(t *testing.T) {
-	torn := tornJournal(t)
-	tr := resumeFixture()
+	cases := []struct {
+		name, tier string // tier "" puts no constraint on the races' tiers
+		tr         *trace.Trace
+	}{
+		{"triage", "", resumeFixture()},
+		{"notriage", "smt", fixtures.TierRaces("smt", 4)},
+		{"shb", "shb", fixtures.TierRaces("shb", 4)},
+		{"syncp", "syncp", fixtures.TierRaces("syncp", 4)},
+	}
+	torn := make([][]byte, len(cases))
+	for i, fx := range cases {
+		torn[i] = tornJournal(t, fx.tr)
+	}
 
 	type combo struct {
 		name         string
 		par, pairPar int
-		level        string
+		fx           int
 	}
 	var combos []combo
 	for _, par := range []int{0, 2} {
 		for _, pairPar := range []int{0, 2} {
-			for _, tri := range []struct{ name, level string }{
-				{"triage", ""}, {"notriage", "off"}, {"shb", "shb"}, {"syncp", "syncp"},
-			} {
-				combos = append(combos, combo{
-					name: tri.name, par: par, pairPar: pairPar, level: tri.level,
-				})
+			for i, fx := range cases {
+				combos = append(combos, combo{name: fx.name, par: par, pairPar: pairPar, fx: i})
 			}
 		}
 	}
 
 	for _, c := range combos {
 		t.Run(c.name, func(t *testing.T) {
+			tr, torn, tier := cases[c.fx].tr, torn[c.fx], cases[c.fx].tier
 			base := runOpts()
 			base.Parallelism, base.PairParallelism = c.par, c.pairPar
-			base.TriageLevel = c.level
 			clean, err := rvpredict.Run(nil, tr, base)
 			if err != nil {
 				t.Fatalf("clean run failed: %v", err)
 			}
 			if len(clean.Races) == 0 {
 				t.Fatal("expected races in the fixture")
+			}
+			for _, r := range clean.Races {
+				if tier != "" && r.Provenance.Tier != tier {
+					t.Fatalf("race %d,%d has tier %q, want %q (fixture drifted)",
+						r.First, r.Second, r.Provenance.Tier, tier)
+				}
 			}
 
 			path := filepath.Join(t.TempDir(), "torn.journal")
@@ -132,18 +149,16 @@ func TestResumeMatrixBitIdentical(t *testing.T) {
 				t.Errorf("par %d × pairPar %d: records_written = %d, want ≥ 1 (the lost window re-journals)", c.par, c.pairPar, jm.RecordsWritten)
 			}
 
-			// Replayed windows never re-enter the solver. Triage can
-			// legitimately drive live queries to zero, so the strict
-			// comparison runs where the solver is guaranteed busy.
-			if c.level == "off" {
-				cs, rs := clean.Telemetry.Outcomes.Solved, resumed.Telemetry.Outcomes.Solved
-				if cs == 0 {
-					t.Fatal("clean triage-off run issued no solver queries (fixture drifted)")
-				}
-				if rs >= cs {
-					t.Errorf("par %d × pairPar %d: resume solved %d queries, want strictly fewer than the clean run's %d",
-						c.par, c.pairPar, rs, cs)
-				}
+			// Replayed windows never re-enter the solver. The witness
+			// request sends every pair to the solver, so it is busy in
+			// every window.
+			cs, rs := clean.Telemetry.Outcomes.Solved, resumed.Telemetry.Outcomes.Solved
+			if cs == 0 {
+				t.Fatal("clean run issued no solver queries (fixture drifted)")
+			}
+			if rs >= cs {
+				t.Errorf("par %d × pairPar %d: resume solved %d queries, want strictly fewer than the clean run's %d",
+					c.par, c.pairPar, rs, cs)
 			}
 
 			// Races from the three replayed windows must say so; the
@@ -229,7 +244,6 @@ func TestResumeFingerprintMismatch(t *testing.T) {
 		ok := opt
 		ok.Resume = true
 		ok.Parallelism, ok.PairParallelism = 2, 2
-		ok.TriageLevel = "off"
 		ok.JournalGroupCommit = 1 // sync every append
 		if _, err := rvpredict.Run(nil, resumeFixture(), ok); err != nil {
 			t.Fatalf("resume under different observational options failed: %v", err)
@@ -242,7 +256,7 @@ func TestResumeFingerprintMismatch(t *testing.T) {
 // Resume starts a fresh journal over it and reports exactly what a clean
 // run does.
 func TestResumeOlderJournalStartsFresh(t *testing.T) {
-	old := tornJournal(t)
+	old := tornJournal(t, resumeFixture())
 	old[len(journal.Magic)] = journal.Version - 1 // the one-byte version varint
 	opt := runOpts()
 	opt.Journal = filepath.Join(t.TempDir(), "old.journal")

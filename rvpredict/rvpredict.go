@@ -177,15 +177,6 @@ type Options struct {
 	// run (see core.Options.PairParallelism). The two knobs compose under
 	// one worker budget of max(Parallelism, PairParallelism).
 	PairParallelism int
-	// TriageLevel caps the sound triage ladder of the MaximalCF detector,
-	// which confirms candidate pairs as races without a solver query:
-	// "off" (every pair goes to the solver), "shb" (vector clocks only)
-	// or "syncp" (adds the sync-preserving witness check — the default,
-	// also spelled ""). Every level produces a bit-identical report
-	// (absent real wall-clock solver timeouts); the knob trades
-	// per-window analysis time against solver queries. Unknown values
-	// fail Validate. See core.Options.TriageLevel and doc/performance.md.
-	TriageLevel string
 	// Telemetry attaches a Telemetry metrics snapshot to the report:
 	// phase timings, solver counters and outcome tallies. Collection is
 	// allocation-light but not free; leave it off on hot paths. Enabling
@@ -330,11 +321,6 @@ func (o Options) Validate() error {
 	if o.MaxConflicts < 0 {
 		return &OptionsError{Field: "MaxConflicts", Reason: "negative; use 0 for an unbounded search"}
 	}
-	switch o.TriageLevel {
-	case "", "off", "shb", "syncp":
-	default:
-		return &OptionsError{Field: "TriageLevel", Reason: fmt.Sprintf("%q; want off, shb or syncp (empty for the default)", o.TriageLevel)}
-	}
 	if o.Resume && o.Journal == "" {
 		return &OptionsError{Field: "Resume", Reason: "requires Journal: there is nothing to resume from"}
 	}
@@ -371,10 +357,9 @@ func (o Options) Validate() error {
 // exactly the options that change what a window's outcome contains —
 // algorithm, windowing, solver budgets and witness production — and
 // deliberately excludes the options guaranteed result-identical
-// (Parallelism, PairParallelism, triage mode) plus everything
-// observational (telemetry, tracing, the journal knobs themselves), so a
-// journal written under one parallelism/triage setting resumes under any
-// other. Options are normalised first: equivalent spellings (zero vs the
+// (Parallelism, PairParallelism) plus everything observational
+// (telemetry, tracing, the journal knobs themselves), so a journal
+// written under one parallelism setting resumes under any other. Options are normalised first: equivalent spellings (zero vs the
 // explicit default) hash equal.
 func (o Options) fingerprintString() string {
 	n := o.normalise()
@@ -427,7 +412,6 @@ func (o Options) CoreOptions() core.Options {
 		Witness:          o.Witness,
 		Parallelism:      o.Parallelism,
 		PairParallelism:  o.PairParallelism,
-		TriageLevel:      o.TriageLevel,
 		Tracer:           o.Tracer,
 	}
 }
@@ -454,11 +438,12 @@ func (o Options) ResultFingerprint() string { return o.fingerprintString() }
 // Provenance records, for one reported race, which confirming tier
 // established it (SHB or SyncP triage, the SMT solver, or a baseline
 // detector's fixed tier), in which analysis window, and — when the SMT
-// solver ran — what the query cost. It is attributed at merge time from
-// the window's relations, so it is identical whichever execution
-// strategy produced the report (sequential, window- or pair-parallel,
-// triage on or off, resumed from a journal); only the operational
-// Replayed flag reflects how this particular run obtained the window.
+// solver ran — what the query cost. The tier comes from the window's
+// triage partition, which classifies every pair once, so provenance is
+// identical whichever execution strategy produced the report
+// (sequential, window- or pair-parallel, resumed from a journal); only
+// the operational Replayed flag reflects how this particular run
+// obtained the window.
 type Provenance = race.Provenance
 
 // Race is one detected data race.

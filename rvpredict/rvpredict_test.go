@@ -141,8 +141,8 @@ func TestCoreOptionsMapsNormalisedSentinels(t *testing.T) {
 	if c.WindowSize != 10000 || c.SolveTimeout != 60*time.Second {
 		t.Errorf("defaults: window %d, solve %v; want 10000, 60s", c.WindowSize, c.SolveTimeout)
 	}
-	c = rvpredict.Options{TriageLevel: "shb", Witness: true, MaxConflicts: 7}.Normalised().CoreOptions()
-	if c.TriageLevel != "shb" || !c.Witness || c.MaxConflicts != 7 {
+	c = rvpredict.Options{Witness: true, MaxConflicts: 7}.Normalised().CoreOptions()
+	if !c.Witness || c.MaxConflicts != 7 {
 		t.Errorf("fields not carried: %+v", c)
 	}
 }

@@ -2,14 +2,16 @@
 # Benchmark snapshot runner: runs the detection benchmark families at a
 # fixed iteration count and writes a machine-readable JSON snapshot
 # (BENCH_<n>.json at the repo root) so performance regressions show up as
-# ordinary review diffs. See doc/performance.md.
+# ordinary review diffs. See doc/performance.md. The output path is
+# required: the committed snapshots are baselines (CI gates against
+# BENCH_9.json), and a run must never overwrite one by default.
 #
 # Usage:
-#   scripts/bench.sh [out.json]              # default out: BENCH_9.json
+#   scripts/bench.sh out.json                # bench, write the snapshot
 #   scripts/bench.sh compare old.json new.json   # diff two snapshots only
-#   COMPARE=BENCH_3.json scripts/bench.sh    # bench, then diff vs a snapshot
-#   BENCHTIME=10x scripts/bench.sh           # more iterations, steadier numbers
-#   BENCH=BenchmarkPairParallelDetect scripts/bench.sh   # one family only
+#   COMPARE=BENCH_3.json scripts/bench.sh out.json   # bench, then diff vs a snapshot
+#   BENCHTIME=10x scripts/bench.sh out.json  # more iterations, steadier numbers
+#   BENCH=BenchmarkPairParallelDetect scripts/bench.sh out.json   # one family only
 #
 # Compare mode prints per-benchmark ns/op and allocs/op deltas and flags
 # changes beyond 10% (informational by default; bench_compare.py --strict
@@ -31,7 +33,11 @@ if [[ "${1:-}" == "compare" ]]; then
   exec python3 scripts/bench_compare.py "$@"
 fi
 
-out="${1:-BENCH_9.json}"
+if [[ $# -ne 1 ]]; then
+  echo "usage: scripts/bench.sh out.json | scripts/bench.sh compare old.json new.json" >&2
+  exit 2
+fi
+out="$1"
 benchtime="${BENCHTIME:-3x}"
 bench="${BENCH:-^(BenchmarkDetect|BenchmarkPairParallelDetect|BenchmarkJournalDetect|BenchmarkTelemetryOverhead|BenchmarkStreamIngest|BenchmarkChunkedDetect)$}"
 
