@@ -132,6 +132,7 @@ func BenchmarkDetect(b *testing.B) {
 				Telemetry: col}).Detect(tr)
 			m := col.Snapshot()
 			b.ReportMetric(float64(m.Solver.Decisions), "decisions")
+			b.ReportMetric(float64(m.Solver.TheoryProps), "theory_propagations")
 			b.ReportMetric(float64(m.Solver.Propagations), "propagations")
 			b.ReportMetric(float64(m.Solver.Conflicts), "conflicts")
 			b.ReportMetric(float64(m.Outcomes.Solved), "queries")

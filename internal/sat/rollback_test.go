@@ -14,19 +14,18 @@ type solverState struct {
 	watches    [][]watcher
 	clauses    []*clause
 	clauseLits [][]Lit
+	nextDefs   []*clause // clauses[i].nextDef
+	roots      []*clause
+	firstDef   []*clause
 	nLearnts   int
-	heapData   []Var
-	heapPos    []int32
 	assign     []Value
 	level      []int32
 	reason     []*clause
 	phase      []bool
-	activity   []float64
 	trail      []Lit
 	trailLim   []int
 	qhead      int
 	thead      int
-	varInc     float64
 	clauseInc  float64
 	rootUnsat  bool
 }
@@ -35,19 +34,17 @@ func captureState(s *Solver) solverState {
 	st := solverState{
 		watches:   make([][]watcher, len(s.watches)),
 		clauses:   slices.Clone(s.clauses),
+		roots:     slices.Clone(s.roots),
+		firstDef:  slices.Clone(s.firstDef),
 		nLearnts:  len(s.learnts),
-		heapData:  slices.Clone(s.heap.data),
-		heapPos:   slices.Clone(s.heap.pos),
 		assign:    slices.Clone(s.assign),
 		level:     slices.Clone(s.level),
 		reason:    slices.Clone(s.reason),
 		phase:     slices.Clone(s.phase),
-		activity:  slices.Clone(s.activity),
 		trail:     slices.Clone(s.trail),
 		trailLim:  slices.Clone(s.trailLim),
 		qhead:     s.qhead,
 		thead:     s.thead,
-		varInc:    s.varInc,
 		clauseInc: s.clauseInc,
 		rootUnsat: s.rootUnsat,
 	}
@@ -56,6 +53,7 @@ func captureState(s *Solver) solverState {
 	}
 	for _, c := range s.clauses {
 		st.clauseLits = append(st.clauseLits, slices.Clone(c.lits))
+		st.nextDefs = append(st.nextDefs, c.nextDef)
 	}
 	return st
 }
@@ -80,12 +78,14 @@ func stateDiff(want, got solverState) string {
 		}
 	}
 	switch {
+	case !slices.Equal(want.nextDefs, got.nextDefs):
+		return "definition links differ"
+	case !slices.Equal(want.roots, got.roots):
+		return fmt.Sprintf("%d root clauses (or different identities), want %d", len(got.roots), len(want.roots))
+	case !slices.Equal(want.firstDef, got.firstDef):
+		return "definition index differs"
 	case want.nLearnts != got.nLearnts:
 		return fmt.Sprintf("%d learned clauses, want %d", got.nLearnts, want.nLearnts)
-	case !slices.Equal(want.heapData, got.heapData):
-		return "heap.data differs"
-	case !slices.Equal(want.heapPos, got.heapPos):
-		return "heap.pos differs"
 	case !slices.Equal(want.assign, got.assign):
 		return "assign differs"
 	case !slices.Equal(want.level, got.level):
@@ -94,16 +94,14 @@ func stateDiff(want, got solverState) string {
 		return "reason differs"
 	case !slices.Equal(want.phase, got.phase):
 		return "phase differs"
-	case !slices.Equal(want.activity, got.activity):
-		return "activity differs"
 	case !slices.Equal(want.trail, got.trail):
 		return fmt.Sprintf("trail %v, want %v", got.trail, want.trail)
 	case !slices.Equal(want.trailLim, got.trailLim):
 		return "trailLim differs"
 	case want.qhead != got.qhead || want.thead != got.thead:
 		return fmt.Sprintf("qhead/thead %d/%d, want %d/%d", got.qhead, got.thead, want.qhead, want.thead)
-	case want.varInc != got.varInc || want.clauseInc != got.clauseInc:
-		return "varInc/clauseInc differ"
+	case want.clauseInc != got.clauseInc:
+		return "clauseInc differs"
 	case want.rootUnsat != got.rootUnsat:
 		return "rootUnsat differs"
 	}
@@ -112,11 +110,13 @@ func stateDiff(want, got solverState) string {
 
 // amoTheory is a stub theory: among its relevant variables, those with the
 // same value mod 4 form a group in which at most one may be true. It
-// produces theory conflicts of two literals.
+// produces theory conflicts of two literals. Its model leaves every
+// unasserted variable false; Check snapshots the asserted literals.
 type amoTheory struct {
 	nRel  Var
 	stack []Lit
 	marks []int
+	model []Lit
 }
 
 func (t *amoTheory) Relevant(v Var) bool { return v < t.nRel }
@@ -141,7 +141,10 @@ func (t *amoTheory) Pop(n int) {
 	t.stack = t.stack[:m]
 }
 
-func (t *amoTheory) Check() []Lit { return nil }
+func (t *amoTheory) Check() []Lit {
+	t.model = append(t.model[:0], t.stack...)
+	return nil
+}
 
 // rollbackFixture is a random 3-SAT base formula, checkpointed, plus a
 // generator of random queries against it.
@@ -166,12 +169,21 @@ func newRollbackFixture(seed int64, nVars, nClauses int, theory bool) *rollbackF
 	for i := 0; i < nVars; i++ {
 		f.vars = append(f.vars, f.s.NewVar())
 	}
+	// A clause whose first literal is ¬h for a variable h the theory
+	// does not watch is added as a definition of h, so the frontier has
+	// chains to follow and queries can extend a checkpoint head's
+	// definitions; the formula is the same either way.
 	for i := 0; i < nClauses; i++ {
-		f.s.AddClause(f.randLit(), f.randLit(), f.randLit())
+		a, b, c := f.randLit(), f.randLit(), f.randLit()
+		if !a.Positive() && (f.th == nil || a.Var() >= f.th.nRel) {
+			f.s.AddDef(a.Var(), b, c)
+		} else {
+			f.s.AddClause(a, b, c)
+		}
 	}
 	// Some root-level facts, so the checkpoint has a non-empty trail.
 	f.s.AddClause(f.randLit())
-	f.s.Solve() // leaves learned clauses and bumped activities for Checkpoint to canonicalise
+	f.s.Solve() // leaves learned clauses and a saved phase for Checkpoint to canonicalise
 	f.checkpoint()
 	return f
 }
@@ -189,12 +201,29 @@ func (f *rollbackFixture) randLit() Lit {
 	return MkLit(f.vars[f.rng.Intn(len(f.vars))], f.rng.Intn(2) == 0)
 }
 
-// query is one random group: guarded clauses over the base variables,
-// optionally a root-level unit fact, solved under the guard.
+// randHead returns a base variable that may head definitions: one the
+// stub theory does not watch. ok is false when there is none.
+func (f *rollbackFixture) randHead() (Var, bool) {
+	first := 0
+	if f.th != nil {
+		first = int(f.th.nRel)
+	}
+	if first >= len(f.vars) {
+		return 0, false
+	}
+	return f.vars[first+f.rng.Intn(len(f.vars)-first)], true
+}
+
+// query is one random group: clauses over the base variables defining
+// a fresh guard, optionally a root-level unit fact and a definition of a
+// base head, solved under the guard.
 type query struct {
 	clauses [][3]Lit
 	unit    Lit
 	hasUnit bool
+	head    Var
+	headDef [2]Lit
+	hasDef  bool
 }
 
 func (f *rollbackFixture) newQuery(n int) query {
@@ -205,6 +234,10 @@ func (f *rollbackFixture) newQuery(n int) query {
 	if f.rng.Intn(3) == 0 {
 		q.unit, q.hasUnit = f.randLit(), true
 	}
+	if f.rng.Intn(2) == 0 {
+		q.head, q.hasDef = f.randHead()
+		q.headDef = [2]Lit{f.randLit(), f.randLit()}
+	}
 	return q
 }
 
@@ -214,10 +247,13 @@ func (f *rollbackFixture) run(q query) (Result, []Value) {
 	s := f.s
 	g := s.NewVar()
 	for _, c := range q.clauses {
-		s.AddClause(MkLit(g, false), c[0], c[1], c[2])
+		s.AddDef(g, c[0], c[1], c[2])
 	}
 	if q.hasUnit {
 		s.AddClause(q.unit)
+	}
+	if q.hasDef {
+		s.AddDef(q.head, q.headDef[0], q.headDef[1])
 	}
 	r := s.SolveAssuming([]Lit{MkLit(g, true)})
 	m := make([]Value, len(f.vars))

@@ -7,8 +7,11 @@
 // repository re-implements the needed solver stack from scratch (see
 // DESIGN.md, substitutions). The solver is deliberately classical:
 // two-watched-literal propagation, first-UIP conflict analysis with clause
-// learning and non-chronological backjumping, VSIDS-style variable activity,
-// phase saving, and Luby restarts.
+// learning and non-chronological backjumping, phase saving, and Luby
+// restarts. Decisions follow a justification frontier instead of a
+// variable-activity heap: the search only assigns what the root clauses,
+// and the definitions of the heads it has made true, need (see
+// SolveAssuming), and it answers Sat as soon as all of those hold.
 package sat
 
 import (
@@ -75,8 +78,17 @@ func (v Value) neg() Value {
 
 // Theory is the interface between the SAT core and a theory solver, in the
 // DPLL(T) style. The solver informs the theory of every assignment to a
-// theory-relevant literal, in trail order, and asks it to validate partial
-// and full assignments. All methods are called from Solve only.
+// theory-relevant literal, in trail order, and asks it to validate the
+// assignment once every clause the search must justify holds. All methods
+// are called from Solve and Checkpoint only.
+//
+// The assignment the solver answers Sat on is partial: variables nothing
+// justified stay unassigned (see SolveAssuming). The theory must therefore
+// decide the asserted literals on their own. Check's nil verdict must
+// hold for every extension of them that gives each unasserted relevant
+// variable its value in the theory's model; an assertion-complete theory
+// (IDL: feasible potentials decide every atom) meets that by construction.
+// A relevant variable must not be the head of a definition (AddDef).
 type Theory interface {
 	// Relevant reports whether assignments to v concern the theory. The
 	// solver only forwards relevant literals to Assert.
@@ -97,11 +109,12 @@ type Theory interface {
 	// asserted since.
 	Pop(levels int)
 
-	// Check performs a final consistency check on a full assignment. A nil
-	// conflict means the theory accepts the model; since the solver
-	// backtracks (and hence pops the theory) before Solve returns, a theory
-	// wishing to expose model values should snapshot them during the
-	// successful Check call.
+	// Check performs the final consistency check on the asserted
+	// literals. A nil conflict means the theory accepts them, together
+	// with its model's value for every relevant variable left unasserted;
+	// since the solver backtracks (and hence pops the theory) before Solve
+	// returns, a theory wishing to expose model values should snapshot
+	// them during the successful Check call.
 	Check() (conflict []Lit)
 }
 
@@ -111,7 +124,10 @@ var ErrUnsat = errors.New("sat: formula is unsatisfiable at root level")
 
 type clause struct {
 	lits []Lit
-	act  float64
+	// nextDef links the definitions of one head, newest first, from
+	// Solver.firstDef; nil for root and learned clauses.
+	nextDef *clause
+	act     float64
 	// saved is the undo epoch (Solver.epoch) in which lits' checkpoint
 	// order was logged; a clause created since the last restore carries
 	// that restore's epoch, so it is never logged.
@@ -168,8 +184,13 @@ const (
 // New. A Solver may be reused for multiple Solve calls with growing clause
 // sets (incremental use), but is not safe for concurrent use.
 type Solver struct {
-	clauses []*clause // problem clauses
+	clauses []*clause // problem clauses: root clauses and definitions
+	roots   []*clause // the root clauses among them, in order
 	learnts []*clause // learned clauses
+
+	// firstDef is the newest definition of each head (AddDef); the rest
+	// follow through clause.nextDef.
+	firstDef []*clause
 
 	watches [][]watcher // indexed by Lit
 
@@ -183,9 +204,10 @@ type Solver struct {
 	qhead    int   // propagation queue head
 	thead    int   // theory assertion queue head
 
-	activity []float64
-	varInc   float64
-	heap     varHeap
+	// cur is the justification frontier's scan position; cursors holds
+	// its value at the opening of each decision level.
+	cur     cursor
+	cursors []cursor
 
 	clauseInc float64
 
@@ -237,6 +259,9 @@ type Solver struct {
 	// in undoLits.
 	undoClause [][]Lit
 	undoLits   []Lit
+	// undoDef logs, in order, each checkpoint head's first definition
+	// before a later AddDef replaced it.
+	undoDef []defSave
 	// watchLogStale is set by rebuildWatches: every list was rewritten
 	// wholesale, so Rollback must rebuild them instead of replaying.
 	watchLogStale bool
@@ -248,12 +273,26 @@ type watchSave struct {
 	n   int32
 }
 
+// defSave is one logged definition-index entry.
+type defSave struct {
+	head  Var
+	first *clause
+}
+
+// cursor is a position in the justification frontier, which has two
+// parts: for each positive literal on the trail in trail order, the
+// definitions of its variable; and the root clauses in order. Every
+// frontier clause before the cursor in either part is satisfied.
+type cursor struct {
+	trail int     // next trail position whose definitions to visit
+	def   *clause // next definition of the head at trail position trail-1
+	root  int     // next root clause
+}
+
 // New returns an empty solver. If theory is nil the solver is a plain SAT
 // solver.
 func New(theory Theory) *Solver {
-	s := &Solver{varInc: 1, clauseInc: 1, theory: theory}
-	s.heap.activity = &s.activity
-	return s
+	return &Solver{clauseInc: 1, theory: theory}
 }
 
 // NewVar allocates a fresh variable.
@@ -263,9 +302,8 @@ func (s *Solver) NewVar() Var {
 	s.level = append(s.level, 0)
 	s.reason = append(s.reason, nil)
 	s.phase = append(s.phase, false)
-	s.activity = append(s.activity, 0)
+	s.firstDef = append(s.firstDef, nil)
 	s.watches = append(s.watches, nil, nil)
-	s.heap.push(v)
 	return v
 }
 
@@ -292,11 +330,23 @@ func (s *Solver) value(l Lit) Value {
 	return v
 }
 
-// AddClause adds a clause at the root level. Duplicate literals are merged
-// and tautologies dropped. Returns ErrUnsat if the formula became
-// unsatisfiable at the root level (empty clause, or unit propagation from
-// it conflicts immediately).
-func (s *Solver) AddClause(lits ...Lit) error {
+// AddClause adds a root clause at the root level: a clause every model
+// must satisfy, so the search justifies it in every query. Duplicate
+// literals are merged and tautologies dropped. Returns ErrUnsat if the
+// formula became unsatisfiable at the root level (empty clause, or unit
+// propagation from it conflicts immediately).
+func (s *Solver) AddClause(lits ...Lit) error { return s.addClause(-1, lits) }
+
+// AddDef adds the clause ¬head ∨ lits at the root level as a definition
+// of head: the search justifies it only while head is true, and a model
+// leaves head false wherever nothing needed it (see SolveAssuming). head
+// must not be theory-relevant. If head is already true at the root, the
+// clause is a root clause. Normalisation and errors are AddClause's.
+func (s *Solver) AddDef(head Var, lits ...Lit) error { return s.addClause(head, lits) }
+
+// addClause adds ¬head ∨ lits as a definition of head, or lits as a root
+// clause when head is negative.
+func (s *Solver) addClause(head Var, lits []Lit) error {
 	if s.rootUnsat {
 		return ErrUnsat
 	}
@@ -314,8 +364,16 @@ func (s *Solver) AddClause(lits ...Lit) error {
 		s.addMark = append(s.addMark, make([]uint32, n)...)
 	}
 	mark := s.addGen << 1
-	out := lits[:0:0]
-	for _, l := range lits {
+	n := len(lits)
+	if head >= 0 {
+		n++
+	}
+	out := make([]Lit, 0, n)
+	for i := len(lits) - n; i < len(lits); i++ { // i == -1 is ¬head
+		l := MkLit(head, false)
+		if i >= 0 {
+			l = lits[i]
+		}
 		v := l.Var()
 		if int(v) >= len(s.assign) {
 			panic("sat: literal references unallocated variable")
@@ -348,6 +406,15 @@ func (s *Solver) AddClause(lits ...Lit) error {
 	}
 	c := &clause{lits: out, saved: s.epoch}
 	s.clauses = append(s.clauses, c)
+	if head >= 0 && s.assign[head] == Unknown {
+		if s.ck != nil && int(head) < s.ck.nVars {
+			s.undoDef = append(s.undoDef, defSave{head, s.firstDef[head]})
+		}
+		c.nextDef = s.firstDef[head]
+		s.firstDef[head] = c
+	} else {
+		s.roots = append(s.roots, c)
+	}
 	s.watchClause(c)
 	return nil
 }
@@ -462,6 +529,18 @@ func (s *Solver) propagate() *clause {
 				continue
 			}
 			c := w.c
+			if len(c.lits) == 2 {
+				// A binary clause's blocker is its other literal: the
+				// clause is unit or conflicting as it stands.
+				kept = append(kept, w)
+				if s.value(w.blocker) == False {
+					conflict = c
+					s.qhead = len(s.trail)
+				} else {
+					s.enqueue(w.blocker, c)
+				}
+				continue
+			}
 			// Ensure the false literal (¬p) is lits[1].
 			np := p.Neg()
 			if c.lits[0] == np {
@@ -561,26 +640,18 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int32) {
 	var p Lit = -1
 	idx := len(s.trail) - 1
 
-	reasonLits := func(c *clause, skipFirst bool) []Lit {
-		if skipFirst {
-			return c.lits[1:]
-		}
-		return c.lits
-	}
-
 	c := confl
-	skip := false
 	for {
 		if c.learned {
 			s.bumpClause(c)
 		}
-		for _, q := range reasonLits(c, skip) {
+		// A reason clause holds the literal it implied, p, anywhere.
+		for _, q := range c.lits {
 			v := q.Var()
-			if seen[v] || s.level[v] == 0 {
+			if q == p || seen[v] || s.level[v] == 0 {
 				continue
 			}
 			seen[v] = true
-			s.bumpVar(v)
 			if s.level[v] == s.decisionLevel() {
 				counter++
 			} else {
@@ -602,20 +673,6 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int32) {
 		c = s.reason[p.Var()]
 		if c == nil {
 			panic("sat: decision literal reached before first UIP")
-		}
-		skip = c.lits[0] == p
-		if !skip {
-			// Theory-learned reasons may not have p first; locate and move.
-			if c.saved != s.epoch {
-				s.saveLits(c)
-			}
-			for i, l := range c.lits {
-				if l == p {
-					c.lits[0], c.lits[i] = c.lits[i], c.lits[0]
-					break
-				}
-			}
-			skip = true
 		}
 	}
 	learnt[0] = p.Neg()
@@ -674,19 +731,6 @@ func (s *Solver) redundant(q Lit, learnt []Lit) bool {
 	}
 	return true
 }
-
-func (s *Solver) bumpVar(v Var) {
-	s.activity[v] += s.varInc
-	if s.activity[v] > 1e100 {
-		for i := range s.activity {
-			s.activity[i] *= 1e-100
-		}
-		s.varInc *= 1e-100
-	}
-	s.heap.update(v)
-}
-
-func (s *Solver) decayVarActivity() { s.varInc /= 0.95 }
 
 func (s *Solver) bumpClause(c *clause) {
 	c.act += s.clauseInc
@@ -751,28 +795,81 @@ func (s *Solver) backtrack(level int32) {
 		s.assign[v] = Unknown
 		s.level[v] = 0
 		s.reason[v] = nil
-		s.heap.push(v)
 	}
 	s.trail = s.trail[:limit]
 	s.trailLim = s.trailLim[:level]
+	s.cur = s.cursors[level]
+	s.cursors = s.cursors[:level]
 	s.qhead = limit
 	if s.thead > limit {
 		s.thead = limit
 	}
 }
 
-// pickBranchLit selects the unassigned variable with highest activity,
-// using its saved phase.
-func (s *Solver) pickBranchLit() (Lit, bool) {
+// newLevel opens a decision level.
+func (s *Solver) newLevel() {
+	s.trailLim = append(s.trailLim, len(s.trail))
+	s.cursors = append(s.cursors, s.cur)
+	if s.theory != nil {
+		s.theory.Push()
+	}
+}
+
+// pickBranch returns the decision literal for the first unsatisfied
+// clause of the justification frontier, advancing the cursor past the
+// satisfied ones; ok is false when the whole frontier is satisfied. The
+// definitions come first: they hold the query's own cone, where its
+// conflicts are.
+func (s *Solver) pickBranch() (l Lit, ok bool) {
+	cur := &s.cur
 	for {
-		v, ok := s.heap.popMax()
-		if !ok {
-			return 0, false
+		for ; cur.def != nil; cur.def = cur.def.nextDef {
+			if l, ok := s.branchLit(cur.def); ok {
+				return l, true
+			}
 		}
-		if s.assign[v] == Unknown {
-			return MkLit(v, s.phase[v]), true
+		if cur.trail == len(s.trail) {
+			break
+		}
+		if t := s.trail[cur.trail]; t.Positive() {
+			cur.def = s.firstDef[t.Var()]
+		}
+		cur.trail++
+	}
+	for ; cur.root < len(s.roots); cur.root++ {
+		if l, ok := s.branchLit(s.roots[cur.root]); ok {
+			return l, true
 		}
 	}
+	return 0, false
+}
+
+// branchLit returns c's first unassigned literal that agrees with its
+// variable's saved phase, else its first unassigned literal; ok is false
+// when c is satisfied. After propagation an unsatisfied clause has at
+// least two unassigned literals.
+func (s *Solver) branchLit(c *clause) (l Lit, ok bool) {
+	first, agreed := Lit(-1), Lit(-1)
+	for _, q := range c.lits {
+		switch s.value(q) {
+		case True:
+			return 0, false
+		case Unknown:
+			if first < 0 {
+				first = q
+			}
+			if agreed < 0 && s.phase[q.Var()] == q.Positive() {
+				agreed = q
+			}
+		}
+	}
+	switch {
+	case agreed >= 0:
+		return agreed, true
+	case first >= 0:
+		return first, true
+	}
+	panic("sat: frontier clause falsified after propagation")
 }
 
 // luby computes the Luby restart sequence element for index i (1-based).
@@ -825,6 +922,22 @@ func (s *Solver) Solve() Result { return s.SolveAssuming(nil) }
 // what makes one long-lived solver per analysis window efficient across
 // many queries. An Unsat result under assumptions does not poison the
 // solver: later calls with different assumptions may succeed.
+//
+// Decisions justify a frontier instead of assigning every variable. The
+// frontier is the definitions (AddDef) of every head that is currently
+// true, in trail order, then every root clause; each decision picks the
+// first frontier clause no true literal satisfies and makes one of its
+// literals true, preferring the saved phase. When every frontier clause
+// holds and the theory's Check accepts the asserted literals, the answer
+// is Sat, with variables nothing needed left unassigned. That is sound:
+// complete the assignment by making every unassigned head false and
+// every unassigned theory variable take its value in the theory's model.
+// Root clauses and the definitions of true heads already hold; the
+// definitions of the other heads hold through their false heads; the
+// theory accepts the completion (see Theory); and the learned clauses
+// follow from the problem clauses and the theory, so they hold too.
+// ModelValue reports that completion, with the saved phase for every
+// other unassigned variable.
 func (s *Solver) SolveAssuming(assumptions []Lit) Result {
 	s.assumps = assumptions
 	s.abortCause = AbortNone
@@ -845,6 +958,7 @@ func (s *Solver) SolveAssuming(assumptions []Lit) Result {
 		s.rootUnsat = true
 		return Unsat
 	}
+	s.cur = cursor{}
 
 	var conflicts int64
 	restartBase := int64(100)
@@ -864,10 +978,7 @@ func (s *Solver) SolveAssuming(assumptions []Lit) Result {
 				case True:
 					// Already implied: open a dummy level to keep the
 					// assumption-index/decision-level correspondence.
-					s.trailLim = append(s.trailLim, len(s.trail))
-					if s.theory != nil {
-						s.theory.Push()
-					}
+					s.newLevel()
 				case False:
 					// The assumptions are jointly inconsistent with the
 					// clause set: unsat under these assumptions only.
@@ -875,36 +986,28 @@ func (s *Solver) SolveAssuming(assumptions []Lit) Result {
 					return Unsat
 				default:
 					s.Stats.Decisions++
-					s.trailLim = append(s.trailLim, len(s.trail))
-					if s.theory != nil {
-						s.theory.Push()
-					}
+					s.newLevel()
 					s.enqueue(p, nil)
 				}
 				continue
 			}
-			l, ok := s.pickBranchLit()
-			if !ok {
-				// Full assignment; ask the theory for a final verdict.
-				if s.theory != nil {
-					if tc := s.theory.Check(); tc != nil {
-						s.Stats.TheoryConfl++
-						confl = s.conflictClause(tc)
-					}
-				}
-				if confl == nil {
-					s.model = append(s.model[:0], s.assign...)
-					s.backtrack(0)
-					return Sat
-				}
-			} else {
+			if l, ok := s.pickBranch(); ok {
 				s.Stats.Decisions++
-				s.trailLim = append(s.trailLim, len(s.trail))
-				if s.theory != nil {
-					s.theory.Push()
-				}
+				s.newLevel()
 				s.enqueue(l, nil)
 				continue
+			}
+			// The frontier holds; ask the theory for a final verdict.
+			if s.theory != nil {
+				if tc := s.theory.Check(); tc != nil {
+					s.Stats.TheoryConfl++
+					confl = s.conflictClause(tc)
+				}
+			}
+			if confl == nil {
+				s.saveModel()
+				s.backtrack(0)
+				return Sat
 			}
 		}
 
@@ -927,7 +1030,6 @@ func (s *Solver) SolveAssuming(assumptions []Lit) Result {
 		learnt, back := s.analyze(confl)
 		s.backtrack(back)
 		s.learn(learnt)
-		s.decayVarActivity()
 		s.decayClauseActivity()
 		if s.MaxConflicts > 0 && conflicts >= s.MaxConflicts {
 			s.abortCause = AbortConflicts
@@ -986,62 +1088,55 @@ func (s *Solver) LastAbortCause() AbortCause { return s.abortCause }
 // hence the extracted witnesses — are bit-identical no matter which worker
 // solves which group in which order.
 //
-// A Checkpoint copies the phases, activities and decision heap, which
-// any search rewrites wholesale. The rest needs no copy. Watch lists and
-// clause literal orders go to the solver's undo log the first time they
-// change. The root trail only ever grows, and at the root
-// level a variable is assigned, and has a reason, exactly when it is on
-// the trail, with level 0 either way (backtracking resets levels); so
-// undoing the trail entries added since restores assignments, reasons and
-// levels.
+// A Checkpoint copies the phases, which any search rewrites wholesale.
+// The rest needs no copy. Watch lists and clause literal orders go to the
+// solver's undo log the first time they change, and so does a checkpoint
+// head's definition index when a later AddDef extends it. Root clauses
+// and the root trail only ever grow, and at the root level a variable is
+// assigned, and has a reason, exactly when it is on the trail, with level
+// 0 either way (backtracking resets levels); so undoing the trail entries
+// added since restores assignments, reasons and levels.
 type Checkpoint struct {
 	nVars     int
 	nClauses  int
+	nRoots    int
 	nTrail    int
 	qhead     int
 	thead     int
 	phase     []bool
-	activity  []float64
-	heapData  []Var
-	heapPos   []int32
-	varInc    float64
 	clauseInc float64
 	rootUnsat bool
 }
 
 // Checkpoint snapshots the solver's state. It must be taken at the root
 // level (decision level 0), i.e. outside any Solve call — the normal state
-// between AddClause batches. Taking a checkpoint also canonicalises the
-// live state: learned clauses are dropped, the watch lists rebuilt in
-// clause order and the decision heap rebuilt in variable order. That is
-// exactly the state Rollback reproduces, so the first query after
-// Checkpoint starts from the same state as every query after a Rollback.
-// A new Checkpoint supersedes the solver's previous one.
+// between AddClause batches. Taking a checkpoint first propagates the
+// root facts, to the theory as well, so no query repeats that work; a
+// conflict leaves the checkpoint root-unsat. It also canonicalises the
+// live state: learned clauses are dropped and the watch lists rebuilt in
+// clause order. That is exactly the state Rollback reproduces, so the
+// first query after Checkpoint starts from the same state as every query
+// after a Rollback. A new Checkpoint supersedes the solver's previous one.
 func (s *Solver) Checkpoint() *Checkpoint {
 	if s.decisionLevel() != 0 {
 		panic("sat: Checkpoint above root level")
 	}
+	if !s.rootUnsat && (s.propagate() != nil || s.assertTheory() != nil) {
+		s.rootUnsat = true
+	}
 	s.learnts = s.learnts[:0]
 	s.rebuildWatches()
-	s.heap.data = s.heap.data[:0]
-	s.heap.pos = s.heap.pos[:0]
-	for v := range s.assign {
-		s.heap.push(Var(v))
-	}
 	s.model = s.model[:0]
 	s.abortCause = AbortNone
 	s.watchSaved = append(s.watchSaved[:0], make([]uint32, len(s.watches))...)
 	s.ck = &Checkpoint{
 		nVars:     len(s.assign),
 		nClauses:  len(s.clauses),
+		nRoots:    len(s.roots),
 		nTrail:    len(s.trail),
 		qhead:     s.qhead,
 		thead:     s.thead,
 		phase:     append([]bool(nil), s.phase...),
-		activity:  append([]float64(nil), s.activity...),
-		heapData:  append([]Var(nil), s.heap.data...),
-		heapPos:   append([]int32(nil), s.heap.pos...),
-		varInc:    s.varInc,
 		clauseInc: s.clauseInc,
 		rootUnsat: s.rootUnsat,
 	}
@@ -1052,15 +1147,14 @@ func (s *Solver) Checkpoint() *Checkpoint {
 // Rollback restores the state captured by ck, which must be the solver's
 // latest Checkpoint: variables and clauses added since are discarded,
 // learned clauses dropped, and everything else put back — watch lists
-// with their order and blockers, clause literal orders, assignments,
-// phases, activities, the trail and the decision heap. It must be called
-// at the root level. The restored state is byte-for-byte the state
-// Checkpoint left behind, so repeated Rollback/solve cycles are
-// deterministic.
+// with their order and blockers, clause literal orders, the definition
+// index, assignments, phases and the trail. It must be called at the
+// root level. The restored state is byte-for-byte the state Checkpoint
+// left behind, so repeated Rollback/solve cycles are deterministic.
 //
 // The cost is what the solver changed since the last restore — the logged
-// watch lists and clauses and the root trail's growth — plus flat copies
-// of ck's phases, activities and heap. Only if a learned-clause reduction
+// watch lists, clauses and definition heads and the root trail's growth —
+// plus a flat copy of ck's phases. Only if a learned-clause reduction
 // rewrote every watch list since does Rollback rebuild the lists, exactly
 // as Checkpoint did.
 func (s *Solver) Rollback(ck *Checkpoint) {
@@ -1082,8 +1176,17 @@ func (s *Solver) Rollback(ck *Checkpoint) {
 	// keep the discarded clauses and lists from the collector.
 	clear(s.clauses[ck.nClauses:])
 	s.clauses = s.clauses[:ck.nClauses]
+	clear(s.roots[ck.nRoots:])
+	s.roots = s.roots[:ck.nRoots]
 	clear(s.learnts)
 	s.learnts = s.learnts[:0]
+	// Definitions: unlink the ones added to checkpoint heads, newest
+	// first, and drop the discarded variables' chains.
+	for i := len(s.undoDef) - 1; i >= 0; i-- {
+		s.firstDef[s.undoDef[i].head] = s.undoDef[i].first
+	}
+	clear(s.firstDef[ck.nVars:])
+	s.firstDef = s.firstDef[:ck.nVars]
 	// Watch lists: drop the discarded variables' lists, then put back the
 	// logged ones (or rebuild them all if the log went stale).
 	clear(s.watches[2*ck.nVars:])
@@ -1113,10 +1216,7 @@ func (s *Solver) Rollback(ck *Checkpoint) {
 	clear(s.reason[ck.nVars:])
 	s.reason = s.reason[:ck.nVars]
 	s.phase = append(s.phase[:0], ck.phase...)
-	s.activity = append(s.activity[:0], ck.activity...)
-	s.heap.data = append(s.heap.data[:0], ck.heapData...)
-	s.heap.pos = append(s.heap.pos[:0], ck.heapPos...)
-	s.varInc, s.clauseInc = ck.varInc, ck.clauseInc
+	s.clauseInc = ck.clauseInc
 	s.rootUnsat = ck.rootUnsat
 	s.model = s.model[:0]
 	s.abortCause = AbortNone
@@ -1130,6 +1230,7 @@ func (s *Solver) newEpoch() {
 	s.undoWatchW = s.undoWatchW[:0]
 	s.undoClause = s.undoClause[:0]
 	s.undoLits = s.undoLits[:0]
+	s.undoDef = s.undoDef[:0]
 	s.watchLogStale = false
 	s.epoch++
 	if s.epoch == 0 { // wrapped: clear the stamps so none looks current
@@ -1141,90 +1242,30 @@ func (s *Solver) newEpoch() {
 	}
 }
 
-// ModelValue returns the value of v in the most recent Sat model.
+// saveModel records the model ModelValue reports: the current
+// assignment, completed as SolveAssuming describes.
+func (s *Solver) saveModel() {
+	s.model = append(s.model[:0], s.assign...)
+	for v, val := range s.model {
+		switch {
+		case val != Unknown:
+		case s.firstDef[v] != nil:
+			s.model[v] = False
+		case s.phase[v]:
+			s.model[v] = True
+		default:
+			s.model[v] = False
+		}
+	}
+}
+
+// ModelValue returns the value of v in the most recent Sat model. A
+// variable the search left unassigned reads False if it heads a
+// definition, and its saved phase otherwise; read a theory variable's
+// value from the theory's own model instead.
 func (s *Solver) ModelValue(v Var) Value {
 	if int(v) >= len(s.model) {
 		return Unknown
 	}
 	return s.model[v]
-}
-
-// varHeap is a max-heap of variables ordered by activity.
-type varHeap struct {
-	data     []Var
-	pos      []int32 // var -> index in data, -1 if absent
-	activity *[]float64
-}
-
-func (h *varHeap) less(i, j int) bool {
-	return (*h.activity)[h.data[i]] > (*h.activity)[h.data[j]]
-}
-
-func (h *varHeap) swap(i, j int) {
-	h.data[i], h.data[j] = h.data[j], h.data[i]
-	h.pos[h.data[i]] = int32(i)
-	h.pos[h.data[j]] = int32(j)
-}
-
-func (h *varHeap) up(i int) {
-	for i > 0 {
-		p := (i - 1) / 2
-		if !h.less(i, p) {
-			break
-		}
-		h.swap(i, p)
-		i = p
-	}
-}
-
-func (h *varHeap) down(i int) {
-	n := len(h.data)
-	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < n && h.less(l, m) {
-			m = l
-		}
-		if r < n && h.less(r, m) {
-			m = r
-		}
-		if m == i {
-			return
-		}
-		h.swap(i, m)
-		i = m
-	}
-}
-
-func (h *varHeap) push(v Var) {
-	for int(v) >= len(h.pos) {
-		h.pos = append(h.pos, -1)
-	}
-	if h.pos[v] >= 0 {
-		return
-	}
-	h.data = append(h.data, v)
-	h.pos[v] = int32(len(h.data) - 1)
-	h.up(len(h.data) - 1)
-}
-
-func (h *varHeap) popMax() (Var, bool) {
-	if len(h.data) == 0 {
-		return 0, false
-	}
-	v := h.data[0]
-	last := len(h.data) - 1
-	h.swap(0, last)
-	h.data = h.data[:last]
-	h.pos[v] = -1
-	if last > 0 {
-		h.down(0)
-	}
-	return v, true
-}
-
-func (h *varHeap) update(v Var) {
-	if int(v) < len(h.pos) && h.pos[v] >= 0 {
-		h.up(int(h.pos[v]))
-	}
 }

@@ -2,6 +2,7 @@ package sat
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -332,11 +333,15 @@ func TestLuby(t *testing.T) {
 	}
 }
 
-// xorTheory is a toy theory over its relevant vars requiring that an even
-// number of them are true. It exercises the DPLL(T) plumbing: Check-only
-// conflicts, Push/Pop balancing and Assert bookkeeping.
-type xorTheory struct {
+// pairTheory is a toy theory over its relevant vars that forbids each of
+// its pairs of variables from being true together. It is assertion-local
+// (its verdict depends on the asserted literals alone, so any unasserted
+// relevant variable may stay false), but it only reports a violation in
+// Check. It exercises the DPLL(T) plumbing: Check-only conflicts,
+// Push/Pop balancing and Assert bookkeeping.
+type pairTheory struct {
 	relevant map[Var]bool
+	forbid   [][2]Var
 	asserted []Lit
 	marks    []int
 	checks   int
@@ -344,44 +349,38 @@ type xorTheory struct {
 	pops     int
 }
 
-func (x *xorTheory) Relevant(v Var) bool { return x.relevant[v] }
+func (x *pairTheory) Relevant(v Var) bool { return x.relevant[v] }
 
-func (x *xorTheory) Assert(l Lit) []Lit {
+func (x *pairTheory) Assert(l Lit) []Lit {
 	x.asserted = append(x.asserted, l)
 	return nil
 }
 
-func (x *xorTheory) Push() {
+func (x *pairTheory) Push() {
 	x.pushes++
 	x.marks = append(x.marks, len(x.asserted))
 }
 
-func (x *xorTheory) Pop(n int) {
+func (x *pairTheory) Pop(n int) {
 	x.pops += n
 	target := x.marks[len(x.marks)-n]
 	x.marks = x.marks[:len(x.marks)-n]
 	x.asserted = x.asserted[:target]
 }
 
-func (x *xorTheory) Check() []Lit {
+func (x *pairTheory) Check() []Lit {
 	x.checks++
-	odd := 0
-	for _, l := range x.asserted {
-		if l.Positive() {
-			odd ^= 1
+	for _, p := range x.forbid {
+		a, b := MkLit(p[0], true), MkLit(p[1], true)
+		if slices.Contains(x.asserted, a) && slices.Contains(x.asserted, b) {
+			return []Lit{a, b}
 		}
-	}
-	if odd == 1 {
-		// Conflict: the full assignment to the theory vars is inconsistent
-		// (a proper explanation must be jointly inconsistent, so it has to
-		// include the negative assertions too).
-		return append([]Lit(nil), x.asserted...)
 	}
 	return nil
 }
 
 func TestTheoryCheckConflicts(t *testing.T) {
-	th := &xorTheory{relevant: map[Var]bool{}}
+	th := &pairTheory{relevant: map[Var]bool{}}
 	s := New(th)
 	a := s.NewVar()
 	b := s.NewVar()
@@ -389,23 +388,20 @@ func TestTheoryCheckConflicts(t *testing.T) {
 	th.relevant[a] = true
 	th.relevant[b] = true
 	th.relevant[c] = true
-	// Force a true; theory demands an even number of {a,b,c} true, so some
-	// other variable must come up true as well.
+	th.forbid = [][2]Var{{a, b}}
+	// Force a true and require b ∨ c. The saved phases (all false) agree
+	// with neither literal, so the first decision takes b; only Check
+	// sees that a ∧ b is forbidden, and c must come up true instead.
 	s.AddClause(MkLit(a, true))
+	s.AddClause(MkLit(b, true), MkLit(c, true))
 	if r := s.Solve(); r != Sat {
 		t.Fatalf("Solve = %v, want sat", r)
 	}
-	trues := 0
-	for _, v := range []Var{a, b, c} {
-		if s.ModelValue(v) == True {
-			trues++
-		}
+	if s.ModelValue(a) != True || s.ModelValue(b) != False || s.ModelValue(c) != True {
+		t.Errorf("model a=%v b=%v c=%v, want a ∧ ¬b ∧ c", s.ModelValue(a), s.ModelValue(b), s.ModelValue(c))
 	}
-	if trues%2 != 0 {
-		t.Errorf("model has %d theory-vars true, want even", trues)
-	}
-	if th.checks == 0 {
-		t.Error("theory Check never called")
+	if th.checks < 2 || s.Stats.TheoryConfl == 0 {
+		t.Errorf("%d Check calls, %d theory conflicts: want a Check conflict before the model", th.checks, s.Stats.TheoryConfl)
 	}
 	if th.pushes != th.pops {
 		t.Errorf("unbalanced theory push/pop: %d pushes, %d pops (solver must pop everything before returning)", th.pushes, th.pops)
@@ -413,19 +409,17 @@ func TestTheoryCheckConflicts(t *testing.T) {
 }
 
 func TestTheoryUnsat(t *testing.T) {
-	// a true and theory forbidding odd counts, with b,c forced false:
-	// unsat.
-	th := &xorTheory{relevant: map[Var]bool{}}
+	// a forced true, b implied by a, and the theory forbidding a ∧ b
+	// (in Check only): unsat.
+	th := &pairTheory{relevant: map[Var]bool{}}
 	s := New(th)
 	a := s.NewVar()
 	b := s.NewVar()
-	c := s.NewVar()
 	th.relevant[a] = true
 	th.relevant[b] = true
-	th.relevant[c] = true
+	th.forbid = [][2]Var{{a, b}}
 	s.AddClause(MkLit(a, true))
-	s.AddClause(MkLit(b, false))
-	s.AddClause(MkLit(c, false))
+	s.AddClause(MkLit(a, false), MkLit(b, true))
 	if r := s.Solve(); r != Unsat {
 		t.Fatalf("Solve = %v, want unsat", r)
 	}

@@ -95,3 +95,44 @@ func TestCheckpointCanonicalModels(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckpointAssertsRootTheory checks that the checkpoint carries the
+// root facts into the theory, and that a query asserts nothing it does
+// not need: after every Rollback, a guard-only query puts exactly its
+// own atoms into IDL — not the base chain again, and not the atoms of a
+// guard defined in the base that the query never assumes.
+func TestCheckpointAssertsRootTheory(t *testing.T) {
+	s := NewSolver()
+	const n = 8
+	xs := make([]IntVar, n)
+	for i := range xs {
+		xs[i] = s.IntVarAt(int64(i))
+	}
+	for i := 0; i+1 < n; i++ {
+		if err := s.Assert(Less(xs[i], xs[i+1])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	unused := s.NewBoolLit()
+	if err := s.Implies(unused, And(Diff(xs[0], xs[2], -3), Or(Less(xs[5], xs[1]), Less(xs[6], xs[1])))); err != nil {
+		t.Fatal(err)
+	}
+	ck := s.Checkpoint()
+	for i := 0; i < 3; i++ {
+		g := s.NewBoolLit()
+		if err := s.Implies(g, And(Diff(xs[0], xs[7], -20), Diff(xs[1], xs[4], -6))); err != nil {
+			t.Fatal(err)
+		}
+		before := s.TheoryStats().Asserts
+		if r := s.SolveAssuming(g); r != sat.Sat {
+			t.Fatalf("query %d verdict = %v, want sat", i, r)
+		}
+		if got := s.TheoryStats().Asserts - before; got != 2 {
+			t.Errorf("query %d asserted %d atoms into the theory, want its own 2", i, got)
+		}
+		if s.Value(xs[7])-s.Value(xs[0]) < 20 || s.Value(xs[4])-s.Value(xs[1]) < 6 {
+			t.Errorf("query %d model violates its constraints", i)
+		}
+		s.Rollback(ck)
+	}
+}

@@ -123,6 +123,8 @@ func (s *Solver) atomVar(a Atom) sat.Var {
 
 // encode returns a literal equivalent (for positive occurrences) to f,
 // emitting implication clauses for composite nodes once per shared node.
+// Each clause is a definition of its node's literal (sat.AddDef), so the
+// search only justifies the nodes some asserted clause needs.
 func (s *Solver) encode(f *Formula) sat.Lit {
 	switch f.kind {
 	case kAtom:
@@ -133,34 +135,31 @@ func (s *Solver) encode(f *Formula) sat.Lit {
 		if l, ok := s.enc[f]; ok {
 			return l
 		}
-		p := sat.MkLit(s.sat.NewVar(), true)
-		s.enc[f] = p
+		p := s.sat.NewVar()
+		s.enc[f] = sat.MkLit(p, true)
 		s.encLog = append(s.encLog, f)
 		s.estats.TseitinVars++
 		if f.kind == kAnd {
 			// p → k for each conjunct.
 			for _, k := range f.kids {
 				s.estats.TseitinClauses++
-				if err := s.sat.AddClause(p.Neg(), s.encode(k)); err != nil {
+				if err := s.sat.AddDef(p, s.encode(k)); err != nil {
 					// Clause (¬p ∨ l) can only fail if the solver is
 					// already root-unsat; propagate via a poisoned lit is
 					// unnecessary — the final Solve reports Unsat.
-					return p
+					break
 				}
 			}
 		} else {
 			// p → k1 ∨ … ∨ kn.
-			cl := make([]sat.Lit, 0, len(f.kids)+1)
-			cl = append(cl, p.Neg())
+			cl := make([]sat.Lit, 0, len(f.kids))
 			for _, k := range f.kids {
 				cl = append(cl, s.encode(k))
 			}
 			s.estats.TseitinClauses++
-			if err := s.sat.AddClause(cl...); err != nil {
-				return p
-			}
+			_ = s.sat.AddDef(p, cl...) // as above
 		}
-		return p
+		return sat.MkLit(p, true)
 	}
 	panic("smt: constant formula reached encode (constructors must fold)")
 }
@@ -339,12 +338,18 @@ func (s *Solver) NewBoolLit() sat.Lit {
 // underlying order atoms admit it, which is exactly the semantics the
 // cf(e) encoding needs (cyclic read-from justifications are contradictory
 // in the order theory and therefore excluded by the IDL constraints).
+// The clauses are definitions of p (sat.AddDef): a query that never needs
+// p true never has to satisfy f. p must be a positive literal from
+// NewBoolLit.
 func (s *Solver) Implies(p sat.Lit, f *Formula) error {
+	if !p.Positive() {
+		panic("smt: Implies on a negative literal")
+	}
 	switch f.kind {
 	case kTrue:
 		return nil
 	case kFalse:
-		return s.sat.AddClause(p.Neg())
+		return s.sat.AddDef(p.Var())
 	case kAnd:
 		for _, k := range f.kids {
 			if err := s.Implies(p, k); err != nil {
@@ -353,6 +358,6 @@ func (s *Solver) Implies(p sat.Lit, f *Formula) error {
 		}
 		return nil
 	default:
-		return s.sat.AddClause(p.Neg(), s.encode(f))
+		return s.sat.AddDef(p.Var(), s.encode(f))
 	}
 }

@@ -4,7 +4,7 @@
 # (BENCH_<n>.json at the repo root) so performance regressions show up as
 # ordinary review diffs. See doc/performance.md. The output path is
 # required: the committed snapshots are baselines (CI gates against
-# BENCH_9.json), and a run must never overwrite one by default.
+# BENCH_20.json), and a run must never overwrite one by default.
 #
 # Usage:
 #   scripts/bench.sh out.json                # bench, write the snapshot
@@ -15,10 +15,10 @@
 #
 # Compare mode prints per-benchmark ns/op and allocs/op deltas and flags
 # changes beyond 10% (informational by default; bench_compare.py --strict
-# turns regressions into a non-zero exit). Solver-query counts are
-# deterministic per row, so `compare --queries-gate old new` fails hard
-# when any row issues more queries than the baseline — the CI guard for
-# the triage ladder. `compare --heap-gate any.json new.json` checks the
+# turns regressions into a non-zero exit). Solver-query and decision
+# counts are deterministic per row, so `compare --queries-gate old new`
+# fails hard when any row issues more queries or makes more decisions
+# than the baseline — the CI guard for the triage ladder and the search. `compare --heap-gate any.json new.json` checks the
 # new snapshot's BenchmarkChunkedDetect size pair: live heap growing
 # superlinearly in trace size fails — the out-of-core guard.
 #

@@ -35,6 +35,13 @@ row) is deterministic too, but it is a size, not a gate: fewer clauses
 means the replicas encode less, and its delta is printed for every row
 (even below the threshold) without ever counting as a regression.
 
+The solver-work metrics `decisions` and `theory_propagations` are
+deterministic per row as well. Both deltas are printed for every row,
+like `clauses`. Any rise in `decisions` is flagged
+DECISIONS-REGRESSION and, under --queries-gate, fails the run like a
+query-count rise: the search is deciding more than the baseline needed.
+`theory_propagations` stays informational.
+
 --heap-gate checks the out-of-core invariant, and unlike the other
 gates it looks only at the NEW snapshot: benchmarks that report both
 trace_events and live_heap_mb (the BenchmarkChunkedDetect size pair)
@@ -48,6 +55,7 @@ re-materialises the trace shows ~10× and fails.
 import argparse
 import json
 import math
+import re
 import sys
 
 
@@ -88,12 +96,19 @@ def load(path):
         raise SystemExit(f"bench_compare: {path}: unrecognised snapshot shape")
     out = {}
     for r in snap.get("results", []):
-        out[r["name"]] = r
+        # go test appends "-<GOMAXPROCS>" to a benchmark's name when it
+        # is above 1; drop it so snapshots from different machines match.
+        out[re.sub(r"-\d+$", "", r["name"])] = r
     return out
 
 
 def metric(entry, key):
     return entry.get("metrics", {}).get(key)
+
+
+def count(v):
+    """Render a counter exactly (%g would round 6085657 to 6.08566e+06)."""
+    return f"{v:.0f}" if v == int(v) else f"{v:g}"
 
 
 HEAP_FLOOR_MB = 8.0
@@ -142,8 +157,9 @@ def main() -> int:
                     help="exit 1 when any regression is flagged")
     ap.add_argument("--queries-gate", action="store_true",
                     help="exit 1 when any benchmark issued more solver "
-                         "queries than the baseline (deterministic, so "
-                         "safe to gate even on noisy runners)")
+                         "queries, or made more solver decisions, than "
+                         "the baseline (deterministic, so safe to gate "
+                         "even on noisy runners)")
     ap.add_argument("--heap-gate", action="store_true",
                     help="exit 1 when the new snapshot's live heap grows "
                          "superlinearly across a benchmark size pair "
@@ -160,7 +176,7 @@ def main() -> int:
 
     width = max(len(n) for n in names)
     regressions = 0
-    queries_regressions = 0
+    work_regressions = 0
 
     def describe(delta_pct):
         nonlocal regressions
@@ -187,14 +203,21 @@ def main() -> int:
             if key == "queries" and nv > ov:
                 # Query counts are deterministic: any increase is a triage
                 # regression regardless of the noise threshold.
-                queries_regressions += 1
-                extras.append(f"queries {ov:g}→{nv:g}")
+                work_regressions += 1
+                extras.append(f"queries {count(ov)}→{count(nv)}")
                 flags.append("QUERIES-REGRESSION")
                 continue
-            if key == "clauses":
-                # Encoding size: informational, never a regression.
+            if key == "decisions" and nv > ov:
+                # Deterministic solver work: any rise is gated.
+                work_regressions += 1
+                extras.append(f"decisions {count(ov)}→{count(nv)}")
+                flags.append("DECISIONS-REGRESSION")
+                continue
+            if key in ("clauses", "decisions", "theory_propagations"):
+                # Encoding size and solver work: printed on every change,
+                # never a timing regression.
                 if ov != nv:
-                    extras.append(f"clauses {ov:g}→{nv:g}")
+                    extras.append(f"{key} {count(ov)}→{count(nv)}")
                 continue
             if ov == 0:
                 if nv != 0:
@@ -220,9 +243,10 @@ def main() -> int:
         print(f"only in {args.old}: {', '.join(sorted(dropped))}")
     if added:
         print(f"only in {args.new}: {', '.join(sorted(added))}")
-    if queries_regressions:
-        print(f"{queries_regressions} solver-query regression(s) — "
-              "pairs a sound triage tier used to confirm are reaching the solver")
+    if work_regressions:
+        print(f"{work_regressions} solver-work regression(s) — more "
+              "queries (pairs a sound triage tier used to confirm are "
+              "reaching the solver) or more decisions than the baseline")
     if regressions:
         print(f"{regressions} regression(s) beyond {args.threshold:.0f}%")
     heap_violations = heap_gate(new) if args.heap_gate else 0
@@ -231,7 +255,7 @@ def main() -> int:
               "the out-of-core reader path is holding trace-sized state")
     if args.heap_gate and heap_violations:
         return 1
-    if args.queries_gate and queries_regressions:
+    if args.queries_gate and work_regressions:
         return 1
     if args.strict and regressions:
         return 1
