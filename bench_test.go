@@ -238,7 +238,7 @@ func detectMerged(tr *trace.Trace, window int) int {
 			s := smt.NewSolver()
 			s.SetDeadline(time.Now().Add(time.Minute))
 			enc := encode.New(w, s, mhb, cop.A, cop.B)
-			cf := encode.NewCF(enc, s, 0)
+			cf := encode.NewCF(enc, s)
 			if enc.AssertMHB() == nil && enc.AssertLocks() == nil &&
 				cf.AssertControlFlow(cop.A) == nil && cf.AssertControlFlow(cop.B) == nil &&
 				s.Solve() == sat.Sat {

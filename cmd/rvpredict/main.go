@@ -28,18 +28,9 @@
 // traces are mmapped and analysed out of core — windows are decoded one
 // chunk at a time, so a multi-GB trace analyses in flat memory.
 //
-// Chunked traces also enable multi-process sharding: N processes each
-// run with -shards N -shard-id I -journal shard-I.journal (every
-// process analyses the windows whose index ≡ I mod N), and a final
-//
-//	rvpredict -merge shard-0.journal,...,shard-N-1.journal trace.rvc2
-//
-// combines the shard journals into one report identical to a
-// single-process run.
-//
-// The fault-tolerant flavour of the same split is the fleet: one
-// process runs -coordinate addr -journal coord.journal and any number
-// of processes run -worker addr against the same trace file. The
+// Chunked traces can also be analysed by several processes, the fleet:
+// one process runs -coordinate addr -journal coord.journal and any
+// number of processes run -worker addr against the same trace file. The
 // coordinator leases window shards to workers, fsyncs every returned
 // outcome to its journal before acknowledging it, reassigns the leases
 // of crashed or stalled workers (speculatively duplicating stragglers),
@@ -128,9 +119,6 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		token      = fs.String("token", "", "session `name` for -daemon: reusing a token resumes its durable session after a disconnect or daemon restart")
 		convertTo  = fs.String("convert", "", "convert the legacy trace to the chunked columnar format at `file`, then exit")
 		chunkSize  = fs.Int("chunk-size", tracev2.DefaultChunkSize, "events per chunk for -convert")
-		shards     = fs.Int("shards", 0, "shard the analysis across this many cooperating processes: this process analyses windows whose index ≡ -shard-id mod N (rv only; >1 requires -journal)")
-		shardID    = fs.Int("shard-id", 0, "this process's shard index in [0, -shards)")
-		mergeList  = fs.String("merge", "", "merge the comma-separated shard journal `files` into one report over the given trace, instead of analysing")
 		coordAddr  = fs.String("coordinate", "", "run a fleet coordinator on `addr`: lease window shards to -worker processes, journal their results (requires -journal) and merge the final report")
 		workerAddr = fs.String("worker", "", "run as a fleet worker against the coordinator at `addr`: lease shards, analyse their windows over the same trace and stream the outcomes back")
 		fleetN     = fs.Int("fleet-shards", 0, "lease partitions for -coordinate (default 4); each lease covers the windows whose index ≡ shard mod N")
@@ -357,32 +345,14 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "rvpredict: -http/-trace-out apply to race detection only")
 			return 2
 		}
-		if *shards != 0 || *mergeList != "" {
-			fmt.Fprintln(stderr, "rvpredict: -shards/-merge apply to race detection only")
-			return 2
-		}
-	}
-	if *mergeList != "" {
-		if *shards != 0 || *journalTo != "" || *resume || *daemonAddr != "" {
-			fmt.Fprintln(stderr, "rvpredict: -merge combines finished shard journals; it conflicts with -shards/-journal/-resume/-daemon")
-			return 2
-		}
-		if strings.ToLower(*algoName) != "rv" {
-			fmt.Fprintln(stderr, "rvpredict: -merge merges rv shard journals; -algo applies to direct analysis")
-			return 2
-		}
-	}
-	if *shards != 0 && *daemonAddr != "" {
-		fmt.Fprintln(stderr, "rvpredict: -shards applies to local analysis only")
-		return 2
 	}
 	if *coordAddr != "" || *workerAddr != "" {
 		switch {
 		case *coordAddr != "" && *workerAddr != "":
 			fmt.Fprintln(stderr, "rvpredict: -coordinate and -worker are different roles; pick one per process")
 			return 2
-		case *daemonAddr != "" || *mergeList != "" || *shards != 0:
-			fmt.Fprintln(stderr, "rvpredict: -coordinate/-worker conflict with -daemon/-merge/-shards")
+		case *daemonAddr != "":
+			fmt.Fprintln(stderr, "rvpredict: -coordinate/-worker conflict with -daemon")
 			return 2
 		case *deadlocks || *atomicity:
 			fmt.Fprintln(stderr, "rvpredict: the fleet runs race detection only")
@@ -610,15 +580,7 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "rvpredict:", err)
 			return 2
 		}
-	} else if *mergeList != "" {
-		if rd != nil {
-			opt.TraceReader = rd
-		} else {
-			opt.TraceReader = tracev2.FromTrace(tr)
-		}
-		rep, err = rvpredict.MergeShards(ctx, opt, strings.Split(*mergeList, ","))
 	} else {
-		opt.Shards, opt.ShardID = *shards, *shardID
 		if rd != nil {
 			// Chunked input: analyse out of core. Baselines materialise
 			// internally via the reader.

@@ -63,6 +63,9 @@ func TestExitCodes(t *testing.T) {
 		{"bad algo", []string{"-algo", "nope", racy}, 2},
 		{"hb clean on fig1 races", []string{"-algo", "hb", racy}, 0},
 		{"retired triage flag", []string{"-triage", "syncp", racy}, 2},
+		{"retired shards flag", []string{"-shards", "2", racy}, 2},
+		{"retired shard-id flag", []string{"-shard-id", "1", racy}, 2},
+		{"retired merge flag", []string{"-merge", "a,b", racy}, 2},
 	}
 	for _, tc := range cases {
 		out.Reset()

@@ -197,7 +197,7 @@ func (d *Detector) DetectContext(ctx context.Context, tr *trace.Trace) Result {
 		s := smt.NewSolver()
 		s.SetCancel(func() bool { return ctx.Err() != nil })
 		enc := encode.New(w, s, mhb, -1, -1)
-		cf := encode.NewCF(enc, s, 0)
+		cf := encode.NewCF(enc, s)
 		if err := enc.AssertMHB(); err != nil {
 			span.End()
 			col.AddSolver(s)

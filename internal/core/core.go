@@ -126,16 +126,6 @@ type Options struct {
 	// CPU-bound, so a worker beyond the core count could never repay its
 	// replica's construction cost.
 	PairParallelism int
-	// BranchDepWindow, when > 0, assumes each branch and write depends
-	// only on the last K reads of its thread instead of its entire read
-	// history — the weaker-axiom variant sketched in the paper's
-	// Section 2.3 Discussion ("a preceding window of events for each write
-	// and branch in which the read values matter"). It is sound only for
-	// programs whose branch conditions genuinely use bounded read history;
-	// with it the detector may report additional races that the
-	// conservative full-history axioms cannot justify. 0 (default) keeps
-	// the paper's conservative semantics.
-	BranchDepWindow int
 	// Telemetry, when non-nil, accumulates phase timings, solver counters,
 	// outcome tallies and per-window records. The collector is safe to
 	// share across Parallelism workers, and enabling it changes no
@@ -287,7 +277,7 @@ const (
 	// Isolated analyses every window with empty signature state, so a
 	// window's outcome depends only on its own content, never on which
 	// other windows the process analysed. That is what lets the reader
-	// path, window shards, MergeShards, fleet workers and Parallelism > 1
+	// path, fleet workers, the fleet's final merge and Parallelism > 1
 	// analyse any subset of the windows, in any order, and still merge one
 	// canonical report.
 	Isolated SigState = iota
@@ -753,7 +743,7 @@ func (d *Detector) newWindowSolver(w *trace.Trace, mhb *vc.MHB) *windowSolver {
 	s := smt.NewSolver()
 	enc := encode.New(w, s, mhb, -1, -1)
 	enc.Pruning = !d.opt.NoPruning
-	ws := &windowSolver{s: s, enc: enc, cf: encode.NewCF(enc, s, d.opt.BranchDepWindow)}
+	ws := &windowSolver{s: s, enc: enc, cf: encode.NewCF(enc, s)}
 	if err := enc.AssertMHB(); err != nil {
 		ws.bad = true
 	}

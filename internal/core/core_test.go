@@ -245,37 +245,6 @@ func TestWitnessesAlwaysValid(t *testing.T) {
 	}
 }
 
-func TestBranchDepWindowWeakensAxioms(t *testing.T) {
-	// t2's branch reads z last; under the conservative axioms it also
-	// depends on the earlier read of y, which pins the reordering. With a
-	// dependence window of 1 only the read of z (of the initial value)
-	// matters, and the (x) race becomes justifiable.
-	b := trace.NewBuilder()
-	const x, y, z trace.Addr = 1, 2, 3
-	b.At(1).Write(1, x, 1)
-	b.At(2).Write(1, y, 1)
-	b.At(3).ReadV(2, y, 1)
-	b.At(4).ReadV(2, z, 0)
-	b.At(5).Branch(2)
-	b.At(6).ReadV(2, x, 1)
-	tr := b.Trace()
-	if err := tr.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	conservative := detect(t, tr, Options{})
-	if sigs(conservative)[sig(1, 6)] {
-		t.Error("conservative axioms must not justify the (x) race")
-	}
-	weakened := detect(t, tr, Options{BranchDepWindow: 1})
-	if !sigs(weakened)[sig(1, 6)] {
-		t.Errorf("window-1 dependence must justify the (x) race, got %v", weakened.Races)
-	}
-	// The (y) pair is a plain race under both.
-	if !sigs(conservative)[sig(2, 3)] || !sigs(weakened)[sig(2, 3)] {
-		t.Error("the (y) race must be reported in both modes")
-	}
-}
-
 func TestParallelismMatchesSequential(t *testing.T) {
 	// A multi-window trace analysed with 1 and 4 workers: every location
 	// is fresh per block, so no signature recurs across windows and the

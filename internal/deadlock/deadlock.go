@@ -315,7 +315,7 @@ func (d *Detector) check(w *trace.Trace, mhb *vc.MHB, s1, s2 nested, cancel func
 		span.End()
 		return false, nil, telemetry.OutcomeUnsat
 	}
-	cf := encode.NewCF(enc, s, 0)
+	cf := encode.NewCF(enc, s)
 	if err := cf.AssertControlFlow(s1.acqB); err != nil {
 		span.End()
 		return false, nil, telemetry.OutcomeUnsat

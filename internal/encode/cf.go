@@ -31,13 +31,6 @@ type CF struct {
 	s   *smt.Solver
 	tr  *trace.Trace
 
-	// depWindow > 0 bounds how many of the thread's preceding reads a
-	// branch or write depends on — the weaker-axiom variant of the paper's
-	// Section 2.3 Discussion. There a write or branch conjoins its last
-	// depWindow reads directly and cf(read) is ReadConsistent alone. 0
-	// keeps the conservative full-history semantics, encoded as the chain.
-	depWindow int
-
 	lits map[int]sat.Lit // event -> its cf literal; none for an alias (see owner)
 
 	// threadEvents lists event indices per thread in program order;
@@ -49,11 +42,9 @@ type CF struct {
 	prevRead       []int32
 }
 
-// NewCF returns a cf builder over enc and s. depWindow 0 uses the paper's
-// conservative all-preceding-reads dependence.
-func NewCF(enc *Encoder, s *smt.Solver, depWindow int) *CF {
-	return &CF{enc: enc, s: s, tr: enc.Trace(),
-		depWindow: depWindow, lits: make(map[int]sat.Lit)}
+// NewCF returns a cf builder over enc and s.
+func NewCF(enc *Encoder, s *smt.Solver) *CF {
+	return &CF{enc: enc, s: s, tr: enc.Trace(), lits: make(map[int]sat.Lit)}
 }
 
 func (c *CF) buildThreadIndex() {
@@ -128,51 +119,30 @@ func (c *CF) Defined(e int) (sat.Lit, bool) {
 	return l, ok
 }
 
-// owner returns the event whose literal stands for cf(e): at depWindow 0
-// a write or branch after a read of its thread shares that read's
-// literal, and so adds nothing to the memo or the solver.
+// owner returns the event whose literal stands for cf(e): a write or
+// branch after a read of its thread shares that read's literal, and so
+// adds nothing to the memo or the solver.
 func (c *CF) owner(e int) int {
 	c.buildThreadIndex()
-	if p := c.prevRead[e]; c.depWindow == 0 && p >= 0 && c.tr.Event(e).Op != trace.OpRead {
+	if p := c.prevRead[e]; p >= 0 && c.tr.Event(e).Op != trace.OpRead {
 		return int(p)
 	}
 	return e
 }
 
 // cfLit returns the literal of cf(e), creating and defining it on first
-// use. The literal is allocated before its definition is built so cyclic
-// cf dependencies resolve to references.
+// use. A read's literal heads its thread's read chain; a write or branch
+// that owns its literal has no earlier read, so its cf is the empty
+// conjunction and the literal stays unconstrained.
 func (c *CF) cfLit(e int) sat.Lit {
 	e = c.owner(e)
 	if l, ok := c.lits[e]; ok {
 		return l
 	}
-	isRead := c.tr.Event(e).Op == trace.OpRead
-	if isRead && c.depWindow == 0 {
+	if c.tr.Event(e).Op == trace.OpRead {
 		return c.readChain(e)
 	}
-	l := c.newLit(e)
-	var def *smt.Formula
-	if isRead {
-		def = c.readConsistent(e)
-	} else {
-		// cf(e) = ⋀ cf(r) over the last depWindow reads of e's thread
-		// before e (the weaker bounded-history axioms). With no earlier
-		// read, in either mode, the conjunction is empty and l stays
-		// unconstrained.
-		var reads []int // newest first
-		for p := c.prevRead[e]; p >= 0 && len(reads) < c.depWindow; p = c.prevRead[p] {
-			reads = append(reads, int(p))
-		}
-		refs := make([]*smt.Formula, 0, len(reads))
-		for i := len(reads) - 1; i >= 0; i-- {
-			refs = append(refs, smt.Ref(c.cfLit(reads[i])))
-		}
-		def = smt.And(refs...)
-	}
-	// Ignore a root-level unsat signal here; Solve reports it.
-	_ = c.s.Implies(l, def)
-	return l
+	return c.newLit(e)
 }
 
 // readChain defines cf(r) := ReadConsistent(r) ∧ cf(prev(r)) for r and

@@ -12,7 +12,7 @@ import (
 func solverFor(tr *trace.Trace) (*Encoder, *smt.Solver, *CF) {
 	s := smt.NewSolver()
 	enc := New(tr, s, vc.ComputeMHB(tr), -1, -1)
-	return enc, s, NewCF(enc, s, 0)
+	return enc, s, NewCF(enc, s)
 }
 
 func TestControlFlowEmptyWithoutBranches(t *testing.T) {
@@ -78,47 +78,6 @@ func TestControlFlowUnsatisfiableGuard(t *testing.T) {
 	}
 	if r := s.Solve(); r != sat.Unsat {
 		t.Fatalf("Solve = %v, want unsat (unsatisfiable guard)", r)
-	}
-}
-
-func TestDepWindowLimitsReads(t *testing.T) {
-	// With depWindow 1 the branch depends only on its closest read.
-	b := trace.NewBuilder()
-	b.Write(1, 5, 1) // 0
-	b.Write(1, 6, 1) // 1
-	b.ReadV(2, 5, 1) // 2: would pin w(5) before it
-	b.ReadV(2, 6, 1) // 3: pins w(6)
-	b.Branch(2)      // 4
-	b.Write(2, 7, 1) // 5: query event
-	tr := b.Trace()
-
-	s := smt.NewSolver()
-	enc := New(tr, s, vc.ComputeMHB(tr), -1, -1)
-	cfAll := NewCF(enc, s, 0)
-	fAll := cfAll.ControlFlow(5)
-	s2 := smt.NewSolver()
-	enc2 := New(tr, s2, vc.ComputeMHB(tr), -1, -1)
-	cf1 := NewCF(enc2, s2, 1)
-	f1 := cf1.ControlFlow(5)
-
-	// Assert each and force the pinned read's source AFTER it: full
-	// history becomes unsat for read 2, window-1 stays sat.
-	if err := enc.AssertMHB(); err != nil {
-		t.Fatal(err)
-	}
-	s.Assert(fAll)
-	s.Assert(smt.Less(enc.Var(2), enc.Var(0))) // read(5) before write(5)
-	if r := s.Solve(); r != sat.Unsat {
-		t.Fatalf("full history must pin read 2: got %v", r)
-	}
-
-	if err := enc2.AssertMHB(); err != nil {
-		t.Fatal(err)
-	}
-	s2.Assert(f1)
-	s2.Assert(smt.Less(enc2.Var(2), enc2.Var(0)))
-	if r := s2.Solve(); r != sat.Sat {
-		t.Fatalf("window-1 dependence must free read 2: got %v", r)
 	}
 }
 

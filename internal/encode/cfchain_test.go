@@ -128,7 +128,7 @@ func TestCFMatchesQuadratic(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		cf, ref := NewCF(enc, s, 0), newQuadCF(encRef, sRef)
+		cf, ref := NewCF(enc, s), newQuadCF(encRef, sRef)
 		query := func(s *smt.Solver, enc *Encoder, cfA, cfB *smt.Formula, cop race.COP) sat.Result {
 			g := s.NewBoolLit()
 			for _, f := range []*smt.Formula{enc.Adjacent(cop.A, cop.B), cfA, cfB} {
@@ -190,7 +190,7 @@ func TestCFSizeLinear(t *testing.T) {
 			t.Fatal(err)
 		}
 		_, before, _ := s.Size()
-		if err := NewCF(enc, s, 0).AssertControlFlow(tr.Len() - 1); err != nil {
+		if err := NewCF(enc, s).AssertControlFlow(tr.Len() - 1); err != nil {
 			t.Fatal(err)
 		}
 		_, after, _ := s.Size()

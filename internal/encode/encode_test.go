@@ -233,7 +233,7 @@ func verdict(tr *trace.Trace, a, b int, merged bool) bool {
 		mergeA, mergeB = a, b
 	}
 	enc := New(tr, s, vc.ComputeMHB(tr), mergeA, mergeB)
-	cf := NewCF(enc, s, 0)
+	cf := NewCF(enc, s)
 	if enc.AssertMHB() != nil || enc.AssertLocks() != nil {
 		return false
 	}

@@ -13,6 +13,7 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/journal"
 	"repro/internal/retry"
+	"repro/internal/stream"
 	"repro/internal/telemetry"
 	"repro/rvpredict"
 	"repro/trace"
@@ -28,8 +29,8 @@ var ErrInjectedCrash = errors.New("fleet: injected coordinator crash")
 type CoordinatorOptions struct {
 	// Detect is the detection configuration the fleet executes.
 	// TraceReader must be set (every worker opens the same chunked
-	// trace); Journal, Resume and Shards are owned by the coordinator
-	// and must be unset.
+	// trace); Journal and Resume are owned by the coordinator and must
+	// be unset.
 	Detect rvpredict.Options
 	// Journal is the coordinator's durable window journal (required).
 	// Every accepted result is appended and fsynced here before the
@@ -118,8 +119,8 @@ func NewCoordinator(opt CoordinatorOptions) (*Coordinator, error) {
 	if opt.Journal == "" {
 		return nil, fmt.Errorf("fleet: CoordinatorOptions.Journal is required")
 	}
-	if opt.Detect.Journal != "" || opt.Detect.Resume || opt.Detect.Shards != 0 {
-		return nil, fmt.Errorf("fleet: Detect.Journal/Resume/Shards are owned by the coordinator; leave them unset")
+	if opt.Detect.Journal != "" || opt.Detect.Resume {
+		return nil, fmt.Errorf("fleet: Detect.Journal/Resume are owned by the coordinator; leave them unset")
 	}
 	if err := opt.Detect.Validate(); err != nil {
 		return nil, err
@@ -323,7 +324,7 @@ func (c *Coordinator) finish(ln net.Listener) (rvpredict.Report, error) {
 	}
 	det := c.opt.Detect
 	det.Collector = c.col
-	return rvpredict.MergeShards(context.Background(), det, []string{c.opt.Journal})
+	return rvpredict.MergeShards(context.Background(), det, c.opt.Journal)
 }
 
 // sweepLocked expires leases whose deadline lapsed: the shard returns
@@ -426,8 +427,8 @@ func (c *Coordinator) grantLocked(conn net.Conn, now time.Time) []byte {
 
 // handleResult gates, journals and acks one reported window outcome.
 // First valid result wins: a window already durable is acked and
-// ignored, mirroring journal.RecoverShards' first-listed-wins rule. The
-// ack is written only after the journal append has been fsynced.
+// ignored, so the coordinator journal holds each window once. The ack
+// is written only after the journal append has been fsynced.
 func (c *Coordinator) handleResult(conn net.Conn, body []byte) ([]byte, error) {
 	leaseID, window, enc, err := parseResult(body)
 	if err != nil {
@@ -593,7 +594,7 @@ func (c *Coordinator) serveWorker(conn net.Conn, br *bufio.Reader) error {
 			return fmt.Errorf("%w: unknown message 0x%02x", ErrProtocol, kind)
 		}
 		conn.SetWriteDeadline(time.Now().Add(20 * time.Second))
-		if err := writeMsg(conn, reply); err != nil {
+		if err := stream.WriteFrame(conn, reply); err != nil {
 			return err
 		}
 		if len(reply) == 1 && reply[0] == msgShutdown {

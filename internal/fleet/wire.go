@@ -13,14 +13,14 @@
 //   - Stragglers get speculative re-execution: when no shard is pending,
 //     an idle worker is granted a second lease on a still-leased shard,
 //     and the first valid result per window wins (CRC- and
-//     fingerprint-gated, mirroring journal.RecoverShards'
-//     first-listed-wins rule).
+//     fingerprint-gated); later duplicates are acked and dropped.
 //   - Every accepted result is appended to the coordinator's journal and
 //     fsynced before the worker is acked, so a SIGKILL'd coordinator
 //     resumes from its own journal without losing an acked window.
 //   - When the fleet shrinks to zero the coordinator degrades
-//     gracefully: windows no worker covered are analysed locally by
-//     rvpredict.MergeShards' completion pass.
+//     gracefully: rvpredict.MergeShards renders the final report from
+//     the coordinator journal and analyses locally the windows no
+//     worker covered.
 //
 // Framing and CRC discipline are internal/stream's (uvarint length ‖
 // payload ‖ CRC32C over both), so a torn or corrupt frame is detected,
@@ -290,11 +290,6 @@ func parseUvarint(b []byte) (uint64, error) {
 	return v, nil
 }
 
-// writeMsg frames and writes one message payload.
-func writeMsg(w io.Writer, payload []byte) error {
-	return stream.WriteFrame(w, payload)
-}
-
 // readMsg reads one framed message and returns its type byte and body.
 func readMsg(br *bufio.Reader) (byte, []byte, error) {
 	p, err := stream.ReadFrame(br)
@@ -309,7 +304,7 @@ func readMsg(br *bufio.Reader) (byte, []byte, error) {
 
 // journalFingerprint is the fleet's run fingerprint: the chunked
 // trace's content hash and the result-affecting options — the exact
-// fingerprint rvpredict's shard journals and MergeShards use, so the
+// fingerprint rvpredict's journals and MergeShards use, so the
 // coordinator journal merges through the ordinary machinery.
 func journalFingerprint(contentHash [sha256.Size]byte, resultFingerprint string) journal.Fingerprint {
 	return journal.Fingerprint{

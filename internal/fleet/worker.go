@@ -12,6 +12,7 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/journal"
 	"repro/internal/retry"
+	"repro/internal/stream"
 	"repro/rvpredict"
 	"repro/trace"
 )
@@ -180,7 +181,7 @@ func (w *worker) call(conn net.Conn, br *bufio.Reader, payload []byte, ttl time.
 		deadline = 2 * ttl
 	}
 	conn.SetWriteDeadline(time.Now().Add(deadline))
-	if err := writeMsg(conn, payload); err != nil {
+	if err := stream.WriteFrame(conn, payload); err != nil {
 		return nil, err
 	}
 	conn.SetReadDeadline(time.Now().Add(deadline))

@@ -451,23 +451,6 @@ var metricDefs = []metricDef{
 		}},
 	{"rvpredict_mmap_bytes", "gauge", "Bytes of chunked trace currently memory-mapped (0 when the reader fell back to a heap copy).",
 		func(s *Server, _ *telemetry.Metrics) []sample { return one(float64(s.opt.Collector.MmapBytes())) }},
-	{"rvpredict_shard_windows_total", "counter",
-		"Windows seen by this shard, by disposition (owned = analysed here, skipped = another shard's).",
-		func(s *Server, _ *telemetry.Metrics) []sample {
-			return []sample{
-				{labels: `{disposition="owned"}`, value: float64(s.opt.Collector.ShardWindowsOwned())},
-				{labels: `{disposition="skipped"}`, value: float64(s.opt.Collector.ShardWindowsSkipped())},
-			}
-		}},
-	{"rvpredict_shard_outcomes_merged_total", "counter", "Window outcomes adopted from shard journals during a merge.",
-		func(s *Server, _ *telemetry.Metrics) []sample {
-			return one(float64(s.opt.Collector.ShardOutcomesMerged()))
-		}},
-	{"rvpredict_shard_conflicts_total", "counter",
-		"Duplicate window outcomes discarded during a shard merge (first listed journal wins).",
-		func(s *Server, _ *telemetry.Metrics) []sample {
-			return one(float64(s.opt.Collector.ShardConflicts()))
-		}},
 	{"rvpredict_fleet_leases_granted_total", "counter", "Shard leases granted to fleet workers (including speculative duplicates).",
 		func(s *Server, _ *telemetry.Metrics) []sample {
 			return one(float64(s.opt.Collector.LeasesGranted()))

@@ -312,43 +312,6 @@ func Recover(path string, fp Fingerprint) (RecoverInfo, error) {
 	return info, nil
 }
 
-// RecoverShards recovers several shard journals written against the
-// same fingerprint and combines their window outcomes into one
-// window-index → outcome map — the coordinator side of a multi-process
-// sharded run (rvpredict.MergeShards). Every journal must verify
-// against fp; a mismatch on any shard fails the whole merge, because a
-// foreign shard's outcomes would silently poison the combined report.
-// Shards journal disjoint window sets under the deterministic
-// index-mod-N partition, but duplicates (overlapping shard ranges, a
-// shard restarted under a different layout, a fleet's speculative
-// re-execution) are tolerated: the earliest-listed journal wins, which
-// is result-identical because a window's outcome depends only on its
-// content, never on which shard analysed it. Torn tails are truncated
-// per journal exactly as Recover reports them; tornTails counts how
-// many journals had one; conflicts counts the losing duplicates — the
-// window records discarded because an earlier-listed journal already
-// supplied that window.
-func RecoverShards(paths []string, fp Fingerprint) (outcomes map[int]race.WindowOutcome, tornTails, conflicts int, err error) {
-	outcomes = make(map[int]race.WindowOutcome)
-	for _, path := range paths {
-		info, err := Recover(path, fp)
-		if err != nil {
-			return nil, 0, 0, fmt.Errorf("shard journal %s: %w", path, err)
-		}
-		if info.TornTail {
-			tornTails++
-		}
-		for _, out := range info.Outcomes {
-			if _, ok := outcomes[out.Window]; !ok {
-				outcomes[out.Window] = out
-			} else {
-				conflicts++
-			}
-		}
-	}
-	return outcomes, tornTails, conflicts, nil
-}
-
 // Inspect reads the journal at path without verifying its fingerprint,
 // returning the header fingerprint alongside the intact records. It
 // exists for diagnostics and tests; resuming a run must go through

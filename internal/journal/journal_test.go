@@ -398,3 +398,24 @@ func TestTraceFingerprintDistinguishesTraces(t *testing.T) {
 		t.Error("fingerprint is zero")
 	}
 }
+
+// TestEncodeDecodeOutcomeRoundTrip pins the exported wire codec the
+// fleet protocol uses to the journal's internal record encoding.
+func TestEncodeDecodeOutcomeRoundTrip(t *testing.T) {
+	for i, out := range testOutcomes() {
+		payload := EncodeOutcome(out)
+		if len(payload) == 0 {
+			t.Fatalf("outcome %d: empty encoding", i)
+		}
+		got, err := DecodeOutcome(payload)
+		if err != nil {
+			t.Fatalf("outcome %d: DecodeOutcome: %v", i, err)
+		}
+		if !reflect.DeepEqual(got, out) {
+			t.Errorf("outcome %d did not round-trip:\n got %+v\nwant %+v", i, got, out)
+		}
+		if !reflect.DeepEqual(payload, encodeOutcome(out)) {
+			t.Errorf("outcome %d: EncodeOutcome diverges from the journal's record encoding", i)
+		}
+	}
+}

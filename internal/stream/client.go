@@ -75,17 +75,17 @@ func (c *Client) SendTrace(tr *trace.Trace, from, batchSize int) error {
 	bw := bufio.NewWriter(c.conn)
 	vols, inits, names := tracefile.CollectMeta(tr)
 	for _, a := range vols {
-		if err := writeFrame(bw, volatilePayload(a)); err != nil {
+		if err := WriteFrame(bw, volatilePayload(a)); err != nil {
 			return err
 		}
 	}
 	for _, kv := range inits {
-		if err := writeFrame(bw, initialPayload(kv.Addr, kv.Value)); err != nil {
+		if err := WriteFrame(bw, initialPayload(kv.Addr, kv.Value)); err != nil {
 			return err
 		}
 	}
 	for _, nm := range names {
-		if err := writeFrame(bw, locNamePayload(nm.Loc, nm.Name)); err != nil {
+		if err := WriteFrame(bw, locNamePayload(nm.Loc, nm.Name)); err != nil {
 			return err
 		}
 	}
@@ -108,13 +108,13 @@ func (c *Client) SendTrace(tr *trace.Trace, from, batchSize int) error {
 	// events sent so far (strictly below upto), in original order.
 	flush := func(upto int) error {
 		if len(batch) > 0 {
-			if err := writeFrame(bw, eventsPayload(batch)); err != nil {
+			if err := WriteFrame(bw, eventsPayload(batch)); err != nil {
 				return err
 			}
 			batch = batch[:0]
 		}
 		for li < len(links) && maxLinkIndex(links[li]) < upto {
-			if err := writeFrame(bw, linkPayload(links[li])); err != nil {
+			if err := WriteFrame(bw, linkPayload(links[li])); err != nil {
 				return err
 			}
 			li++
@@ -144,7 +144,7 @@ func (c *Client) SendTrace(tr *trace.Trace, from, batchSize int) error {
 // the blocking tail of a session, covering the final window's
 // analysis.
 func (c *Client) End() (*rvpredict.Report, error) {
-	if err := writeFrame(c.conn, []byte{recEnd}); err != nil {
+	if err := WriteFrame(c.conn, []byte{recEnd}); err != nil {
 		return nil, err
 	}
 	return c.ReadReport()
@@ -153,7 +153,7 @@ func (c *Client) End() (*rvpredict.Report, error) {
 // ReadReport reads the daemon's report frame (used directly after a
 // Complete welcome, when nothing is owed first).
 func (c *Client) ReadReport() (*rvpredict.Report, error) {
-	payload, err := readFrame(c.br)
+	payload, err := ReadFrame(c.br)
 	if err != nil {
 		return nil, err
 	}

@@ -420,7 +420,7 @@ func (d *Daemon) serveConn(c net.Conn) {
 	if data, err := os.ReadFile(d.ReportPath(token)); err == nil {
 		d.writeDeadline(c)
 		if writeWelcome(c, Welcome{Complete: true}) == nil {
-			writeFrame(c, reportPayload(data))
+			WriteFrame(c, reportPayload(data))
 		}
 		return
 	}
@@ -451,7 +451,7 @@ func (d *Daemon) serveConn(c net.Conn) {
 			return
 		}
 		c.SetReadDeadline(time.Now().Add(d.opt.IdleTimeout))
-		payload, err := readFrame(br)
+		payload, err := ReadFrame(br)
 		if err != nil {
 			d.logf("stream: session %s: suspended: %v", token, err)
 			sess.close()
@@ -476,7 +476,7 @@ func (d *Daemon) serveConn(c net.Conn) {
 			sess.close()
 			return
 		}
-		if err := sess.ingest.append(appendFrame(nil, payload)); err != nil {
+		if err := sess.ingest.append(AppendFrame(nil, payload)); err != nil {
 			d.logf("stream: session %s: suspended: %v", token, err)
 			sess.close()
 			return
@@ -528,7 +528,7 @@ func (d *Daemon) finishSession(c net.Conn, sess *session, sendWelcome bool) {
 			return
 		}
 	}
-	writeFrame(c, reportPayload(data))
+	WriteFrame(c, reportPayload(data))
 }
 
 // writeDeadline arms a write deadline so a dead client cannot wedge a

@@ -41,7 +41,7 @@ func createIngest(path, token string) (*ingestLog, error) {
 	}
 	hdr := []byte(ingestMagic)
 	hdr = binary.AppendUvarint(hdr, ingestVersion)
-	hdr = appendFrame(hdr, []byte(token))
+	hdr = AppendFrame(hdr, []byte(token))
 	if _, err := f.Write(hdr); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("stream: ingest header: %w", err)
@@ -54,7 +54,7 @@ func createIngest(path, token string) (*ingestLog, error) {
 }
 
 // append buffers one framed record (the full frame bytes, as produced
-// by appendFrame). Durability requires a later sync.
+// by AppendFrame). Durability requires a later sync.
 func (g *ingestLog) append(frame []byte) error {
 	if _, err := g.bw.Write(frame); err != nil {
 		return fmt.Errorf("stream: ingest append: %w", err)
@@ -109,7 +109,7 @@ func recoverIngest(path, token string) (*ingestLog, [][]byte, bool, error) {
 		f.Close()
 		return nil, nil, false, fmt.Errorf("%w: unsupported ingest version", ErrProtocol)
 	}
-	tok, err := readFrame(br)
+	tok, err := ReadFrame(br)
 	if err != nil || string(tok) != token {
 		f.Close()
 		return nil, nil, false, fmt.Errorf("%w: ingest log belongs to a different session", ErrProtocol)
@@ -131,7 +131,7 @@ func recoverIngest(path, token string) (*ingestLog, [][]byte, bool, error) {
 	var payloads [][]byte
 	torn := false
 	for {
-		payload, err := readFrame(br)
+		payload, err := ReadFrame(br)
 		if err == io.EOF {
 			break
 		}

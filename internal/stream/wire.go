@@ -94,9 +94,14 @@ var ErrProtocol = errors.New("stream: protocol error")
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// appendFrame appends one CRC frame (uvarint length ‖ payload ‖ CRC32C
+// The CRC framing is shared with sibling wire protocols: internal/fleet's
+// coordinator/worker channel reuses the exact discipline (and so
+// inherits the torn/corrupt-frame detection) without depending on this
+// package's record vocabulary.
+
+// AppendFrame appends one CRC frame (uvarint length ‖ payload ‖ CRC32C
 // over both) to dst — byte-compatible with the journal's framing.
-func appendFrame(dst, payload []byte) []byte {
+func AppendFrame(dst, payload []byte) []byte {
 	start := len(dst)
 	dst = binary.AppendUvarint(dst, uint64(len(payload)))
 	dst = append(dst, payload...)
@@ -104,16 +109,23 @@ func appendFrame(dst, payload []byte) []byte {
 	return binary.LittleEndian.AppendUint32(dst, crc)
 }
 
-// writeFrame writes one framed payload to w.
-func writeFrame(w io.Writer, payload []byte) error {
-	_, err := w.Write(appendFrame(nil, payload))
+// WriteFrame writes one framed payload to w.
+func WriteFrame(w io.Writer, payload []byte) error {
+	_, err := w.Write(AppendFrame(nil, payload))
 	return err
 }
 
-// readFrame reads one CRC frame from br and returns its payload. The
-// CRC is recomputed over the canonical re-encoding of the length, which
-// rejects non-minimal varints along with any corruption.
-func readFrame(br *bufio.Reader) ([]byte, error) {
+// frameStep bounds how far ReadFrame grows a payload ahead of the bytes
+// that actually arrived.
+const frameStep = 1 << 16
+
+// ReadFrame reads one CRC frame from br and returns its payload; a
+// corrupt, truncated or oversized frame yields an error wrapping
+// ErrProtocol. The CRC is recomputed over the canonical re-encoding of
+// the length, which rejects non-minimal varints along with any
+// corruption. The payload grows in frameStep steps as it is read, so a
+// length claim alone cannot force a large allocation.
+func ReadFrame(br *bufio.Reader) ([]byte, error) {
 	n, err := binary.ReadUvarint(br)
 	if err != nil {
 		if err == io.EOF {
@@ -124,37 +136,26 @@ func readFrame(br *bufio.Reader) ([]byte, error) {
 	if n > maxFrameLen {
 		return nil, fmt.Errorf("%w: frame of %d bytes exceeds cap", ErrProtocol, n)
 	}
-	buf := make([]byte, binary.MaxVarintLen64+int(n))
-	lenLen := binary.PutUvarint(buf, n)
-	body := buf[lenLen : lenLen+int(n)]
-	if _, err := io.ReadFull(br, body); err != nil {
-		return nil, fmt.Errorf("%w: truncated frame: %v", ErrProtocol, err)
+	var lenBuf [binary.MaxVarintLen64]byte
+	lenLen := binary.PutUvarint(lenBuf[:], n)
+	body := make([]byte, 0, min(n, frameStep))
+	for uint64(len(body)) < n {
+		old := len(body)
+		body = append(body, make([]byte, min(n-uint64(old), frameStep))...)
+		if _, err := io.ReadFull(br, body[old:]); err != nil {
+			return nil, fmt.Errorf("%w: truncated frame: %v", ErrProtocol, err)
+		}
 	}
 	var crcBytes [4]byte
 	if _, err := io.ReadFull(br, crcBytes[:]); err != nil {
 		return nil, fmt.Errorf("%w: truncated frame CRC: %v", ErrProtocol, err)
 	}
-	want := binary.LittleEndian.Uint32(crcBytes[:])
-	if got := crc32.Checksum(buf[:lenLen+int(n)], castagnoli); got != want {
+	crc := crc32.Update(crc32.Checksum(lenBuf[:lenLen], castagnoli), castagnoli, body)
+	if crc != binary.LittleEndian.Uint32(crcBytes[:]) {
 		return nil, fmt.Errorf("%w: frame CRC mismatch", ErrProtocol)
 	}
 	return body, nil
 }
-
-// AppendFrame, WriteFrame and ReadFrame expose the CRC framing for
-// sibling wire protocols — internal/fleet's coordinator/worker channel
-// reuses the exact discipline (and so inherits the torn/corrupt-frame
-// detection) without depending on this package's record vocabulary.
-
-// AppendFrame appends one CRC frame carrying payload to dst.
-func AppendFrame(dst, payload []byte) []byte { return appendFrame(dst, payload) }
-
-// WriteFrame writes one framed payload to w.
-func WriteFrame(w io.Writer, payload []byte) error { return writeFrame(w, payload) }
-
-// ReadFrame reads one CRC frame from br and returns its payload; a
-// corrupt or oversized frame yields an error wrapping ErrProtocol.
-func ReadFrame(br *bufio.Reader) ([]byte, error) { return readFrame(br) }
 
 // record is one decoded data frame.
 type record struct {

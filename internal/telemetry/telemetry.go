@@ -242,15 +242,10 @@ type Collector struct {
 	journalReplayed atomic.Int64
 	journalTorn     atomic.Int64
 
-	// Out-of-core reader tallies (internal/tracev2) and shard-run
-	// accounting (rvpredict sharded window analysis).
-	chunkCacheHits      atomic.Int64
-	chunkCacheMisses    atomic.Int64
-	mmapBytes           atomic.Int64
-	shardWindowsOwned   atomic.Int64
-	shardWindowsSkipped atomic.Int64
-	shardOutcomesMerged atomic.Int64
-	shardConflicts      atomic.Int64
+	// Out-of-core reader tallies (internal/tracev2).
+	chunkCacheHits   atomic.Int64
+	chunkCacheMisses atomic.Int64
+	mmapBytes        atomic.Int64
 
 	// Fleet tallies (internal/fleet): lease lifecycle and worker-fault
 	// accounting of the distributed shard coordinator. Introspection
@@ -772,71 +767,6 @@ func (c *Collector) MmapBytes() int64 {
 		return 0
 	}
 	return c.mmapBytes.Load()
-}
-
-// CountShardWindow tallies one window considered by a sharded run:
-// owned windows are analysed by this shard, skipped ones belong to
-// other shards under the deterministic widx-mod-N partition.
-func (c *Collector) CountShardWindow(owned bool) {
-	if c == nil {
-		return
-	}
-	if owned {
-		c.shardWindowsOwned.Add(1)
-	} else {
-		c.shardWindowsSkipped.Add(1)
-	}
-}
-
-// ShardWindowsOwned returns the owned-window tally of a sharded run.
-func (c *Collector) ShardWindowsOwned() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.shardWindowsOwned.Load()
-}
-
-// ShardWindowsSkipped returns the skipped-window tally of a sharded run.
-func (c *Collector) ShardWindowsSkipped() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.shardWindowsSkipped.Load()
-}
-
-// CountShardOutcomeMerged tallies one journaled window outcome adopted
-// from a shard journal during a merge run.
-func (c *Collector) CountShardOutcomeMerged() {
-	if c == nil {
-		return
-	}
-	c.shardOutcomesMerged.Add(1)
-}
-
-// ShardOutcomesMerged returns the merged-outcome tally.
-func (c *Collector) ShardOutcomesMerged() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.shardOutcomesMerged.Load()
-}
-
-// CountShardConflict tallies one duplicate window outcome discarded
-// during a shard-journal merge: two journals both held the window and
-// the first-listed one won (journal.RecoverShards' deterministic rule).
-func (c *Collector) CountShardConflict() {
-	if c == nil {
-		return
-	}
-	c.shardConflicts.Add(1)
-}
-
-// ShardConflicts returns the discarded-duplicate tally of shard merges.
-func (c *Collector) ShardConflicts() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.shardConflicts.Load()
 }
 
 // CountLeaseGranted tallies one window-shard lease handed to a fleet

@@ -32,8 +32,8 @@
 // Every chunk except the last holds exactly chunkSize events, so random
 // access to event i touches only chunk i/chunkSize. The footer's chunk
 // directory carries each chunk's byte offset, length, event count and a
-// min/max block (thread, variable and lock ranges) so shard workers and
-// future index scans can skip chunks without decoding them.
+// min/max block (thread, variable and lock ranges) so future index scans
+// can skip chunks without decoding them.
 //
 // The metadata block reuses the legacy per-section element encodings
 // (notify links, volatile addresses, initial values, location names) —
@@ -58,8 +58,8 @@
 // (the exact byte stream tracefile.Encode produces), NOT of this file's
 // bytes. journal.TraceFingerprint hashes the same stream, so a journal
 // written against a chunked trace binds to the identical fingerprint as
-// one written against the legacy file — resume, crash recovery and
-// shard-merge all work across formats unchanged.
+// one written against the legacy file — resume, crash recovery and the
+// fleet's merge all work across formats unchanged.
 //
 // The 12-byte tail is fixed-size so the footer can be located from the
 // end of the file without any forward scan:

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/fixtures"
+	"repro/internal/tracev2"
 	"repro/rvpredict"
 )
 
@@ -47,6 +48,24 @@ func TestValidateRejectsEachBadCombination(t *testing.T) {
 			check("Run", err)
 		})
 	}
+}
+
+// TestRunRejectsMissingTraceSource: Run with neither a TraceReader nor a
+// trace returns an *OptionsError on TraceReader instead of panicking,
+// and so does a run given both.
+func TestRunRejectsMissingTraceSource(t *testing.T) {
+	check := func(name string, err error) {
+		t.Helper()
+		var oe *rvpredict.OptionsError
+		if !errors.As(err, &oe) || oe.Field != "TraceReader" {
+			t.Errorf("%s: error = %v, want *OptionsError on TraceReader", name, err)
+		}
+	}
+	_, err := rvpredict.Run(nil, nil, rvpredict.Options{})
+	check("no source", err)
+	tr := fixtures.Figure1()
+	_, err = rvpredict.Run(nil, tr, rvpredict.Options{TraceReader: tracev2.FromTrace(tr)})
+	check("both sources", err)
 }
 
 // TestValidateAcceptsDefinedOptions: the documented sentinel values —

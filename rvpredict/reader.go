@@ -53,20 +53,20 @@ type TraceReader interface {
 // run is the one driver behind Run, DetectContext and MergeShards. The
 // trace source is opt.TraceReader or, when that is nil, tr in an
 // in-memory reader. MaximalCF streams the source's windows through one
-// core.Runner: an in-memory unsharded run carries signature verdicts
-// across windows, every other run analyses each window Isolated, so any
-// window assignment — shards, fleet workers, a merge — yields the same
-// outcomes. The baselines analyse the materialised trace. Every report
-// is rendered through the source. merged marks MergeShards, whose report
-// is the authoritative run: the per-race Replayed flag (how the merge
-// obtained each window) is cleared, so the merged report is identical to
-// a clean single-process reader run's.
+// core.Runner: an in-memory run carries signature verdicts across
+// windows, a reader run analyses each window Isolated, so any window
+// assignment — fleet workers, a merge — yields the same outcomes. The
+// baselines analyse the materialised trace. Every report is rendered
+// through the source. merged marks MergeShards, whose report is the
+// authoritative run: the per-race Replayed flag (how the merge obtained
+// each window) is cleared, so the merged report is identical to a clean
+// single-process reader run's.
 func run(ctx context.Context, tr *trace.Trace, opt Options, merged bool) (Report, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	opt = opt.normalise()
-	inMemory := opt.TraceReader == nil && opt.Shards == 0
+	inMemory := opt.TraceReader == nil
 	det := baseline(opt)
 	rd := opt.TraceReader
 	switch {
@@ -138,9 +138,8 @@ func run(ctx context.Context, tr *trace.Trace, opt Options, merged bool) (Report
 }
 
 // detectMaximal streams rd's windows through one core.Runner, Carried
-// for an in-memory unsharded run (which also reports every window of the
-// trace, analysed or not) and Isolated otherwise. A sharded run analyses
-// only the windows whose index ≡ ShardID (mod Shards).
+// for an in-memory run (which also reports every window of the trace,
+// analysed or not) and Isolated otherwise.
 func detectMaximal(ctx context.Context, rd TraceReader, opt Options, inMemory bool) (race.Result, error) {
 	state := core.Isolated
 	if inMemory {
@@ -148,16 +147,7 @@ func detectMaximal(ctx context.Context, rd TraceReader, opt Options, inMemory bo
 	}
 	runner := core.NewRunner(opt.runCoreOptions(opt.col), state)
 	err := runner.Run(ctx, func(f func(w *trace.Trace, widx, offset int) error) error {
-		return rd.Windows(opt.WindowSize, func(w *trace.Trace, widx, offset int) error {
-			if opt.Shards > 0 {
-				owned := widx%opt.Shards == opt.ShardID
-				opt.col.CountShardWindow(owned)
-				if !owned {
-					return nil
-				}
-			}
-			return f(w, widx, offset)
-		})
+		return rd.Windows(opt.WindowSize, f)
 	})
 	res := runner.Result()
 	if inMemory {
@@ -225,26 +215,19 @@ func render(rd TraceReader, stats trace.Stats, res race.Result, opt Options, col
 	return rep, nil
 }
 
-// MergeShards combines the journals of an N-shard run into one report
-// identical to a single-process reader run over the same trace and
-// options. Options.TraceReader must be set (the merge re-derives the
-// fingerprint from it, verifies every shard journal against that
-// fingerprint, and renders the report through it); Shards/ShardID,
-// Journal and Resume are ignored — the merge is a read-only combine
-// that analyses nothing a shard already journaled. Windows missing from
-// every journal (a shard that never ran, or was cut short) are analysed
-// in-process, so the merged report is always complete; each adopted
-// journal outcome is counted in telemetry.
-func MergeShards(ctx context.Context, opt Options, shardJournals []string) (Report, error) {
+// MergeShards renders the final report of a fleet run from the
+// coordinator's journal of window outcomes, identical to a
+// single-process reader run over the same trace and options.
+// Options.TraceReader must be set: the merge re-derives the fingerprint
+// from it, verifies the journal against that fingerprint, and renders
+// the report through it. Journal and Resume are ignored — the merge
+// only reads the journal. Windows missing from it (leases the fleet
+// never finished) are analysed in-process, so the report is always
+// complete; each adopted outcome counts as a replayed window.
+func MergeShards(ctx context.Context, opt Options, journalPath string) (Report, error) {
 	if opt.TraceReader == nil {
 		return Report{}, &OptionsError{Field: "TraceReader", Reason: "MergeShards renders and fingerprints through the trace reader; set it"}
 	}
-	if len(shardJournals) == 0 {
-		return Report{}, &OptionsError{Field: "Journal", Reason: "MergeShards needs at least one shard journal"}
-	}
-	// The merge is a plain (unsharded, unjournaled) reader run resumed
-	// from the union of the shard journals.
-	opt.Shards, opt.ShardID = 0, 0
 	opt.Journal, opt.Resume = "", false
 	if err := opt.Validate(); err != nil {
 		return Report{}, err
@@ -258,19 +241,13 @@ func MergeShards(ctx context.Context, opt Options, shardJournals []string) (Repo
 		Trace:   opt.TraceReader.ContentHash(),
 		Options: journal.OptionsFingerprint(opt.fingerprintString()),
 	}
-	outcomes, tornTails, conflicts, err := journal.RecoverShards(shardJournals, fp)
+	info, err := journal.Recover(journalPath, fp)
 	if err != nil {
 		return Report{}, err
 	}
-	for i := 0; i < tornTails; i++ {
+	if info.TornTail {
 		col.CountTornTailTruncated()
 	}
-	for i := 0; i < conflicts; i++ {
-		col.CountShardConflict()
-	}
-	for range outcomes {
-		col.CountShardOutcomeMerged()
-	}
-	opt.resumeWindows = outcomes
+	opt.resumeWindows = outcomesByWindow(info.Outcomes)
 	return run(ctx, nil, opt, true)
 }

@@ -165,10 +165,10 @@ type Options struct {
 	// Parallelism > 1 analyses trace windows concurrently with that many
 	// workers (MaximalCF only), on every trace source. Each window is
 	// analysed with fresh signature state and the outcomes merge in window
-	// order, so the report is deterministic and identical to the reader,
-	// shard and fleet report of the same trace; it differs from a
-	// sequential in-memory run only in PairsChecked, and only when a
-	// signature recurs across windows.
+	// order, so the report is deterministic and identical to the reader
+	// and fleet report of the same trace; it differs from a sequential
+	// in-memory run only in PairsChecked, and only when a signature
+	// recurs across windows.
 	Parallelism int
 	// PairParallelism > 1 solves the candidate pairs inside each window
 	// concurrently with that many workers (MaximalCF only). It is the
@@ -238,20 +238,6 @@ type Options struct {
 	// the same races as the in-memory path but counts solver work per
 	// window. Parallelism applies as on the in-memory path.
 	TraceReader TraceReader
-	// Shards, when > 0, enables deterministic window sharding over the
-	// reader path (MaximalCF via Run only): this process analyses only
-	// the windows whose index ≡ ShardID (mod Shards) and journals their
-	// outcomes, so N cooperating processes — each with its own Journal —
-	// cover the trace. MergeShards combines the shard journals into one
-	// report identical to a single-process reader run. Shards > 1
-	// requires Journal (an unjournaled shard's work cannot be merged);
-	// Shards == 1 is the degenerate single-shard run. Excluded from the
-	// journal fingerprint, like Parallelism: any shard layout yields the
-	// same per-window outcomes.
-	Shards int
-	// ShardID is this process's shard index in [0, Shards). Requires
-	// Shards.
-	ShardID int
 	// Spans, when non-nil, records the run's span timeline — run,
 	// window, MHB/encode/triage/solve phases, pair-scheduler worker
 	// occupancy, journal fsync stalls — into the given bounded ring
@@ -262,12 +248,12 @@ type Options struct {
 	// Collector, when non-nil, is the telemetry collector the run
 	// accumulates its counters into, instead of an internal one. It lets
 	// a supervising process — the fleet coordinator, a test harness —
-	// observe counters that never reach the report snapshot (shard and
-	// fleet counters) and aggregate several runs (e.g. repeated merges)
-	// into one set of gauges. Observational only, like DebugAddr: it is
-	// excluded from the journal fingerprint and never changes what is
-	// detected. Telemetry still controls whether the report carries a
-	// snapshot.
+	// observe counters that never reach the report snapshot (the fleet
+	// counters) and aggregate several runs (e.g. a coordinator's leases
+	// and its final merge) into one set of gauges. Observational only,
+	// like DebugAddr: it is excluded from the journal fingerprint and
+	// never changes what is detected. Telemetry still controls whether
+	// the report carries a snapshot.
 	Collector *telemetry.Collector
 
 	// onWindowDone and resumeWindows are the journal and introspection
@@ -332,22 +318,6 @@ func (o Options) Validate() error {
 	}
 	if o.OnDebugAddr != nil && o.DebugAddr == "" {
 		return &OptionsError{Field: "OnDebugAddr", Reason: "requires DebugAddr: there is no server whose address could be reported"}
-	}
-	if o.Shards < 0 {
-		return &OptionsError{Field: "Shards", Reason: fmt.Sprintf("%d; shard counts cannot be negative", o.Shards)}
-	}
-	if o.Shards > 0 {
-		if o.Algorithm != MaximalCF {
-			return &OptionsError{Field: "Shards", Reason: fmt.Sprintf("window sharding supports the %s algorithm only, not %s", MaximalCF, o.Algorithm)}
-		}
-		if o.ShardID < 0 || o.ShardID >= o.Shards {
-			return &OptionsError{Field: "ShardID", Reason: fmt.Sprintf("%d; want a shard index in [0, %d)", o.ShardID, o.Shards)}
-		}
-		if o.Shards > 1 && o.Journal == "" {
-			return &OptionsError{Field: "Shards", Reason: "a multi-shard run requires Journal: an unjournaled shard's outcomes cannot be merged"}
-		}
-	} else if o.ShardID != 0 {
-		return &OptionsError{Field: "ShardID", Reason: fmt.Sprintf("%d; requires Shards", o.ShardID)}
 	}
 	return nil
 }
@@ -546,8 +516,8 @@ func Detect(tr *trace.Trace, opt Options) Report {
 // are replayed instead of re-analysed, producing a report identical to
 // an uninterrupted run's while issuing strictly fewer solver queries.
 // Detection errors (an unreadable journal, a fingerprint mismatch) are
-// returned, not absorbed. Without Journal, DebugAddr, TraceReader or
-// Shards, Run is DetectContext plus validation. A nil ctx is treated as
+// returned, not absorbed. Without Journal, DebugAddr or TraceReader,
+// Run is DetectContext plus validation. A nil ctx is treated as
 // context.Background().
 func Run(ctx context.Context, tr *trace.Trace, opt Options) (Report, error) {
 	if err := opt.Validate(); err != nil {
@@ -556,8 +526,8 @@ func Run(ctx context.Context, tr *trace.Trace, opt Options) (Report, error) {
 	switch {
 	case opt.TraceReader != nil && tr != nil:
 		return Report{}, &OptionsError{Field: "TraceReader", Reason: "both TraceReader and a materialised trace were supplied; pass exactly one"}
-	case opt.TraceReader == nil && tr == nil && opt.Shards > 0:
-		return Report{}, &OptionsError{Field: "TraceReader", Reason: "sharded analysis needs a trace source: set TraceReader or pass a non-nil trace"}
+	case opt.TraceReader == nil && tr == nil:
+		return Report{}, &OptionsError{Field: "TraceReader", Reason: "no trace source: set TraceReader or pass a non-nil trace"}
 	}
 	return run(ctx, tr, opt, false)
 }
@@ -589,12 +559,7 @@ func attachJournalWriter(opt *Options, fp journal.Fingerprint, col *telemetry.Co
 		if info.TornTail {
 			col.CountTornTailTruncated()
 		}
-		if len(info.Outcomes) > 0 {
-			opt.resumeWindows = make(map[int]race.WindowOutcome, len(info.Outcomes))
-			for _, out := range info.Outcomes {
-				opt.resumeWindows[out.Window] = out
-			}
-		}
+		opt.resumeWindows = outcomesByWindow(info.Outcomes)
 	} else {
 		w, err = journal.Create(opt.Journal, fp, jopt)
 		if err != nil {
@@ -620,6 +585,19 @@ func attachJournalWriter(opt *Options, fp journal.Fingerprint, col *telemetry.Co
 	}, nil
 }
 
+// outcomesByWindow indexes recovered journal outcomes by window, or
+// returns nil when there are none.
+func outcomesByWindow(outs []race.WindowOutcome) map[int]race.WindowOutcome {
+	if len(outs) == 0 {
+		return nil
+	}
+	m := make(map[int]race.WindowOutcome, len(outs))
+	for _, out := range outs {
+		m[out.Window] = out
+	}
+	return m
+}
+
 // DetectContext is Detect under a context: cancelling ctx interrupts the
 // run — the context is polled between windows, between pairs and inside
 // the solver's search loop — and the partial report is returned with
@@ -627,8 +605,8 @@ func attachJournalWriter(opt *Options, fp journal.Fingerprint, col *telemetry.Co
 // coverage is affected. A nil ctx is treated as context.Background().
 func DetectContext(ctx context.Context, tr *trace.Trace, opt Options) Report {
 	// The options honoured by Run only: DetectContext analyses tr,
-	// unsharded, unjournaled and without the introspection server.
-	opt.TraceReader, opt.Shards, opt.ShardID = nil, 0, 0
+	// unjournaled and without the introspection server.
+	opt.TraceReader = nil
 	opt.Journal, opt.Resume = "", false
 	opt.DebugAddr, opt.OnDebugAddr = "", nil
 	// An in-memory source without a journal cannot fail.

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/fixtures"
+	"repro/internal/tracev2"
 	"repro/minilang"
 	"repro/rvpredict"
 	"repro/trace"
@@ -119,9 +120,9 @@ func TestNegativeOptionsDisableBounds(t *testing.T) {
 		}
 	}
 	check("Detect", rvpredict.Detect(tr, opt))
-	sharded := opt
-	sharded.Shards = 1
-	rep, err := rvpredict.Run(nil, tr, sharded)
+	reader := opt
+	reader.TraceReader = tracev2.FromTrace(tr)
+	rep, err := rvpredict.Run(nil, nil, reader)
 	if err != nil {
 		t.Fatal(err)
 	}
