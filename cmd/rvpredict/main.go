@@ -106,7 +106,6 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		stats      = fs.Bool("stats", false, "print pipeline and solver statistics after the report")
 		jsonOut    = fs.Bool("json", false, "emit the full report (with telemetry) as JSON on stdout")
 		progress   = fs.Bool("progress", false, "trace per-window progress on stderr while analysing")
-		firstPass  = fs.Duration("first-pass", 0, "cheap first-pass per-pair timeout; timed-out pairs are retried with escalating budgets (rv only)")
 		budget     = fs.Duration("budget", 0, "global wall-clock budget for the whole run (0 = unbounded; rv only)")
 		journalTo  = fs.String("journal", "", "checkpoint completed windows to `file` for crash-safe resume (rv only)")
 		resume     = fs.Bool("resume", false, "replay windows already checkpointed in the -journal file instead of re-analysing them")
@@ -275,16 +274,15 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		ws = -1 // whole trace
 	}
 	opt := rvpredict.Options{
-		WindowSize:       ws,
-		SolveTimeout:     *timeout,
-		FirstPassTimeout: *firstPass,
-		GlobalBudget:     *budget,
-		Parallelism:      *parallel,
-		PairParallelism:  *pairPar,
-		Witness:          *witness,
-		Telemetry:        *stats || *jsonOut,
-		Journal:          *journalTo,
-		Resume:           *resume,
+		WindowSize:      ws,
+		SolveTimeout:    *timeout,
+		GlobalBudget:    *budget,
+		Parallelism:     *parallel,
+		PairParallelism: *pairPar,
+		Witness:         *witness,
+		Telemetry:       *stats || *jsonOut,
+		Journal:         *journalTo,
+		Resume:          *resume,
 	}
 	// RVPREDICT_FAULTS carries a deterministic fault script (see
 	// faultinject.ParseScript) into the pipeline — the hook the re-exec
@@ -732,11 +730,11 @@ func printTelemetry(w io.Writer, t *rvpredict.Telemetry) {
 	o := t.Outcomes
 	fmt.Fprintf(w, "candidates: %d enumerated, %d quick-check filtered, %d MHB filtered, %d dedup hits\n",
 		o.Enumerated, o.QuickCheckFiltered, o.MHBFiltered, o.SigDedupHits)
-	fmt.Fprintf(w, "queries: %d solved — %d sat, %d unsat, %d timeout, %d conflict-budget, %d cancelled\n",
-		o.Solved, o.Sat, o.Unsat, o.Timeout, o.ConflictBudget, o.Cancelled)
-	if o.RetriesScheduled > 0 || o.BudgetExhausted > 0 || o.WindowFailures > 0 {
-		fmt.Fprintf(w, "resilience: %d retries scheduled, %d solved on retry (%d sat), %d budget-exhausted, %d window failures\n",
-			o.RetriesScheduled, o.RetriesSolved, o.RetrySat, o.BudgetExhausted, o.WindowFailures)
+	fmt.Fprintf(w, "queries: %d solved — %d sat, %d unsat, %d timeout, %d cancelled\n",
+		o.Solved, o.Sat, o.Unsat, o.Timeout, o.Cancelled)
+	if o.BudgetExhausted > 0 || o.WindowFailures > 0 {
+		fmt.Fprintf(w, "resilience: %d budget-exhausted, %d window failures\n",
+			o.BudgetExhausted, o.WindowFailures)
 	}
 	sc := t.Solver
 	fmt.Fprintf(w, "sat: %d decisions, %d propagations, %d conflicts, %d restarts, %d learned\n",

@@ -44,8 +44,6 @@ type Options struct {
 	// (rvpredict.Options maps its zero value to the paper's 60 s default,
 	// and negatives to 0, before reaching this layer.)
 	SolveTimeout time.Duration
-	// MaxConflicts bounds each candidate's CDCL search; 0 = unbounded.
-	MaxConflicts int64
 	// Witness requests witness schedules.
 	Witness bool
 	// Telemetry, when non-nil, accumulates phase timings, solver counters
@@ -245,9 +243,6 @@ func (d *Detector) DetectContext(ctx context.Context, tr *trace.Trace) Result {
 			span.End()
 			if d.opt.SolveTimeout > 0 {
 				s.SetDeadline(time.Now().Add(d.opt.SolveTimeout))
-			}
-			if d.opt.MaxConflicts > 0 {
-				s.SetMaxConflicts(d.opt.MaxConflicts)
 			}
 			span = col.StartPhase(telemetry.PhaseSolve)
 			verdict := s.SolveAssuming(g)

@@ -37,8 +37,8 @@
 // (Section 4) is analysed into a race.WindowOutcome in whole-trace
 // coordinates — or replayed from a journaled one — and merged into the
 // race.Result in window order, one race per location-pair signature.
-// Batch, window-parallel, resumed, out-of-core, sharded, daemon and fleet
-// runs differ only in where the windows come from and whether signature
+// Batch, window-parallel, resumed, out-of-core, daemon and fleet runs
+// differ only in where the windows come from and whether signature
 // verdicts carry from one window to the next (SigState).
 //
 // The detector is fully instrumented (see internal/telemetry): with a
@@ -77,21 +77,11 @@ type Options struct {
 	// its zero value to the paper's 60 s default, and negatives to 0,
 	// before reaching this layer.)
 	SolveTimeout time.Duration
-	// FirstPassTimeout, when > 0, enables the adaptive two-pass
-	// scheduler: every pair is first solved under this cheap budget, and
-	// pairs that time out are deferred and retried afterwards with
-	// budgets escalating geometrically up to SolveTimeout (and bounded by
-	// the remaining GlobalBudget). Easy pairs never starve behind hard
-	// ones, and a pair the single-pass policy would have abandoned gets a
-	// second chance. It has no effect when ≥ SolveTimeout > 0.
-	FirstPassTimeout time.Duration
 	// GlobalBudget, when > 0, bounds the whole run's wall clock. Once
 	// exhausted, remaining candidates are skipped (counted in telemetry
 	// as budget_exhausted) and the result is flagged BudgetExhausted;
 	// completed windows' results are kept.
 	GlobalBudget time.Duration
-	// MaxConflicts bounds each COP's CDCL search; 0 means unbounded.
-	MaxConflicts int64
 	// Witness requests witness schedules on detected races.
 	Witness bool
 	// NoQuickCheck disables the hybrid lockset/weak-HB prefilter: a
@@ -106,8 +96,8 @@ type Options struct {
 	// Parallelism > 1 analyses up to that many windows concurrently, each
 	// Isolated (see SigState), and merges their outcomes in window order,
 	// so the race.Result — races, witnesses, counters — is the same for
-	// every worker count, and equals the reader, shard and fleet report of
-	// the same trace. A sequential run may carry signature verdicts across
+	// every worker count, and equals the reader and fleet report of the
+	// same trace. A sequential run may carry signature verdicts across
 	// windows instead, which changes COPsChecked, never the races, when a
 	// signature recurs.
 	Parallelism int
@@ -138,7 +128,7 @@ type Options struct {
 	// FaultInjector, when non-nil, injects deterministic faults at the
 	// pipeline's instrumentation points (window start, per solve
 	// attempt). Test-only: it exists to drive the panic-isolation and
-	// retry recovery paths reproducibly; production runs leave it nil.
+	// solver-abort paths reproducibly; production runs leave it nil.
 	FaultInjector *faultinject.Injector
 	// OnWindowDone, when non-nil, receives the durable outcome of every
 	// window whose analysis reached a final verdict: clean completions
@@ -200,36 +190,7 @@ func (d *Detector) DetectContext(ctx context.Context, tr *trace.Trace) race.Resu
 	return res
 }
 
-// Retry-policy constants of the two-pass scheduler: each retry multiplies
-// the previous budget by retryEscalation, and a pair is abandoned after
-// maxRetryAttempts escalations (a backstop for unbounded SolveTimeout).
-const (
-	retryEscalation  = 4
-	maxRetryAttempts = 6
-)
-
-// twoPass reports whether the adaptive two-pass scheduler is active:
-// FirstPassTimeout set and actually cheaper than the final budget.
-func (d *Detector) twoPass() bool {
-	fp := d.opt.FirstPassTimeout
-	if fp <= 0 {
-		return false
-	}
-	return d.opt.SolveTimeout <= 0 || fp < d.opt.SolveTimeout
-}
-
-// passOneTimeout is the per-pair budget of the first solving pass.
-func (d *Detector) passOneTimeout() time.Duration {
-	if d.twoPass() {
-		return d.opt.FirstPassTimeout
-	}
-	if d.opt.SolveTimeout > 0 {
-		return d.opt.SolveTimeout
-	}
-	return 0
-}
-
-// solveDeadline combines a per-attempt timeout with the run's global
+// solveDeadline combines a per-pair timeout with the run's global
 // deadline; the zero time means unbounded.
 func solveDeadline(timeout time.Duration, global time.Time) time.Time {
 	var dl time.Time
@@ -488,7 +449,6 @@ func (r *Runner) merge(wr windowResult) {
 	res, out := &r.res, wr.out
 	res.COPsChecked += out.COPsChecked
 	res.SolverAborts += out.SolverAborts
-	res.PairsRetried += out.PairsRetried
 	for _, x := range out.Races {
 		if !r.seen[x.Sig] {
 			r.seen[x.Sig] = true
@@ -658,7 +618,6 @@ func (r *Runner) analyze(ctx context.Context, w *trace.Trace, widx, offset int, 
 			}
 			out.COPsChecked += gr.solved
 			out.SolverAborts += gr.aborts
-			out.PairsRetried += gr.retried
 			wr.cancelled = wr.cancelled || gr.cancelled
 			wr.budgetGone = wr.budgetGone || gr.budgetGone
 			if gr.isRace {
@@ -754,10 +713,8 @@ func (d *Detector) newWindowSolver(w *trace.Trace, mhb *vc.MHB) *windowSolver {
 }
 
 // prepare encodes one COP's guarded race constraint on the shared window
-// solver and returns the guard literal to assume. The guard persists, so
-// a pair deferred by the two-pass scheduler is re-solved later by assuming
-// the same guard with a bigger budget — no re-encoding. ok is false when
-// the encoding itself proves the pair impossible (treated as unsat).
+// solver and returns the guard literal to assume. ok is false when the
+// encoding itself proves the pair impossible (treated as unsat).
 func (ws *windowSolver) prepare(d *Detector, cop race.COP) (g sat.Lit, ok bool) {
 	if ws.bad {
 		return 0, false
@@ -788,20 +745,17 @@ type queryStats struct {
 	conflicts    int64
 }
 
-// solve decides one prepared COP under the given per-attempt budget,
-// clipped against the run's global deadline. The deadline is always
-// (re)installed — the solver is shared across queries and retries, so a
-// stale deadline from a previous attempt must never leak into this one.
+// solve decides one prepared COP under SolveTimeout, clipped against the
+// run's global deadline. The deadline is always (re)installed — the solver
+// is shared across queries, so a stale deadline from a previous query must
+// never leak into this one.
 func (ws *windowSolver) solve(d *Detector, widx int, cop race.COP, g sat.Lit,
-	timeout time.Duration, globalDeadline time.Time) (isRace bool, witness []int, outcome telemetry.Outcome, qs queryStats) {
+	globalDeadline time.Time) (isRace bool, witness []int, outcome telemetry.Outcome, qs queryStats) {
 	if f := d.fireFault(faultinject.PointSolve, widx); f == faultinject.FaultTimeout {
 		return false, nil, telemetry.OutcomeTimeout, qs
 	}
 	col := d.opt.Telemetry
-	ws.s.SetDeadline(solveDeadline(timeout, globalDeadline))
-	if d.opt.MaxConflicts > 0 {
-		ws.s.SetMaxConflicts(d.opt.MaxConflicts)
-	}
+	ws.s.SetDeadline(solveDeadline(d.opt.SolveTimeout, globalDeadline))
 	st0 := ws.s.Stats()
 	span := col.StartPhase(telemetry.PhaseSolve)
 	verdict := ws.s.SolveAssuming(g)

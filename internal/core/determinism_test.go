@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/faultinject"
 	"repro/internal/fixtures"
@@ -27,6 +26,12 @@ import (
 // window.
 func pairRichTrace() *trace.Trace {
 	b := trace.NewBuilder()
+	pairRichBlocks(b)
+	return b.Trace()
+}
+
+// pairRichBlocks appends pairRichTrace's four blocks to b.
+func pairRichBlocks(b *trace.Builder) {
 	lk := trace.Addr(1)
 	for i := 0; i < 4; i++ {
 		l := trace.Loc(100 * (i + 1))
@@ -59,7 +64,6 @@ func pairRichTrace() *trace.Trace {
 			b.At(l + 10).Branch(2)
 		}
 	}
-	return b.Trace()
 }
 
 // withProcs raises GOMAXPROCS for the test: the pair scheduler caps its
@@ -261,10 +265,13 @@ func TestPairParallelPanicIsolation(t *testing.T) {
 	}
 }
 
-// TestPairParallelTwoPassRetry: an injected first-pass timeout under four
-// pair workers is deferred and rescued by the escalating pass on the
-// worker that owns the pair's group; the final race set equals the
-// unperturbed baseline.
+// TestPairParallelTwoPassRetry: an unscoped injected timeout under four
+// pair workers lands on whichever query a worker solves first, so the
+// dropped pair varies from run to run. Whatever it hits, the timeout must
+// be one plain abort — no second pass re-solves it — seen once by the
+// telemetry, and may cost at most one signature of the baseline, adding
+// none. A pair whose signature has a second COP instance is still
+// reported through that instance.
 func TestPairParallelTwoPassRetry(t *testing.T) {
 	withProcs(t, 4)
 	tr := pairRichTrace()
@@ -272,30 +279,85 @@ func TestPairParallelTwoPassRetry(t *testing.T) {
 	inj := faultinject.New().Script(faultinject.PointSolve, 0, faultinject.FaultTimeout)
 	col := telemetry.NewCollector()
 	res := detect(t, tr, Options{
-		WindowSize:       24,
-		PairParallelism:  4,
-		FirstPassTimeout: 50 * time.Millisecond,
-		SolveTimeout:     10 * time.Second,
-		FaultInjector:    inj,
-		Telemetry:        col,
+		WindowSize:      24,
+		PairParallelism: 4,
+		FaultInjector:   inj,
+		Telemetry:       col,
 	})
 
-	if res.PairsRetried != 1 {
-		t.Fatalf("PairsRetried = %d, want 1", res.PairsRetried)
+	if res.SolverAborts != 1 {
+		t.Fatalf("SolverAborts = %d, want 1", res.SolverAborts)
 	}
-	if res.SolverAborts != 0 {
-		t.Errorf("SolverAborts = %d, want 0 (the retry rescued the pair)", res.SolverAborts)
+	m := col.Snapshot()
+	if m.Outcomes.Timeout != 1 {
+		t.Errorf("telemetry timeouts = %d, want 1", m.Outcomes.Timeout)
+	}
+	if m.PairSched.Replicas == 0 {
+		t.Error("no extra pair worker was spawned")
 	}
 	want, got := sigs(baseline), sigs(res)
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("races after retry = %v, want baseline %v", got, want)
+	for sg := range got {
+		if !want[sg] {
+			t.Errorf("race %v reported but absent from the baseline", sg)
+		}
 	}
-	// The deferred pair's signature has a second COP instance that pass 1
-	// proves racy after the deferral, so the retry is resolved as a dedup
-	// hit rather than a re-solve — either way it must be accounted for,
-	// never silently dropped.
-	if m := col.Snapshot(); m.Outcomes.RetriesScheduled != 1 {
-		t.Errorf("telemetry retries scheduled = %d, want 1", m.Outcomes.RetriesScheduled)
+	if len(got) < len(want)-1 {
+		t.Errorf("races = %d, want at least %d (one abort costs at most one signature)", len(got), len(want)-1)
+	}
+}
+
+// TestPairParallelSolverAbort: an injected solver timeout is an abort,
+// not a verdict. The trace is pairRichTrace plus a fifth window whose one
+// racy pair is, with the witness detect requests, its window's only solver
+// query; the timeout is injected there. It must count exactly one solver
+// abort and one timeout outcome, drop that pair's race, leave every other
+// window's races intact, and give the same race.Result whether the four
+// pair-rich windows are solved inline or by four pair workers.
+func TestPairParallelSolverAbort(t *testing.T) {
+	withProcs(t, 4)
+	b := trace.NewBuilder()
+	pairRichBlocks(b)
+	b.At(901).Write(1, 90, 1)
+	b.At(902).ReadV(2, 90, 1)
+	for j := 0; j < 11; j++ {
+		b.At(903).Branch(1)
+		b.At(904).Branch(2)
+	}
+	tr := b.Trace()
+	baseline := matrixResult(t, tr, 0, 0)
+	if baseline.Windows != 5 || !sigs(baseline)[sig(901, 902)] {
+		t.Fatalf("fixture drifted: %d windows, races %v", baseline.Windows, sigs(baseline))
+	}
+	var results []race.Result
+	for _, pairPar := range []int{1, 4} {
+		inj := faultinject.New().Script(faultinject.Scoped(faultinject.PointSolve, 4), 0, faultinject.FaultTimeout)
+		col := telemetry.NewCollector()
+		res := detect(t, tr, Options{
+			WindowSize:      24,
+			PairParallelism: pairPar,
+			FaultInjector:   inj,
+			Telemetry:       col,
+		})
+		res.Elapsed = 0
+		if res.SolverAborts != 1 {
+			t.Errorf("pairPar %d: SolverAborts = %d, want 1", pairPar, res.SolverAborts)
+		}
+		m := col.Snapshot()
+		if m.Outcomes.Timeout != 1 {
+			t.Errorf("pairPar %d: timeout outcomes = %d, want 1", pairPar, m.Outcomes.Timeout)
+		}
+		if pairPar > 1 && m.PairSched.Replicas == 0 {
+			t.Errorf("pairPar %d: no extra pair worker was spawned", pairPar)
+		}
+		want := sigs(baseline)
+		delete(want, sig(901, 902))
+		if got := sigs(res); !reflect.DeepEqual(got, want) {
+			t.Errorf("pairPar %d: races = %v, want the baseline's without the aborted pair %v", pairPar, got, want)
+		}
+		results = append(results, res)
+	}
+	if !reflect.DeepEqual(results[0], results[1]) {
+		t.Errorf("pairPar 4 result differs from pairPar 1:\n got %+v\nwant %+v", results[1], results[0])
 	}
 }
 

@@ -29,11 +29,6 @@
 //   - Groups are dispatched from a shared queue (an atomic cursor over the
 //     canonical group order) and merged back in canonical order, so races,
 //     witnesses, counters and window records are deterministic.
-//   - Deferred pairs (first-pass timeouts under the two-pass scheduler)
-//     stay with the worker that owns their group; after the queue drains,
-//     each worker replays the pair's preparation from the checkpoint —
-//     recreating the identical guard literal — and re-solves with the
-//     escalating budget, exactly like the sequential second pass.
 //
 // Real wall-clock solver timeouts are inherently timing-dependent; the
 // determinism guarantee is: absent solver aborts, a window's outcome is
@@ -87,14 +82,12 @@ func (d *Detector) warmCount(g *sigGroup) int {
 // groupResult is one signature group's contribution to the window result,
 // merged into race.Result in canonical group order.
 type groupResult struct {
-	solved     int // pass-1 solve attempts (COPsChecked, WindowRecord.Solved)
-	aborts     int // solver aborts that were not retried
-	retried    int // pairs deferred to the second pass
+	solved     int // solve attempts (COPsChecked, WindowRecord.Solved)
+	aborts     int // solver aborts
 	cancelled  bool
 	budgetGone bool
 	isRace     bool
 	race       race.Race // whole-trace coordinates, set when isRace
-	deferred   []int     // instances (g.cops indices) timed out in pass 1
 }
 
 // found records instance k of g as the group's race, in whole-trace
@@ -290,9 +283,8 @@ func (d *Detector) solveGroups(wc *windowCtx, groups []*sigGroup) []*groupResult
 		queueOpen = time.Now()
 	}
 
-	// runWorker drains the shared queue on one replica, then runs the
-	// escalating second pass for the deferred pairs of the groups it owns.
-	// lane is the worker's timeline lane: one group span per dequeue makes
+	// runWorker drains the shared queue on one replica. lane is the
+	// worker's timeline lane: one group span per dequeue makes
 	// worker occupancy read directly off the trace.
 	runWorker := func(ws *windowSolver, lane int32) {
 		col.CountPairWorker()
@@ -301,7 +293,6 @@ func (d *Detector) solveGroups(wc *windowCtx, groups []*sigGroup) []*groupResult
 		if col.Enabled() {
 			col.AddQueueWait(time.Since(queueOpen))
 		}
-		var owned []int
 		for !stop.Load() {
 			i := int(cursor.Add(1)) - 1
 			if i >= len(groups) {
@@ -311,17 +302,6 @@ func (d *Detector) solveGroups(wc *windowCtx, groups []*sigGroup) []*groupResult
 			results[i] = d.solveGroup(wc, ws, groups[i])
 			gsp.End()
 			col.CountGroupDone()
-			if len(results[i].deferred) > 0 {
-				owned = append(owned, i)
-			}
-		}
-		for _, i := range owned {
-			if stop.Load() {
-				break
-			}
-			rsp := col.BeginSpan(groupSpanName(col, "retry", groups[i]), lane, wc.spanParent)
-			d.retryDeferred(wc, ws, groups[i], results[i])
-			rsp.End()
 		}
 		if ws != nil {
 			col.AddSolver(ws.s)
@@ -407,7 +387,6 @@ func (d *Detector) solveGroup(wc *windowCtx, ws *windowSolver, g *sigGroup) *gro
 	if ws != nil {
 		ws.rollback(col)
 	}
-	passTimeout := d.passOneTimeout()
 	for k, cop := range g.cops {
 		if wc.ctx.Err() != nil {
 			gr.cancelled = true
@@ -460,21 +439,12 @@ func (d *Detector) solveGroup(wc *windowCtx, ws *windowSolver, g *sigGroup) *gro
 		if !hasG {
 			isRace, witness, outcome = false, nil, telemetry.OutcomeUnsat
 		} else {
-			isRace, witness, outcome, qs = ws.solve(d, wc.widx, cop, guard,
-				passTimeout, wc.globalDeadline)
+			isRace, witness, outcome, qs = ws.solve(d, wc.widx, cop, guard, wc.globalDeadline)
 		}
 		col.CountOutcome(outcome)
 		if tracer != nil {
 			tracer.QuerySolved(wc.widx, cop.A+wc.offset, cop.B+wc.offset,
 				outcome, time.Since(qstart))
-		}
-		if outcome == telemetry.OutcomeTimeout && d.twoPass() {
-			// Deferred, not abandoned: the second pass below re-solves it
-			// with escalating budgets, on this same worker.
-			gr.retried++
-			col.CountRetryScheduled()
-			gr.deferred = append(gr.deferred, k)
-			continue
 		}
 		if outcome.Aborted() {
 			gr.aborts++
@@ -487,91 +457,4 @@ func (d *Detector) solveGroup(wc *windowCtx, ws *windowSolver, g *sigGroup) *gro
 		}
 	}
 	return gr
-}
-
-// retryDeferred is the escalating second pass for one group's deferred
-// pairs, run by the worker that owns the group after the shared queue has
-// drained. Each pair's preparation is replayed from the checkpoint — the
-// replay allocates the identical guard literal the first pass used — and
-// re-solved with budgets growing geometrically up to SolveTimeout, clipped
-// by the remaining global budget.
-func (d *Detector) retryDeferred(wc *windowCtx, ws *windowSolver, g *sigGroup, gr *groupResult) {
-	col := d.opt.Telemetry
-	tracer := d.opt.Tracer
-	for _, k := range gr.deferred {
-		cop := g.cops[k]
-		if wc.ctx.Err() != nil {
-			gr.cancelled = true
-			break
-		}
-		if gr.isRace {
-			// Another instance of the signature was proven racy in the
-			// meantime; this deferred instance is redundant.
-			col.CountPairSkip()
-			continue
-		}
-		ws.rollback(col)
-		ws.dirty = true
-		guard, hasG := ws.prepare(d, cop)
-		if !hasG {
-			// The first pass prepared this pair successfully, so the
-			// deterministic replay cannot fail; handle it as unsat for
-			// defence in depth.
-			col.CountOutcome(telemetry.OutcomeUnsat)
-			col.CountRetrySolved(false)
-			continue
-		}
-		var (
-			isRace  bool
-			witness []int
-			final   = telemetry.OutcomeTimeout
-			qs      queryStats
-		)
-		budget := d.opt.FirstPassTimeout * retryEscalation
-		for attempt := 0; attempt < maxRetryAttempts; attempt++ {
-			capped := false
-			if d.opt.SolveTimeout > 0 && budget >= d.opt.SolveTimeout {
-				budget = d.opt.SolveTimeout
-				capped = true
-			}
-			if !wc.globalDeadline.IsZero() {
-				rem := time.Until(wc.globalDeadline)
-				if rem <= 0 {
-					gr.budgetGone = true
-					col.CountBudgetExhausted()
-					break
-				}
-				if budget > rem {
-					budget = rem
-					capped = true
-				}
-			}
-			var qstart time.Time
-			if tracer != nil {
-				qstart = time.Now()
-			}
-			isRace, witness, final, qs = ws.solve(d, wc.widx, cop, guard,
-				budget, wc.globalDeadline)
-			col.CountOutcome(final)
-			if tracer != nil {
-				tracer.QuerySolved(wc.widx, cop.A+wc.offset, cop.B+wc.offset,
-					final, time.Since(qstart))
-			}
-			if final != telemetry.OutcomeTimeout || capped {
-				break
-			}
-			budget *= retryEscalation
-		}
-		if final.Aborted() {
-			gr.aborts++
-			if final == telemetry.OutcomeCancelled {
-				gr.cancelled = true
-			}
-		} else {
-			col.CountRetrySolved(isRace)
-		}
-		if isRace {
-			gr.found(wc, g, k, witness, qs)
-		}
-	}
 }

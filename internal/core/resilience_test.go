@@ -119,61 +119,33 @@ func TestPanicIsolationParallel(t *testing.T) {
 	}
 }
 
-// TestTwoPassRetry is the adaptive-budget acceptance test: the first pair
-// "times out" (injected) under the cheap first-pass budget, is re-solved
-// in pass 2 with an escalated budget, and is reported as a race; the
-// retry is visible in the result and the telemetry.
-func TestTwoPassRetry(t *testing.T) {
+// TestTwoPassDisabledWithoutFirstPass checks that a solver timeout is a
+// plain abort: there is no second pass, so an unperturbed run counts no
+// aborts, and an injected timeout counts exactly one, is seen once by the
+// telemetry, and costs exactly the timed-out pair's race — never more, and
+// never a race the baseline lacks.
+func TestTwoPassDisabledWithoutFirstPass(t *testing.T) {
 	baseline, _ := baselineByWindow(t)
+	if baseline.SolverAborts != 0 {
+		t.Fatalf("unperturbed run: SolverAborts = %d, want 0", baseline.SolverAborts)
+	}
 	inj := faultinject.New().Script(faultinject.PointSolve, 0, faultinject.FaultTimeout)
 	col := telemetry.NewCollector()
-	res := detect(t, multiWindowTrace(), Options{
-		WindowSize:       50,
-		FirstPassTimeout: 50 * time.Millisecond,
-		SolveTimeout:     10 * time.Second,
-		FaultInjector:    inj,
-		Telemetry:        col,
-	})
-
-	if res.PairsRetried != 1 {
-		t.Fatalf("PairsRetried = %d, want 1", res.PairsRetried)
+	res := detect(t, multiWindowTrace(), Options{WindowSize: 50, FaultInjector: inj, Telemetry: col})
+	if res.SolverAborts != 1 {
+		t.Fatalf("SolverAborts = %d, want 1", res.SolverAborts)
 	}
-	if res.SolverAborts != 0 {
-		t.Errorf("SolverAborts = %d, want 0 (the retry rescued the pair)", res.SolverAborts)
+	if m := col.Snapshot(); m.Outcomes.Timeout != 1 {
+		t.Errorf("telemetry timeouts = %d, want the injected timeout counted once", m.Outcomes.Timeout)
 	}
-	// The rescued pair must appear in the final report: same race set as
-	// the unperturbed baseline.
 	want, got := sigs(baseline), sigs(res)
-	if len(got) != len(want) {
-		t.Fatalf("races = %d, want %d (retry must recover the timed-out pair)", len(got), len(want))
-	}
-	for sg := range want {
-		if !got[sg] {
-			t.Errorf("race %v missing after retry", sg)
+	for sg := range got {
+		if !want[sg] {
+			t.Errorf("race %v reported but absent from the baseline", sg)
 		}
 	}
-	m := col.Snapshot()
-	if m.Outcomes.RetriesScheduled != 1 || m.Outcomes.RetriesSolved != 1 || m.Outcomes.RetrySat != 1 {
-		t.Errorf("telemetry retries = scheduled %d / solved %d / sat %d, want 1/1/1",
-			m.Outcomes.RetriesScheduled, m.Outcomes.RetriesSolved, m.Outcomes.RetrySat)
-	}
-	if m.Outcomes.Timeout != 1 {
-		t.Errorf("telemetry timeouts = %d, want the injected pass-1 timeout counted once", m.Outcomes.Timeout)
-	}
-}
-
-// TestTwoPassDisabledWithoutFirstPass checks that a plain run never
-// schedules retries: the scheduler is strictly opt-in.
-func TestTwoPassDisabledWithoutFirstPass(t *testing.T) {
-	res := detect(t, multiWindowTrace(), Options{WindowSize: 50})
-	if res.PairsRetried != 0 {
-		t.Fatalf("PairsRetried = %d without FirstPassTimeout, want 0", res.PairsRetried)
-	}
-	// An injected timeout without the two-pass scheduler is a plain abort.
-	inj := faultinject.New().Script(faultinject.PointSolve, 0, faultinject.FaultTimeout)
-	res = detect(t, multiWindowTrace(), Options{WindowSize: 50, FaultInjector: inj})
-	if res.PairsRetried != 0 || res.SolverAborts != 1 {
-		t.Fatalf("retried %d / aborts %d, want 0 retries and 1 abort", res.PairsRetried, res.SolverAborts)
+	if len(got) != len(want)-1 {
+		t.Errorf("races = %d, want %d (exactly the aborted pair's race dropped)", len(got), len(want)-1)
 	}
 }
 

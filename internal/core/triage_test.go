@@ -206,7 +206,7 @@ func TestFastPathSound(t *testing.T) {
 					guard, ok := ws.prepare(d, cop)
 					isRace := false
 					if ok {
-						isRace, _, _, _ = ws.solve(d, widx, cop, guard, 0, time.Time{})
+						isRace, _, _, _ = ws.solve(d, widx, cop, guard, time.Time{})
 					}
 					if !isRace {
 						t.Errorf("%s window %d: %s-tier instance %v of %v does not solve SAT",

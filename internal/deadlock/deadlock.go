@@ -50,8 +50,6 @@ type Options struct {
 	// (rvpredict.Options maps its zero value to the paper's 60 s default,
 	// and negatives to 0, before reaching this layer.)
 	SolveTimeout time.Duration
-	// MaxConflicts bounds each candidate's CDCL search; 0 = unbounded.
-	MaxConflicts int64
 	// Witness requests witness schedules.
 	Witness bool
 	// Telemetry, when non-nil, accumulates phase timings, solver counters
@@ -286,9 +284,6 @@ func (d *Detector) check(w *trace.Trace, mhb *vc.MHB, s1, s2 nested, cancel func
 	s.SetCancel(cancel)
 	if d.opt.SolveTimeout > 0 {
 		s.SetDeadline(time.Now().Add(d.opt.SolveTimeout))
-	}
-	if d.opt.MaxConflicts > 0 {
-		s.SetMaxConflicts(d.opt.MaxConflicts)
 	}
 	span := col.StartPhase(telemetry.PhaseEncode)
 	enc := encode.New(w, s, mhb, -1, -1)

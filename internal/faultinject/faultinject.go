@@ -1,6 +1,6 @@
 // Package faultinject provides deterministic fault injection for testing
 // the detection pipeline's recovery paths: panic isolation, solver-budget
-// retries and decode hardening.
+// aborts and decode hardening.
 //
 // An Injector carries a script — "at the Nth crossing of point P, inject
 // fault F" — and the pipeline calls Fire at its instrumentation points. A
@@ -32,7 +32,7 @@ type Point string
 // Instrumentation points.
 const (
 	// PointSolve is crossed immediately before each solver query (races:
-	// one crossing per COP solve attempt, retries included).
+	// one crossing per COP solve attempt).
 	PointSolve Point = "solve"
 	// PointWindow is crossed at the start of each analysis window.
 	PointWindow Point = "window"
@@ -113,7 +113,7 @@ const (
 	FaultPanic
 	// FaultTimeout: the instrumented code must behave as if its solver
 	// budget expired at this crossing — report a timeout outcome without
-	// solving — exercising the retry scheduler deterministically.
+	// solving — exercising the solver-abort path deterministically.
 	FaultTimeout
 	// FaultCrash: the instrumented code must complete the crossing's
 	// durable effect (e.g. write and sync a full journal record) and

@@ -312,7 +312,7 @@ func (c *Coordinator) Run(ctx context.Context, ln net.Listener) (rvpredict.Repor
 }
 
 // finish closes the fleet and produces the report by merging the
-// coordinator journal — rvpredict.MergeShards analyses any windows
+// coordinator journal — rvpredict.MergeJournal analyses any windows
 // missing from it in-process, which is both the graceful-degradation
 // path (fleet shrank to zero) and a no-op on a fully covered run.
 func (c *Coordinator) finish(ln net.Listener) (rvpredict.Report, error) {
@@ -324,7 +324,7 @@ func (c *Coordinator) finish(ln net.Listener) (rvpredict.Report, error) {
 	}
 	det := c.opt.Detect
 	det.Collector = c.col
-	return rvpredict.MergeShards(context.Background(), det, c.opt.Journal)
+	return rvpredict.MergeJournal(context.Background(), det, c.opt.Journal)
 }
 
 // sweepLocked expires leases whose deadline lapsed: the shard returns

@@ -18,7 +18,7 @@
 //     fsynced before the worker is acked, so a SIGKILL'd coordinator
 //     resumes from its own journal without losing an acked window.
 //   - When the fleet shrinks to zero the coordinator degrades
-//     gracefully: rvpredict.MergeShards renders the final report from
+//     gracefully: rvpredict.MergeJournal renders the final report from
 //     the coordinator journal and analyses locally the windows no
 //     worker covered.
 //
@@ -304,7 +304,7 @@ func readMsg(br *bufio.Reader) (byte, []byte, error) {
 
 // journalFingerprint is the fleet's run fingerprint: the chunked
 // trace's content hash and the result-affecting options — the exact
-// fingerprint rvpredict's journals and MergeShards use, so the
+// fingerprint rvpredict's journals and MergeJournal use, so the
 // coordinator journal merges through the ordinary machinery.
 func journalFingerprint(contentHash [sha256.Size]byte, resultFingerprint string) journal.Fingerprint {
 	return journal.Fingerprint{

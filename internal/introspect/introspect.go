@@ -375,15 +375,14 @@ var metricDefs = []metricDef{
 	{"rvpredict_solver_theory_conflicts_total", "counter", "IDL theory conflicts across all solver instances.",
 		func(_ *Server, m *telemetry.Metrics) []sample { return one(float64(m.Solver.TheoryConflicts)) }},
 	{"rvpredict_queries_total", "counter",
-		"Solver queries by final outcome (sat, unsat, timeout, conflict_budget, cancelled).",
+		"Solver queries by final outcome (sat, unsat, timeout, cancelled).",
 		func(_ *Server, m *telemetry.Metrics) []sample {
 			o := m.Outcomes
 			outs := []struct {
 				name string
 				n    int64
 			}{
-				{"sat", o.Sat}, {"unsat", o.Unsat}, {"timeout", o.Timeout},
-				{"conflict_budget", o.ConflictBudget}, {"cancelled", o.Cancelled},
+				{"sat", o.Sat}, {"unsat", o.Unsat}, {"timeout", o.Timeout}, {"cancelled", o.Cancelled},
 			}
 			out := make([]sample, len(outs))
 			for i, oc := range outs {
@@ -399,14 +398,8 @@ var metricDefs = []metricDef{
 		func(_ *Server, m *telemetry.Metrics) []sample { return one(float64(m.Outcomes.SigDedupHits)) }},
 	{"rvpredict_mhb_filtered_total", "counter", "Candidates removed by a must-happen-before pre-check.",
 		func(_ *Server, m *telemetry.Metrics) []sample { return one(float64(m.Outcomes.MHBFiltered)) }},
-	{"rvpredict_queries_solved_total", "counter", "Solver queries issued (solve attempts, retries included).",
+	{"rvpredict_queries_solved_total", "counter", "Solver queries issued, one per pair that reached the solver.",
 		func(_ *Server, m *telemetry.Metrics) []sample { return one(float64(m.Outcomes.Solved)) }},
-	{"rvpredict_retries_scheduled_total", "counter", "Pairs deferred to the escalating second pass after a first-pass timeout.",
-		func(_ *Server, m *telemetry.Metrics) []sample { return one(float64(m.Outcomes.RetriesScheduled)) }},
-	{"rvpredict_retries_solved_total", "counter", "Deferred pairs that reached a verdict on retry.",
-		func(_ *Server, m *telemetry.Metrics) []sample { return one(float64(m.Outcomes.RetriesSolved)) }},
-	{"rvpredict_retry_sat_total", "counter", "Deferred pairs proven racy on retry.",
-		func(_ *Server, m *telemetry.Metrics) []sample { return one(float64(m.Outcomes.RetrySat)) }},
 	{"rvpredict_budget_exhausted_total", "counter", "Candidates skipped because the global wall-clock budget expired.",
 		func(_ *Server, m *telemetry.Metrics) []sample { return one(float64(m.Outcomes.BudgetExhausted)) }},
 	{"rvpredict_window_failures_total", "counter", "Window workers that panicked and were isolated.",

@@ -173,8 +173,8 @@ func TestMetricsScrape(t *testing.T) {
 	if got := get("rvpredict_races_total"); got != 1 {
 		t.Errorf("races_total = %v, want 1", got)
 	}
-	if got := len(families["rvpredict_queries_total"]); got != 5 {
-		t.Errorf("queries_total has %d outcome samples, want 5", got)
+	if got := len(families["rvpredict_queries_total"]); got != 4 {
+		t.Errorf("queries_total has %d outcome samples, want 4", got)
 	}
 	if got := len(families["rvpredict_phase_seconds_total"]); got != 8 {
 		t.Errorf("phase_seconds_total has %d phase samples, want 8", got)

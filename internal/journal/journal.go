@@ -60,12 +60,13 @@ import (
 // query stats, replay origin); version 3 the degradation markers of the
 // streaming daemon (outcome-level Degraded/PairsShed, per-race Degraded
 // flag); version 4 retired the "wcp" and "cp" confirming tiers, which
-// older journals may carry. Recover rejects older-version journals as
-// ErrFormat; Resume replaces them with a fresh journal, so the run
-// simply starts over.
+// older journals may carry; version 5 dropped the outcome's retried-pair
+// count with the two-pass solver scheduler. Recover rejects older-version
+// journals as ErrFormat; Resume replaces them with a fresh journal, so
+// the run simply starts over.
 const (
 	Magic   = "RVPJ"
-	Version = 4
+	Version = 5
 )
 
 // Decode-hardening caps, in the spirit of tracefile.Decode: a hostile or
@@ -479,7 +480,6 @@ func encodeOutcome(out race.WindowOutcome) []byte {
 	e.uvarint(uint64(out.Solved))
 	e.uvarint(uint64(out.COPsChecked))
 	e.uvarint(uint64(out.SolverAborts))
-	e.uvarint(uint64(out.PairsRetried))
 	e.varint(out.ElapsedNS)
 	// Degradation marker (format v3): a degraded outcome must replay as
 	// degraded — resume never silently upgrades a shed window.
@@ -746,7 +746,6 @@ func decodeOutcome(payload []byte) (race.WindowOutcome, error) {
 	read(&out.Solved)
 	read(&out.COPsChecked)
 	read(&out.SolverAborts)
-	read(&out.PairsRetried)
 	if err == nil {
 		out.ElapsedNS, err = d.varint()
 	}

@@ -29,7 +29,7 @@ func testOutcomes() []race.WindowOutcome {
 	return []race.WindowOutcome{
 		{
 			Window: 0, Offset: 0, Events: 10,
-			Candidates: 4, Solved: 3, COPsChecked: 3, SolverAborts: 1, PairsRetried: 2,
+			Candidates: 4, Solved: 3, COPsChecked: 3, SolverAborts: 1,
 			ElapsedNS: 12345,
 			Races: []race.Race{
 				{

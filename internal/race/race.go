@@ -141,14 +141,8 @@ type Result struct {
 	Elapsed time.Duration
 	// SolverAborts counts per-COP solver timeouts/budget exhaustions
 	// (SMT-based detectors only); aborted COPs are conservatively treated
-	// as non-races, like the paper's one-minute timeout. Pairs rescued by
-	// the two-pass retry scheduler are not counted — only finally
-	// abandoned ones.
+	// as non-races, like the paper's one-minute timeout.
 	SolverAborts int
-	// PairsRetried counts pairs whose cheap first-pass solver budget
-	// expired and that were re-solved with escalated budgets by the
-	// two-pass scheduler (core detector only).
-	PairsRetried int
 	// Cancelled reports the run was interrupted by context cancellation:
 	// the results cover only the windows (and pairs) completed before the
 	// cancel and are sound but not maximal.
@@ -204,7 +198,6 @@ type WindowOutcome struct {
 	Solved       int
 	COPsChecked  int
 	SolverAborts int
-	PairsRetried int
 	// ElapsedNS is the window's original analysis wall-clock time
 	// (telemetry only; replay reports it unchanged).
 	ElapsedNS int64

@@ -36,8 +36,6 @@ type Options struct {
 	// zero value to the paper's 60 s default, and negatives to 0, before
 	// reaching this layer.)
 	SolveTimeout time.Duration
-	// MaxConflicts bounds each COP's CDCL search; 0 means unbounded.
-	MaxConflicts int64
 	// Witness requests witness schedules on detected races.
 	Witness bool
 }
@@ -177,9 +175,6 @@ func (ws *windowSolver) check(d *Detector, cop race.COP) (isRace bool, witness [
 	}
 	if d.opt.SolveTimeout > 0 {
 		ws.s.SetDeadline(time.Now().Add(d.opt.SolveTimeout))
-	}
-	if d.opt.MaxConflicts > 0 {
-		ws.s.SetMaxConflicts(d.opt.MaxConflicts)
 	}
 	switch ws.s.SolveAssuming(g) {
 	case sat.Sat:

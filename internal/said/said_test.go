@@ -110,7 +110,7 @@ func TestAbortCounted(t *testing.T) {
 	b := trace.NewBuilder()
 	b.At(1).Write(1, 5, 1)
 	b.At(2).ReadV(2, 5, 1)
-	d := New(Options{MaxConflicts: 0}) // unbounded: should not abort
+	d := New(Options{}) // unbounded: should not abort
 	res := d.Detect(b.Trace())
 	if res.SolverAborts != 0 {
 		t.Errorf("unexpected aborts: %d", res.SolverAborts)

@@ -172,8 +172,6 @@ type AbortCause int8
 const (
 	// AbortNone: the most recent Solve did not abort.
 	AbortNone AbortCause = iota
-	// AbortConflicts: the MaxConflicts budget was exhausted.
-	AbortConflicts
 	// AbortDeadline: the wall-clock Deadline passed.
 	AbortDeadline
 	// AbortCancelled: the Cancel poll reported cooperative cancellation.
@@ -216,10 +214,6 @@ type Solver struct {
 	assumps []Lit
 
 	theory Theory
-
-	// MaxConflicts, when > 0, bounds the total number of conflicts for one
-	// Solve call; exceeding it makes Solve return Aborted.
-	MaxConflicts int64
 
 	// Deadline, when non-zero, aborts the search at the first conflict
 	// after the given wall-clock instant (the per-COP solving timeout of
@@ -912,8 +906,8 @@ func (r Result) String() string {
 	return "aborted"
 }
 
-// Solve runs the CDCL search and returns Sat, Unsat or (if MaxConflicts was
-// exceeded) Aborted.
+// Solve runs the CDCL search and returns Sat, Unsat or (if the Deadline
+// passed or Cancel fired) Aborted.
 func (s *Solver) Solve() Result { return s.SolveAssuming(nil) }
 
 // SolveAssuming runs the search with the given literals assumed true for
@@ -1031,11 +1025,6 @@ func (s *Solver) SolveAssuming(assumptions []Lit) Result {
 		s.backtrack(back)
 		s.learn(learnt)
 		s.decayClauseActivity()
-		if s.MaxConflicts > 0 && conflicts >= s.MaxConflicts {
-			s.abortCause = AbortConflicts
-			s.backtrack(0)
-			return Aborted
-		}
 		if conflicts%64 == 1 {
 			if !s.Deadline.IsZero() && time.Now().After(s.Deadline) {
 				s.abortCause = AbortDeadline
@@ -1077,7 +1066,7 @@ func (s *Solver) learn(lits []Lit) {
 // LastAbortCause reports why the most recent Solve call returned Aborted
 // (AbortNone if it returned Sat or Unsat). The telemetry layer uses it to
 // split the paper's single "gave up" bucket into timeout versus
-// conflict-budget exhaustion.
+// cancellation.
 func (s *Solver) LastAbortCause() AbortCause { return s.abortCause }
 
 // Checkpoint is the root-level state of a solver, taken with

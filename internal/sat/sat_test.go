@@ -425,37 +425,6 @@ func TestTheoryUnsat(t *testing.T) {
 	}
 }
 
-func TestMaxConflictsAborts(t *testing.T) {
-	s := New(nil)
-	// A hard unsat instance: PHP(7) with a tiny conflict budget.
-	n := 7
-	vars := make([][]Var, n+1)
-	for p := range vars {
-		vars[p] = make([]Var, n)
-		for h := range vars[p] {
-			vars[p][h] = s.NewVar()
-		}
-	}
-	for p := 0; p <= n; p++ {
-		lits := make([]Lit, n)
-		for h := 0; h < n; h++ {
-			lits[h] = MkLit(vars[p][h], true)
-		}
-		s.AddClause(lits...)
-	}
-	for h := 0; h < n; h++ {
-		for p1 := 0; p1 <= n; p1++ {
-			for p2 := p1 + 1; p2 <= n; p2++ {
-				s.AddClause(MkLit(vars[p1][h], false), MkLit(vars[p2][h], false))
-			}
-		}
-	}
-	s.MaxConflicts = 10
-	if r := s.Solve(); r != Aborted {
-		t.Fatalf("Solve = %v, want aborted with MaxConflicts=10", r)
-	}
-}
-
 func TestSolveAssumingBasics(t *testing.T) {
 	s := New(nil)
 	a := s.NewVar()

@@ -61,9 +61,6 @@ func NewSolver() *Solver {
 	return s
 }
 
-// SetMaxConflicts bounds the CDCL search; 0 means unbounded.
-func (s *Solver) SetMaxConflicts(n int64) { s.sat.MaxConflicts = n }
-
 // SetDeadline aborts the search at the first conflict past t.
 func (s *Solver) SetDeadline(t time.Time) { s.sat.Deadline = t }
 
@@ -82,7 +79,7 @@ func (s *Solver) TheoryStats() idl.Stats { return s.idl.Stats }
 func (s *Solver) EncStats() EncodeStats { return s.estats }
 
 // LastAbortCause reports why the most recent Solve returned sat.Aborted
-// (sat.AbortNone otherwise): wall-clock deadline or conflict budget.
+// (sat.AbortNone otherwise): wall-clock deadline or cancellation.
 func (s *Solver) LastAbortCause() sat.AbortCause { return s.sat.LastAbortCause() }
 
 // Size reports the encoding size so far: boolean variables, problem

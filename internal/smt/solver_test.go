@@ -274,16 +274,3 @@ func TestDeadlineAborts(t *testing.T) {
 		t.Fatalf("Solve = %v, want aborted or unsat", r)
 	}
 }
-
-func TestMaxConflictsPlumbed(t *testing.T) {
-	s := NewSolver()
-	s.SetMaxConflicts(1)
-	x, y := s.IntVar(), s.IntVar()
-	s.Assert(Less(x, y))
-	if r := s.Solve(); r != sat.Sat {
-		t.Fatalf("trivial problem must still solve: %v", r)
-	}
-	if s.Stats().Decisions < 0 {
-		t.Error("stats must be readable")
-	}
-}

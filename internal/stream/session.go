@@ -421,7 +421,6 @@ func (s *session) report() *rvpredict.Report {
 		Windows:         res.Windows,
 		SolverTimeouts:  res.SolverAborts,
 		Elapsed:         res.Elapsed,
-		PairsRetried:    res.PairsRetried,
 		Interrupted:     res.Cancelled,
 		BudgetExhausted: res.BudgetExhausted,
 		DegradedWindows: s.degraded,

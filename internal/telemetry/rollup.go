@@ -25,20 +25,16 @@ func (c *Collector) AddSolver(s *smt.Solver) {
 }
 
 // OutcomeOf translates a solver verdict into the telemetry outcome
-// vocabulary, splitting aborts by their cause (deadline, conflict budget
-// or cooperative cancellation).
+// vocabulary, splitting aborts by their cause (deadline or cooperative
+// cancellation).
 func OutcomeOf(s *smt.Solver, isSat, aborted bool) Outcome {
 	switch {
 	case isSat:
 		return OutcomeSat
+	case aborted && s.LastAbortCause() == sat.AbortCancelled:
+		return OutcomeCancelled
 	case aborted:
-		switch s.LastAbortCause() {
-		case sat.AbortDeadline:
-			return OutcomeTimeout
-		case sat.AbortCancelled:
-			return OutcomeCancelled
-		}
-		return OutcomeConflictBudget
+		return OutcomeTimeout
 	}
 	return OutcomeUnsat
 }

@@ -45,7 +45,7 @@ func TestAddSolverRollsUpAllLayers(t *testing.T) {
 }
 
 // TestOutcomeOf maps solver end states to outcomes, including the
-// timeout / conflict-budget split via sat.AbortCause.
+// timeout / cancellation split via sat.AbortCause.
 func TestOutcomeOf(t *testing.T) {
 	fresh := func() *smt.Solver {
 		s := smt.NewSolver()
@@ -76,19 +76,14 @@ func TestOutcomeOf(t *testing.T) {
 		t.Errorf("deadline abort = %v, want timeout", got)
 	}
 
-	// A conflict-budget abort needs a formula that actually conflicts;
-	// an exhausted budget of 0 conflicts can still finish easy formulas,
-	// so force at least one conflict with an unsat core under assumptions.
-	s2 := smt.NewSolver()
-	a, b, c := s2.IntVar(), s2.IntVar(), s2.IntVar()
-	s2.Assert(smt.Or(smt.Less(a, b), smt.Less(b, c)))
-	s2.Assert(smt.Or(smt.Less(b, a), smt.Less(c, b)))
-	s2.Assert(smt.Or(smt.Less(a, c), smt.Less(c, a)))
-	s2.SetMaxConflicts(1)
-	r := s2.Solve()
-	if r == sat.Aborted {
-		if got := OutcomeOf(s2, false, true); got != OutcomeConflictBudget {
-			t.Errorf("conflict-budget abort = %v, want conflict_budget", got)
-		}
+	// A cancel poll that fires is checked on Solve entry → Aborted with
+	// cause AbortCancelled.
+	s2 := fresh()
+	s2.SetCancel(func() bool { return true })
+	if r := s2.Solve(); r != sat.Aborted {
+		t.Fatalf("Solve with cancel = %v, want aborted", r)
+	}
+	if got := OutcomeOf(s2, false, true); got != OutcomeCancelled {
+		t.Errorf("cancel abort = %v, want cancelled", got)
 	}
 }

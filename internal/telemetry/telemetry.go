@@ -1,7 +1,7 @@
 // Package telemetry instruments the detection pipeline: where the time
 // goes (per phase), what the solvers did (CDCL, theory and encoding
 // counters), how each conflicting-pair query ended (SAT / UNSAT / timeout /
-// conflict-budget), and how the work distributed over trace windows.
+// cancelled), and how the work distributed over trace windows.
 //
 // The literature is unambiguous that SMT solving dominates predictive
 // race-detection cost — the linear-time lines of work (Kini et al.,
@@ -102,8 +102,6 @@ const (
 	OutcomeUnsat
 	// OutcomeTimeout: the wall-clock solve deadline expired.
 	OutcomeTimeout
-	// OutcomeConflictBudget: the CDCL conflict budget was exhausted.
-	OutcomeConflictBudget
 	// OutcomeCancelled: the run's context was cancelled mid-solve.
 	OutcomeCancelled
 )
@@ -117,18 +115,16 @@ func (o Outcome) String() string {
 		return "unsat"
 	case OutcomeTimeout:
 		return "timeout"
-	case OutcomeConflictBudget:
-		return "conflict_budget"
 	case OutcomeCancelled:
 		return "cancelled"
 	}
 	return fmt.Sprintf("outcome(%d)", uint8(o))
 }
 
-// Aborted reports whether the outcome is an abort (timeout, conflict
-// budget or cancellation) rather than a verdict.
+// Aborted reports whether the outcome is an abort (timeout or
+// cancellation) rather than a verdict.
 func (o Outcome) Aborted() bool {
-	return o == OutcomeTimeout || o == OutcomeConflictBudget || o == OutcomeCancelled
+	return o == OutcomeTimeout || o == OutcomeCancelled
 }
 
 // Tracer receives live progress callbacks from the detectors. All methods
@@ -187,16 +183,12 @@ type Collector struct {
 	outSat       atomic.Int64
 	outUnsat     atomic.Int64
 	outTime      atomic.Int64
-	outBudget    atomic.Int64
 	outCancelled atomic.Int64
 
-	// Resilience tallies: the two-pass retry scheduler, global-budget
-	// exhaustion and recovered window-worker panics.
-	retriesScheduled atomic.Int64
-	retriesSolved    atomic.Int64
-	retrySat         atomic.Int64
-	budgetExhausted  atomic.Int64
-	windowFailures   atomic.Int64
+	// Resilience tallies: global-budget exhaustion and recovered
+	// window-worker panics.
+	budgetExhausted atomic.Int64
+	windowFailures  atomic.Int64
 
 	// Pipeline funnel tallies.
 	enumerated    atomic.Int64
@@ -365,36 +357,13 @@ func (c *Collector) CountOutcome(o Outcome) {
 		c.outUnsat.Add(1)
 	case OutcomeTimeout:
 		c.outTime.Add(1)
-	case OutcomeConflictBudget:
-		c.outBudget.Add(1)
 	case OutcomeCancelled:
 		c.outCancelled.Add(1)
 	}
 }
 
-// CountRetryScheduled tallies one pair deferred to the second pass of the
-// adaptive scheduler after its cheap first-pass budget expired.
-func (c *Collector) CountRetryScheduled() {
-	if c == nil {
-		return
-	}
-	c.retriesScheduled.Add(1)
-}
-
-// CountRetrySolved tallies one retried pair that reached a verdict on the
-// escalated budget; sat marks a race the first pass would have abandoned.
-func (c *Collector) CountRetrySolved(sat bool) {
-	if c == nil {
-		return
-	}
-	c.retriesSolved.Add(1)
-	if sat {
-		c.retrySat.Add(1)
-	}
-}
-
-// CountBudgetExhausted tallies one candidate skipped (not solved, not
-// retried) because the run's global wall-clock budget was exhausted.
+// CountBudgetExhausted tallies one candidate skipped (not solved)
+// because the run's global wall-clock budget was exhausted.
 func (c *Collector) CountBudgetExhausted() {
 	if c == nil {
 		return
@@ -479,8 +448,7 @@ func (c *Collector) CountPairReplica() {
 }
 
 // CountPairRollback tallies one solver rollback to the window's
-// checkpointed base encoding (between signature groups, and before the
-// escalating retry pass).
+// checkpointed base encoding (between signature groups).
 func (c *Collector) CountPairRollback() {
 	if c == nil {
 		return
@@ -914,15 +882,11 @@ func (c *Collector) Snapshot() *Metrics {
 			Sat:                c.outSat.Load(),
 			Unsat:              c.outUnsat.Load(),
 			Timeout:            c.outTime.Load(),
-			ConflictBudget:     c.outBudget.Load(),
 			Cancelled:          c.outCancelled.Load(),
 			Enumerated:         c.enumerated.Load(),
 			QuickCheckFiltered: c.quickFiltered.Load(),
 			SigDedupHits:       c.sigDedups.Load(),
 			MHBFiltered:        c.mhbFiltered.Load(),
-			RetriesScheduled:   c.retriesScheduled.Load(),
-			RetriesSolved:      c.retriesSolved.Load(),
-			RetrySat:           c.retrySat.Load(),
 			BudgetExhausted:    c.budgetExhausted.Load(),
 			WindowFailures:     c.windowFailures.Load(),
 		},
@@ -950,7 +914,7 @@ func (c *Collector) Snapshot() *Metrics {
 		},
 	}
 	m.Outcomes.Solved = m.Outcomes.Sat + m.Outcomes.Unsat +
-		m.Outcomes.Timeout + m.Outcomes.ConflictBudget + m.Outcomes.Cancelled
+		m.Outcomes.Timeout + m.Outcomes.Cancelled
 
 	c.mu.Lock()
 	m.Windows = append([]WindowRecord(nil), c.windows...)
@@ -1110,10 +1074,9 @@ type SolverCounters struct {
 
 // OutcomeTally is the candidate funnel: how many candidates were
 // enumerated, how many each prefilter removed, how every solver query
-// ended, and how the run degraded (retries, budget exhaustion, cancelled
-// queries, isolated window panics). Solved counts solve attempts, so a
-// run with retries reports Solved greater than the pairs checked; the
-// degraded-outcome fields make every soundness-relevant gap — a pair not
+// ended, and how the run degraded (timeouts, budget exhaustion, cancelled
+// queries, isolated window panics). Solved counts solver queries, one per
+// pair that reached the solver; the degraded-outcome fields make every soundness-relevant gap — a pair not
 // decided sat/unsat, a window lost to a panic — visible in the JSON
 // output rather than silent.
 type OutcomeTally struct {
@@ -1125,16 +1088,8 @@ type OutcomeTally struct {
 	Sat                int64 `json:"sat"`
 	Unsat              int64 `json:"unsat"`
 	Timeout            int64 `json:"timeout"`
-	ConflictBudget     int64 `json:"conflict_budget_exhausted"`
 	// Cancelled counts queries aborted by context cancellation.
 	Cancelled int64 `json:"cancelled"`
-	// RetriesScheduled counts pairs whose cheap first-pass budget expired
-	// and that were deferred to the escalating second pass;
-	// RetriesSolved of those reached a verdict on retry, RetrySat of
-	// those were races the first pass would have abandoned.
-	RetriesScheduled int64 `json:"retries_scheduled"`
-	RetriesSolved    int64 `json:"retries_solved"`
-	RetrySat         int64 `json:"retry_sat"`
 	// BudgetExhausted counts candidates skipped outright because the
 	// run's global wall-clock budget was exhausted.
 	BudgetExhausted int64 `json:"budget_exhausted"`

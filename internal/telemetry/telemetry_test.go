@@ -54,7 +54,7 @@ func TestCollectorAccumulates(t *testing.T) {
 	c.CountOutcome(OutcomeUnsat)
 	c.CountOutcome(OutcomeUnsat)
 	c.CountOutcome(OutcomeTimeout)
-	c.CountOutcome(OutcomeConflictBudget)
+	c.CountOutcome(OutcomeCancelled)
 	c.CountEnumerated(6)
 	c.CountQuickCheckFiltered()
 	c.CountSigDedup()
@@ -76,7 +76,7 @@ func TestCollectorAccumulates(t *testing.T) {
 		t.Errorf("encoding counters = %+v", m.Solver)
 	}
 	o := m.Outcomes
-	if o.Sat != 1 || o.Unsat != 2 || o.Timeout != 1 || o.ConflictBudget != 1 || o.Solved != 5 {
+	if o.Sat != 1 || o.Unsat != 2 || o.Timeout != 1 || o.Cancelled != 1 || o.Solved != 5 {
 		t.Errorf("outcomes = %+v", o)
 	}
 	if o.Enumerated != 6 || o.QuickCheckFiltered != 1 || o.SigDedupHits != 1 || o.MHBFiltered != 1 {
@@ -188,7 +188,7 @@ func TestMetricsJSONRoundTrip(t *testing.T) {
 		}
 	}
 	outcomes := raw["outcomes"].(map[string]any)
-	for _, key := range []string{"candidates_enumerated", "queries_solved", "conflict_budget_exhausted"} {
+	for _, key := range []string{"candidates_enumerated", "queries_solved", "cancelled"} {
 		if _, ok := outcomes[key]; !ok {
 			t.Errorf("JSON outcomes missing key %q", key)
 		}
@@ -235,10 +235,10 @@ func TestStableNames(t *testing.T) {
 		}
 	}
 	wantOutcomes := map[Outcome]string{
-		OutcomeSat:            "sat",
-		OutcomeUnsat:          "unsat",
-		OutcomeTimeout:        "timeout",
-		OutcomeConflictBudget: "conflict_budget",
+		OutcomeSat:       "sat",
+		OutcomeUnsat:     "unsat",
+		OutcomeTimeout:   "timeout",
+		OutcomeCancelled: "cancelled",
 	}
 	for o, want := range wantOutcomes {
 		if got := o.String(); got != want {
@@ -248,8 +248,8 @@ func TestStableNames(t *testing.T) {
 	if OutcomeSat.Aborted() || OutcomeUnsat.Aborted() {
 		t.Error("verdict outcomes must not be Aborted")
 	}
-	if !OutcomeTimeout.Aborted() || !OutcomeConflictBudget.Aborted() {
-		t.Error("budget outcomes must be Aborted")
+	if !OutcomeTimeout.Aborted() || !OutcomeCancelled.Aborted() {
+		t.Error("abort outcomes must be Aborted")
 	}
 }
 

@@ -22,9 +22,7 @@ func TestValidateRejectsEachBadCombination(t *testing.T) {
 		{"window size below -1", rvpredict.Options{WindowSize: -2}, "WindowSize"},
 		{"negative parallelism", rvpredict.Options{Parallelism: -1}, "Parallelism"},
 		{"negative pair parallelism", rvpredict.Options{PairParallelism: -3}, "PairParallelism"},
-		{"negative first-pass timeout", rvpredict.Options{FirstPassTimeout: -1}, "FirstPassTimeout"},
 		{"negative global budget", rvpredict.Options{GlobalBudget: -1}, "GlobalBudget"},
-		{"negative conflict budget", rvpredict.Options{MaxConflicts: -1}, "MaxConflicts"},
 		{"resume without a journal", rvpredict.Options{Resume: true}, "Resume"},
 		{"journal on a non-RV algorithm", rvpredict.Options{Journal: "j", Algorithm: rvpredict.HappensBefore}, "Journal"},
 		{"negative group-commit interval", rvpredict.Options{Journal: "j", JournalGroupCommit: -1}, "JournalGroupCommit"},

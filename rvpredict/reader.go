@@ -50,14 +50,14 @@ type TraceReader interface {
 	ReadAll() (*trace.Trace, error)
 }
 
-// run is the one driver behind Run, DetectContext and MergeShards. The
+// run is the one code path behind Run, DetectContext and MergeJournal. The
 // trace source is opt.TraceReader or, when that is nil, tr in an
 // in-memory reader. MaximalCF streams the source's windows through one
 // core.Runner: an in-memory run carries signature verdicts across
 // windows, a reader run analyses each window Isolated, so any window
 // assignment — fleet workers, a merge — yields the same outcomes. The
 // baselines analyse the materialised trace. Every report is rendered
-// through the source. merged marks MergeShards, whose report is the
+// through the source. merged marks MergeJournal, whose report is the
 // authoritative run: the per-race Replayed flag (how the merge obtained
 // each window) is cleared, so the merged report is identical to a clean
 // single-process reader run's.
@@ -180,7 +180,6 @@ func render(rd TraceReader, stats trace.Stats, res race.Result, opt Options, col
 		Windows:         res.Windows,
 		SolverTimeouts:  res.SolverAborts,
 		Elapsed:         res.Elapsed,
-		PairsRetried:    res.PairsRetried,
 		Interrupted:     res.Cancelled,
 		BudgetExhausted: res.BudgetExhausted,
 		Build:           BuildInfo(),
@@ -215,7 +214,7 @@ func render(rd TraceReader, stats trace.Stats, res race.Result, opt Options, col
 	return rep, nil
 }
 
-// MergeShards renders the final report of a fleet run from the
+// MergeJournal renders the final report of a fleet run from the
 // coordinator's journal of window outcomes, identical to a
 // single-process reader run over the same trace and options.
 // Options.TraceReader must be set: the merge re-derives the fingerprint
@@ -224,9 +223,9 @@ func render(rd TraceReader, stats trace.Stats, res race.Result, opt Options, col
 // only reads the journal. Windows missing from it (leases the fleet
 // never finished) are analysed in-process, so the report is always
 // complete; each adopted outcome counts as a replayed window.
-func MergeShards(ctx context.Context, opt Options, journalPath string) (Report, error) {
+func MergeJournal(ctx context.Context, opt Options, journalPath string) (Report, error) {
 	if opt.TraceReader == nil {
-		return Report{}, &OptionsError{Field: "TraceReader", Reason: "MergeShards renders and fingerprints through the trace reader; set it"}
+		return Report{}, &OptionsError{Field: "TraceReader", Reason: "MergeJournal renders and fingerprints through the trace reader; set it"}
 	}
 	opt.Journal, opt.Resume = "", false
 	if err := opt.Validate(); err != nil {

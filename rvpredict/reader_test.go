@@ -190,7 +190,7 @@ func TestMergePartialJournals(t *testing.T) {
 	mopt := shardOpts()
 	mopt.TraceReader = chunkedFixtureReader(t, tr)
 	mopt.Collector = col
-	merged, err := rvpredict.MergeShards(nil, mopt, partial)
+	merged, err := rvpredict.MergeJournal(nil, mopt, partial)
 	if err != nil {
 		t.Fatal(err)
 	}

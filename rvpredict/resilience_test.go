@@ -130,37 +130,6 @@ func TestWindowFailuresSurfaceInReport(t *testing.T) {
 	}
 }
 
-// TestTwoPassRetrySurfacesInReport checks the public wiring of the
-// adaptive scheduler: PairsRetried and the telemetry tallies.
-func TestTwoPassRetrySurfacesInReport(t *testing.T) {
-	inj := faultinject.New().Script(faultinject.PointSolve, 0, faultinject.FaultTimeout)
-	// Witness: the injected timeout targets the first solver query, which
-	// the triage fast path would otherwise skip entirely.
-	rep := rvpredict.Detect(racyWindows(), rvpredict.Options{
-		WindowSize:       50,
-		Witness:          true,
-		FirstPassTimeout: 50 * time.Millisecond,
-		FaultInjector:    inj,
-		Telemetry:        true,
-	})
-	if rep.PairsRetried != 1 {
-		t.Fatalf("PairsRetried = %d, want 1", rep.PairsRetried)
-	}
-	if rep.SolverTimeouts != 0 {
-		t.Errorf("SolverTimeouts = %d, want 0 (pair rescued on retry)", rep.SolverTimeouts)
-	}
-	o := rep.Telemetry.Outcomes
-	if o.RetriesScheduled != 1 || o.RetriesSolved != 1 {
-		t.Errorf("telemetry retries = %d scheduled / %d solved, want 1/1",
-			o.RetriesScheduled, o.RetriesSolved)
-	}
-	// All six races must still be found: the injected timeout only
-	// delayed one pair.
-	if len(rep.Races) != 6 {
-		t.Errorf("races = %d, want 6", len(rep.Races))
-	}
-}
-
 func TestGlobalBudgetSurfacesInReport(t *testing.T) {
 	rep := rvpredict.Detect(racyWindows(), rvpredict.Options{
 		WindowSize:   50,

@@ -123,11 +123,10 @@ type Outcome = telemetry.Outcome
 
 // Query outcomes reported to tracers.
 const (
-	OutcomeSat            = telemetry.OutcomeSat
-	OutcomeUnsat          = telemetry.OutcomeUnsat
-	OutcomeTimeout        = telemetry.OutcomeTimeout
-	OutcomeConflictBudget = telemetry.OutcomeConflictBudget
-	OutcomeCancelled      = telemetry.OutcomeCancelled
+	OutcomeSat       = telemetry.OutcomeSat
+	OutcomeUnsat     = telemetry.OutcomeUnsat
+	OutcomeTimeout   = telemetry.OutcomeTimeout
+	OutcomeCancelled = telemetry.OutcomeCancelled
 )
 
 // Options configures Detect. The zero value runs the paper's algorithm
@@ -145,21 +144,11 @@ type Options struct {
 	// detectors uniformly treat ≤ 0 as unbounded; this layer owns the
 	// zero-means-default mapping.)
 	SolveTimeout time.Duration
-	// FirstPassTimeout, when positive and smaller than the effective
-	// SolveTimeout, enables the two-pass adaptive scheduler of the
-	// MaximalCF detector: every pair is first solved under this cheap
-	// budget, and pairs that time out are re-solved afterwards with
-	// geometrically escalating budgets (up to SolveTimeout and the
-	// remaining GlobalBudget). Retries are visible in Report.Telemetry
-	// and Report.PairsRetried.
-	FirstPassTimeout time.Duration
 	// GlobalBudget, when positive, bounds the whole detection run's
 	// wall clock. When it expires, remaining solver work is skipped, the
 	// report is flagged BudgetExhausted, and results produced so far are
 	// returned (sound but not maximal). MaximalCF only.
 	GlobalBudget time.Duration
-	// MaxConflicts optionally bounds each pair's CDCL search (0 = off).
-	MaxConflicts int64
 	// Witness requests a witness schedule per race (SMT techniques only).
 	Witness bool
 	// Parallelism > 1 analyses trace windows concurrently with that many
@@ -257,7 +246,7 @@ type Options struct {
 	Collector *telemetry.Collector
 
 	// onWindowDone and resumeWindows are the journal and introspection
-	// plumbing the driver installs (MergeShards presets resumeWindows);
+	// plumbing the entry points install (MergeJournal presets resumeWindows);
 	// col carries the run's collector so the journal writer, the
 	// introspection server and the detector share one.
 	onWindowDone  func(race.WindowOutcome)
@@ -298,14 +287,8 @@ func (o Options) Validate() error {
 	if o.PairParallelism < 0 {
 		return &OptionsError{Field: "PairParallelism", Reason: fmt.Sprintf("%d; worker counts cannot be negative", o.PairParallelism)}
 	}
-	if o.FirstPassTimeout < 0 {
-		return &OptionsError{Field: "FirstPassTimeout", Reason: "negative; use 0 to disable the two-pass scheduler"}
-	}
 	if o.GlobalBudget < 0 {
 		return &OptionsError{Field: "GlobalBudget", Reason: "negative; use 0 for an unbounded run"}
-	}
-	if o.MaxConflicts < 0 {
-		return &OptionsError{Field: "MaxConflicts", Reason: "negative; use 0 for an unbounded search"}
 	}
 	if o.Resume && o.Journal == "" {
 		return &OptionsError{Field: "Resume", Reason: "requires Journal: there is nothing to resume from"}
@@ -333,9 +316,8 @@ func (o Options) Validate() error {
 // explicit default) hash equal.
 func (o Options) fingerprintString() string {
 	n := o.normalise()
-	return fmt.Sprintf("rvpredict-options-v1 algo=%s window=%d solve=%d first=%d budget=%d conflicts=%d witness=%t",
-		n.Algorithm, n.WindowSize, int64(n.SolveTimeout), int64(n.FirstPassTimeout),
-		int64(n.GlobalBudget), n.MaxConflicts, n.Witness)
+	return fmt.Sprintf("rvpredict-options-v1 algo=%s window=%d solve=%d budget=%d witness=%t",
+		n.Algorithm, n.WindowSize, int64(n.SolveTimeout), int64(n.GlobalBudget), n.Witness)
 }
 
 func (o Options) normalise() Options {
@@ -374,15 +356,13 @@ func (o Options) Normalised() Options { return o.normalise() }
 // (unbounded) and a 0 to the default — so CoreOptions does not do it.
 func (o Options) CoreOptions() core.Options {
 	return core.Options{
-		WindowSize:       o.WindowSize,
-		SolveTimeout:     o.SolveTimeout,
-		FirstPassTimeout: o.FirstPassTimeout,
-		GlobalBudget:     o.GlobalBudget,
-		MaxConflicts:     o.MaxConflicts,
-		Witness:          o.Witness,
-		Parallelism:      o.Parallelism,
-		PairParallelism:  o.PairParallelism,
-		Tracer:           o.Tracer,
+		WindowSize:      o.WindowSize,
+		SolveTimeout:    o.SolveTimeout,
+		GlobalBudget:    o.GlobalBudget,
+		Witness:         o.Witness,
+		Parallelism:     o.Parallelism,
+		PairParallelism: o.PairParallelism,
+		Tracer:          o.Tracer,
 	}
 }
 
@@ -454,9 +434,6 @@ type Report struct {
 	SolverTimeouts int `json:"solver_timeouts"`
 	// Elapsed is the wall-clock analysis time in nanoseconds.
 	Elapsed time.Duration `json:"elapsed_ns"`
-	// PairsRetried counts pairs re-solved by the two-pass adaptive
-	// scheduler (Options.FirstPassTimeout; MaximalCF only).
-	PairsRetried int `json:"pairs_retried,omitempty"`
 	// Interrupted reports the run was cut short by context cancellation
 	// (DetectContext / SIGINT in the CLI). The races listed are all real,
 	// but coverage is partial: only the work completed before the
@@ -602,8 +579,12 @@ func outcomesByWindow(outs []race.WindowOutcome) map[int]race.WindowOutcome {
 // run — the context is polled between windows, between pairs and inside
 // the solver's search loop — and the partial report is returned with
 // Interrupted set. Every race in a partial report is still real; only
-// coverage is affected. A nil ctx is treated as context.Background().
+// coverage is affected. A nil ctx is treated as context.Background(), a
+// nil tr as an empty trace.
 func DetectContext(ctx context.Context, tr *trace.Trace, opt Options) Report {
+	if tr == nil {
+		tr = trace.New(0)
+	}
 	// The options honoured by Run only: DetectContext analyses tr,
 	// unjournaled and without the introspection server.
 	opt.TraceReader = nil
@@ -624,7 +605,6 @@ func baseline(opt Options) interface {
 		return said.New(said.Options{
 			WindowSize:   opt.WindowSize,
 			SolveTimeout: opt.SolveTimeout,
-			MaxConflicts: opt.MaxConflicts,
 			Witness:      opt.Witness,
 		})
 	case CausallyPrecedes:
@@ -752,14 +732,17 @@ func DetectDeadlocks(tr *trace.Trace, opt Options) DeadlockReport {
 
 // DetectDeadlocksContext is DetectDeadlocks under a context; cancelling
 // ctx interrupts the run mid-solve and returns the partial report with
-// Interrupted set. A nil ctx is treated as context.Background().
+// Interrupted set. A nil ctx is treated as context.Background(), a nil
+// tr as an empty trace.
 func DetectDeadlocksContext(ctx context.Context, tr *trace.Trace, opt Options) DeadlockReport {
+	if tr == nil {
+		tr = trace.New(0)
+	}
 	opt = opt.normalise()
 	col := newCollector(opt)
 	res := deadlock.New(deadlock.Options{
 		WindowSize:   opt.WindowSize,
 		SolveTimeout: opt.SolveTimeout,
-		MaxConflicts: opt.MaxConflicts,
 		Witness:      opt.Witness,
 		Telemetry:    col,
 		Tracer:       opt.Tracer,
@@ -829,14 +812,16 @@ func DetectAtomicityViolations(tr *trace.Trace, opt Options) AtomicityReport {
 // DetectAtomicityViolationsContext is DetectAtomicityViolations under a
 // context; cancelling ctx interrupts the run mid-solve and returns the
 // partial report with Interrupted set. A nil ctx is treated as
-// context.Background().
+// context.Background(), a nil tr as an empty trace.
 func DetectAtomicityViolationsContext(ctx context.Context, tr *trace.Trace, opt Options) AtomicityReport {
+	if tr == nil {
+		tr = trace.New(0)
+	}
 	opt = opt.normalise()
 	col := newCollector(opt)
 	res := atomicity.New(atomicity.Options{
 		WindowSize:   opt.WindowSize,
 		SolveTimeout: opt.SolveTimeout,
-		MaxConflicts: opt.MaxConflicts,
 		Witness:      opt.Witness,
 		Telemetry:    col,
 		Tracer:       opt.Tracer,

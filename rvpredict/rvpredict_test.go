@@ -1,6 +1,8 @@
 package rvpredict_test
 
 import (
+	"context"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -142,9 +144,53 @@ func TestCoreOptionsMapsNormalisedSentinels(t *testing.T) {
 	if c.WindowSize != 10000 || c.SolveTimeout != 60*time.Second {
 		t.Errorf("defaults: window %d, solve %v; want 10000, 60s", c.WindowSize, c.SolveTimeout)
 	}
-	c = rvpredict.Options{Witness: true, MaxConflicts: 7}.Normalised().CoreOptions()
-	if !c.Witness || c.MaxConflicts != 7 {
+	c = rvpredict.Options{Witness: true, GlobalBudget: 7}.Normalised().CoreOptions()
+	if !c.Witness || c.GlobalBudget != 7 {
 		t.Errorf("fields not carried: %+v", c)
+	}
+}
+
+// TestNilTraceIsEmpty: the lenient entry points analyse a nil trace as an
+// empty one: the report equals the empty trace's, with no findings,
+// instead of a panic.
+func TestNilTraceIsEmpty(t *testing.T) {
+	cases := []struct {
+		name string
+		run  func(tr *trace.Trace, opt rvpredict.Options) (report any, findings int)
+	}{
+		{"Detect", func(tr *trace.Trace, opt rvpredict.Options) (any, int) {
+			rep := rvpredict.Detect(tr, opt)
+			rep.Elapsed = 0
+			return rep, len(rep.Races)
+		}},
+		{"DetectContext", func(tr *trace.Trace, opt rvpredict.Options) (any, int) {
+			rep := rvpredict.DetectContext(context.Background(), tr, opt)
+			rep.Elapsed = 0
+			return rep, len(rep.Races)
+		}},
+		{"DetectDeadlocks", func(tr *trace.Trace, opt rvpredict.Options) (any, int) {
+			rep := rvpredict.DetectDeadlocks(tr, opt)
+			rep.Elapsed = 0
+			return rep, len(rep.Deadlocks)
+		}},
+		{"DetectAtomicityViolations", func(tr *trace.Trace, opt rvpredict.Options) (any, int) {
+			rep := rvpredict.DetectAtomicityViolations(tr, opt)
+			rep.Elapsed = 0
+			return rep, len(rep.Violations)
+		}},
+	}
+	for _, tc := range cases {
+		for _, algo := range []rvpredict.Algorithm{rvpredict.MaximalCF, rvpredict.SaidEtAl,
+			rvpredict.CausallyPrecedes, rvpredict.HappensBefore, rvpredict.QuickCheck} {
+			t.Run(tc.name+"/"+algo.String(), func(t *testing.T) {
+				opt := rvpredict.Options{Algorithm: algo}
+				got, findings := tc.run(nil, opt)
+				want, _ := tc.run(trace.New(0), opt)
+				if findings != 0 || !reflect.DeepEqual(got, want) {
+					t.Errorf("nil trace: %+v, want the empty trace's report %+v", got, want)
+				}
+			})
+		}
 	}
 }
 

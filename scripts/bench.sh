@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
-# Benchmark snapshot runner: runs the detection benchmark families at a
-# fixed iteration count and writes a machine-readable JSON snapshot
-# (BENCH_<n>.json at the repo root) so performance regressions show up as
-# ordinary review diffs. See doc/performance.md. The output path is
-# required: the committed snapshots are baselines (CI gates against
-# BENCH_20.json), and a run must never overwrite one by default.
+# Benchmark snapshot runner: runs the detection benchmark families five
+# times (-count 5) at a fixed iteration count and writes a machine-readable
+# JSON snapshot (BENCH_<n>.json at the repo root) with each benchmark's
+# median and minimum ns/op over the five runs, so performance regressions
+# show up as ordinary review diffs and run-to-run noise is visible. See
+# doc/performance.md. The output path is required: the committed snapshots
+# are baselines (CI gates against BENCH_20.json), and a run must never
+# overwrite one by default.
 #
 # Usage:
 #   scripts/bench.sh out.json                # bench, write the snapshot
@@ -48,7 +50,7 @@ trap 'rm -f "$tmp" "$tmp.rss"' EXIT
 # around the child — GNU time's "Maximum resident set size" without
 # depending on GNU time being installed. The number lands in a side
 # file so benchmark stdout stays parseable.
-python3 - "$tmp.rss" go test -run '^$' -bench "$bench" -benchtime "$benchtime" -benchmem -count 1 . <<'PY' | tee "$tmp"
+python3 - "$tmp.rss" go test -run '^$' -bench "$bench" -benchtime "$benchtime" -benchmem -count 5 . <<'PY' | tee "$tmp"
 import resource, subprocess, sys
 rc = subprocess.call(sys.argv[2:])
 kb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss  # KiB on Linux
