@@ -128,9 +128,10 @@ func BenchmarkDetect(b *testing.B) {
 			// query counts are deterministic per row.
 			b.StopTimer()
 			col := telemetry.NewCollector()
-			core.New(core.Options{WindowSize: window, SolveTimeout: time.Minute,
+			res := core.New(core.Options{WindowSize: window, SolveTimeout: time.Minute,
 				Telemetry: col}).Detect(tr)
 			m := col.Snapshot()
+			reportPhaseShares(b, m, res.Elapsed)
 			b.ReportMetric(float64(m.Solver.Decisions), "decisions")
 			b.ReportMetric(float64(m.Solver.TheoryProps), "theory_propagations")
 			b.ReportMetric(float64(m.Solver.Propagations), "propagations")
@@ -171,6 +172,25 @@ func BenchmarkDetect(b *testing.B) {
 				hb.New(hb.Options{WindowSize: window}).Detect(tr)
 			}
 		})
+	}
+}
+
+// reportPhaseShares attaches each phase's share of an instrumented run's
+// elapsed time, in percent, as <phase>_share metrics: informational (the
+// run is one sample), but a slowdown shows which layer grew. The shares
+// of a sequential run add up to 100, other being the time no phase
+// covers.
+func reportPhaseShares(b *testing.B, m *telemetry.Metrics, elapsed time.Duration) {
+	p := m.Phases
+	for _, ph := range []struct {
+		name string
+		ns   int64
+	}{
+		{"enumerate", p.Enumerate}, {"mhb", p.MHB}, {"quick_check", p.QuickCheck},
+		{"triage", m.Triage.FastPathNS}, {"encode", p.Encode}, {"rollback", p.Rollback},
+		{"solve", p.Solve}, {"witness", p.Witness}, {"other", p.Other},
+	} {
+		b.ReportMetric(100*float64(ph.ns)/float64(elapsed), ph.name+"_share")
 	}
 }
 
@@ -618,7 +638,7 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 	b.Run("spans", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			col := telemetry.NewCollector()
-			col.AttachSpans(telemetry.NewSpanRecorder(0))
+			col.AttachSpans(telemetry.NewSpanRecorder(0, nil))
 			core.New(core.Options{WindowSize: window, SolveTimeout: time.Minute,
 				Telemetry: col}).Detect(tr)
 			if len(col.Spans().Events()) == 0 {

@@ -11,7 +11,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/rvpredict"
 )
@@ -101,11 +100,11 @@ func TestIntrospectionE2E(t *testing.T) {
 	}
 }
 
-// scrapeTracer scrapes /metrics and /races from inside the final
-// window's WindowDone callback — still strictly inside the run, with
-// every window merged — so the live-scrape assertions are deterministic
-// rather than racing the run's end.
-type scrapeTracer struct {
+// scrapeAtLastWindow scrapes /metrics and /races when the final window's
+// span ends — still strictly inside the run, with every earlier window
+// merged — so the live-scrape assertions are deterministic rather than
+// racing the run's end.
+type scrapeAtLastWindow struct {
 	windows int
 	seen    int
 	addr    string
@@ -114,11 +113,10 @@ type scrapeTracer struct {
 	err     error
 }
 
-func (s *scrapeTracer) WindowStart(int, int) {}
-func (s *scrapeTracer) QuerySolved(int, int, int, rvpredict.Outcome, time.Duration) {
-}
-
-func (s *scrapeTracer) WindowDone(int, int, time.Duration) {
+func (s *scrapeAtLastWindow) spanEnded(ev rvpredict.SpanEvent) {
+	if ev.Kind != rvpredict.SpanWindow {
+		return
+	}
 	s.seen++
 	if s.seen != s.windows {
 		return
@@ -152,7 +150,7 @@ func (s *scrapeTracer) WindowDone(int, int, time.Duration) {
 //	           + triage_confirmed + triage_syncp_confirmed + dispatched
 func TestMetricsFunnelInvariantLive(t *testing.T) {
 	tr := crashFixture()
-	sc := &scrapeTracer{windows: 4}
+	sc := &scrapeAtLastWindow{windows: 4}
 	opt := rvpredict.Options{
 		WindowSize: 8,
 		Witness:    true,
@@ -160,7 +158,7 @@ func TestMetricsFunnelInvariantLive(t *testing.T) {
 		OnDebugAddr: func(addr string) {
 			sc.addr = addr
 		},
-		Tracer: sc,
+		Spans: rvpredict.NewSpanRecorder(-1, sc.spanEnded),
 	}
 	rep, err := rvpredict.Run(nil, tr, opt)
 	if err != nil {
@@ -203,9 +201,9 @@ func TestMetricsFunnelInvariantLive(t *testing.T) {
 		t.Errorf("build_info gauge = %v, want 1", got)
 	}
 
-	// The /races feed runs after each window's WindowDone callback, so at
-	// the last window's callback the first three windows' races are
-	// visible, provenance included.
+	// The /races feed runs after each window's span ends, so at the last
+	// window's span the first three windows' races are visible,
+	// provenance included.
 	var live struct {
 		Races []struct {
 			A          int                  `json:"a"`

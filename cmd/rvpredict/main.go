@@ -61,6 +61,7 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/journal"
 	"repro/internal/race"
+	"repro/internal/telemetry"
 	"repro/internal/tracefile"
 	"repro/internal/tracev2"
 	"repro/rvpredict"
@@ -301,19 +302,23 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "rvpredict:", err)
 		return 2
 	}
-	if *progress {
-		opt.Tracer = &progressTracer{w: stderr, start: time.Now()}
-	}
 	if *httpAddr != "" {
 		opt.DebugAddr = *httpAddr
 		opt.OnDebugAddr = func(addr string) {
 			fmt.Fprintf(stderr, "rvpredict: introspection on http://%s/\n", addr)
 		}
 	}
-	var spans *rvpredict.SpanRecorder
-	if *traceOut != "" {
-		spans = rvpredict.NewSpanRecorder(0)
-		opt.Spans = spans
+	// -trace-out keeps the spans in a ring for the exported timeline;
+	// -progress only consumes them as they end.
+	var onEnd func(rvpredict.SpanEvent)
+	if *progress {
+		onEnd = progressPrinter(stderr)
+	}
+	switch {
+	case *traceOut != "":
+		opt.Spans = rvpredict.NewSpanRecorder(0, onEnd)
+	case *progress:
+		opt.Spans = rvpredict.NewSpanRecorder(-1, onEnd)
 	}
 
 	// deliver renders one report to -out (atomically) or stdout; every
@@ -378,8 +383,8 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		case *deadlocks || *atomicity:
 			fmt.Fprintln(stderr, "rvpredict: -daemon streams race detection only")
 			return 2
-		case *journalTo != "" || *resume || *httpAddr != "" || *traceOut != "" || *stats:
-			fmt.Fprintln(stderr, "rvpredict: -journal/-resume/-http/-trace-out/-stats are owned by the daemon in -daemon mode")
+		case *journalTo != "" || *resume || *httpAddr != "" || *traceOut != "" || *stats || *progress:
+			fmt.Fprintln(stderr, "rvpredict: -journal/-resume/-http/-trace-out/-stats/-progress are owned by the daemon in -daemon mode")
 			return 2
 		case strings.ToLower(*algoName) != "rv":
 			fmt.Fprintln(stderr, "rvpredict: the daemon runs the rv algorithm; -algo applies to local analysis")
@@ -606,12 +611,12 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "rvpredict:", err)
 		return 2
 	}
-	if spans != nil {
-		if err := writeTraceEvents(*traceOut, spans, inj); err != nil {
+	if *traceOut != "" {
+		if err := writeTraceEvents(*traceOut, opt.Spans, inj); err != nil {
 			fmt.Fprintln(stderr, "rvpredict:", err)
 			return 2
 		}
-		if n := spans.Dropped(); n > 0 {
+		if n := opt.Spans.Dropped(); n > 0 {
 			fmt.Fprintf(stderr, "rvpredict: span ring wrapped; %d oldest spans dropped from %s\n", n, *traceOut)
 		}
 	}
@@ -723,10 +728,10 @@ func printTelemetry(w io.Writer, t *rvpredict.Telemetry) {
 		return time.Duration(ns).Round(10 * time.Microsecond).String()
 	}
 	fmt.Fprintln(w, "--- stats ---")
-	fmt.Fprintf(w, "phases: scan %s, enumerate %s, mhb %s, quick-check %s, encode %s, rollback %s, solve %s, witness %s\n",
+	fmt.Fprintf(w, "phases: scan %s, enumerate %s, mhb %s, quick-check %s, encode %s, rollback %s, solve %s, witness %s, other %s\n",
 		ms(t.Phases.TraceScan), ms(t.Phases.Enumerate), ms(t.Phases.MHB),
 		ms(t.Phases.QuickCheck), ms(t.Phases.Encode), ms(t.Phases.Rollback),
-		ms(t.Phases.Solve), ms(t.Phases.Witness))
+		ms(t.Phases.Solve), ms(t.Phases.Witness), ms(t.Phases.Other))
 	o := t.Outcomes
 	fmt.Fprintf(w, "candidates: %d enumerated, %d quick-check filtered, %d MHB filtered, %d dedup hits\n",
 		o.Enumerated, o.QuickCheckFiltered, o.MHBFiltered, o.SigDedupHits)
@@ -755,38 +760,23 @@ func printTelemetry(w io.Writer, t *rvpredict.Telemetry) {
 	fmt.Fprintf(w, "windows: %d\n", t.WindowCount)
 }
 
-// progressTracer prints window lifecycle lines — and noteworthy query
-// verdicts (findings and solver aborts) — to stderr as analysis runs.
-// Methods may be called concurrently when -parallel > 1.
-type progressTracer struct {
-	mu    sync.Mutex
-	w     io.Writer
-	start time.Time
-}
-
-func (p *progressTracer) stamp() string {
-	return time.Since(p.start).Round(time.Millisecond).String()
-}
-
-func (p *progressTracer) WindowStart(index, events int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	fmt.Fprintf(p.w, "[%s] window %d: %d events\n", p.stamp(), index, events)
-}
-
-func (p *progressTracer) WindowDone(index, findings int, elapsed time.Duration) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	fmt.Fprintf(p.w, "[%s] window %d done: %d finding(s) in %v\n",
-		p.stamp(), index, findings, elapsed.Round(time.Millisecond))
-}
-
-func (p *progressTracer) QuerySolved(index, a, b int, outcome rvpredict.Outcome, elapsed time.Duration) {
-	if outcome != rvpredict.OutcomeSat && !outcome.Aborted() {
-		return // unsat is the common, quiet case
+// progressPrinter returns the end-of-span consumer behind -progress: one
+// line per window that reached a verdict, and one per noteworthy query
+// verdict (findings and solver aborts; unsat is the quiet common case),
+// each stamped with the time since analysis began. Spans end
+// concurrently under -parallel and -pair-parallel; w serialises whole
+// lines.
+func progressPrinter(w io.Writer) func(rvpredict.SpanEvent) {
+	start := time.Now()
+	return func(ev rvpredict.SpanEvent) {
+		stamp := time.Since(start).Round(time.Millisecond)
+		switch {
+		case ev.Kind == rvpredict.SpanWindow:
+			fmt.Fprintf(w, "[%s] window %d: %d events, %d finding(s) in %v\n",
+				stamp, ev.Window, ev.Events, ev.Findings, time.Duration(ev.ElapsedNS).Round(time.Millisecond))
+		case ev.Kind == rvpredict.SpanQuery && (ev.Outcome == telemetry.OutcomeSat || ev.Outcome.Aborted()):
+			fmt.Fprintf(w, "[%s] window %d: events %d,%d → %s (%v)\n",
+				stamp, ev.Window, ev.A, ev.B, ev.Outcome, time.Duration(ev.Dur).Round(time.Millisecond))
+		}
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	fmt.Fprintf(p.w, "[%s] window %d: events %d,%d → %s (%v)\n",
-		p.stamp(), index, a, b, outcome, elapsed.Round(time.Millisecond))
 }

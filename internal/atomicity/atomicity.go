@@ -49,8 +49,6 @@ type Options struct {
 	// Telemetry, when non-nil, accumulates phase timings, solver counters
 	// and outcome tallies; enabling it changes no detection result.
 	Telemetry *telemetry.Collector
-	// Tracer, when non-nil, receives live progress callbacks.
-	Tracer telemetry.Tracer
 }
 
 // Violation is one detected atomicity violation.
@@ -142,10 +140,8 @@ func (d *Detector) DetectContext(ctx context.Context, tr *trace.Trace) Result {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	start := time.Now()
 	col := d.opt.Telemetry
-	tracer := d.opt.Tracer
-	instrumented := col != nil || tracer != nil
+	run := col.BeginRun()
 	var res Result
 	type sigKey [3]trace.Loc
 	seen := make(map[sigKey]bool)
@@ -157,40 +153,22 @@ func (d *Detector) DetectContext(ctx context.Context, tr *trace.Trace) Result {
 			res.Cancelled = true
 			return
 		}
-		if tracer != nil {
-			tracer.WindowStart(wi, w.Len())
-		}
-		var wstart time.Time
-		if instrumented {
-			wstart = time.Now()
-		}
+		wspan := col.BeginWindow(wi, offset, w.Len(), false)
 		foundBefore := len(res.Violations)
 		candsBefore := res.Candidates
-
 		windowDone := func() {
-			if col != nil {
-				col.WindowDone(telemetry.WindowRecord{
-					Offset:     offset,
-					Events:     w.Len(),
-					Candidates: res.Candidates - candsBefore,
-					Solved:     res.Candidates - candsBefore,
-					Findings:   len(res.Violations) - foundBefore,
-					ElapsedNS:  int64(time.Since(wstart)),
-				})
-			}
-			if tracer != nil {
-				tracer.WindowDone(wi, len(res.Violations)-foundBefore, time.Since(wstart))
-			}
+			n := res.Candidates - candsBefore
+			wspan.EndWindow(n, n, len(res.Violations)-foundBefore)
 		}
 
-		span := col.StartPhase(telemetry.PhaseEnumerate)
+		span := wspan.Child(telemetry.PhaseEnumerate, "enumerate")
 		cands := candidates(w)
 		span.End()
 		if len(cands) == 0 {
 			windowDone()
 			return
 		}
-		span = col.StartPhase(telemetry.PhaseEncode)
+		span = wspan.Child(telemetry.PhaseEncode, "encode")
 		mhb := vc.ComputeMHB(w)
 		s := smt.NewSolver()
 		s.SetCancel(func() bool { return ctx.Err() != nil })
@@ -226,11 +204,8 @@ func (d *Detector) DetectContext(ctx context.Context, tr *trace.Trace) Result {
 			}
 			res.Candidates++
 			col.CountEnumerated(1)
-			var qstart time.Time
-			if tracer != nil {
-				qstart = time.Now()
-			}
-			span = col.StartPhase(telemetry.PhaseEncode)
+			query := wspan.Query(wi, c.e1+offset, c.e2+offset)
+			span = query.Child(telemetry.PhaseEncode, "encode")
 			g := s.NewBoolLit()
 			sandwich := smt.And(
 				smt.Less(enc.Var(c.e1), enc.Var(c.e3)),
@@ -238,20 +213,17 @@ func (d *Detector) DetectContext(ctx context.Context, tr *trace.Trace) Result {
 				cf.ControlFlow(c.e1), cf.ControlFlow(c.e2), cf.ControlFlow(c.e3))
 			if err := s.Implies(g, sandwich); err != nil {
 				span.End()
+				query.End()
 				continue
 			}
 			span.End()
 			if d.opt.SolveTimeout > 0 {
 				s.SetDeadline(time.Now().Add(d.opt.SolveTimeout))
 			}
-			span = col.StartPhase(telemetry.PhaseSolve)
+			span = query.Child(telemetry.PhaseSolve, "solve")
 			verdict := s.SolveAssuming(g)
 			span.End()
 			outcome := telemetry.OutcomeOf(s, verdict == sat.Sat, verdict == sat.Aborted)
-			col.CountOutcome(outcome)
-			if tracer != nil {
-				tracer.QuerySolved(wi, c.e1+offset, c.e2+offset, outcome, time.Since(qstart))
-			}
 			switch verdict {
 			case sat.Sat:
 				seen[key] = true
@@ -263,7 +235,7 @@ func (d *Detector) DetectContext(ctx context.Context, tr *trace.Trace) Result {
 					Split:  c.split,
 				}
 				if d.opt.Witness {
-					span = col.StartPhase(telemetry.PhaseWitness)
+					span = query.Child(telemetry.PhaseWitness, "witness")
 					v.Witness = sandwichWitness(enc, s, c)
 					span.End()
 					for k := range v.Witness {
@@ -277,6 +249,7 @@ func (d *Detector) DetectContext(ctx context.Context, tr *trace.Trace) Result {
 					res.Cancelled = true
 				}
 			}
+			query.EndQuery(outcome, true)
 		}
 		col.AddSolver(s)
 		windowDone()
@@ -284,7 +257,7 @@ func (d *Detector) DetectContext(ctx context.Context, tr *trace.Trace) Result {
 	if ctx.Err() != nil {
 		res.Cancelled = true
 	}
-	res.Elapsed = time.Since(start)
+	res.Elapsed = run.End()
 	return res
 }
 

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/faultinject"
 	"repro/internal/race"
@@ -140,6 +141,9 @@ func TestResumeReplaysExactly(t *testing.T) {
 			resume := make(map[int]race.WindowOutcome)
 			for w, out := range outs {
 				if keep(w) {
+					// A journaled time no replay could take, so the
+					// window record below shows which time it kept.
+					out.ElapsedNS = int64(time.Hour) + int64(w)
 					resume[w] = out
 				}
 			}
@@ -166,6 +170,18 @@ func TestResumeReplaysExactly(t *testing.T) {
 			m := col.Snapshot()
 			if got := m.Journal.WindowsReplayed; got != int64(len(resume)) {
 				t.Errorf("%s subset, par %d: windows_replayed = %d, want %d", name, par, got, len(resume))
+			}
+			// A replayed window's record keeps the journaled analysis
+			// time, not the replay's.
+			byOffset := make(map[int]int64)
+			for _, out := range resume {
+				byOffset[out.Offset] = out.ElapsedNS
+			}
+			for _, rec := range m.Windows {
+				if want, ok := byOffset[rec.Offset]; ok && rec.ElapsedNS != want {
+					t.Errorf("%s subset, par %d: replayed window at %d: elapsed_ns = %d, want the journaled %d",
+						name, par, rec.Offset, rec.ElapsedNS, want)
+				}
 			}
 			// Replayed windows never re-enter the solver: every journaled
 			// solver query must be absent from this run's live count.
@@ -243,7 +259,7 @@ func TestHookNotCalledOnCancelledWindow(t *testing.T) {
 	res := New(Options{
 		WindowSize: 24,
 		Witness:    true,
-		Tracer:     &cancelAfterWindow{target: 0, cancel: cancel},
+		Telemetry:  cancelAfterWindow(0, cancel),
 		OnWindowDone: func(out race.WindowOutcome) {
 			mu.Lock()
 			outs[out.Window] = out

@@ -42,10 +42,11 @@
 // verdicts carry from one window to the next (SigState).
 //
 // The detector is fully instrumented (see internal/telemetry): with a
-// collector and/or tracer in Options it reports phase timings, solver
-// counters, candidate-funnel tallies and per-window records. Telemetry
-// never influences detection — the reported race set is identical with it
-// on or off — and the disabled path performs no clock reads.
+// collector in Options it reports phase timings, solver counters,
+// candidate-funnel tallies and per-window records, and publishes its
+// spans to the collector's span recorder. Telemetry never influences
+// detection — the reported race set is identical with it on or off — and
+// the disabled path reads the clock only for what a report needs.
 package core
 
 import (
@@ -121,10 +122,6 @@ type Options struct {
 	// share across Parallelism workers, and enabling it changes no
 	// detection result.
 	Telemetry *telemetry.Collector
-	// Tracer, when non-nil, receives live progress callbacks (window
-	// lifecycle, per-COP verdicts). With Parallelism > 1 the callbacks
-	// arrive concurrently; implementations must serialise internally.
-	Tracer telemetry.Tracer
 	// FaultInjector, when non-nil, injects deterministic faults at the
 	// pipeline's instrumentation points (window start, per solve
 	// attempt). Test-only: it exists to drive the panic-isolation and
@@ -174,19 +171,22 @@ func (d *Detector) Detect(tr *trace.Trace) race.Result {
 }
 
 // DetectContext runs maximal race detection over tr under ctx: a Runner
-// carrying signature verdicts across tr's windows. The context is polled
-// between windows, between pairs, and — via the cooperative cancel hook
-// — inside the CDCL conflict loop, so a run can be stopped mid-solve. The
-// partial Result is always well-formed: it covers every window completed
-// before the cancel and is flagged Cancelled. Windows counts every window
-// of tr, analysed or not. A nil ctx is treated as context.Background().
+// carrying signature verdicts across tr's windows, in one run span whose
+// duration is the Result's Elapsed. The context is polled between
+// windows, between pairs, and — via the cooperative cancel hook — inside
+// the CDCL conflict loop, so a run can be stopped mid-solve. The partial
+// Result is always well-formed: it covers every window completed before
+// the cancel and is flagged Cancelled. Windows counts every window of tr,
+// analysed or not. A nil ctx is treated as context.Background().
 func (d *Detector) DetectContext(ctx context.Context, tr *trace.Trace) race.Result {
+	run := d.opt.Telemetry.BeginRun()
 	r := NewRunner(d.opt, Carried)
 	r.Run(ctx, func(f func(w *trace.Trace, widx, offset int) error) error {
 		return race.EachWindow(tr, d.opt.WindowSize, f)
 	})
 	res := r.Result()
 	res.Windows = race.WindowCount(tr.Len(), d.opt.WindowSize)
+	res.Elapsed = run.End()
 	return res
 }
 
@@ -277,8 +277,8 @@ type Runner struct {
 	d     *Detector
 	state SigState
 	// timed forces per-window wall-clock measurement even without
-	// telemetry, a tracer or a completion hook: RunWindow's callers
-	// consume the outcome's ElapsedNS directly. Run leaves it off, so an
+	// telemetry or a completion hook: RunWindow's callers consume the
+	// outcome's ElapsedNS directly. Run leaves it off, so an
 	// uninstrumented run performs no clock reads.
 	timed bool
 	// deadline is the global budget's expiry, set by Run; the zero time
@@ -286,7 +286,6 @@ type Runner struct {
 	deadline time.Time
 	res      race.Result
 	seen     map[race.Signature]bool // signatures merged so far
-	start    time.Time
 }
 
 // NewRunner returns a runner with the given options and signature state.
@@ -295,7 +294,6 @@ func NewRunner(opt Options, state SigState) *Runner {
 		d:     &Detector{opt: opt, budget: make(chan struct{}, max(opt.Parallelism, opt.PairParallelism, 1))},
 		state: state,
 		seen:  make(map[race.Signature]bool),
-		start: time.Now(),
 	}
 }
 
@@ -419,10 +417,10 @@ func (r *Runner) step(ctx context.Context, w *trace.Trace, widx, offset int, deg
 }
 
 // Result returns the result merged so far. Windows counts the windows
-// that reached a verdict or were replayed.
+// that reached a verdict or were replayed; Elapsed is left to the caller,
+// which owns the run's span.
 func (r *Runner) Result() race.Result {
 	res := r.res
-	res.Elapsed = time.Since(r.start)
 	if len(res.Races) > 0 {
 		res.Races = append([]race.Race(nil), res.Races...)
 	}
@@ -476,10 +474,7 @@ func (r *Runner) merge(wr windowResult) {
 // telemetry records the window as replayed.
 func (r *Runner) replay(out race.WindowOutcome) windowResult {
 	col := r.d.opt.Telemetry
-	tracer := r.d.opt.Tracer
-	if tracer != nil {
-		tracer.WindowStart(out.Window, out.Events)
-	}
+	wspan := col.BeginWindow(out.Window, out.Offset, out.Events, false)
 	if len(out.Races) > 0 {
 		out.Races = append([]race.Race(nil), out.Races...)
 		for i := range out.Races {
@@ -487,17 +482,7 @@ func (r *Runner) replay(out race.WindowOutcome) windowResult {
 		}
 	}
 	col.CountWindowReplayed()
-	col.WindowDone(telemetry.WindowRecord{
-		Offset:     out.Offset,
-		Events:     out.Events,
-		Candidates: out.Candidates,
-		Solved:     out.Solved,
-		Findings:   len(out.Races),
-		ElapsedNS:  out.ElapsedNS,
-	})
-	if tracer != nil {
-		tracer.WindowDone(out.Window, len(out.Races), time.Duration(out.ElapsedNS))
-	}
+	wspan.EndReplayed(out.Candidates, out.Solved, len(out.Races), out.ElapsedNS)
 	return windowResult{out: out, status: WindowReplayed}
 }
 
@@ -512,8 +497,6 @@ func (r *Runner) replay(out race.WindowOutcome) windowResult {
 func (r *Runner) analyze(ctx context.Context, w *trace.Trace, widx, offset int, degraded bool, seen map[race.Signature]bool) (wr windowResult) {
 	d := r.d
 	col := d.opt.Telemetry
-	tracer := d.opt.Tracer
-	instrumented := col != nil || tracer != nil || d.opt.OnWindowDone != nil || r.timed
 	// Resume: a journaled window is replayed before the cancellation and
 	// budget gates — replay is free and its results are already durable.
 	if prev, ok := d.opt.ResumeWindows[widx]; ok {
@@ -553,28 +536,16 @@ func (r *Runner) analyze(ctx context.Context, w *trace.Trace, widx, offset int, 
 		}
 	}()
 	d.fireFault(faultinject.PointWindow, widx)
-	// Live gauge + timeline span for the window. The deferred closes
-	// run before the panic-isolation recover above (LIFO), so a
-	// failed window still leaves the gauge balanced and its span on
-	// the timeline.
-	col.CountWindowStarted()
-	defer col.CountWindowFinished()
-	lane := telemetry.WindowLane(widx)
-	wspan := col.BeginSpan("window", lane, col.SpanRoot())
+	// The window's span: the journal needs its elapsed time even without
+	// telemetry. The deferred End runs before the panic-isolation recover
+	// above (LIFO), so a failed window still balances the in-flight gauge
+	// and leaves its span on the timeline, but no window record.
+	wspan := col.BeginWindow(widx, offset, w.Len(), d.opt.OnWindowDone != nil || r.timed)
 	defer wspan.End()
-	if tracer != nil {
-		tracer.WindowStart(widx, w.Len())
-	}
-	var wstart time.Time
-	if instrumented {
-		wstart = time.Now()
-	}
 
-	span := col.StartPhase(telemetry.PhaseEnumerate)
-	esp := col.BeginSpan("enumerate", lane, wspan.ID())
+	esp := wspan.Child(telemetry.PhaseEnumerate, "enumerate")
 	cops := race.EnumerateCOPs(w)
 	esp.End()
-	span.End()
 	col.CountEnumerated(len(cops))
 	out.Candidates = len(cops)
 
@@ -582,14 +553,12 @@ func (r *Runner) analyze(ctx context.Context, w *trace.Trace, widx, offset int, 
 	// scheduler then solves the groups (in parallel when
 	// PairParallelism > 1) and the results are collected below in
 	// canonical group order, so the window's outcome is deterministic.
-	psp := col.BeginSpan("mhb+triage", lane, wspan.ID())
-	groups, mhb := d.partition(w, cops, seen)
-	psp.End()
+	groups, mhb := d.partition(wspan, w, cops, seen)
 	col.CountPairGroups(len(groups))
 	wc := &windowCtx{
 		ctx: ctx, w: w, mhb: mhb, widx: widx, offset: offset,
 		globalDeadline: r.deadline, cancel: func() bool { return ctx.Err() != nil },
-		spanParent: wspan.ID(),
+		span: wspan,
 	}
 	switch {
 	case len(groups) > 0 && ctx.Err() == nil && degraded:
@@ -642,20 +611,7 @@ func (r *Runner) analyze(ctx context.Context, w *trace.Trace, widx, offset int, 
 		col.CountDegradedWindow()
 		out.Degraded = true
 	}
-	if instrumented {
-		out.ElapsedNS = int64(time.Since(wstart))
-	}
-	col.WindowDone(telemetry.WindowRecord{
-		Offset:     offset,
-		Events:     w.Len(),
-		Candidates: len(cops),
-		Solved:     out.Solved,
-		Findings:   len(out.Races),
-		ElapsedNS:  out.ElapsedNS,
-	})
-	if tracer != nil {
-		tracer.WindowDone(widx, len(out.Races), time.Duration(out.ElapsedNS))
-	}
+	out.ElapsedNS = int64(wspan.EndWindow(len(cops), out.Solved, len(out.Races)))
 	if final {
 		wr.status = WindowAnalyzed
 	}
@@ -685,11 +641,11 @@ type windowSolver struct {
 // rollback restores the canonical base if anything was encoded or solved
 // since. Only warm-prefix instances are ever prepared, and their cf
 // definitions all predate ck, so the cf memo needs no rollback of its own.
-func (ws *windowSolver) rollback(col *telemetry.Collector) {
+func (ws *windowSolver) rollback(col *telemetry.Collector, parent *telemetry.Span) {
 	if !ws.dirty {
 		return
 	}
-	span := col.StartPhase(telemetry.PhaseRollback)
+	span := parent.Child(telemetry.PhaseRollback, "rollback")
 	ws.s.Rollback(ws.ck)
 	span.End()
 	ws.dirty = false
@@ -697,8 +653,6 @@ func (ws *windowSolver) rollback(col *telemetry.Collector) {
 }
 
 func (d *Detector) newWindowSolver(w *trace.Trace, mhb *vc.MHB) *windowSolver {
-	span := d.opt.Telemetry.StartPhase(telemetry.PhaseEncode)
-	defer span.End()
 	s := smt.NewSolver()
 	enc := encode.New(w, s, mhb, -1, -1)
 	enc.Pruning = !d.opt.NoPruning
@@ -713,14 +667,14 @@ func (d *Detector) newWindowSolver(w *trace.Trace, mhb *vc.MHB) *windowSolver {
 }
 
 // prepare encodes one COP's guarded race constraint on the shared window
-// solver and returns the guard literal to assume. ok is false when the
-// encoding itself proves the pair impossible (treated as unsat).
-func (ws *windowSolver) prepare(d *Detector, cop race.COP) (g sat.Lit, ok bool) {
+// solver, in an encode span nested in the query's, and returns the guard
+// literal to assume. ok is false when the encoding itself proves the pair
+// impossible (treated as unsat).
+func (ws *windowSolver) prepare(cop race.COP, query *telemetry.Span) (g sat.Lit, ok bool) {
 	if ws.bad {
 		return 0, false
 	}
-	col := d.opt.Telemetry
-	span := col.StartPhase(telemetry.PhaseEncode)
+	span := query.Child(telemetry.PhaseEncode, "encode")
 	defer span.End()
 	g = ws.s.NewBoolLit()
 	if err := ws.s.Implies(g, ws.enc.Adjacent(cop.A, cop.B)); err != nil {
@@ -746,18 +700,18 @@ type queryStats struct {
 }
 
 // solve decides one prepared COP under SolveTimeout, clipped against the
-// run's global deadline. The deadline is always (re)installed — the solver
-// is shared across queries, so a stale deadline from a previous query must
-// never leak into this one.
+// run's global deadline, in solve and witness spans nested in the
+// query's. The deadline is always (re)installed — the solver is shared
+// across queries, so a stale deadline from a previous query must never
+// leak into this one.
 func (ws *windowSolver) solve(d *Detector, widx int, cop race.COP, g sat.Lit,
-	globalDeadline time.Time) (isRace bool, witness []int, outcome telemetry.Outcome, qs queryStats) {
+	globalDeadline time.Time, query *telemetry.Span) (isRace bool, witness []int, outcome telemetry.Outcome, qs queryStats) {
 	if f := d.fireFault(faultinject.PointSolve, widx); f == faultinject.FaultTimeout {
 		return false, nil, telemetry.OutcomeTimeout, qs
 	}
-	col := d.opt.Telemetry
 	ws.s.SetDeadline(solveDeadline(d.opt.SolveTimeout, globalDeadline))
 	st0 := ws.s.Stats()
-	span := col.StartPhase(telemetry.PhaseSolve)
+	span := query.Child(telemetry.PhaseSolve, "solve")
 	verdict := ws.s.SolveAssuming(g)
 	span.End()
 	switch verdict {
@@ -769,7 +723,7 @@ func (ws *windowSolver) solve(d *Detector, widx int, cop race.COP, g sat.Lit,
 			conflicts:    st1.Conflicts - st0.Conflicts,
 		}
 		if d.opt.Witness {
-			span = col.StartPhase(telemetry.PhaseWitness)
+			span = query.Child(telemetry.PhaseWitness, "witness")
 			witness = ws.enc.Witness(cop.A, cop.B)
 			span.End()
 		}

@@ -184,7 +184,7 @@ func TestPairParallelCancellationMidWindow(t *testing.T) {
 				Parallelism:     par,
 				PairParallelism: pairPar,
 				Witness:         true,
-				Tracer:          &cancelAfterWindow{target: 0, cancel: cancel},
+				Telemetry:       cancelAfterWindow(0, cancel),
 			}).DetectContext(ctx, pairRichTrace())
 			cancel()
 			if !res.Cancelled {

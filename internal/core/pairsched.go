@@ -122,11 +122,11 @@ type windowCtx struct {
 	ctx            context.Context
 	w              *trace.Trace
 	mhb            *vc.MHB
-	widx           int // window index (tracer, fault injection)
+	widx           int // window index (spans, fault injection)
 	offset         int // whole-trace index of the window's first event
 	globalDeadline time.Time
 	cancel         func() bool
-	spanParent     uint64 // window span ID, parent of worker/group spans
+	span           *telemetry.Span // the window's, parent of worker and group spans
 }
 
 // partition runs the prefilters over the enumerated COPs and groups the
@@ -136,19 +136,22 @@ type windowCtx struct {
 // and the lockset quick check are computed lazily, on the first instance
 // that survives the signature lookup, and the single MHB pass is shared
 // by the quick check, the triage ladder and (via the returned value) the
-// window encoders. Every quick-check survivor is classified by the
-// triage ladder (triage.go) here, once, in canonical enumeration order,
-// so its tallies are deterministic under any worker count. Under
+// window encoders. Every quick-check survivor is then classified by the
+// triage ladder (triage.go) here, once, group by group in canonical
+// order, so its tallies are deterministic under any worker count. Under
 // NoQuickCheck a quick-check failure is dispatched unclassified (the
-// rungs assume the quick check passed) instead of dropped.
-func (d *Detector) partition(w *trace.Trace, cops []race.COP, seen map[race.Signature]bool) ([]*sigGroup, *vc.MHB) {
+// rungs assume the quick check passed) instead of dropped. The whole pass
+// is one quick-check span; the MHB pass and the ladder's work are one
+// phase span each, nested in it.
+func (d *Detector) partition(wspan *telemetry.Span, w *trace.Trace, cops []race.COP, seen map[race.Signature]bool) ([]*sigGroup, *vc.MHB) {
 	col := d.opt.Telemetry
+	qc := wspan.Child(telemetry.PhaseQuickCheck, "mhb+triage")
+	defer qc.End()
 	var (
 		groups []*sigGroup
 		index  map[race.Signature]int
 		mhb    *vc.MHB
 		sets   *lockset.Sets
-		tri    *ladder
 	)
 	for _, cop := range cops {
 		sig := race.SigOf(w, cop.A, cop.B)
@@ -157,17 +160,12 @@ func (d *Detector) partition(w *trace.Trace, cops []race.COP, seen map[race.Sign
 			continue
 		}
 		if sets == nil {
-			span := col.StartPhase(telemetry.PhaseMHB)
+			span := qc.Child(telemetry.PhaseMHB, "mhb")
 			mhb = vc.ComputeMHB(w)
 			span.End()
-			span = col.StartPhase(telemetry.PhaseQuickCheck)
 			sets = lockset.ComputeWith(w, mhb)
-			span.End()
 		}
-		span := col.StartPhase(telemetry.PhaseQuickCheck)
-		pass := sets.Pass(cop.A, cop.B)
-		span.End()
-		if !pass && !d.opt.NoQuickCheck {
+		if !d.opt.NoQuickCheck && !sets.Pass(cop.A, cop.B) {
 			col.CountQuickCheckFiltered()
 			continue
 		}
@@ -180,27 +178,38 @@ func (d *Detector) partition(w *trace.Trace, cops []race.COP, seen map[race.Sign
 			index[sig] = gi
 			groups = append(groups, &sigGroup{sig: sig, proved: -1})
 		}
-		g := groups[gi]
-		tier := race.TierSMT
-		if pass {
-			if tri == nil {
-				tri = newLadder(w, col)
+		groups[gi].cops = append(groups[gi].cops, cop)
+	}
+	if len(groups) == 0 {
+		return groups, mhb
+	}
+	// The ladder is stateless per pair, so classifying group by group
+	// proves the same pairs as enumeration order would.
+	span := qc.Child(telemetry.PhaseTriage, "triage")
+	var tri *ladder
+	for _, g := range groups {
+		for i, cop := range g.cops {
+			tier := race.TierSMT
+			if !d.opt.NoQuickCheck || sets.Pass(cop.A, cop.B) {
+				if tri == nil {
+					tri = newLadder(w)
+				}
+				tier = tri.tier(cop)
 			}
-			tier = tri.tier(cop)
-		}
-		if tier == race.TierSMT {
-			col.CountTriageDispatched()
-		} else {
+			if tier == race.TierSMT {
+				col.CountTriageDispatched()
+				continue
+			}
 			col.CountTriageConfirmed(tier)
 			if g.proved < 0 {
-				g.proved, g.tier = len(g.cops), tier
+				g.proved, g.tier = i, tier
 			}
 		}
-		g.cops = append(g.cops, cop)
 	}
 	if tri != nil {
 		tri.release()
 	}
+	span.End()
 	return groups, mhb
 }
 
@@ -213,14 +222,12 @@ func (d *Detector) buildReplica(wc *windowCtx, groups []*sigGroup) *windowSolver
 	ws := d.newWindowSolver(wc.w, wc.mhb)
 	ws.s.SetCancel(wc.cancel)
 	if !ws.bad {
-		span := d.opt.Telemetry.StartPhase(telemetry.PhaseEncode)
 		for _, g := range groups {
 			for _, cop := range g.cops[:d.warmCount(g)] {
 				ws.cf.ControlFlow(cop.A)
 				ws.cf.ControlFlow(cop.B)
 			}
 		}
-		span.End()
 	}
 	ws.ck = ws.s.Checkpoint()
 	return ws
@@ -298,8 +305,8 @@ func (d *Detector) solveGroups(wc *windowCtx, groups []*sigGroup) []*groupResult
 			if i >= len(groups) {
 				break
 			}
-			gsp := col.BeginSpan(groupSpanName(col, "group", groups[i]), lane, wc.spanParent)
-			results[i] = d.solveGroup(wc, ws, groups[i])
+			gsp := col.Begin(telemetry.NoPhase, groupSpanName(col, "group", groups[i]), lane, wc.span)
+			results[i] = d.solveGroup(wc, ws, groups[i], gsp)
 			gsp.End()
 			col.CountGroupDone()
 		}
@@ -328,7 +335,7 @@ func (d *Detector) solveGroups(wc *windowCtx, groups []*sigGroup) []*groupResult
 			if k > 0 {
 				col.CountPairReplica()
 			}
-			rsp := col.BeginSpan("encode replica", lane, wc.spanParent)
+			rsp := col.Begin(telemetry.PhaseEncode, "encode replica", lane, wc.span)
 			ws = d.buildReplica(wc, groups)
 			rsp.End()
 		}
@@ -366,7 +373,7 @@ func (d *Detector) solveGroups(wc *windowCtx, groups []*sigGroup) []*groupResult
 }
 
 // groupSpanName renders one signature group's timeline-span name. The
-// formatting allocates, so it is skipped (the span is inert anyway)
+// formatting allocates, so it is skipped (the name is never published)
 // unless a recorder is attached.
 func groupSpanName(col *telemetry.Collector, kind string, g *sigGroup) string {
 	if col.Spans() == nil {
@@ -379,13 +386,13 @@ func groupSpanName(col *telemetry.Collector, kind string, g *sigGroup) string {
 // instances are attempted in enumeration order until one is satisfiable
 // (a race) or the run is cancelled. The
 // group's result depends only on the checkpointed base and the group
-// itself, never on the worker or on other groups.
-func (d *Detector) solveGroup(wc *windowCtx, ws *windowSolver, g *sigGroup) *groupResult {
+// itself, never on the worker or on other groups. Each attempt is a
+// query span nested in the group's span gsp.
+func (d *Detector) solveGroup(wc *windowCtx, ws *windowSolver, g *sigGroup, gsp *telemetry.Span) *groupResult {
 	col := d.opt.Telemetry
-	tracer := d.opt.Tracer
 	gr := &groupResult{}
 	if ws != nil {
-		ws.rollback(col)
+		ws.rollback(col, gsp)
 	}
 	for k, cop := range g.cops {
 		if wc.ctx.Err() != nil {
@@ -407,25 +414,19 @@ func (d *Detector) solveGroup(wc *windowCtx, ws *windowSolver, g *sigGroup) *gro
 			continue
 		}
 		gr.solved++
-		var qstart time.Time
-		if tracer != nil {
-			qstart = time.Now()
-		}
+		query := gsp.Query(wc.widx, cop.A+wc.offset, cop.B+wc.offset)
 		if k == g.proved && !d.opt.Witness {
 			// Triage fast path: the ladder proved this instance's query
 			// satisfiable (triage.go), so the SAT verdict is recorded without
 			// touching the solver. The attempt still counts exactly like a
-			// solved query in COPsChecked, and the tracer still sees the
-			// finding, but the solver outcome tallies deliberately exclude
-			// it: they count solver queries, and the triage telemetry block
-			// accounts for the proved pairs. When a witness schedule is
-			// requested the pair falls through to the normal
+			// solved query in COPsChecked, and its query span still carries
+			// the finding, but the solver outcome tallies deliberately
+			// exclude it: they count solver queries, and the triage
+			// telemetry block accounts for the proved pairs. When a witness
+			// schedule is requested the pair falls through to the normal
 			// (guaranteed-SAT) solve instead.
 			gr.found(wc, g, k, nil, queryStats{})
-			if tracer != nil {
-				tracer.QuerySolved(wc.widx, cop.A+wc.offset, cop.B+wc.offset,
-					telemetry.OutcomeSat, time.Since(qstart))
-			}
+			query.EndQuery(telemetry.OutcomeSat, false)
 			continue
 		}
 		var (
@@ -435,17 +436,13 @@ func (d *Detector) solveGroup(wc *windowCtx, ws *windowSolver, g *sigGroup) *gro
 			qs      queryStats
 		)
 		ws.dirty = true
-		guard, hasG := ws.prepare(d, cop)
+		guard, hasG := ws.prepare(cop, query)
 		if !hasG {
 			isRace, witness, outcome = false, nil, telemetry.OutcomeUnsat
 		} else {
-			isRace, witness, outcome, qs = ws.solve(d, wc.widx, cop, guard, wc.globalDeadline)
+			isRace, witness, outcome, qs = ws.solve(d, wc.widx, cop, guard, wc.globalDeadline, query)
 		}
-		col.CountOutcome(outcome)
-		if tracer != nil {
-			tracer.QuerySolved(wc.widx, cop.A+wc.offset, cop.B+wc.offset,
-				outcome, time.Since(qstart))
-		}
+		query.EndQuery(outcome, true)
 		if outcome.Aborted() {
 			gr.aborts++
 			if outcome == telemetry.OutcomeCancelled {

@@ -23,7 +23,7 @@ func TestWarmPrefixReplay(t *testing.T) {
 	tr := mixedWindowTrace(t)
 	for _, witness := range []bool{false, true} {
 		d := New(Options{Witness: witness})
-		groups, mhb := d.partition(tr, race.EnumerateCOPs(tr), nil)
+		groups, mhb := d.partition(nil, tr, race.EnumerateCOPs(tr), nil)
 		wc := &windowCtx{ctx: context.Background(), w: tr, mhb: mhb,
 			cancel: func() bool { return false }}
 		ws := d.buildReplica(wc, groups)
@@ -44,9 +44,9 @@ func TestWarmPrefixReplay(t *testing.T) {
 		for _, g := range groups {
 			for _, cop := range g.cops[:d.warmCount(g)] {
 				prepare := func() (sat.Lit, int) {
-					ws.rollback(nil)
+					ws.rollback(nil, nil)
 					ws.dirty = true
-					guard, ok := ws.prepare(d, cop)
+					guard, ok := ws.prepare(cop, nil)
 					if !ok {
 						t.Fatalf("witness=%v group %v: prepare %v failed", witness, g.sig, cop)
 					}
@@ -65,7 +65,7 @@ func TestWarmPrefixReplay(t *testing.T) {
 					t.Errorf("witness=%v group %v: replay of %v after rollback: guard %v/%v, clauses %d/%d",
 						witness, g.sig, cop, g1, g2, c1, c2)
 				}
-				ws.rollback(nil)
+				ws.rollback(nil, nil)
 				if vars, clauses, _ := ws.s.Size(); vars != baseVars || clauses != baseClauses {
 					t.Errorf("witness=%v group %v: rollback left %d vars / %d clauses, base is %d / %d",
 						witness, g.sig, vars, clauses, baseVars, baseClauses)

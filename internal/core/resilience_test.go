@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -149,23 +148,17 @@ func TestTwoPassDisabledWithoutFirstPass(t *testing.T) {
 	}
 }
 
-// cancelAfterWindow is a Tracer that cancels a context as soon as the
-// given window completes. Safe for concurrent use.
-type cancelAfterWindow struct {
-	mu     sync.Mutex
-	target int
-	cancel context.CancelFunc
-}
-
-func (c *cancelAfterWindow) WindowStart(int, int) {}
-func (c *cancelAfterWindow) QuerySolved(int, int, int, telemetry.Outcome, time.Duration) {
-}
-func (c *cancelAfterWindow) WindowDone(index, _ int, _ time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if index == c.target {
-		c.cancel()
-	}
+// cancelAfterWindow returns a collector whose span consumer cancels a
+// context as soon as window target reaches its verdict, on the goroutine
+// that analysed it.
+func cancelAfterWindow(target int, cancel context.CancelFunc) *telemetry.Collector {
+	col := telemetry.NewCollector()
+	col.AttachSpans(telemetry.NewSpanRecorder(-1, func(ev telemetry.SpanEvent) {
+		if ev.Kind == telemetry.SpanWindow && ev.Window == target {
+			cancel()
+		}
+	}))
+	return col
 }
 
 // TestCancellationDeterminism cancels sequential and parallel runs after
@@ -183,7 +176,7 @@ func TestCancellationDeterminism(t *testing.T) {
 			WindowSize:  50,
 			Parallelism: parallelism,
 			Witness:     true,
-			Tracer:      &cancelAfterWindow{target: 0, cancel: cancel},
+			Telemetry:   cancelAfterWindow(0, cancel),
 		}
 		return New(opt).DetectContext(ctx, multiWindowTrace())
 	}

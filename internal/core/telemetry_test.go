@@ -3,9 +3,7 @@ package core
 import (
 	"reflect"
 	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/telemetry"
 	"repro/trace"
@@ -76,57 +74,52 @@ func TestTelemetryDeterministic(t *testing.T) {
 	}
 }
 
-// countingTracer records callbacks; safe for concurrent use.
-type countingTracer struct {
-	starts, dones atomic.Int64
-	mu            sync.Mutex
-	queries       []telemetry.Outcome
-	events        map[int]int // window index → event count
-}
-
-func (c *countingTracer) WindowStart(index, events int) {
-	c.starts.Add(1)
-	c.mu.Lock()
-	if c.events == nil {
-		c.events = make(map[int]int)
-	}
-	c.events[index] = events
-	c.mu.Unlock()
-}
-
-func (c *countingTracer) WindowDone(index, findings int, elapsed time.Duration) {
-	c.dones.Add(1)
-}
-
-func (c *countingTracer) QuerySolved(index, a, b int, outcome telemetry.Outcome, elapsed time.Duration) {
-	c.mu.Lock()
-	c.queries = append(c.queries, outcome)
-	c.mu.Unlock()
-}
-
-// TestTracerCallbacks checks the tracer sees every window (balanced
-// start/done) and every solver query, sequentially and in parallel.
-func TestTracerCallbacks(t *testing.T) {
+// TestWindowSpans checks the span consumer sees one window span per
+// window, carrying the window's index, length and findings, with the
+// in-flight gauge balanced at the end, and one SAT query span per race,
+// sequentially and in parallel.
+func TestWindowSpans(t *testing.T) {
 	tr := multiWindowTrace()
 	for _, par := range []int{1, 4} {
-		tracer := &countingTracer{}
-		res := New(Options{WindowSize: 50, Parallelism: par, Tracer: tracer}).Detect(tr)
-		if got := int(tracer.starts.Load()); got != res.Windows {
-			t.Errorf("parallelism %d: WindowStart × %d, want %d", par, got, res.Windows)
-		}
-		if tracer.starts.Load() != tracer.dones.Load() {
-			t.Errorf("parallelism %d: %d starts vs %d dones",
-				par, tracer.starts.Load(), tracer.dones.Load())
-		}
+		var mu sync.Mutex
+		windows := make(map[int]telemetry.SpanEvent)
 		sat := 0
-		for _, o := range tracer.queries {
-			if o == telemetry.OutcomeSat {
-				sat++
+		col := telemetry.NewCollector()
+		col.AttachSpans(telemetry.NewSpanRecorder(-1, func(ev telemetry.SpanEvent) {
+			mu.Lock()
+			defer mu.Unlock()
+			switch ev.Kind {
+			case telemetry.SpanWindow:
+				if _, dup := windows[ev.Window]; dup {
+					t.Errorf("parallelism %d: window %d ended twice", par, ev.Window)
+				}
+				windows[ev.Window] = ev
+			case telemetry.SpanQuery:
+				if ev.Outcome == telemetry.OutcomeSat {
+					sat++
+				}
 			}
+		}))
+		res := New(Options{WindowSize: 50, Parallelism: par, Telemetry: col}).Detect(tr)
+		if len(windows) != res.Windows {
+			t.Errorf("parallelism %d: %d window spans, want %d", par, len(windows), res.Windows)
+		}
+		if n := col.WindowsInFlight(); n != 0 {
+			t.Errorf("parallelism %d: %d windows still in flight after the run", par, n)
+		}
+		findings := 0
+		for i := 0; i < res.Windows; i++ {
+			ev := windows[i]
+			if want := min(50, tr.Len()-50*i); ev.Events != want {
+				t.Errorf("parallelism %d: window %d span has %d events, want %d", par, i, ev.Events, want)
+			}
+			findings += ev.Findings
+		}
+		if findings != len(res.Races) {
+			t.Errorf("parallelism %d: window spans carry %d findings, want %d races", par, findings, len(res.Races))
 		}
 		if sat != len(res.Races) {
-			t.Errorf("parallelism %d: %d sat callbacks, want %d (one per race)",
-				par, sat, len(res.Races))
+			t.Errorf("parallelism %d: %d sat query spans, want %d (one per race)", par, sat, len(res.Races))
 		}
 	}
 }

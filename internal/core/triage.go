@@ -40,44 +40,26 @@
 package core
 
 import (
-	"time"
-
 	"repro/internal/hb"
 	"repro/internal/race"
 	"repro/internal/syncp"
-	"repro/internal/telemetry"
 	"repro/trace"
 )
 
 // ladder is one window's sound-tier classifier, run once per window by
-// partition. Clock computations are lazy: the SHB pass runs on
-// construction, the SR clocks and witness index only when some pair
-// reaches the syncp rung. Their cost is charged to col's triage fast-path
-// counter. All clock state lives on the vc slab pool and is returned by
-// release.
+// partition, which charges the ladder's whole cost to the triage phase.
+// Clock computations are lazy: the SHB pass runs on construction, the SR
+// clocks and witness index only when some pair reaches the syncp rung.
+// All clock state lives on the vc slab pool and is returned by release.
 type ladder struct {
 	w    *trace.Trace
-	col  *telemetry.Collector
 	shb  *hb.EventClocks
 	sr   *hb.EventClocks // lazy, syncp rung only
 	sidx *syncp.Index    // lazy, borrows sr
 }
 
-func newLadder(w *trace.Trace, col *telemetry.Collector) *ladder {
-	l := &ladder{w: w, col: col}
-	l.timed(func() { l.shb = hb.SHBClocks(w) })
-	return l
-}
-
-// timed runs f, charging its time to the triage fast-path counter.
-func (l *ladder) timed(f func()) {
-	if !l.col.Enabled() {
-		f()
-		return
-	}
-	t0 := time.Now()
-	f()
-	l.col.AddTriageFastPath(time.Since(t0))
+func newLadder(w *trace.Trace) *ladder {
+	return &ladder{w: w, shb: hb.SHBClocks(w)}
 }
 
 // tier returns the cheapest tier that proves cop (window-local) a race:
@@ -91,10 +73,8 @@ func (l *ladder) tier(cop race.COP) string {
 		return race.TierSHB
 	}
 	if l.sr == nil {
-		l.timed(func() {
-			l.sr = hb.SRClocks(l.w)
-			l.sidx = syncp.NewIndex(l.w, l.sr)
-		})
+		l.sr = hb.SRClocks(l.w)
+		l.sidx = syncp.NewIndex(l.w, l.sr)
 	}
 	if l.sidx.Check(cop.A, cop.B) {
 		return race.TierSyncP

@@ -180,7 +180,7 @@ func TestFastPathSound(t *testing.T) {
 	later := 0                       // proved instances the fast path never sees
 	for _, tc := range triageFixtures(t) {
 		race.EachWindow(tc.tr, tc.window, func(w *trace.Trace, widx, _ int) error { //nolint:errcheck
-			groups, mhb := d.partition(w, race.EnumerateCOPs(w), nil)
+			groups, mhb := d.partition(nil, w, race.EnumerateCOPs(w), nil)
 			if len(groups) == 0 {
 				return nil
 			}
@@ -191,7 +191,7 @@ func TestFastPathSound(t *testing.T) {
 			for _, g := range groups {
 				first := -1
 				for k, cop := range g.cops {
-					one, m := d.partition(w, []race.COP{cop}, nil)
+					one, m := d.partition(nil, w, []race.COP{cop}, nil)
 					m.Release()
 					if one[0].proved < 0 {
 						continue
@@ -201,12 +201,12 @@ func TestFastPathSound(t *testing.T) {
 					} else {
 						later++
 					}
-					ws.rollback(nil)
+					ws.rollback(nil, nil)
 					ws.dirty = true
-					guard, ok := ws.prepare(d, cop)
+					guard, ok := ws.prepare(cop, nil)
 					isRace := false
 					if ok {
-						isRace, _, _, _ = ws.solve(d, widx, cop, guard, time.Time{})
+						isRace, _, _, _ = ws.solve(d, widx, cop, guard, time.Time{}, nil)
 					}
 					if !isRace {
 						t.Errorf("%s window %d: %s-tier instance %v of %v does not solve SAT",

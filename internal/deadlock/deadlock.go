@@ -55,8 +55,6 @@ type Options struct {
 	// Telemetry, when non-nil, accumulates phase timings, solver counters
 	// and outcome tallies; enabling it changes no detection result.
 	Telemetry *telemetry.Collector
-	// Tracer, when non-nil, receives live progress callbacks.
-	Tracer telemetry.Tracer
 }
 
 // Deadlock is one detected two-thread deadlock.
@@ -129,10 +127,8 @@ func (d *Detector) DetectContext(ctx context.Context, tr *trace.Trace) Result {
 		ctx = context.Background()
 	}
 	cancel := func() bool { return ctx.Err() != nil }
-	start := time.Now()
 	col := d.opt.Telemetry
-	tracer := d.opt.Tracer
-	instrumented := col != nil || tracer != nil
+	run := col.BeginRun()
 	var res Result
 	type sigKey [4]trace.Loc
 	seen := make(map[sigKey]bool)
@@ -144,20 +140,14 @@ func (d *Detector) DetectContext(ctx context.Context, tr *trace.Trace) Result {
 			res.Cancelled = true
 			return
 		}
-		if tracer != nil {
-			tracer.WindowStart(wi, w.Len())
-		}
-		var wstart time.Time
-		if instrumented {
-			wstart = time.Now()
-		}
+		wspan := col.BeginWindow(wi, offset, w.Len(), false)
 		foundBefore := len(res.Deadlocks)
 		candsBefore := res.Candidates
 
-		span := col.StartPhase(telemetry.PhaseEnumerate)
+		span := wspan.Child(telemetry.PhaseEnumerate, "enumerate")
 		sites := nestedSites(w)
 		span.End()
-		span = col.StartPhase(telemetry.PhaseEncode)
+		span = wspan.Child(telemetry.PhaseEncode, "encode")
 		mhb := vc.ComputeMHB(w)
 		span.End()
 	outer:
@@ -184,16 +174,9 @@ func (d *Detector) DetectContext(ctx context.Context, tr *trace.Trace) Result {
 				}
 				res.Candidates++
 				col.CountEnumerated(1)
-				var qstart time.Time
-				if tracer != nil {
-					qstart = time.Now()
-				}
-				ok, witness, outcome := d.check(w, mhb, s1, s2, cancel)
-				col.CountOutcome(outcome)
-				if tracer != nil {
-					tracer.QuerySolved(wi, s1.acqB+offset, s2.acqB+offset,
-						outcome, time.Since(qstart))
-				}
+				query := wspan.Query(wi, s1.acqB+offset, s2.acqB+offset)
+				ok, witness, outcome := d.check(w, mhb, s1, s2, cancel, query)
+				query.EndQuery(outcome, true)
 				if outcome.Aborted() {
 					res.SolverAborts++
 					if outcome == telemetry.OutcomeCancelled {
@@ -217,24 +200,12 @@ func (d *Detector) DetectContext(ctx context.Context, tr *trace.Trace) Result {
 				}
 			}
 		}
-		if col != nil {
-			col.WindowDone(telemetry.WindowRecord{
-				Offset:     offset,
-				Events:     w.Len(),
-				Candidates: res.Candidates - candsBefore,
-				Solved:     res.Candidates - candsBefore,
-				Findings:   len(res.Deadlocks) - foundBefore,
-				ElapsedNS:  int64(time.Since(wstart)),
-			})
-		}
-		if tracer != nil {
-			tracer.WindowDone(wi, len(res.Deadlocks)-foundBefore, time.Since(wstart))
-		}
+		wspan.EndWindow(res.Candidates-candsBefore, res.Candidates-candsBefore, len(res.Deadlocks)-foundBefore)
 	})
 	if ctx.Err() != nil {
 		res.Cancelled = true
 	}
-	res.Elapsed = time.Since(start)
+	res.Elapsed = run.End()
 	return res
 }
 
@@ -276,16 +247,16 @@ func nestedSites(tr *trace.Trace) []nested {
 	return out
 }
 
-// check decides one candidate pair.
-func (d *Detector) check(w *trace.Trace, mhb *vc.MHB, s1, s2 nested, cancel func() bool) (isDeadlock bool, witness []int, outcome telemetry.Outcome) {
-	col := d.opt.Telemetry
+// check decides one candidate pair, in phase spans nested in its query
+// span.
+func (d *Detector) check(w *trace.Trace, mhb *vc.MHB, s1, s2 nested, cancel func() bool, query *telemetry.Span) (isDeadlock bool, witness []int, outcome telemetry.Outcome) {
 	s := smt.NewSolver()
-	defer col.AddSolver(s)
+	defer d.opt.Telemetry.AddSolver(s)
 	s.SetCancel(cancel)
 	if d.opt.SolveTimeout > 0 {
 		s.SetDeadline(time.Now().Add(d.opt.SolveTimeout))
 	}
-	span := col.StartPhase(telemetry.PhaseEncode)
+	span := query.Child(telemetry.PhaseEncode, "encode")
 	enc := encode.New(w, s, mhb, -1, -1)
 	if err := enc.AssertMHB(); err != nil {
 		span.End()
@@ -320,13 +291,13 @@ func (d *Detector) check(w *trace.Trace, mhb *vc.MHB, s1, s2 nested, cancel func
 		return false, nil, telemetry.OutcomeUnsat
 	}
 	span.End()
-	span = col.StartPhase(telemetry.PhaseSolve)
+	span = query.Child(telemetry.PhaseSolve, "solve")
 	verdict := s.Solve()
 	span.End()
 	switch verdict {
 	case sat.Sat:
 		if d.opt.Witness {
-			span = col.StartPhase(telemetry.PhaseWitness)
+			span = query.Child(telemetry.PhaseWitness, "witness")
 			witness = cutWitness(enc, s, cut)
 			span.End()
 		}

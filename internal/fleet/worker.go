@@ -13,6 +13,7 @@ import (
 	"repro/internal/journal"
 	"repro/internal/retry"
 	"repro/internal/stream"
+	"repro/internal/telemetry"
 	"repro/rvpredict"
 	"repro/trace"
 )
@@ -203,6 +204,12 @@ func (w *worker) analyseShard(ctx context.Context, conn net.Conn, br *bufio.Read
 	// byte-identical to the single-process run's.
 	copt := w.det.CoreOptions()
 	copt.FaultInjector = w.opt.FaultInjector
+	if w.det.Spans != nil {
+		// The recorder's consumer (the CLI's -progress) sees the window
+		// and query spans a collector opens.
+		copt.Telemetry = telemetry.NewCollector()
+		copt.Telemetry.AttachSpans(w.det.Spans)
+	}
 	runner := core.NewRunner(copt, core.Isolated)
 	ttl := time.Duration(g.ttlMS) * time.Millisecond
 	inj := w.opt.FaultInjector

@@ -342,7 +342,7 @@ var metricDefs = []metricDef{
 			return one(float64(r.Dropped()))
 		}},
 	{"rvpredict_phase_seconds_total", "counter",
-		"Cumulative wall-clock time per pipeline phase.",
+		"Cumulative exclusive wall-clock time per pipeline phase; other is the run's time no phase covers.",
 		func(_ *Server, m *telemetry.Metrics) []sample {
 			p := m.Phases
 			phases := []struct {
@@ -352,7 +352,7 @@ var metricDefs = []metricDef{
 				{"trace_scan", p.TraceScan}, {"cop_enumeration", p.Enumerate},
 				{"mhb", p.MHB}, {"quick_check", p.QuickCheck},
 				{"encode", p.Encode}, {"solve", p.Solve}, {"witness", p.Witness},
-				{"rollback", p.Rollback},
+				{"rollback", p.Rollback}, {"other", p.Other},
 			}
 			out := make([]sample, len(phases))
 			for i, ph := range phases {

@@ -36,7 +36,7 @@ func seedCollector() *telemetry.Collector {
 	}
 	col.CountPairGroups(4)
 	col.CountGroupDone()
-	col.CountWindowStarted()
+	col.BeginWindow(0, 0, 12, false) // left open: one window in flight
 	col.CountOutcome(telemetry.OutcomeSat)
 	col.CountOutcome(telemetry.OutcomeUnsat)
 	return col
@@ -133,7 +133,7 @@ func scrape(t *testing.T, url string) string {
 // collector's state — including the funnel identity.
 func TestMetricsScrape(t *testing.T) {
 	col := seedCollector()
-	col.AttachSpans(telemetry.NewSpanRecorder(16))
+	col.AttachSpans(telemetry.NewSpanRecorder(16, nil))
 	s, ts := testServer(t, col)
 	s.AddRace(RaceView{A: 1, B: 2, First: "a.go:1", Second: "b.go:2",
 		Provenance: race.Provenance{Tier: race.TierSHB, Window: 0}})
@@ -176,8 +176,8 @@ func TestMetricsScrape(t *testing.T) {
 	if got := len(families["rvpredict_queries_total"]); got != 4 {
 		t.Errorf("queries_total has %d outcome samples, want 4", got)
 	}
-	if got := len(families["rvpredict_phase_seconds_total"]); got != 8 {
-		t.Errorf("phase_seconds_total has %d phase samples, want 8", got)
+	if got := len(families["rvpredict_phase_seconds_total"]); got != 9 {
+		t.Errorf("phase_seconds_total has %d phase samples, want 9 (eight phases and other)", got)
 	}
 	if got := get("rvpredict_build_info"); got != 1 {
 		t.Errorf("build_info = %v, want 1", got)
@@ -297,7 +297,7 @@ func TestStartClose(t *testing.T) {
 // scraping a live run must be free of data races.
 func TestConcurrentScrapes(t *testing.T) {
 	col := telemetry.NewCollector()
-	rec := telemetry.NewSpanRecorder(256)
+	rec := telemetry.NewSpanRecorder(256, nil)
 	col.AttachSpans(rec)
 	s, ts := testServer(t, col)
 
@@ -310,11 +310,9 @@ func TestConcurrentScrapes(t *testing.T) {
 				col.CountEnumerated(1)
 				col.CountTriageDispatched()
 				col.CountOutcome(telemetry.OutcomeUnsat)
-				col.CountWindowStarted()
-				sp := col.BeginSpan("hammer", telemetry.WorkerLane(0, w), 0)
+				sp := col.BeginWindow(w, i, 1, false)
 				col.CountPairSkip()
-				sp.End()
-				col.CountWindowFinished()
+				sp.EndWindow(1, 1, 0)
 				if i%50 == 0 {
 					s.AddRace(RaceView{A: i, B: i + 1,
 						Provenance: race.Provenance{Tier: race.TierSHB}})

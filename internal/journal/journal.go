@@ -237,18 +237,11 @@ func (w *Writer) Sync() error {
 func (w *Writer) sync() error { return w.syncLocked() }
 
 func (w *Writer) syncLocked() error {
-	t0 := time.Time{}
-	if w.opt.Telemetry.Enabled() {
-		t0 = time.Now()
-	}
 	// Fsync stalls land on the run lane of the timeline: they block the
 	// window-completion hook that journals outcomes.
-	sp := w.opt.Telemetry.BeginSpan("journal fsync", telemetry.RunLane(), w.opt.Telemetry.SpanRoot())
+	sp := w.opt.Telemetry.Begin(telemetry.PhaseJournalFsync, "journal fsync", telemetry.RunLane(), nil)
 	err := w.f.Sync()
 	sp.End()
-	if !t0.IsZero() {
-		w.opt.Telemetry.AddJournalFsync(time.Since(t0))
-	}
 	if err != nil {
 		return fmt.Errorf("journal: fsync: %w", err)
 	}

@@ -27,8 +27,8 @@ type Options struct {
 	StateDir string
 	// Detect is the detection configuration applied to every session.
 	// Only the MaximalCF algorithm is supported, and the batch-only
-	// plumbing (Journal, Resume, DebugAddr, Telemetry snapshot, Tracer,
-	// Spans) must be unset — the daemon owns durability and observation
+	// plumbing (Journal, Resume, DebugAddr, Telemetry snapshot, Spans)
+	// must be unset — the daemon owns durability and observation
 	// itself.
 	Detect rvpredict.Options
 	// MaxSessions bounds concurrently admitted sessions (default 16).
@@ -116,7 +116,7 @@ func New(opt Options) (*Daemon, error) {
 		return nil, fmt.Errorf("stream: Options.Detect.Journal/Resume are owned by the daemon; leave them unset")
 	case opt.Detect.DebugAddr != "" || opt.Detect.OnDebugAddr != nil:
 		return nil, fmt.Errorf("stream: Options.Detect.DebugAddr is owned by the daemon process; leave it unset")
-	case opt.Detect.Telemetry || opt.Detect.Tracer != nil || opt.Detect.Spans != nil:
+	case opt.Detect.Telemetry || opt.Detect.Spans != nil:
 		return nil, fmt.Errorf("stream: Options.Detect observation plumbing must be unset; use Options.Collector")
 	}
 	opt.Detect = opt.Detect.Normalised()

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"os"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/journal"
@@ -35,6 +36,7 @@ type session struct {
 
 	runner *core.Runner
 	resume map[int]race.WindowOutcome
+	start  time.Time // the runner's creation: the report's elapsed time
 
 	// Online windowing state. cur is the window being filled; its
 	// first event sits at whole-trace index winStart. Dispatch is lazy:
@@ -174,6 +176,7 @@ func (d *Daemon) openSession(ctx context.Context, token string) (*session, error
 	copt.OnWindowDone = hook
 	copt.ResumeWindows = s.resume
 	s.runner = core.NewRunner(copt, core.Carried)
+	s.start = time.Now()
 
 	for i, p := range payloads {
 		rec, err := decodeRecord(p)
@@ -420,7 +423,7 @@ func (s *session) report() *rvpredict.Report {
 		PairsChecked:    res.COPsChecked,
 		Windows:         res.Windows,
 		SolverTimeouts:  res.SolverAborts,
-		Elapsed:         res.Elapsed,
+		Elapsed:         time.Since(s.start),
 		Interrupted:     res.Cancelled,
 		BudgetExhausted: res.BudgetExhausted,
 		DegradedWindows: s.degraded,

@@ -10,15 +10,13 @@
 // solving, window-parallelism tuning) needs numbers to regress against.
 // This package provides them without perturbing what it measures:
 //
-//   - Collector is a set of atomic counters and timers safe under
+//   - Collector is a set of atomic counters safe under
 //     core.Options.Parallelism > 1. All methods are nil-receiver safe: a
 //     nil *Collector is the disabled state, and every record call returns
 //     immediately without reading the clock, so the instrumented code path
 //     costs nothing measurable when telemetry is off.
-//   - Tracer is a callback interface for live progress (window lifecycle,
-//     per-query verdicts). A nil Tracer is never invoked; implementations
-//     must be safe for concurrent use when windows are analysed in
-//     parallel.
+//   - Span (spans.go) marks every stage boundary: one span feeds the
+//     phase totals, the -trace-out timeline and the live -progress lines.
 //   - Metrics is the machine-readable snapshot (stable JSON field names)
 //     exposed on rvpredict.Report and by cmd/rvpredict -json and
 //     cmd/table1 -json.
@@ -63,8 +61,21 @@ const (
 	// before a pair-scheduler signature group (it runs between encode and
 	// solve; it is last only so the other phases keep their numbers).
 	PhaseRollback
+	// PhaseTriage is the triage ladder's clock passes and per-pair checks,
+	// nested in the quick check (reported as triage.fast_path_ns).
+	PhaseTriage
+	// PhaseJournalFsync is the durable journal's fsyncs (reported as
+	// journal.fsync_ns).
+	PhaseJournalFsync
+	// PhaseOther is the run span's own time: whatever no other phase
+	// covers, so the phases of a run add up to its elapsed time.
+	PhaseOther
 
 	numPhases
+
+	// NoPhase marks a structural span (a window, a pair group, a query)
+	// whose time stays with the enclosing phase span or the run.
+	NoPhase Phase = 255
 )
 
 // String returns the phase's stable lower-case name (the JSON vocabulary).
@@ -86,6 +97,12 @@ func (p Phase) String() string {
 		return "witness"
 	case PhaseRollback:
 		return "rollback"
+	case PhaseTriage:
+		return "triage"
+	case PhaseJournalFsync:
+		return "journal_fsync"
+	case PhaseOther:
+		return "other"
 	}
 	return fmt.Sprintf("phase(%d)", uint8(p))
 }
@@ -125,29 +142,6 @@ func (o Outcome) String() string {
 // cancellation) rather than a verdict.
 func (o Outcome) Aborted() bool {
 	return o == OutcomeTimeout || o == OutcomeCancelled
-}
-
-// Tracer receives live progress callbacks from the detectors. All methods
-// may be called concurrently when windows are analysed in parallel; a
-// tracer that prints should serialise internally. Implementations must be
-// cheap — they run on the detection hot path.
-//
-// The zero number of guaranteed callbacks is deliberate: detectors only
-// call a non-nil tracer, so passing no tracer costs one nil check per
-// site.
-type Tracer interface {
-	// WindowStart fires when a window's analysis begins. index is the
-	// window's position in the trace (0-based, in trace order even when
-	// windows run in parallel); events is the window length.
-	WindowStart(index, events int)
-	// WindowDone fires when a window's analysis completes, with the number
-	// of findings attributed to the window and its wall-clock time.
-	WindowDone(index, findings int, elapsed time.Duration)
-	// QuerySolved fires after each solver query: the window index, the
-	// defining event indices (in whole-trace coordinates; a and b are the
-	// COP for races, the two blocked acquires for deadlocks, the two local
-	// accesses for atomicity), the outcome and the query wall-clock time.
-	QuerySolved(index, a, b int, outcome Outcome, elapsed time.Duration)
 }
 
 // Collector accumulates pipeline metrics. A nil *Collector is the disabled
@@ -225,12 +219,10 @@ type Collector struct {
 	triConfirmed   atomic.Int64
 	triSPConfirmed atomic.Int64
 	triDispatched  atomic.Int64
-	triFastPath    atomic.Int64
 
 	// Durable-journal tallies (internal/journal).
 	journalRecords  atomic.Int64
 	journalBytes    atomic.Int64
-	journalFsyncNS  atomic.Int64
 	journalReplayed atomic.Int64
 	journalTorn     atomic.Int64
 
@@ -250,8 +242,10 @@ type Collector struct {
 	speculativeWins   atomic.Int64
 	workerDisconnects atomic.Int64
 
-	// spans is the optionally attached span recorder (spans.go).
+	// spans is the optionally attached span recorder, root the open run
+	// span (spans.go).
 	spans atomic.Pointer[SpanRecorder]
+	root  atomic.Pointer[Span]
 
 	mu      sync.Mutex
 	windows []WindowRecord
@@ -263,41 +257,6 @@ func NewCollector() *Collector { return &Collector{} }
 // Enabled reports whether the collector records anything (i.e. is
 // non-nil). Detectors use it to skip work that only feeds telemetry.
 func (c *Collector) Enabled() bool { return c != nil }
-
-// Span is an in-flight phase measurement returned by StartPhase. The zero
-// Span (from a nil collector) is inert.
-type Span struct {
-	c     *Collector
-	phase Phase
-	t0    time.Time
-}
-
-// StartPhase begins timing one occurrence of phase p. On a nil collector
-// it returns an inert span without reading the clock.
-func (c *Collector) StartPhase(p Phase) Span {
-	if c == nil {
-		return Span{}
-	}
-	return Span{c: c, phase: p, t0: time.Now()}
-}
-
-// End stops the span and accumulates its duration, returning it.
-func (s Span) End() time.Duration {
-	if s.c == nil {
-		return 0
-	}
-	d := time.Since(s.t0)
-	s.c.phases[s.phase].Add(int64(d))
-	return d
-}
-
-// AddPhase accumulates an externally measured duration for phase p.
-func (c *Collector) AddPhase(p Phase, d time.Duration) {
-	if c == nil {
-		return
-	}
-	c.phases[p].Add(int64(d))
-}
 
 // AddSAT rolls the CDCL core counters of one solver into the collector.
 // Call it once per solver lifetime (the per-window shared solver, or each
@@ -480,25 +439,6 @@ func (c *Collector) CountPairSkip() {
 	c.pairSkips.Add(1)
 }
 
-// CountWindowStarted / CountWindowFinished move the windows-in-flight
-// gauge; they feed the introspection server only and never appear in the
-// Metrics snapshot.
-func (c *Collector) CountWindowStarted() {
-	if c == nil {
-		return
-	}
-	c.windowsStarted.Add(1)
-}
-
-// CountWindowFinished marks one window's analysis complete (including
-// failed or replayed windows).
-func (c *Collector) CountWindowFinished() {
-	if c == nil {
-		return
-	}
-	c.windowsFinished.Add(1)
-}
-
 // WindowsInFlight returns the number of windows currently being analysed.
 func (c *Collector) WindowsInFlight() int64 {
 	if c == nil {
@@ -647,15 +587,6 @@ func (c *Collector) CountTriageDispatched() {
 	c.triDispatched.Add(1)
 }
 
-// AddTriageFastPath accumulates wall-clock time spent in the triage tier's
-// clock computations and per-pair checks.
-func (c *Collector) AddTriageFastPath(d time.Duration) {
-	if c == nil {
-		return
-	}
-	c.triFastPath.Add(int64(d))
-}
-
 // CountJournalWrite tallies one write to the durable window journal:
 // records is 1 for a window record, 0 for the header, and bytes the
 // framed size written.
@@ -665,15 +596,6 @@ func (c *Collector) CountJournalWrite(records int, bytes int) {
 	}
 	c.journalRecords.Add(int64(records))
 	c.journalBytes.Add(int64(bytes))
-}
-
-// AddJournalFsync accumulates the wall-clock cost of one journal fsync
-// (group commit makes these less frequent than appends).
-func (c *Collector) AddJournalFsync(d time.Duration) {
-	if c == nil {
-		return
-	}
-	c.journalFsyncNS.Add(int64(d))
 }
 
 // CountWindowReplayed tallies one window whose journaled outcome was
@@ -831,17 +753,6 @@ func (c *Collector) CountTornTailTruncated() {
 	c.journalTorn.Add(1)
 }
 
-// WindowDone appends one window's record. Records may arrive in any order
-// (parallel mode); Snapshot sorts them by offset.
-func (c *Collector) WindowDone(rec WindowRecord) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	c.windows = append(c.windows, rec)
-	c.mu.Unlock()
-}
-
 // Snapshot returns the collector's current totals as a Metrics value. The
 // collector may keep accumulating afterwards; the snapshot is detached.
 func (c *Collector) Snapshot() *Metrics {
@@ -858,6 +769,7 @@ func (c *Collector) Snapshot() *Metrics {
 			Solve:      c.phases[PhaseSolve].Load(),
 			Witness:    c.phases[PhaseWitness].Load(),
 			Rollback:   c.phases[PhaseRollback].Load(),
+			Other:      c.phases[PhaseOther].Load(),
 		},
 		Solver: SolverCounters{
 			Decisions:         c.decisions.Load(),
@@ -903,13 +815,13 @@ func (c *Collector) Snapshot() *Metrics {
 			Confirmed:      c.triConfirmed.Load(),
 			SyncPConfirmed: c.triSPConfirmed.Load(),
 			Dispatched:     c.triDispatched.Load(),
-			FastPathNS:     c.triFastPath.Load(),
+			FastPathNS:     c.phases[PhaseTriage].Load(),
 		},
 		Journal: JournalCounters{
 			RecordsWritten:    c.journalRecords.Load(),
 			WindowsReplayed:   c.journalReplayed.Load(),
 			Bytes:             c.journalBytes.Load(),
-			FsyncNS:           c.journalFsyncNS.Load(),
+			FsyncNS:           c.phases[PhaseJournalFsync].Load(),
 			TornTailTruncated: c.journalTorn.Load(),
 		},
 	}
@@ -972,9 +884,13 @@ func (m *Metrics) NonTiming() Metrics {
 	return out
 }
 
-// PhaseNanos is cumulative wall-clock time per pipeline phase, in
-// nanoseconds. Parallel windows accumulate concurrently, so the phase sum
-// can exceed the report's elapsed wall-clock time.
+// PhaseNanos is cumulative exclusive wall-clock time per pipeline phase,
+// in nanoseconds: a phase excludes the phases nested in it. On a
+// sequential run these fields plus triage.fast_path_ns and
+// journal.fsync_ns add up to the run's elapsed time, Other being the
+// part no other phase covers. Parallel windows and pair workers
+// accumulate concurrently, so there the phases can exceed the elapsed
+// time and Other, floored at 0, is a lower bound.
 type PhaseNanos struct {
 	TraceScan  int64 `json:"trace_scan_ns"`
 	Enumerate  int64 `json:"cop_enumeration_ns"`
@@ -984,12 +900,13 @@ type PhaseNanos struct {
 	Solve      int64 `json:"solve_ns"`
 	Witness    int64 `json:"witness_ns"`
 	Rollback   int64 `json:"rollback_ns"`
+	Other      int64 `json:"other_ns"`
 }
 
-// Total returns the summed phase time.
+// Total returns the summed phase time, Other included.
 func (p PhaseNanos) Total() time.Duration {
 	return time.Duration(p.TraceScan + p.Enumerate + p.MHB + p.QuickCheck +
-		p.Encode + p.Solve + p.Witness + p.Rollback)
+		p.Encode + p.Solve + p.Witness + p.Rollback + p.Other)
 }
 
 // PairSchedCounters describes the intra-window pair scheduler: how many

@@ -17,11 +17,15 @@ func TestNilCollectorIsInert(t *testing.T) {
 	if c.Enabled() {
 		t.Error("nil collector reports Enabled")
 	}
-	span := c.StartPhase(PhaseSolve)
-	if d := span.End(); d != 0 {
+	span := c.Begin(PhaseSolve, "solve", 0, nil)
+	if span != nil {
+		t.Error("nil collector opened a span")
+	}
+	if d := span.Child(PhaseWitness, "witness").End(); d != 0 {
 		t.Errorf("nil span End = %v, want 0", d)
 	}
-	c.AddPhase(PhaseEncode, time.Second)
+	span.Query(0, 1, 2).EndQuery(OutcomeSat, true)
+	c.BeginWindow(0, 0, 1, false).EndWindow(1, 1, 1)
 	c.AddSAT(sat.Stats{Decisions: 1})
 	c.AddIDL(1, 2, 3)
 	c.AddEncoding(1, 2, 3, 4, 5, 6)
@@ -30,7 +34,6 @@ func TestNilCollectorIsInert(t *testing.T) {
 	c.CountQuickCheckFiltered()
 	c.CountSigDedup()
 	c.CountMHBFiltered()
-	c.WindowDone(WindowRecord{Events: 1})
 	if m := c.Snapshot(); m != nil {
 		t.Errorf("nil collector Snapshot = %+v, want nil", m)
 	}
@@ -43,8 +46,8 @@ func TestCollectorAccumulates(t *testing.T) {
 	if !c.Enabled() {
 		t.Fatal("fresh collector not Enabled")
 	}
-	c.AddPhase(PhaseTraceScan, 5*time.Millisecond)
-	c.AddPhase(PhaseSolve, 7*time.Millisecond)
+	c.addPhase(PhaseTraceScan, 5*time.Millisecond)
+	c.addPhase(PhaseSolve, 7*time.Millisecond)
 	c.AddSAT(sat.Stats{Decisions: 10, Propagations: 20, Conflicts: 3,
 		Restarts: 1, Learned: 2, TheoryProps: 30, TheoryConfl: 4})
 	c.AddSAT(sat.Stats{Decisions: 1})
@@ -59,8 +62,8 @@ func TestCollectorAccumulates(t *testing.T) {
 	c.CountQuickCheckFiltered()
 	c.CountSigDedup()
 	c.CountMHBFiltered()
-	c.WindowDone(WindowRecord{Offset: 100, Events: 50, Findings: 1})
-	c.WindowDone(WindowRecord{Offset: 0, Events: 100, Findings: 2})
+	c.windowDone(WindowRecord{Offset: 100, Events: 50, Findings: 1})
+	c.windowDone(WindowRecord{Offset: 0, Events: 100, Findings: 2})
 
 	m := c.Snapshot()
 	if m.Phases.TraceScan != int64(5*time.Millisecond) || m.Phases.Solve != int64(7*time.Millisecond) {
@@ -105,9 +108,9 @@ func TestCollectorConcurrent(t *testing.T) {
 				c.AddIDL(1, 0, 2)
 				c.CountEnumerated(1)
 				c.CountOutcome(OutcomeUnsat)
-				c.AddPhase(PhaseSolve, time.Nanosecond)
+				c.addPhase(PhaseSolve, time.Nanosecond)
 			}
-			c.WindowDone(WindowRecord{Offset: w, Events: perWorker})
+			c.windowDone(WindowRecord{Offset: w, Events: perWorker})
 		}(w)
 	}
 	wg.Wait()
@@ -135,7 +138,7 @@ func TestCollectorConcurrent(t *testing.T) {
 // TestSpanMeasures checks a span accumulates real elapsed time.
 func TestSpanMeasures(t *testing.T) {
 	c := NewCollector()
-	span := c.StartPhase(PhaseEncode)
+	span := c.Begin(PhaseEncode, "encode", 0, nil)
 	time.Sleep(2 * time.Millisecond)
 	if d := span.End(); d < time.Millisecond {
 		t.Errorf("span measured %v, want ≥ 1ms", d)
@@ -149,14 +152,14 @@ func TestSpanMeasures(t *testing.T) {
 // unchanged — the contract behind rvpredict -json.
 func TestMetricsJSONRoundTrip(t *testing.T) {
 	c := NewCollector()
-	c.AddPhase(PhaseSolve, 123*time.Nanosecond)
+	c.addPhase(PhaseSolve, 123*time.Nanosecond)
 	c.AddSAT(sat.Stats{Decisions: 42, Learned: 7})
 	c.AddIDL(9, 1, 3)
 	c.AddEncoding(4, 5, 6, 7, 8, 9)
 	c.CountEnumerated(3)
 	c.CountOutcome(OutcomeSat)
 	c.CountOutcome(OutcomeTimeout)
-	c.WindowDone(WindowRecord{Offset: 0, Events: 10, Candidates: 3, Solved: 2, Findings: 1, ElapsedNS: 555})
+	c.windowDone(WindowRecord{Offset: 0, Events: 10, Candidates: 3, Solved: 2, Findings: 1, ElapsedNS: 555})
 	orig := c.Snapshot()
 
 	data, err := json.Marshal(orig)
@@ -199,9 +202,9 @@ func TestMetricsJSONRoundTrip(t *testing.T) {
 // and nothing else, without sharing window storage with the original.
 func TestNonTimingStripsOnlyTiming(t *testing.T) {
 	c := NewCollector()
-	c.AddPhase(PhaseSolve, time.Second)
+	c.addPhase(PhaseSolve, time.Second)
 	c.AddSAT(sat.Stats{Decisions: 5})
-	c.WindowDone(WindowRecord{Offset: 0, Events: 4, ElapsedNS: 999})
+	c.windowDone(WindowRecord{Offset: 0, Events: 4, ElapsedNS: 999})
 	m := c.Snapshot()
 	nt := m.NonTiming()
 	if nt.Phases != (PhaseNanos{}) {
@@ -259,4 +262,14 @@ func TestPhaseTotal(t *testing.T) {
 	if got := p.Total(); got != 36 {
 		t.Errorf("Total = %d, want 36", got)
 	}
+}
+
+// addPhase and windowDone inject exact phase totals and window records,
+// which spans measure from the clock.
+func (c *Collector) addPhase(p Phase, d time.Duration) { c.phases[p].Add(int64(d)) }
+
+func (c *Collector) windowDone(rec WindowRecord) {
+	c.mu.Lock()
+	c.windows = append(c.windows, rec)
+	c.mu.Unlock()
 }

@@ -11,19 +11,35 @@ import (
 )
 
 // SpanRecorder is the bounded, lock-free ring buffer the detectors
-// publish their span timeline into when Options.Spans is set. Export the
-// collected timeline with WriteChromeTrace; see internal/telemetry for
-// the recording contract (overwrite-on-wrap, monotonic timestamps).
+// publish their span timeline into when Options.Spans is set, with an
+// optional consumer of every span as it ends. Export the collected
+// timeline with WriteChromeTrace; see internal/telemetry for the
+// recording contract (overwrite-on-wrap, monotonic timestamps).
 type SpanRecorder = telemetry.SpanRecorder
+
+// SpanEvent is one completed span, as the ring stores it and the
+// recorder's consumer receives it: a window span that reached a verdict
+// carries the window's index, length and findings, a query span the
+// pair's events and its outcome.
+type SpanEvent = telemetry.SpanEvent
+
+// The kinds of SpanEvent that carry a payload.
+const (
+	SpanWindow = telemetry.SpanWindow
+	SpanQuery  = telemetry.SpanQuery
+)
 
 // DefaultSpanCapacity is a reasonable recorder size for whole-run
 // timelines: big enough for thousands of windows with per-group detail.
 const DefaultSpanCapacity = telemetry.DefaultSpanCapacity
 
 // NewSpanRecorder returns a recorder holding the most recent capacity
-// spans (capacity <= 0 selects DefaultSpanCapacity).
-func NewSpanRecorder(capacity int) *SpanRecorder {
-	return telemetry.NewSpanRecorder(capacity)
+// spans (0 selects DefaultSpanCapacity, a negative capacity keeps no
+// ring). onEnd, when non-nil, receives every span as it ends, possibly
+// concurrently (Parallelism, PairParallelism), so it must serialise
+// internally and stay cheap.
+func NewSpanRecorder(capacity int, onEnd func(SpanEvent)) *SpanRecorder {
+	return telemetry.NewSpanRecorder(capacity, onEnd)
 }
 
 // BuildID identifies one build of this module.

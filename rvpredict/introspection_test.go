@@ -55,7 +55,7 @@ func TestIntrospectionConcurrentWithDetection(t *testing.T) {
 	opt := base
 	opt.Telemetry = true
 	opt.DebugAddr = "127.0.0.1:0"
-	opt.Spans = rvpredict.NewSpanRecorder(1 << 12)
+	opt.Spans = rvpredict.NewSpanRecorder(1<<12, nil)
 
 	var (
 		wg       sync.WaitGroup

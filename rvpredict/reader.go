@@ -107,11 +107,10 @@ func run(ctx context.Context, tr *trace.Trace, opt Options, merged bool) (Report
 			return Report{}, err
 		}
 	}
-	// The run span is the root of the exported timeline: everything the
-	// detectors record (windows, phases, workers, journal fsyncs) parents
-	// onto it via SpanRoot.
-	runSpan := col.BeginSpan("run", telemetry.RunLane(), 0)
-	col.Spans().SetRoot(runSpan.ID())
+	// The run span is the root of every span the detectors open (windows,
+	// phases, workers, journal fsyncs): its duration is the report's
+	// elapsed time, and its own time is the phases' other_ns.
+	runSpan := col.BeginRun()
 	var res race.Result
 	var err error
 	if det != nil {
@@ -130,10 +129,10 @@ func run(ctx context.Context, tr *trace.Trace, opt Options, merged bool) (Report
 	if err != nil {
 		return Report{}, err
 	}
-	scan := col.StartPhase(telemetry.PhaseTraceScan)
+	scan := col.Begin(telemetry.PhaseTraceScan, "trace scan", telemetry.RunLane(), nil)
 	stats := rd.Stats()
 	scan.End()
-	runSpan.End()
+	res.Elapsed = runSpan.End()
 	return render(rd, stats, res, opt, col)
 }
 

@@ -112,23 +112,6 @@ func (a *Algorithm) UnmarshalJSON(data []byte) error {
 // doc/observability.md for the counter glossary.
 type Telemetry = telemetry.Metrics
 
-// Tracer receives live progress callbacks during detection (window
-// lifecycle and per-query verdicts). Implementations must be safe for
-// concurrent use when Options.Parallelism or Options.PairParallelism is
-// above 1.
-type Tracer = telemetry.Tracer
-
-// Outcome classifies how one solver query ended (see Tracer.QuerySolved).
-type Outcome = telemetry.Outcome
-
-// Query outcomes reported to tracers.
-const (
-	OutcomeSat       = telemetry.OutcomeSat
-	OutcomeUnsat     = telemetry.OutcomeUnsat
-	OutcomeTimeout   = telemetry.OutcomeTimeout
-	OutcomeCancelled = telemetry.OutcomeCancelled
-)
-
 // Options configures Detect. The zero value runs the paper's algorithm
 // with its defaults: 10K-event windows and a 60-second per-pair solver
 // timeout.
@@ -171,11 +154,6 @@ type Options struct {
 	// allocation-light but not free; leave it off on hot paths. Enabling
 	// it never changes what is detected.
 	Telemetry bool
-	// Tracer, when non-nil, receives live progress callbacks (window
-	// lifecycle, per-query verdicts) during SMT-based detection. It is
-	// independent of Telemetry. Under Parallelism or PairParallelism > 1
-	// the callbacks arrive concurrently.
-	Tracer Tracer
 	// FaultInjector, when non-nil, wires a deterministic fault-injection
 	// script into the MaximalCF pipeline. It exists for resilience tests
 	// only — injected faults make the detector deliberately under-report
@@ -227,12 +205,15 @@ type Options struct {
 	// the same races as the in-memory path but counts solver work per
 	// window. Parallelism applies as on the in-memory path.
 	TraceReader TraceReader
-	// Spans, when non-nil, records the run's span timeline — run,
-	// window, MHB/encode/triage/solve phases, pair-scheduler worker
-	// occupancy, journal fsync stalls — into the given bounded ring
-	// recorder (MaximalCF detail; other algorithms record the run span
-	// only). Export with SpanRecorder.WriteChromeTrace for
-	// chrome://tracing or Perfetto. Observational only, like DebugAddr.
+	// Spans, when non-nil, records the run's spans — run, window,
+	// query, the phases, pair-scheduler worker occupancy, journal fsync
+	// stalls — into the given recorder: its bounded ring (export with
+	// SpanRecorder.WriteChromeTrace for chrome://tracing or Perfetto) and
+	// its end-of-span consumer, which sees every window and query verdict
+	// as it happens (the CLI's -progress lines). MaximalCF, deadlock and
+	// atomicity detection record windows and queries; the other
+	// algorithms record the run span only. Observational only, like
+	// DebugAddr.
 	Spans *SpanRecorder
 	// Collector, when non-nil, is the telemetry collector the run
 	// accumulates its counters into, instead of an internal one. It lets
@@ -362,7 +343,6 @@ func (o Options) CoreOptions() core.Options {
 		Witness:         o.Witness,
 		Parallelism:     o.Parallelism,
 		PairParallelism: o.PairParallelism,
-		Tracer:          o.Tracer,
 	}
 }
 
@@ -745,7 +725,6 @@ func DetectDeadlocksContext(ctx context.Context, tr *trace.Trace, opt Options) D
 		SolveTimeout: opt.SolveTimeout,
 		Witness:      opt.Witness,
 		Telemetry:    col,
-		Tracer:       opt.Tracer,
 	}).DetectContext(ctx, tr)
 	rep := DeadlockReport{
 		Candidates:  res.Candidates,
@@ -824,7 +803,6 @@ func DetectAtomicityViolationsContext(ctx context.Context, tr *trace.Trace, opt 
 		SolveTimeout: opt.SolveTimeout,
 		Witness:      opt.Witness,
 		Telemetry:    col,
-		Tracer:       opt.Tracer,
 	}).DetectContext(ctx, tr)
 	rep := AtomicityReport{
 		Candidates:  res.Candidates,

@@ -4,8 +4,10 @@ import (
 	"encoding/json"
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/fixtures"
+	"repro/internal/workloads"
 	"repro/rvpredict"
 	"repro/trace"
 )
@@ -145,5 +147,34 @@ func TestDeadlockAndAtomicityTelemetry(t *testing.T) {
 	}
 	if _, err := json.Marshal(av); err != nil {
 		t.Errorf("atomicity report does not marshal: %v", err)
+	}
+}
+
+// TestPhasesCoverRun: on a sequential run the phases — the triage ladder
+// and journal fsyncs included — plus other_ns add up to the run span
+// (elapsed_ns) exactly. On the rows of at least 10,000 events, other_ns,
+// the time no phase covers, stays within 10% of it; the smaller rows
+// analyse in well under a millisecond, where the run's fixed setup (tens
+// of microseconds) alone can pass 10%. It runs every Table 1 row but
+// derby, which takes several seconds.
+func TestPhasesCoverRun(t *testing.T) {
+	for _, spec := range workloads.Rows() {
+		if spec.Name == "derby" {
+			continue
+		}
+		tr, _ := workloads.Build(spec)
+		rep, err := rvpredict.Run(nil, tr, rvpredict.Options{Telemetry: true})
+		if err != nil {
+			t.Fatalf("%s: %v", spec.Name, err)
+		}
+		m := rep.Telemetry
+		covered := m.Phases.Total() + time.Duration(m.Triage.FastPathNS+m.Journal.FsyncNS)
+		if covered != rep.Elapsed {
+			t.Errorf("%s: phases + other_ns = %v, want the run's %v", spec.Name, covered, rep.Elapsed)
+		}
+		if spec.Events >= 10000 && 10*m.Phases.Other > int64(rep.Elapsed) {
+			t.Errorf("%s: other_ns %v is more than 10%% of elapsed %v", spec.Name,
+				time.Duration(m.Phases.Other), rep.Elapsed)
+		}
 	}
 }

@@ -42,6 +42,12 @@ DECISIONS-REGRESSION and, under --queries-gate, fails the run like a
 query-count rise: the search is deciding more than the baseline needed.
 `theory_propagations` stays informational.
 
+The `<phase>_share` metrics (each phase's percentage of an instrumented
+/RV run, `other` included) are informational too: their changes are
+printed for every row, in percentage points and largest first, so a
+timing regression points at the layer that grew. They never count as
+regressions.
+
 --heap-gate checks the out-of-core invariant, and unlike the other
 gates it looks only at the NEW snapshot: benchmarks that report both
 trace_events and live_heap_mb (the BenchmarkChunkedDetect size pair)
@@ -196,9 +202,15 @@ def main() -> int:
         alloc_col = "-"
         extras = []
         common = set(o.get("metrics", {})) & set(e.get("metrics", {}))
+        shares = []
         for key in sorted(common):
             ov, nv = metric(o, key), metric(e, key)
             if not isinstance(ov, (int, float)) or not isinstance(nv, (int, float)):
+                continue
+            if key.endswith("_share"):
+                # Phase shares of the run: informational, in points.
+                if round(nv - ov, 1) != 0:
+                    shares.append((nv - ov, key[:-len("_share")]))
                 continue
             if key == "queries" and nv > ov:
                 # Query counts are deterministic: any increase is a triage
@@ -231,6 +243,9 @@ def main() -> int:
                 alloc_col = f"{delta:+7.1f}%"
             elif delta != 0.0:
                 extras.append(f"{key} {delta:+.1f}%")
+        if shares:
+            shares.sort(key=lambda s: -abs(s[0]))
+            extras.append("share " + " ".join(f"{k} {d:+.1f}pp" for d, k in shares))
         flag = " ".join(sorted({f for f in flags if f}))
         if extras:
             flag = (flag + "  " if flag else "") + "[" + ", ".join(extras) + "]"

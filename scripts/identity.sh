@@ -1,0 +1,26 @@
+#!/usr/bin/env bash
+# Checks or regenerates testdata/identity.sum, the digest of the canonical
+# `rvpredict -json` report for every (row, mode) of the identity matrix:
+# example and the 21 Table 1 rows at tracegen's defaults, in the -json,
+# -witness, -parallel 2, -pair-parallel 2 and .rvc2 modes. The canonical
+# report drops every *_ns key and build_info (and, under -pair-parallel,
+# bool_vars, clauses and rollbacks, which depend on worker timing).
+#
+#   scripts/identity.sh          # check the full matrix (derby included)
+#   scripts/identity.sh update   # rewrite testdata/identity.sum
+#
+# Run it from the root of the checkout, on a host with at least two
+# CPUs: the pair scheduler caps its workers at GOMAXPROCS, and the
+# -pair-parallel 2 reports carry the worker and solver counts. A rebaseline is one reviewed diff
+# of testdata/identity.sum that names the rows and modes it changes.
+set -euo pipefail
+
+case ${1:-check} in
+check) flags=(-identity-all) ;;
+update) flags=(-identity-update) ;;
+*)
+	echo "usage: scripts/identity.sh [check|update]" >&2
+	exit 2
+	;;
+esac
+exec go test ./cmd/rvpredict -run '^TestIdentityDigests$' -count=1 -timeout 60m -args "${flags[@]}"
