@@ -16,6 +16,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/faultinject"
 	"repro/internal/tracefile"
 	"repro/internal/tracev2"
 	"repro/internal/workloads"
@@ -36,24 +37,38 @@ const identitySum = "../../testdata/identity.sum"
 
 // identityModes are the report modes of the matrix. chunked runs the
 // trace converted to .rvc2; pairParallel marks the mode whose solver
-// sizes and rollback counts depend on worker timing.
+// sizes and rollback counts depend on worker timing; resume runs the
+// trace with -journal in a child process that an injected crash stops
+// right after its second window append, then reports the -resume run
+// over that journal (multi-window rows only: a one-window run never
+// reaches the second append).
 var identityModes = []struct {
 	name         string
 	args         []string
 	chunked      bool
 	pairParallel bool
+	resume       bool
 }{
 	{name: "json", args: []string{"-json"}},
 	{name: "witness", args: []string{"-json", "-witness"}},
 	{name: "parallel2", args: []string{"-json", "-parallel", "2"}},
 	{name: "pairparallel2", args: []string{"-json", "-pair-parallel", "2"}, pairParallel: true},
 	{name: "rvc2", args: []string{"-json"}, chunked: true},
+	{name: "resume", args: []string{"-json"}, resume: true},
 }
+
+// identityCrashFault stops the journaled child run on its second window
+// append, after the first window's outcome is durable.
+const identityCrashFault = "journal_append:1=crash"
 
 // identitySlowEvents is the row length from which a row takes longer
 // than a few seconds per mode: such rows (the real-system ones) are
 // checked only with -identity-all (scripts/identity.sh, CI).
 const identitySlowEvents = 20000
+
+// identityWindow is rvpredict's default -window: rows longer than it
+// analyse more than one window and get the resume mode.
+const identityWindow = 10000
 
 // identityRows returns the matrix rows: example, then the Table 1 rows
 // at tracegen's defaults, the slow ones only when all is set.
@@ -135,7 +150,7 @@ func readIdentitySum(t *testing.T) map[string]string {
 
 // TestIdentityDigests runs the CLI in-process over every (row, mode) of
 // the matrix and compares the canonical report's SHA-256 with the
-// committed digest. By default it checks example and the rows that run
+// committed digest (the resume mode's crashed run is a re-exec'd child). By default it checks example and the rows that run
 // in seconds; -identity-all adds the real-system rows. The
 // -pair-parallel 2 digests need at least two CPUs: the pair scheduler
 // caps its workers at GOMAXPROCS, and the worker and solver counts are
@@ -160,8 +175,9 @@ func TestIdentityDigests(t *testing.T) {
 		chunked := filepath.Join(dir, row+".rvc2")
 		writeIdentityTrace(t, legacy, tr, false)
 		writeIdentityTrace(t, chunked, tr, true)
+		multiWindow := tr.Len() > identityWindow
 		for _, m := range identityModes {
-			if m.pairParallel && !pairParallel {
+			if m.pairParallel && !pairParallel || m.resume && !multiWindow {
 				continue
 			}
 			key := row + "/" + m.name
@@ -169,14 +185,28 @@ func TestIdentityDigests(t *testing.T) {
 			if m.chunked {
 				path = chunked
 			}
+			args := append([]string(nil), m.args...)
+			if m.resume {
+				jp := filepath.Join(dir, row+".journal")
+				crashArgs := append(append([]string(nil), args...), "-journal", jp, path)
+				if code := helperRun(t, identityCrashFault, crashArgs...); code != faultinject.CrashExitCode {
+					t.Fatalf("%s: crashed run exit %d, want %d", key, code, faultinject.CrashExitCode)
+				}
+				args = append(args, "-journal", jp, "-resume")
+			}
 			var stdout, stderr bytes.Buffer
-			code := runCtx(context.Background(), append(append([]string(nil), m.args...), path), &stdout, &stderr)
+			code := runCtx(context.Background(), append(args, path), &stdout, &stderr)
 			if code != 0 && code != 1 {
 				t.Fatalf("%s: exit %d: %s", key, code, stderr.String())
 			}
 			var drop map[string]bool
-			if m.pairParallel {
+			switch {
+			case m.pairParallel:
 				drop = map[string]bool{"bool_vars": true, "clauses": true, "rollbacks": true}
+			case m.resume:
+				// The journal's byte count varies with the varint length
+				// of each journaled window's elapsed time.
+				drop = map[string]bool{"bytes": true}
 			}
 			canon, err := canonicalReport(stdout.Bytes(), drop)
 			if err != nil {

@@ -753,9 +753,9 @@ func printTelemetry(w io.Writer, t *rvpredict.Telemetry) {
 			ps.Groups, ps.Workers, ps.Replicas, ps.Rollbacks, ms(ps.QueueWaitNS))
 	}
 	if tg := t.Triage; tg.Confirmed+tg.SyncPConfirmed+tg.Dispatched > 0 {
-		fmt.Fprintf(w, "triage: %d confirmed (%d shb, %d syncp), %d dispatched to smt, fast path %s\n",
+		fmt.Fprintf(w, "triage: %d confirmed (%d shb, %d syncp), %d dispatched to smt, fast path %s (shb %s, syncp %s)\n",
 			tg.Confirmed+tg.SyncPConfirmed, tg.Confirmed, tg.SyncPConfirmed,
-			tg.Dispatched, ms(tg.FastPathNS))
+			tg.Dispatched, ms(tg.FastPathNS), ms(tg.SHBNS), ms(tg.SyncPNS))
 	}
 	fmt.Fprintf(w, "windows: %d\n", t.WindowCount)
 }

@@ -194,7 +194,7 @@ func (d *Detector) DetectContext(ctx context.Context, tr *trace.Trace) Result {
 			}
 			key := sigKey{w.Event(c.e1).Loc, w.Event(c.e3).Loc, w.Event(c.e2).Loc}
 			if seen[key] {
-				col.CountSigDedup()
+				col.CountSigDedup(1)
 				continue
 			}
 			// MHB-ordered remotes can never move inside the region.

@@ -543,17 +543,21 @@ func (r *Runner) analyze(ctx context.Context, w *trace.Trace, widx, offset int, 
 	wspan := col.BeginWindow(widx, offset, w.Len(), d.opt.OnWindowDone != nil || r.timed)
 	defer wspan.End()
 
+	// Candidates are counted, not built: only the quick-check
+	// survivors are ever materialised (partition).
 	esp := wspan.Child(telemetry.PhaseEnumerate, "enumerate")
-	cops := race.EnumerateCOPs(w)
+	acc := race.GroupAccesses(w)
+	candidates, dedup := acc.Count(w, seen)
 	esp.End()
-	col.CountEnumerated(len(cops))
-	out.Candidates = len(cops)
+	col.CountEnumerated(candidates)
+	col.CountSigDedup(dedup)
+	out.Candidates = candidates
 
 	// Prefilters and signature grouping run up front; the pair
 	// scheduler then solves the groups (in parallel when
 	// PairParallelism > 1) and the results are collected below in
 	// canonical group order, so the window's outcome is deterministic.
-	groups, mhb := d.partition(wspan, w, cops, seen)
+	groups, mhb := d.partition(wspan, w, acc, candidates-dedup, seen)
 	col.CountPairGroups(len(groups))
 	wc := &windowCtx{
 		ctx: ctx, w: w, mhb: mhb, widx: widx, offset: offset,
@@ -611,7 +615,7 @@ func (r *Runner) analyze(ctx context.Context, w *trace.Trace, widx, offset int, 
 		col.CountDegradedWindow()
 		out.Degraded = true
 	}
-	out.ElapsedNS = int64(wspan.EndWindow(len(cops), out.Solved, len(out.Races)))
+	out.ElapsedNS = int64(wspan.EndWindow(candidates, out.Solved, len(out.Races)))
 	if final {
 		wr.status = WindowAnalyzed
 	}

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/race"
 	"repro/internal/said"
+	"repro/internal/vc"
 	"repro/trace"
 )
 
@@ -320,13 +321,28 @@ func randomTinyTrace(rng *rand.Rand) *trace.Trace {
 	return tr
 }
 
+// allCOPs collects every conflicting pair of tr in canonical order.
+func allCOPs(tr *trace.Trace) []race.COP {
+	var out []race.COP
+	race.EachCOP(tr, func(c race.COP) { out = append(out, c) })
+	return out
+}
+
+// partitionAll partitions every candidate of tr, none of whose
+// signatures is seen yet.
+func (d *Detector) partitionAll(tr *trace.Trace) ([]*sigGroup, *vc.MHB) {
+	acc := race.GroupAccesses(tr)
+	n, _ := acc.Count(tr, nil)
+	return d.partition(nil, tr, acc, n, nil)
+}
+
 func TestDetectorAgreesWithOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(2024))
 	det := New(Options{SolveTimeout: 30 * time.Second})
 	checked := 0
 	for iter := 0; iter < 400; iter++ {
 		tr := randomTinyTrace(rng)
-		cops := race.EnumerateCOPs(tr)
+		cops := allCOPs(tr)
 		if len(cops) == 0 {
 			continue
 		}
@@ -363,7 +379,7 @@ func TestSaidAgreesWithOracle(t *testing.T) {
 	checked := 0
 	for iter := 0; iter < 250; iter++ {
 		tr := randomTinyTrace(rng)
-		cops := race.EnumerateCOPs(tr)
+		cops := allCOPs(tr)
 		if len(cops) == 0 {
 			continue
 		}

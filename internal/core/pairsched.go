@@ -129,46 +129,43 @@ type windowCtx struct {
 	span           *telemetry.Span // the window's, parent of worker and group spans
 }
 
-// partition runs the prefilters over the enumerated COPs and groups the
-// survivors by signature, in order of each signature's first surviving
-// instance. seen is stable for the whole window (it is only updated at
-// merge time), so the partition is deterministic. The window MHB clocks
-// and the lockset quick check are computed lazily, on the first instance
-// that survives the signature lookup, and the single MHB pass is shared
-// by the quick check, the triage ladder and (via the returned value) the
-// window encoders. Every quick-check survivor is then classified by the
-// triage ladder (triage.go) here, once, group by group in canonical
-// order, so its tallies are deterministic under any worker count. Under
-// NoQuickCheck a quick-check failure is dispatched unclassified (the
-// rungs assume the quick check passed) instead of dropped. The whole pass
-// is one quick-check span; the MHB pass and the ladder's work are one
-// phase span each, nested in it.
-func (d *Detector) partition(wspan *telemetry.Span, w *trace.Trace, cops []race.COP, seen map[race.Signature]bool) ([]*sigGroup, *vc.MHB) {
-	col := d.opt.Telemetry
-	qc := wspan.Child(telemetry.PhaseQuickCheck, "mhb+triage")
+// partition groups the window's quick-check survivors (lockset.Sets.
+// Survivors over the window's Accesses acc, in canonical order) by
+// signature, in order of each signature's first surviving instance,
+// skipping the signatures in seen. seen is stable for the whole window
+// (it is only updated at merge time), so the partition is deterministic.
+// unseen is the window's candidate count less its signature-dedup hits
+// (race.Accesses.Count); when it is 0 no clocks are computed and nil is
+// returned. The single MHB pass is shared by the quick check, the triage
+// ladder and (via the returned value) the window encoders. The candidates that are neither seen nor survivors are
+// counted as quick-check filtered. Every survivor is then classified by
+// the triage ladder (triage.go) here, once, so its tallies are
+// deterministic under any worker count. Under NoQuickCheck every unseen
+// candidate is grouped, streamed by race.EachCOP, and a quick-check
+// failure is dispatched unclassified (the rungs assume the quick check
+// passed). The whole pass is one quick-check span; the MHB pass and each
+// ladder rung are one phase span each, nested in it.
+func (d *Detector) partition(wspan *telemetry.Span, w *trace.Trace, acc race.Accesses, unseen int, seen map[race.Signature]bool) ([]*sigGroup, *vc.MHB) {
+	if unseen == 0 {
+		return nil, nil
+	}
+	qc := wspan.Child(telemetry.PhaseQuickCheck, "quick check")
 	defer qc.End()
+	span := qc.Child(telemetry.PhaseMHB, "mhb")
+	mhb := vc.ComputeMHB(w)
+	span.End()
+	sets := lockset.ComputeWith(w, mhb)
 	var (
 		groups []*sigGroup
 		index  map[race.Signature]int
-		mhb    *vc.MHB
-		sets   *lockset.Sets
+		kept   int
 	)
-	for _, cop := range cops {
+	group := func(cop race.COP) {
 		sig := race.SigOf(w, cop.A, cop.B)
 		if seen[sig] {
-			col.CountSigDedup()
-			continue
+			return
 		}
-		if sets == nil {
-			span := qc.Child(telemetry.PhaseMHB, "mhb")
-			mhb = vc.ComputeMHB(w)
-			span.End()
-			sets = lockset.ComputeWith(w, mhb)
-		}
-		if !d.opt.NoQuickCheck && !sets.Pass(cop.A, cop.B) {
-			col.CountQuickCheckFiltered()
-			continue
-		}
+		kept++
 		gi, ok := index[sig]
 		if !ok {
 			if index == nil {
@@ -180,36 +177,15 @@ func (d *Detector) partition(wspan *telemetry.Span, w *trace.Trace, cops []race.
 		}
 		groups[gi].cops = append(groups[gi].cops, cop)
 	}
-	if len(groups) == 0 {
-		return groups, mhb
-	}
-	// The ladder is stateless per pair, so classifying group by group
-	// proves the same pairs as enumeration order would.
-	span := qc.Child(telemetry.PhaseTriage, "triage")
-	var tri *ladder
-	for _, g := range groups {
-		for i, cop := range g.cops {
-			tier := race.TierSMT
-			if !d.opt.NoQuickCheck || sets.Pass(cop.A, cop.B) {
-				if tri == nil {
-					tri = newLadder(w)
-				}
-				tier = tri.tier(cop)
-			}
-			if tier == race.TierSMT {
-				col.CountTriageDispatched()
-				continue
-			}
-			col.CountTriageConfirmed(tier)
-			if g.proved < 0 {
-				g.proved, g.tier = i, tier
-			}
+	if d.opt.NoQuickCheck {
+		race.EachCOP(w, group)
+	} else {
+		for _, cop := range sets.Survivors(w, acc) {
+			group(cop)
 		}
 	}
-	if tri != nil {
-		tri.release()
-	}
-	span.End()
+	d.opt.Telemetry.CountQuickCheckFiltered(unseen - kept)
+	d.triage(qc, w, sets, groups)
 	return groups, mhb
 }
 

@@ -23,7 +23,7 @@ func TestWarmPrefixReplay(t *testing.T) {
 	tr := mixedWindowTrace(t)
 	for _, witness := range []bool{false, true} {
 		d := New(Options{Witness: witness})
-		groups, mhb := d.partition(nil, tr, race.EnumerateCOPs(tr), nil)
+		groups, mhb := d.partitionAll(tr)
 		wc := &windowCtx{ctx: context.Background(), w: tr, mhb: mhb,
 			cancel: func() bool { return false }}
 		ws := d.buildReplica(wc, groups)

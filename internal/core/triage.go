@@ -41,52 +41,74 @@ package core
 
 import (
 	"repro/internal/hb"
+	"repro/internal/lockset"
 	"repro/internal/race"
 	"repro/internal/syncp"
+	"repro/internal/telemetry"
 	"repro/trace"
 )
 
-// ladder is one window's sound-tier classifier, run once per window by
-// partition, which charges the ladder's whole cost to the triage phase.
-// Clock computations are lazy: the SHB pass runs on construction, the SR
-// clocks and witness index only when some pair reaches the syncp rung.
-// All clock state lives on the vc slab pool and is returned by release.
-type ladder struct {
-	w    *trace.Trace
-	shb  *hb.EventClocks
-	sr   *hb.EventClocks // lazy, syncp rung only
-	sidx *syncp.Index    // lazy, borrows sr
-}
-
-func newLadder(w *trace.Trace) *ladder {
-	return &ladder{w: w, shb: hb.SHBClocks(w)}
-}
-
-// tier returns the cheapest tier that proves cop (window-local) a race:
-// TierSHB, TierSyncP, else TierSMT. Callers guarantee the pair already
-// passed the lockset quick check (disjoint locksets, MHB-concurrent) — the
-// lockset half of the SHB confirmation condition — so only the order
-// checks remain. The SHB rung is O(1) per pair (FastTrack-style epochs
-// against full clocks); the witness rung scans the pair's trace span once.
-func (l *ladder) tier(cop race.COP) string {
-	if syncp.ConfirmSHB(l.shb, cop.A, cop.B) {
-		return race.TierSHB
+// triage classifies every instance of groups (window-local, canonical
+// group order) and sets each group's first proved instance and its tier.
+// The ladder is stateless per pair, so it runs rung by rung, one phase
+// span each under the quick-check span qc: the SHB rung over every
+// instance, then the syncp rung over the instances SHB left. A group's
+// proved instance is its first proved by either rung, the same as if each
+// instance climbed the ladder in turn. Both rungs' clocks come from the
+// shared slab pool and are released before triage returns; the SR clocks
+// and the witness index are built only when some instance reaches the
+// syncp rung. Callers guarantee every instance passed the lockset quick
+// check (disjoint locksets, MHB-concurrent), the lockset half of the SHB
+// confirmation condition, except under NoQuickCheck, where a failing
+// instance is dispatched unclassified. The SHB rung is O(1) per pair
+// (FastTrack-style epochs against full clocks); the witness rung scans
+// the pair's trace span once.
+func (d *Detector) triage(qc *telemetry.Span, w *trace.Trace, sets *lockset.Sets, groups []*sigGroup) {
+	if len(groups) == 0 {
+		return
 	}
-	if l.sr == nil {
-		l.sr = hb.SRClocks(l.w)
-		l.sidx = syncp.NewIndex(l.w, l.sr)
+	col := d.opt.Telemetry
+	type instance struct {
+		g *sigGroup
+		i int
 	}
-	if l.sidx.Check(cop.A, cop.B) {
-		return race.TierSyncP
+	var rest []instance
+	span := qc.Child(telemetry.PhaseSHB, "shb")
+	shb := hb.SHBClocks(w)
+	for _, g := range groups {
+		for i, cop := range g.cops {
+			switch {
+			case d.opt.NoQuickCheck && !sets.Pass(cop.A, cop.B):
+				col.CountTriageDispatched()
+			case syncp.ConfirmSHB(shb, cop.A, cop.B):
+				col.CountTriageConfirmed(race.TierSHB)
+				if g.proved < 0 {
+					g.proved, g.tier = i, race.TierSHB
+				}
+			default:
+				rest = append(rest, instance{g, i})
+			}
+		}
 	}
-	return race.TierSMT
-}
-
-// release returns the ladder's clock storage to the shared slab pool once
-// classification for the window is complete.
-func (l *ladder) release() {
-	if l.sr != nil {
-		l.sr.Release() // the witness index borrows these clocks
+	shb.Release()
+	span.End()
+	if len(rest) == 0 {
+		return
 	}
-	l.shb.Release()
+	span = qc.Child(telemetry.PhaseSyncP, "syncp")
+	defer span.End()
+	sr := hb.SRClocks(w)
+	defer sr.Release() // the witness index borrows these clocks
+	sidx := syncp.NewIndex(w, sr)
+	for _, in := range rest {
+		cop := in.g.cops[in.i]
+		if !sidx.Check(cop.A, cop.B) {
+			col.CountTriageDispatched()
+			continue
+		}
+		col.CountTriageConfirmed(race.TierSyncP)
+		if in.g.proved < 0 || in.i < in.g.proved {
+			in.g.proved, in.g.tier = in.i, race.TierSyncP
+		}
+	}
 }

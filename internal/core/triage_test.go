@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/lockset"
 	"repro/internal/race"
 	"repro/internal/telemetry"
 	"repro/internal/workloads"
@@ -174,13 +175,13 @@ func TestTriageBitIdentityMatrix(t *testing.T) {
 // window solver, every instance the triage ladder proves racy — not only
 // the first one of each group, which the fast path reports without a
 // solve — must solve SAT. Each instance is classified the way partition
-// classifies it, by partitioning it alone.
+// classifies it, by triaging it alone.
 func TestFastPathSound(t *testing.T) {
 	d := New(Options{Witness: true}) // warm every instance
 	later := 0                       // proved instances the fast path never sees
 	for _, tc := range triageFixtures(t) {
 		race.EachWindow(tc.tr, tc.window, func(w *trace.Trace, widx, _ int) error { //nolint:errcheck
-			groups, mhb := d.partition(nil, w, race.EnumerateCOPs(w), nil)
+			groups, mhb := d.partitionAll(w)
 			if len(groups) == 0 {
 				return nil
 			}
@@ -188,11 +189,12 @@ func TestFastPathSound(t *testing.T) {
 			wc := &windowCtx{ctx: context.Background(), w: w, mhb: mhb,
 				cancel: func() bool { return false }}
 			ws := d.buildReplica(wc, groups)
+			sets := lockset.ComputeWith(w, mhb)
 			for _, g := range groups {
 				first := -1
 				for k, cop := range g.cops {
-					one, m := d.partition(nil, w, []race.COP{cop}, nil)
-					m.Release()
+					one := []*sigGroup{{sig: g.sig, cops: []race.COP{cop}, proved: -1}}
+					d.triage(nil, w, sets, one)
 					if one[0].proved < 0 {
 						continue
 					}

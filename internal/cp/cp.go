@@ -59,10 +59,10 @@ func (d *Detector) Detect(tr *trace.Trace) race.Result {
 	seen := make(map[race.Signature]bool)
 	res.Windows = race.Windows(tr, d.opt.WindowSize, func(w *trace.Trace, offset int) {
 		rel := Compute(w)
-		for _, cop := range race.EnumerateCOPs(w) {
+		race.EachCOP(w, func(cop race.COP) {
 			sig := race.SigOf(w, cop.A, cop.B)
 			if seen[sig] {
-				continue
+				return
 			}
 			res.COPsChecked++
 			if !rel.Ordered(cop.A, cop.B) {
@@ -72,7 +72,7 @@ func (d *Detector) Detect(tr *trace.Trace) race.Result {
 					Sig: sig,
 				})
 			}
-		}
+		})
 	})
 	res.Elapsed = time.Since(start)
 	return res

@@ -169,7 +169,7 @@ func (d *Detector) DetectContext(ctx context.Context, tr *trace.Trace) Result {
 				}
 				key := sigKey{p1[0], p1[1], p2[0], p2[1]}
 				if seen[key] {
-					col.CountSigDedup()
+					col.CountSigDedup(1)
 					continue
 				}
 				res.Candidates++

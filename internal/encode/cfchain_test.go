@@ -138,14 +138,14 @@ func TestCFMatchesQuadratic(t *testing.T) {
 			}
 			return s.SolveAssuming(g)
 		}
-		for _, cop := range race.EnumerateCOPs(tr) {
+		race.EachCOP(tr, func(cop race.COP) {
 			got := query(s, enc, cf.ControlFlow(cop.A), cf.ControlFlow(cop.B), cop)
 			want := query(sRef, encRef, ref.controlFlow(cop.A), ref.controlFlow(cop.B), cop)
 			if got != want {
 				t.Errorf("trace %d: COP %v: chained cf %v, quadratic %v", ti, cop, got, want)
 			}
 			verdicts[want]++
-		}
+		})
 	}
 	if verdicts[sat.Sat] == 0 || verdicts[sat.Unsat] == 0 {
 		t.Fatalf("fixtures drifted: verdicts %v, want both sat and unsat", verdicts)

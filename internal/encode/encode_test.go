@@ -257,7 +257,7 @@ func TestMergedEncodingOnPaperExamples(t *testing.T) {
 		"figure2-branch":   fixtures.Figure2(true),
 	} {
 		races := 0
-		for _, cop := range race.EnumerateCOPs(tr) {
+		race.EachCOP(tr, func(cop race.COP) {
 			adj, merged := verdict(tr, cop.A, cop.B, false), verdict(tr, cop.A, cop.B, true)
 			if adj != merged {
 				t.Errorf("%s: COP (%d,%d): adjacency %v, merged %v", name, cop.A, cop.B, adj, merged)
@@ -265,7 +265,7 @@ func TestMergedEncodingOnPaperExamples(t *testing.T) {
 			if adj {
 				races++
 			}
-		}
+		})
 		if name == "figure1" && races == 0 {
 			t.Errorf("%s: no race found (fixture drifted)", name)
 		}

@@ -53,7 +53,11 @@ type CoordinatorOptions struct {
 	IdleGrace time.Duration
 	// ShutdownLinger bounds the wait for connected workers to drain
 	// through their shutdown handshake once all windows are durable
-	// (default 5s); stragglers past it are disconnected.
+	// (default 5s); stragglers past it are disconnected. A coordinator
+	// restarted over a non-empty journal also keeps accepting workers
+	// for this long after Run starts, so the crashed coordinator's
+	// workers, still in their reconnect backoff, drain through the
+	// handshake too.
 	ShutdownLinger time.Duration
 	// Backoff is the reassignment schedule for expired or disconnected
 	// leases (defaults: internal/retry's).
@@ -103,6 +107,9 @@ type Coordinator struct {
 	lastActivity time.Time
 	draining     bool
 	crashed      error
+	// resumed: the journal already held acked windows at start, so
+	// workers of the crashed predecessor may still be reconnecting.
+	resumed bool
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -187,6 +194,7 @@ func NewCoordinator(opt CoordinatorOptions) (*Coordinator, error) {
 		if info.TornTail {
 			col.CountTornTailTruncated()
 		}
+		c.resumed = len(info.Outcomes) > 0
 		for _, out := range info.Outcomes {
 			if !c.done[out.Window] {
 				c.done[out.Window] = true
@@ -259,7 +267,16 @@ func (c *Coordinator) Run(ctx context.Context, ln net.Listener) (rvpredict.Repor
 	}()
 
 	// The monitor drives lease expiry and decides when the run is over.
+	// A resumed coordinator may find every window durable at once (the
+	// crashed one journaled them all) or finish them before every worker
+	// of its predecessor is back from backoff: until rejoinUntil it keeps
+	// accepting those workers, which are sent the shutdown handshake,
+	// instead of closing the port on them. A fresh run never waits.
 	drainStart := time.Time{}
+	var rejoinUntil time.Time
+	if c.resumed {
+		rejoinUntil = time.Now().Add(c.opt.ShutdownLinger)
+	}
 	tick := time.NewTicker(10 * time.Millisecond)
 	defer tick.Stop()
 	for {
@@ -267,6 +284,7 @@ func (c *Coordinator) Run(ctx context.Context, ln net.Listener) (rvpredict.Repor
 		case <-c.ctx.Done():
 		case <-tick.C:
 		}
+		rejoining := time.Now().Before(rejoinUntil)
 		c.mu.Lock()
 		c.sweepLocked(time.Now())
 		crashed := c.crashed
@@ -274,7 +292,7 @@ func (c *Coordinator) Run(ctx context.Context, ln net.Listener) (rvpredict.Repor
 		idle := c.workers == 0 && len(c.leases) == 0 &&
 			time.Since(c.lastActivity) > c.opt.IdleGrace
 		workers := c.workers
-		if allDone {
+		if allDone && !rejoining {
 			c.draining = true
 		}
 		c.mu.Unlock()
@@ -291,6 +309,8 @@ func (c *Coordinator) Run(ctx context.Context, ln net.Listener) (rvpredict.Repor
 			c.wg.Wait()
 			c.jw.Close()
 			return rvpredict.Report{}, ctx.Err()
+		case allDone && rejoining:
+			// Keep accepting the predecessor's reconnecting workers.
 		case allDone:
 			// Linger so connected workers drain through their shutdown
 			// handshake instead of seeing an abrupt close.

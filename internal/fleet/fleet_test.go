@@ -276,6 +276,86 @@ func TestFleetChaosIdentity(t *testing.T) {
 	}
 }
 
+// TestFleetResumedCoordinatorWaitsForWorkers: a coordinator restarted
+// over a journal that already holds every window must not finish before
+// the crashed coordinator's workers are back from their reconnect
+// backoff, or they exhaust their dials against a closed port. The
+// worker here reconnects 300ms into the resumed run and gives up after
+// three refused dials; it must drain through the shutdown handshake.
+// A fresh-journal run still finishes as soon as its workers have
+// drained, without waiting out ShutdownLinger.
+func TestFleetResumedCoordinatorWaitsForWorkers(t *testing.T) {
+	tr := fleetFixture()
+	path := writeFixtureFile(t, tr)
+	want := baseline(t, path)
+	journalPath := filepath.Join(t.TempDir(), "coord.journal")
+	run := func(linger time.Duration, worker func(addr string) <-chan error) (rvpredict.Report, time.Duration, error) {
+		t.Helper()
+		copt := fleetOpts()
+		copt.TraceReader = openReader(t, path)
+		coord, err := NewCoordinator(CoordinatorOptions{
+			Detect:         copt,
+			Journal:        journalPath,
+			Shards:         2,
+			ShutdownLinger: linger,
+			Logf:           t.Logf,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := worker(ln.Addr().String())
+		start := time.Now()
+		rep, err := coord.Run(nil, ln)
+		elapsed := time.Since(start)
+		if rerr := <-done; rerr != nil {
+			t.Errorf("worker: %v", rerr)
+		}
+		return rep, elapsed, err
+	}
+
+	// A fresh journal: one worker covers every window.
+	rep, elapsed, err := run(time.Minute, func(addr string) <-chan error {
+		return startWorker(t, addr, path, "w0", nil, nil)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if elapsed > 30*time.Second {
+		t.Errorf("fresh-journal run took %v: it waited out ShutdownLinger", elapsed)
+	}
+	if got := normalise(t, rep); got != want {
+		t.Errorf("fresh fleet report differs from single-process run:\nfleet:  %s\nsingle: %s", got, want)
+	}
+
+	// The same journal, now complete: a late worker with few retries.
+	rep, _, err = run(2*time.Second, func(addr string) <-chan error {
+		opt := fleetOpts()
+		opt.TraceReader = openReader(t, path)
+		done := make(chan error, 1)
+		go func() {
+			time.Sleep(300 * time.Millisecond)
+			done <- RunWorker(nil, WorkerOptions{
+				Addr:   addr,
+				Detect: opt,
+				Name:   "late",
+				Retry:  retry.Policy{Min: 5 * time.Millisecond, Max: 10 * time.Millisecond, MaxAttempts: 3},
+				Logf:   t.Logf,
+			})
+		}()
+		return done
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := normalise(t, rep); got != want {
+		t.Errorf("resumed fleet report differs from single-process run:\nfleet:  %s\nsingle: %s", got, want)
+	}
+}
+
 // TestFleetDegradesToLocal: a coordinator whose fleet never shows up
 // analyses every window locally and still produces the identical
 // report.

@@ -426,6 +426,10 @@ var metricDefs = []metricDef{
 		func(_ *Server, m *telemetry.Metrics) []sample { return one(float64(m.Triage.Dispatched)) }},
 	{"rvpredict_triage_fast_path_seconds_total", "counter", "Wall-clock time spent in the triage fast path.",
 		func(_ *Server, m *telemetry.Metrics) []sample { return one(secs(m.Triage.FastPathNS)) }},
+	{"rvpredict_triage_shb_seconds_total", "counter", "Wall-clock time spent in the triage ladder's SHB rung.",
+		func(_ *Server, m *telemetry.Metrics) []sample { return one(secs(m.Triage.SHBNS)) }},
+	{"rvpredict_triage_syncp_seconds_total", "counter", "Wall-clock time spent in the triage ladder's sync-preserving witness rung.",
+		func(_ *Server, m *telemetry.Metrics) []sample { return one(secs(m.Triage.SyncPNS)) }},
 	{"rvpredict_journal_records_total", "counter", "Window records appended to the durable journal.",
 		func(_ *Server, m *telemetry.Metrics) []sample { return one(float64(m.Journal.RecordsWritten)) }},
 	{"rvpredict_journal_windows_replayed_total", "counter", "Windows replayed from the journal on resume.",

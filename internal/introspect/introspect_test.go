@@ -24,9 +24,9 @@ import (
 func seedCollector() *telemetry.Collector {
 	col := telemetry.NewCollector()
 	col.CountEnumerated(12)
-	col.CountQuickCheckFiltered()
-	col.CountQuickCheckFiltered()
-	col.CountSigDedup()
+	col.CountQuickCheckFiltered(1)
+	col.CountQuickCheckFiltered(1)
+	col.CountSigDedup(1)
 	for i := 0; i < 3; i++ {
 		col.CountTriageConfirmed(race.TierSHB)
 	}

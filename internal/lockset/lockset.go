@@ -13,7 +13,8 @@
 package lockset
 
 import (
-	"sort"
+	"encoding/binary"
+	"slices"
 	"time"
 
 	"repro/internal/race"
@@ -23,9 +24,13 @@ import (
 
 // Sets holds the lockset of every access event of one trace, plus the
 // must-happen-before clocks used for the weak-HB part of the check.
+// Locksets are interned: every event carries the id of the lock set it
+// holds, and equal sets share one id, so accesses holding the same locks
+// compare in O(1) and the sweep (Survivors) can bucket them by id.
 type Sets struct {
-	held map[int][]trace.Addr // event index -> sorted locks held
-	mhb  *vc.MHB
+	id    []int32        // event index -> lockset id (0: no lock held, or not an access)
+	locks [][]trace.Addr // lockset id -> sorted locks; locks[0] is nil
+	mhb   *vc.MHB
 }
 
 // Compute scans tr once, recording the set of locks held at every shared
@@ -44,8 +49,44 @@ func Compute(tr *trace.Trace) *Sets {
 // (the detection driver shares one MHB pass between the quick check, the
 // triage tier and the constraint encoder).
 func ComputeWith(tr *trace.Trace, mhb *vc.MHB) *Sets {
-	held := make(map[int][]trace.Addr)
+	s := &Sets{id: make([]int32, tr.Len()), locks: [][]trace.Addr{nil}, mhb: mhb}
 	cur := make(map[trace.TID]map[trace.Addr]bool)
+	// curID is each thread's current lockset id, re-interned only when an
+	// acquire or release changes its set; ids maps a sorted lockset's
+	// little-endian encoding to its id.
+	curID := make(map[trace.TID]int32)
+	ids := map[string]int32{"": 0}
+	var (
+		ls  []trace.Addr
+		key []byte
+	)
+	toggle := func(t trace.TID, l trace.Addr, held bool) {
+		m := cur[t]
+		if m == nil {
+			m = make(map[trace.Addr]bool)
+			cur[t] = m
+		}
+		if held {
+			m[l] = true
+		} else {
+			delete(m, l)
+		}
+		ls, key = ls[:0], key[:0]
+		for l := range m {
+			ls = append(ls, l)
+		}
+		slices.Sort(ls)
+		for _, l := range ls {
+			key = binary.LittleEndian.AppendUint64(key, uint64(l))
+		}
+		id, ok := ids[string(key)]
+		if !ok {
+			id = int32(len(s.locks))
+			ids[string(key)] = id
+			s.locks = append(s.locks, slices.Clone(ls))
+		}
+		curID[t] = id
+	}
 	// Pre-scan: locks released without an in-window acquire were held from
 	// the window start.
 	acquired := make(map[trace.TID]map[trace.Addr]bool)
@@ -59,10 +100,7 @@ func ComputeWith(tr *trace.Trace, mhb *vc.MHB) *Sets {
 			acquired[e.Tid][e.Addr] = true
 		case trace.OpRelease:
 			if !acquired[e.Tid][e.Addr] {
-				if cur[e.Tid] == nil {
-					cur[e.Tid] = make(map[trace.Addr]bool)
-				}
-				cur[e.Tid][e.Addr] = true
+				toggle(e.Tid, e.Addr, true)
 			}
 		}
 	}
@@ -70,43 +108,39 @@ func ComputeWith(tr *trace.Trace, mhb *vc.MHB) *Sets {
 		e := tr.Event(i)
 		switch e.Op {
 		case trace.OpAcquire:
-			m := cur[e.Tid]
-			if m == nil {
-				m = make(map[trace.Addr]bool)
-				cur[e.Tid] = m
-			}
-			m[e.Addr] = true
+			toggle(e.Tid, e.Addr, true)
 		case trace.OpRelease:
-			delete(cur[e.Tid], e.Addr)
+			toggle(e.Tid, e.Addr, false)
 		case trace.OpRead, trace.OpWrite:
-			if m := cur[e.Tid]; len(m) > 0 {
-				ls := make([]trace.Addr, 0, len(m))
-				for l := range m {
-					ls = append(ls, l)
-				}
-				sort.Slice(ls, func(a, b int) bool { return ls[a] < ls[b] })
-				held[i] = ls
-			}
+			s.id[i] = curID[e.Tid]
 		}
 	}
-	return &Sets{held: held, mhb: mhb}
+	return s
 }
 
 // Held returns the sorted locks held at access event i (nil if none).
-func (s *Sets) Held(i int) []trace.Addr { return s.held[i] }
+func (s *Sets) Held(i int) []trace.Addr { return s.locks[s.id[i]] }
 
 // Disjoint reports whether the locksets of events i and j share no lock.
-func (s *Sets) Disjoint(i, j int) bool {
-	a, b := s.held[i], s.held[j]
-	x, y := 0, 0
-	for x < len(a) && y < len(b) {
+func (s *Sets) Disjoint(i, j int) bool { return s.disjointIDs(s.id[i], s.id[j]) }
+
+func (s *Sets) disjointIDs(x, y int32) bool {
+	if x == 0 || y == 0 {
+		return true
+	}
+	if x == y {
+		return false
+	}
+	a, b := s.locks[x], s.locks[y]
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
 		switch {
-		case a[x] == b[y]:
+		case a[i] == b[j]:
 			return false
-		case a[x] < b[y]:
-			x++
+		case a[i] < b[j]:
+			i++
 		default:
-			y++
+			j++
 		}
 	}
 	return true
@@ -145,10 +179,10 @@ func (d *Detector) Detect(tr *trace.Trace) race.Result {
 	seen := make(map[race.Signature]bool)
 	res.Windows = race.Windows(tr, d.opt.WindowSize, func(w *trace.Trace, offset int) {
 		sets := Compute(w)
-		for _, cop := range race.EnumerateCOPs(w) {
+		race.EachCOP(w, func(cop race.COP) {
 			sig := race.SigOf(w, cop.A, cop.B)
 			if seen[sig] {
-				continue
+				return
 			}
 			res.COPsChecked++
 			if sets.Pass(cop.A, cop.B) {
@@ -158,7 +192,7 @@ func (d *Detector) Detect(tr *trace.Trace) race.Result {
 					Sig: sig,
 				})
 			}
-		}
+		})
 	})
 	res.Elapsed = time.Since(start)
 	return res

@@ -6,8 +6,9 @@
 package race
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/trace"
@@ -231,44 +232,144 @@ type Detector interface {
 	Detect(tr *trace.Trace) Result
 }
 
-// EnumerateCOPs returns all conflicting operation pairs of tr, grouped by
-// location and ordered deterministically (by A, then B). Accesses to
-// volatile locations are skipped: conflicting volatile accesses are not
-// data races (Section 4).
-func EnumerateCOPs(tr *trace.Trace) []COP {
-	byAddr := make(map[trace.Addr][]int)
+// Accesses lists, for every address of a trace that carries at least
+// one conflicting operation pair, the trace's accesses to it in trace
+// order. Accesses to volatile locations are left out: conflicting
+// volatile accesses are not data races (Section 4). It is the grouping
+// Count and the quick-check sweep (lockset.Sets.Survivors) work from,
+// built once per window.
+type Accesses map[trace.Addr][]int32
+
+// GroupAccesses builds tr's Accesses in one pass, then drops every
+// address that only one thread touches or that nobody writes.
+func GroupAccesses(tr *trace.Trace) Accesses {
+	acc := make(Accesses)
 	for i := 0; i < tr.Len(); i++ {
-		e := tr.Event(i)
-		if e.Op.IsAccess() && !tr.Volatile(e.Addr) {
-			byAddr[e.Addr] = append(byAddr[e.Addr], i)
+		if e := tr.Event(i); e.Op.IsAccess() && !tr.Volatile(e.Addr) {
+			acc[e.Addr] = append(acc[e.Addr], int32(i))
 		}
 	}
-	addrs := make([]trace.Addr, 0, len(byAddr))
-	for a := range byAddr {
-		addrs = append(addrs, a)
+	for addr, evs := range acc {
+		t := tr.Event(int(evs[0])).Tid
+		shared, written := false, false
+		for _, i := range evs {
+			e := tr.Event(int(i))
+			shared = shared || e.Tid != t
+			written = written || e.Op == trace.OpWrite
+		}
+		if !shared || !written {
+			delete(acc, addr)
+		}
 	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
+	return acc
+}
 
-	var out []COP
-	for _, a := range addrs {
-		idxs := byAddr[a]
-		for i := 0; i < len(idxs); i++ {
-			ei := tr.Event(idxs[i])
-			for j := i + 1; j < len(idxs); j++ {
-				ej := tr.Event(idxs[j])
-				if ei.ConflictsWith(ej) {
-					out = append(out, COP{A: idxs[i], B: idxs[j]})
+// EachCOP calls f on every conflicting operation pair of tr, in the
+// canonical order (by A, then B), without materialising or sorting them.
+// Accesses to volatile locations are skipped: conflicting volatile
+// accesses are not data races (Section 4).
+func EachCOP(tr *trace.Trace, f func(COP)) {
+	// next links every access to the next access to its address; 0 ends
+	// the chain (a successor always has a positive index).
+	next := make([]int32, tr.Len())
+	later := make(map[trace.Addr]int32)
+	for i := tr.Len() - 1; i >= 0; i-- {
+		if e := tr.Event(i); e.Op.IsAccess() && !tr.Volatile(e.Addr) {
+			next[i] = later[e.Addr]
+			later[e.Addr] = int32(i)
+		}
+	}
+	for i := 0; i < tr.Len(); i++ {
+		e := tr.Event(i)
+		if !e.Op.IsAccess() || tr.Volatile(e.Addr) {
+			continue
+		}
+		for j := next[i]; j != 0; j = next[j] {
+			if e.ConflictsWith(tr.Event(int(j))) {
+				f(COP{A: i, B: int(j)})
+			}
+		}
+	}
+}
+
+// Count returns the number of conflicting operation pairs of tr (the
+// pairs EachCOP visits), acc being GroupAccesses(tr), and, of those, the
+// number whose signature is in seen, without building any pair. A pair is two
+// accesses to one address by different threads, at least one writing,
+// so an address with W writes and R reads in all, w_t and r_t of them by
+// thread t, has (W² − Σ w_t²)/2 + W·R − Σ w_t·r_t pairs. The same count
+// over the accesses at two locations of an address gives the pairs of
+// their signature.
+func (acc Accesses) Count(tr *trace.Trace, seen map[Signature]bool) (candidates, dedup int) {
+	// A tally is the reads and writes of one thread (at one location)
+	// among an address's accesses.
+	type tally struct {
+		loc  trace.Loc
+		tid  trace.TID
+		r, w int
+	}
+	// tallies sorts evs by (location when byLoc, thread) and returns one
+	// tally per run, reusing out.
+	tallies := func(out []tally, evs []int32, byLoc bool) []tally {
+		slices.SortFunc(evs, func(x, y int32) int {
+			ex, ey := tr.Event(int(x)), tr.Event(int(y))
+			if byLoc && ex.Loc != ey.Loc {
+				return cmp.Compare(ex.Loc, ey.Loc)
+			}
+			return cmp.Compare(ex.Tid, ey.Tid)
+		})
+		out = out[:0]
+		for k, i := range evs {
+			e := tr.Event(int(i))
+			if k == 0 || e.Tid != out[len(out)-1].tid || byLoc && e.Loc != out[len(out)-1].loc {
+				out = append(out, tally{loc: e.Loc, tid: e.Tid})
+			}
+			if t := &out[len(out)-1]; e.Op == trace.OpWrite {
+				t.w++
+			} else {
+				t.r++
+			}
+		}
+		return out
+	}
+	var (
+		evs []int32
+		ts  []tally
+	)
+	var seenLoc map[trace.Loc]bool
+	for sig := range seen {
+		if seenLoc == nil {
+			seenLoc = make(map[trace.Loc]bool)
+		}
+		seenLoc[sig.First], seenLoc[sig.Second] = true, true
+	}
+	for _, all := range acc {
+		evs = append(evs[:0], all...)
+		ts = tallies(ts, evs, false)
+		var w, r, ww, wr int
+		for _, t := range ts {
+			w, r, ww, wr = w+t.w, r+t.r, ww+t.w*t.w, wr+t.w*t.r
+		}
+		candidates += (w*w-ww)/2 + w*r - wr
+		if len(seen) == 0 {
+			continue
+		}
+		evs = evs[:0]
+		for _, i := range all {
+			if seenLoc[tr.Event(int(i)).Loc] {
+				evs = append(evs, i)
+			}
+		}
+		ts = tallies(ts, evs, true)
+		for x := range ts {
+			for y := x + 1; y < len(ts); y++ {
+				if a, b := ts[x], ts[y]; a.tid != b.tid && seen[Signature{First: a.loc, Second: b.loc}] {
+					dedup += a.w*(b.w+b.r) + a.r*b.w
 				}
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].A != out[j].A {
-			return out[i].A < out[j].A
-		}
-		return out[i].B < out[j].B
-	})
-	return out
+	return candidates, dedup
 }
 
 // EachWindow calls f on consecutive fixed-size windows of tr (the

@@ -1,6 +1,7 @@
 package race
 
 import (
+	"slices"
 	"testing"
 
 	"repro/trace"
@@ -15,15 +16,19 @@ func TestEnumerateCOPs(t *testing.T) {
 	b.Write(1, 6, 2) // 4: conflicts with 3
 	b.Branch(1)      // 5: not an access
 	tr := b.Trace()
-	cops := EnumerateCOPs(tr)
 	want := []COP{{A: 0, B: 1}, {A: 3, B: 4}}
-	if len(cops) != len(want) {
-		t.Fatalf("EnumerateCOPs = %v, want %v", cops, want)
-	}
-	for i := range want {
-		if cops[i] != want[i] {
-			t.Errorf("cop[%d] = %v, want %v", i, cops[i], want[i])
+	for name, cops := range map[string][]COP{"EnumerateCOPs": EnumerateCOPs(tr), "EachCOP": CollectCOPs(tr)} {
+		if !slices.Equal(cops, want) {
+			t.Errorf("%s = %v, want %v", name, cops, want)
 		}
+	}
+	// Every event sits at location 0, so both pairs share one signature.
+	acc := GroupAccesses(tr)
+	if n, dedup := acc.Count(tr, map[Signature]bool{SigOf(tr, 3, 4): true}); n != 2 || dedup != 2 {
+		t.Errorf("Count = %d, %d; want 2, 2", n, dedup)
+	}
+	if _, dedup := acc.Count(tr, map[Signature]bool{{First: 7, Second: 9}: true}); dedup != 0 {
+		t.Errorf("Count dedup = %d for an absent signature", dedup)
 	}
 }
 
@@ -34,6 +39,12 @@ func TestEnumerateSkipsVolatile(t *testing.T) {
 	b.ReadV(2, 5, 1)
 	if cops := EnumerateCOPs(b.Trace()); len(cops) != 0 {
 		t.Errorf("volatile accesses must not form COPs, got %v", cops)
+	}
+	if cops := CollectCOPs(b.Trace()); len(cops) != 0 {
+		t.Errorf("EachCOP visits volatile accesses: %v", cops)
+	}
+	if n, _ := GroupAccesses(b.Trace()).Count(b.Trace(), nil); n != 0 {
+		t.Errorf("Count counts %d volatile pairs", n)
 	}
 }
 

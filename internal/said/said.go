@@ -75,26 +75,18 @@ func (d *Detector) DetectContext(ctx context.Context, tr *trace.Trace) race.Resu
 			res.Cancelled = true
 			return
 		}
-		var (
-			sets   *lockset.Sets
-			shared *windowSolver
-		)
-		for _, cop := range race.EnumerateCOPs(w) {
+		// The quick check is a pure optimisation here: a COP failing it
+		// is MHB-ordered or lock-mutual-exclusion-ordered, and both
+		// conditions make the encoding below unsatisfiable. Only its
+		// survivors are ever built (lockset.Sets.Survivors).
+		var shared *windowSolver
+		for _, cop := range lockset.Compute(w).Survivors(w, race.GroupAccesses(w)) {
 			if ctx.Err() != nil {
 				res.Cancelled = true
 				break
 			}
 			sig := race.SigOf(w, cop.A, cop.B)
 			if seen[sig] {
-				continue
-			}
-			if sets == nil {
-				sets = lockset.Compute(w)
-			}
-			// The quick check is a pure optimisation here: a COP failing it
-			// is MHB-ordered or lock-mutual-exclusion-ordered, and both
-			// conditions make the encoding below unsatisfiable.
-			if !sets.Pass(cop.A, cop.B) {
 				continue
 			}
 			res.COPsChecked++

@@ -32,8 +32,8 @@ func shbRaces(tr *trace.Trace, window int) map[race.Signature]bool {
 		mhb := vc.ComputeMHB(w)
 		sets := lockset.ComputeWith(w, mhb)
 		shb := hb.SHBClocks(w)
-		for _, cop := range race.EnumerateCOPs(w) {
-			if sets.Pass(cop.A, cop.B) && syncp.ConfirmSHB(shb, cop.A, cop.B) {
+		for _, cop := range sets.Survivors(w, race.GroupAccesses(w)) {
+			if syncp.ConfirmSHB(shb, cop.A, cop.B) {
 				out[race.SigOf(w, cop.A, cop.B)] = true
 			}
 		}

@@ -330,14 +330,14 @@ func (d *Detector) Detect(tr *trace.Trace) race.Result {
 		shb := hb.SHBClocks(w)
 		sr := hb.SRClocks(w)
 		idx := NewIndex(w, sr)
-		for _, cop := range race.EnumerateCOPs(w) {
+		race.EachCOP(w, func(cop race.COP) {
 			sig := race.SigOf(w, cop.A, cop.B)
 			if seen[sig] {
-				continue
+				return
 			}
 			res.COPsChecked++
 			if !sets.Pass(cop.A, cop.B) {
-				continue
+				return
 			}
 			if ConfirmSHB(shb, cop.A, cop.B) || idx.Check(cop.A, cop.B) {
 				seen[sig] = true
@@ -349,7 +349,7 @@ func (d *Detector) Detect(tr *trace.Trace) race.Result {
 					},
 				})
 			}
-		}
+		})
 		sr.Release()
 		shb.Release()
 		mhb.Release()

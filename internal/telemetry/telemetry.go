@@ -61,15 +61,20 @@ const (
 	// before a pair-scheduler signature group (it runs between encode and
 	// solve; it is last only so the other phases keep their numbers).
 	PhaseRollback
-	// PhaseTriage is the triage ladder's clock passes and per-pair checks,
-	// nested in the quick check (reported as triage.fast_path_ns).
-	PhaseTriage
+	// PhaseSHB is the triage ladder's SHB rung: its clock pass and
+	// per-pair checks, nested in the quick check (reported as
+	// triage.shb_ns; with PhaseSyncP it makes triage.fast_path_ns).
+	PhaseSHB
 	// PhaseJournalFsync is the durable journal's fsyncs (reported as
 	// journal.fsync_ns).
 	PhaseJournalFsync
 	// PhaseOther is the run span's own time: whatever no other phase
 	// covers, so the phases of a run add up to its elapsed time.
 	PhaseOther
+	// PhaseSyncP is the triage ladder's sync-preserving witness rung over
+	// the pairs the SHB rung left, nested in the quick check (reported as
+	// triage.syncp_ns; last only so the other phases keep their numbers).
+	PhaseSyncP
 
 	numPhases
 
@@ -97,12 +102,14 @@ func (p Phase) String() string {
 		return "witness"
 	case PhaseRollback:
 		return "rollback"
-	case PhaseTriage:
-		return "triage"
+	case PhaseSHB:
+		return "shb"
 	case PhaseJournalFsync:
 		return "journal_fsync"
 	case PhaseOther:
 		return "other"
+	case PhaseSyncP:
+		return "syncp"
 	}
 	return fmt.Sprintf("phase(%d)", uint8(p))
 }
@@ -348,23 +355,23 @@ func (c *Collector) CountEnumerated(n int) {
 	c.enumerated.Add(int64(n))
 }
 
-// CountQuickCheckFiltered tallies one candidate removed by the hybrid
+// CountQuickCheckFiltered tallies n candidates removed by the hybrid
 // quick-check prefilter.
-func (c *Collector) CountQuickCheckFiltered() {
+func (c *Collector) CountQuickCheckFiltered(n int) {
 	if c == nil {
 		return
 	}
-	c.quickFiltered.Add(1)
+	c.quickFiltered.Add(int64(n))
 }
 
-// CountSigDedup tallies one candidate skipped because its signature was
+// CountSigDedup tallies n candidates skipped because their signature was
 // already decided (seen-set hit, shared parallel verdict, or per-signature
 // attempt budget).
-func (c *Collector) CountSigDedup() {
+func (c *Collector) CountSigDedup(n int) {
 	if c == nil {
 		return
 	}
-	c.sigDedups.Add(1)
+	c.sigDedups.Add(int64(n))
 }
 
 // CountMHBFiltered tallies one candidate discarded by a must-happen-before
@@ -815,7 +822,8 @@ func (c *Collector) Snapshot() *Metrics {
 			Confirmed:      c.triConfirmed.Load(),
 			SyncPConfirmed: c.triSPConfirmed.Load(),
 			Dispatched:     c.triDispatched.Load(),
-			FastPathNS:     c.phases[PhaseTriage].Load(),
+			SHBNS:          c.phases[PhaseSHB].Load(),
+			SyncPNS:        c.phases[PhaseSyncP].Load(),
 		},
 		Journal: JournalCounters{
 			RecordsWritten:    c.journalRecords.Load(),
@@ -825,6 +833,7 @@ func (c *Collector) Snapshot() *Metrics {
 			TornTailTruncated: c.journalTorn.Load(),
 		},
 	}
+	m.Triage.FastPathNS = m.Triage.SHBNS + m.Triage.SyncPNS
 	m.Outcomes.Solved = m.Outcomes.Sat + m.Outcomes.Unsat +
 		m.Outcomes.Timeout + m.Outcomes.Cancelled
 
@@ -873,6 +882,8 @@ func (m *Metrics) NonTiming() Metrics {
 	out.PairSched.Rollbacks = 0
 	out.PairSched.QueueWaitNS = 0
 	out.Triage.FastPathNS = 0
+	out.Triage.SHBNS = 0
+	out.Triage.SyncPNS = 0
 	// The journal block describes this run's persistence activity, not the
 	// detection result: a resumed run legitimately differs from a clean one
 	// (that is the point), and bytes/fsync time vary with group commit.
@@ -938,13 +949,15 @@ type PairSchedCounters struct {
 // check, and Dispatched COPs went to the SMT scheduler unchanged. The counts are
 // deterministic (classification happens in canonical order before
 // dispatch, attributed to the cheapest rung that proves the pair);
-// FastPathNS is the ladder's wall-clock cost and is excluded from
-// NonTiming.
+// FastPathNS is the ladder's wall-clock cost, SHBNS and SyncPNS its two
+// rungs' shares of it, all excluded from NonTiming.
 type TriageCounters struct {
 	Confirmed      int64 `json:"confirmed"`
 	SyncPConfirmed int64 `json:"syncp_confirmed"`
 	Dispatched     int64 `json:"dispatched"`
 	FastPathNS     int64 `json:"fast_path_ns"`
+	SHBNS          int64 `json:"shb_ns"`
+	SyncPNS        int64 `json:"syncp_ns"`
 }
 
 // JournalCounters describes the durable window journal's activity:

@@ -31,8 +31,8 @@ func TestNilCollectorIsInert(t *testing.T) {
 	c.AddEncoding(1, 2, 3, 4, 5, 6)
 	c.CountOutcome(OutcomeSat)
 	c.CountEnumerated(10)
-	c.CountQuickCheckFiltered()
-	c.CountSigDedup()
+	c.CountQuickCheckFiltered(1)
+	c.CountSigDedup(1)
 	c.CountMHBFiltered()
 	if m := c.Snapshot(); m != nil {
 		t.Errorf("nil collector Snapshot = %+v, want nil", m)
@@ -59,8 +59,8 @@ func TestCollectorAccumulates(t *testing.T) {
 	c.CountOutcome(OutcomeTimeout)
 	c.CountOutcome(OutcomeCancelled)
 	c.CountEnumerated(6)
-	c.CountQuickCheckFiltered()
-	c.CountSigDedup()
+	c.CountQuickCheckFiltered(1)
+	c.CountSigDedup(1)
 	c.CountMHBFiltered()
 	c.windowDone(WindowRecord{Offset: 100, Events: 50, Findings: 1})
 	c.windowDone(WindowRecord{Offset: 0, Events: 100, Findings: 2})

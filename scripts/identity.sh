@@ -2,9 +2,13 @@
 # Checks or regenerates testdata/identity.sum, the digest of the canonical
 # `rvpredict -json` report for every (row, mode) of the identity matrix:
 # example and the 21 Table 1 rows at tracegen's defaults, in the -json,
-# -witness, -parallel 2, -pair-parallel 2 and .rvc2 modes. The canonical
+# -witness, -parallel 2, -pair-parallel 2 and .rvc2 modes, plus a resume
+# mode for every multi-window row: a -journal run stopped by
+# RVPREDICT_FAULTS=journal_append:1=crash, then -resumed. The canonical
 # report drops every *_ns key and build_info (and, under -pair-parallel,
-# bool_vars, clauses and rollbacks, which depend on worker timing).
+# bool_vars, clauses and rollbacks, which depend on worker timing; under
+# resume, the journal's bytes, which depend on the journaled elapsed
+# times).
 #
 #   scripts/identity.sh          # check the full matrix (derby included)
 #   scripts/identity.sh update   # rewrite testdata/identity.sum
