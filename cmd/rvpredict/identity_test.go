@@ -200,13 +200,8 @@ func TestIdentityDigests(t *testing.T) {
 				t.Fatalf("%s: exit %d: %s", key, code, stderr.String())
 			}
 			var drop map[string]bool
-			switch {
-			case m.pairParallel:
+			if m.pairParallel {
 				drop = map[string]bool{"bool_vars": true, "clauses": true, "rollbacks": true}
-			case m.resume:
-				// The journal's byte count varies with the varint length
-				// of each journaled window's elapsed time.
-				drop = map[string]bool{"bytes": true}
 			}
 			canon, err := canonicalReport(stdout.Bytes(), drop)
 			if err != nil {

@@ -746,8 +746,8 @@ func printTelemetry(w io.Writer, t *rvpredict.Telemetry) {
 		sc.Decisions, sc.Propagations, sc.Conflicts, sc.Restarts, sc.Learned)
 	fmt.Fprintf(w, "idl: %d atom asserts, %d negative cycles, %d repair steps (%d theory props, %d theory conflicts)\n",
 		sc.IDLAsserts, sc.IDLNegativeCycles, sc.IDLRepairSteps, sc.TheoryProps, sc.TheoryConflicts)
-	fmt.Fprintf(w, "encode: %d interned atoms, %d tseitin vars, %d tseitin clauses; %d bool vars, %d clauses, %d int vars across %d solver(s)\n",
-		sc.InternedAtoms, sc.TseitinVars, sc.TseitinClauses, sc.BoolVars, sc.Clauses, sc.IntVars, sc.Solvers)
+	fmt.Fprintf(w, "encode: %d theory facts, %d interned atoms, %d tseitin vars, %d tseitin clauses; %d bool vars, %d clauses, %d int vars across %d solver(s)\n",
+		sc.TheoryFacts, sc.InternedAtoms, sc.TseitinVars, sc.TseitinClauses, sc.BoolVars, sc.Clauses, sc.IntVars, sc.Solvers)
 	if ps := t.PairSched; ps.Groups > 0 {
 		fmt.Fprintf(w, "pair scheduler: %d groups, %d workers, %d replicas, %d rollbacks, queue wait %s\n",
 			ps.Groups, ps.Workers, ps.Replicas, ps.Rollbacks, ms(ps.QueueWaitNS))

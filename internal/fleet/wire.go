@@ -45,11 +45,14 @@ import (
 // Handshake magic and protocol version. The worker's hello carries the
 // 64-byte run fingerprint (trace content hash ‖ options fingerprint);
 // a worker holding the wrong trace or result-affecting options is
-// rejected before it can lease anything.
+// rejected before it can lease anything. Results carry window outcomes
+// in the journal's record encoding, so a worker built for another
+// record format must be rejected too: version 2 carries journal format
+// 6, whose elapsed time is fixed-width.
 const (
 	helloMagic   = "RVPW"
 	replyMagic   = "RVPF"
-	protoVersion = 1
+	protoVersion = 2
 )
 
 // Message types, the first payload byte of every framed message.

@@ -26,6 +26,13 @@ type VarID int32
 // SAT literals as tags.
 type Tag int32
 
+// Fact is the tag reserved for constraints that hold unconditionally, such
+// as the SMT layer's root facts. A conflict cycle carries it like any other
+// tag; the caller drops it from the explanation, since a fact needs no
+// justification, and a cycle of facts alone makes the constraints
+// unsatisfiable outright.
+const Fact Tag = -1
+
 type edge struct {
 	from, to VarID
 	weight   int64

@@ -374,6 +374,8 @@ var metricDefs = []metricDef{
 		func(_ *Server, m *telemetry.Metrics) []sample { return one(float64(m.Solver.TheoryProps)) }},
 	{"rvpredict_solver_theory_conflicts_total", "counter", "IDL theory conflicts across all solver instances.",
 		func(_ *Server, m *telemetry.Metrics) []sample { return one(float64(m.Solver.TheoryConflicts)) }},
+	{"rvpredict_theory_facts_total", "counter", "Atoms asserted as root IDL facts, with no SAT variable, across all solver instances.",
+		func(_ *Server, m *telemetry.Metrics) []sample { return one(float64(m.Solver.TheoryFacts)) }},
 	{"rvpredict_queries_total", "counter",
 		"Solver queries by final outcome (sat, unsat, timeout, cancelled).",
 		func(_ *Server, m *telemetry.Metrics) []sample {

@@ -61,12 +61,14 @@ import (
 // streaming daemon (outcome-level Degraded/PairsShed, per-race Degraded
 // flag); version 4 retired the "wcp" and "cp" confirming tiers, which
 // older journals may carry; version 5 dropped the outcome's retried-pair
-// count with the two-pass solver scheduler. Recover rejects older-version
+// count with the two-pass solver scheduler; version 6 stores the
+// outcome's elapsed time at a fixed width, so a record's length does not
+// depend on how long its window took. Recover rejects older-version
 // journals as ErrFormat; Resume replaces them with a fresh journal, so
 // the run simply starts over.
 const (
 	Magic   = "RVPJ"
-	Version = 5
+	Version = 6
 )
 
 // Decode-hardening caps, in the spirit of tracefile.Decode: a hostile or
@@ -461,9 +463,11 @@ func EncodeOutcome(out race.WindowOutcome) []byte { return encodeOutcome(out) }
 func DecodeOutcome(payload []byte) (race.WindowOutcome, error) { return decodeOutcome(payload) }
 
 // encodeOutcome flattens one window outcome to a frame payload. All
-// integers are varints; counts precede their elements; witness presence
-// is encoded as len+1 so a nil witness (0) survives the round trip
-// distinct from an empty one.
+// integers but the elapsed time are varints; the elapsed time is eight
+// little-endian bytes, so two runs that differ only in timing write
+// records of equal length. Counts precede their elements; witness
+// presence is encoded as len+1 so a nil witness (0) survives the round
+// trip distinct from an empty one.
 func encodeOutcome(out race.WindowOutcome) []byte {
 	var e encBuf
 	e.uvarint(uint64(out.Window))
@@ -473,7 +477,7 @@ func encodeOutcome(out race.WindowOutcome) []byte {
 	e.uvarint(uint64(out.Solved))
 	e.uvarint(uint64(out.COPsChecked))
 	e.uvarint(uint64(out.SolverAborts))
-	e.varint(out.ElapsedNS)
+	e.b = binary.LittleEndian.AppendUint64(e.b, uint64(out.ElapsedNS))
 	// Degradation marker (format v3): a degraded outcome must replay as
 	// degraded — resume never silently upgrades a shed window.
 	if out.Degraded {
@@ -711,6 +715,15 @@ func (d *decBuf) varint() (int64, error) {
 	return v, nil
 }
 
+func (d *decBuf) fixed64() (int64, error) {
+	if len(d.b) < 8 {
+		return 0, ErrFormat
+	}
+	v := int64(binary.LittleEndian.Uint64(d.b))
+	d.b = d.b[8:]
+	return v, nil
+}
+
 func (d *decBuf) str() (string, error) {
 	n, err := d.uvarint()
 	if err != nil || n > maxString || n > uint64(len(d.b)) {
@@ -740,7 +753,7 @@ func decodeOutcome(payload []byte) (race.WindowOutcome, error) {
 	read(&out.COPsChecked)
 	read(&out.SolverAborts)
 	if err == nil {
-		out.ElapsedNS, err = d.varint()
+		out.ElapsedNS, err = d.fixed64()
 	}
 	var degraded uint64
 	if err == nil {

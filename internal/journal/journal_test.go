@@ -419,3 +419,25 @@ func TestEncodeDecodeOutcomeRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestOutcomeLengthIndependentOfElapsed checks that a window record's
+// length does not depend on the measured time, so two runs that differ
+// only in timing journal the same number of bytes.
+func TestOutcomeLengthIndependentOfElapsed(t *testing.T) {
+	for i, out := range testOutcomes() {
+		var lens []int
+		for _, ns := range []int64{0, 1, 1 << 20, 1 << 40, -1} {
+			out.ElapsedNS = ns
+			lens = append(lens, len(EncodeOutcome(out)))
+			if got, err := DecodeOutcome(EncodeOutcome(out)); err != nil || got.ElapsedNS != ns {
+				t.Errorf("outcome %d: elapsed %d decoded as %d (err %v)", i, ns, got.ElapsedNS, err)
+			}
+		}
+		for _, n := range lens[1:] {
+			if n != lens[0] {
+				t.Errorf("outcome %d: record lengths %v vary with the elapsed time", i, lens)
+				break
+			}
+		}
+	}
+}

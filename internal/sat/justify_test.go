@@ -78,10 +78,11 @@ func (f defFormula) holds(val func(Var) bool, cnf [][]Lit, assumps []Lit) bool {
 // TestJustifiedModelsAgainstBruteForce decides random root clauses and
 // definition chains over a theory under random assumptions, several
 // queries per solver, and checks each verdict against exhaustive search.
-// Every Sat answer's completion — ModelValue for the boolean variables,
-// the theory's model for its own — must satisfy every clause, the
-// assumptions and the theory, although the search leaves whatever it
-// did not need unassigned.
+// Every Sat answer's completion, ModelValue, must satisfy every clause,
+// the assumptions and the theory, although the search leaves whatever it
+// did not need unassigned and lets the stub theory's moving model
+// justify clauses (Theory.Holds); for the theory's variables it must
+// agree with the model the theory's Check snapshotted.
 func TestJustifiedModelsAgainstBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	sats, theoryConfl := 0, int64(0)
@@ -120,11 +121,11 @@ func TestJustifiedModelsAgainstBruteForce(t *testing.T) {
 				continue
 			}
 			sats++
-			val := func(v Var) bool {
-				if int(v) < f.nRel {
-					return slices.Contains(th.model, MkLit(v, true))
+			val := func(v Var) bool { return s.ModelValue(v) == True }
+			for v := Var(0); int(v) < f.nRel; v++ {
+				if val(v) != slices.Contains(th.model, MkLit(v, true)) {
+					t.Fatalf("iter %d query %d: ModelValue(%v) disagrees with the theory's model", iter, q, v)
 				}
-				return s.ModelValue(v) == True
 			}
 			if !f.holds(val, cnf, assumps) {
 				t.Fatalf("iter %d query %d: completed model violates the formula\nroots %v\ndefs %v\nassumptions %v",
@@ -135,5 +136,30 @@ func TestJustifiedModelsAgainstBruteForce(t *testing.T) {
 	t.Logf("%d sat answers, %d theory conflicts", sats, theoryConfl)
 	if sats < 200 || theoryConfl == 0 {
 		t.Errorf("%d sat answers, %d theory conflicts: the generator misses a case", sats, theoryConfl)
+	}
+}
+
+// TestModelHeldClauseRecheckedBeforeSat pins the Sat-time re-walk: the
+// stub theory's model first holds x0, which justifies the root clause
+// x0 ∨ y ∨ z; deciding x1 for the second root clause then moves the
+// model to ¬x0. The search must notice before it answers Sat, and decide
+// the first clause after all.
+func TestModelHeldClauseRecheckedBeforeSat(t *testing.T) {
+	th := &amoTheory{nRel: 2}
+	s := New(th)
+	x0, x1, y, z, w := s.NewVar(), s.NewVar(), s.NewVar(), s.NewVar(), s.NewVar()
+	if !th.Holds(MkLit(x0, true)) || th.Holds(MkLit(x1, true)) {
+		t.Fatal("stub model: want x0 true and x1 false before any assertion")
+	}
+	s.AddClause(MkLit(x0, true), MkLit(y, true), MkLit(z, true))
+	s.AddClause(MkLit(x1, true), MkLit(w, true))
+	if r := s.Solve(); r != Sat {
+		t.Fatalf("Solve = %v, want sat", r)
+	}
+	if s.ModelValue(x0) != True && s.ModelValue(y) != True && s.ModelValue(z) != True {
+		t.Errorf("model x0=%v y=%v z=%v violates x0 ∨ y ∨ z", s.ModelValue(x0), s.ModelValue(y), s.ModelValue(z))
+	}
+	if s.ModelValue(x1) != True && s.ModelValue(w) != True {
+		t.Errorf("model x1=%v w=%v violates x1 ∨ w", s.ModelValue(x1), s.ModelValue(w))
 	}
 }

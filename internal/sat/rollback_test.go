@@ -110,8 +110,11 @@ func stateDiff(want, got solverState) string {
 
 // amoTheory is a stub theory: among its relevant variables, those with the
 // same value mod 4 form a group in which at most one may be true. It
-// produces theory conflicts of two literals. Its model leaves every
-// unasserted variable false; Check snapshots the asserted literals.
+// produces theory conflicts of two literals. Its model moves with every
+// assertion: in a group with no variable asserted true, the first
+// unasserted variable whose index has the parity of the number of
+// assertions so far is true, and every other unasserted variable false.
+// Check snapshots the true literals of the completed model.
 type amoTheory struct {
 	nRel  Var
 	stack []Lit
@@ -141,8 +144,36 @@ func (t *amoTheory) Pop(n int) {
 	t.stack = t.stack[:m]
 }
 
+// Holds reads the model's value of an unasserted variable.
+func (t *amoTheory) Holds(l Lit) bool {
+	v := l.Var()
+	if v >= t.nRel {
+		return false
+	}
+	for u := v % 4; u < t.nRel; u += 4 {
+		if slices.Contains(t.stack, MkLit(u, true)) {
+			return !l.Positive()
+		}
+	}
+	val := false
+	for u := v % 4; u < t.nRel; u += 4 {
+		if !slices.Contains(t.stack, MkLit(u, false)) && (int(u)+len(t.stack))%2 == 0 {
+			val = u == v
+			break
+		}
+	}
+	return val == l.Positive()
+}
+
 func (t *amoTheory) Check() []Lit {
-	t.model = append(t.model[:0], t.stack...)
+	t.model = t.model[:0]
+	for v := Var(0); v < t.nRel; v++ {
+		p := MkLit(v, true)
+		if slices.Contains(t.stack, p) ||
+			!slices.Contains(t.stack, p.Neg()) && t.Holds(p) {
+			t.model = append(t.model, p)
+		}
+	}
 	return nil
 }
 

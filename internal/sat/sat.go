@@ -11,7 +11,11 @@
 // restarts. Decisions follow a justification frontier instead of a
 // variable-activity heap: the search only assigns what the root clauses,
 // and the definitions of the heads it has made true, need (see
-// SolveAssuming), and it answers Sat as soon as all of those hold.
+// SolveAssuming), and it answers Sat as soon as all of those hold. A
+// frontier clause also holds when one of its unassigned theory literals
+// is true in the theory's current model (Theory.Holds), so the search
+// never decides an order constraint the theory already satisfies; before
+// answering Sat it re-checks the whole frontier against the final model.
 package sat
 
 import (
@@ -85,10 +89,11 @@ func (v Value) neg() Value {
 // The assignment the solver answers Sat on is partial: variables nothing
 // justified stay unassigned (see SolveAssuming). The theory must therefore
 // decide the asserted literals on their own. Check's nil verdict must
-// hold for every extension of them that gives each unasserted relevant
-// variable its value in the theory's model; an assertion-complete theory
-// (IDL: feasible potentials decide every atom) meets that by construction.
-// A relevant variable must not be the head of a definition (AddDef).
+// hold for the extension of them that gives each unasserted relevant
+// variable its value in the theory's model, the model Holds reads; an
+// assertion-complete theory (IDL: feasible potentials decide every atom)
+// meets that by construction. A relevant variable must not be the head
+// of a definition (AddDef).
 type Theory interface {
 	// Relevant reports whether assignments to v concern the theory. The
 	// solver only forwards relevant literals to Assert.
@@ -108,6 +113,16 @@ type Theory interface {
 	// Pop undoes the given number of Push marks, retracting every literal
 	// asserted since.
 	Pop(levels int)
+
+	// Holds reports whether lit is true in the theory's current model:
+	// the values its model gives the relevant variables nothing has
+	// asserted yet, consistent with every asserted literal. The solver
+	// asks only about literals whose variable is unassigned, and counts a
+	// frontier clause with such a literal as justified without deciding
+	// it. Holds must return false for a variable that is not relevant.
+	// The model may change with every Assert; the solver re-checks the
+	// clauses it let the model justify before it answers Sat.
+	Holds(lit Lit) bool
 
 	// Check performs the final consistency check on the asserted
 	// literals. A nil conflict means the theory accepts them, together
@@ -203,9 +218,12 @@ type Solver struct {
 	thead    int   // theory assertion queue head
 
 	// cur is the justification frontier's scan position; cursors holds
-	// its value at the opening of each decision level.
+	// its value at the opening of each decision level. held is set once
+	// the current Solve call has let the theory's model justify a
+	// frontier clause, which the trail does not protect.
 	cur     cursor
 	cursors []cursor
+	held    bool
 
 	clauseInc float64
 
@@ -276,7 +294,8 @@ type defSave struct {
 // cursor is a position in the justification frontier, which has two
 // parts: for each positive literal on the trail in trail order, the
 // definitions of its variable; and the root clauses in order. Every
-// frontier clause before the cursor in either part is satisfied.
+// frontier clause before the cursor in either part is satisfied, or was
+// held by the theory's model when the cursor passed it.
 type cursor struct {
 	trail int     // next trail position whose definitions to visit
 	def   *clause // next definition of the head at trail position trail-1
@@ -840,10 +859,12 @@ func (s *Solver) pickBranch() (l Lit, ok bool) {
 
 // branchLit returns c's first unassigned literal that agrees with its
 // variable's saved phase, else its first unassigned literal; ok is false
-// when c is satisfied. After propagation an unsatisfied clause has at
+// when c is satisfied, or when one of its unassigned literals holds in
+// the theory's model. After propagation an unsatisfied clause has at
 // least two unassigned literals.
 func (s *Solver) branchLit(c *clause) (l Lit, ok bool) {
 	first, agreed := Lit(-1), Lit(-1)
+	held := false
 	for _, q := range c.lits {
 		switch s.value(q) {
 		case True:
@@ -855,9 +876,13 @@ func (s *Solver) branchLit(c *clause) (l Lit, ok bool) {
 			if agreed < 0 && s.phase[q.Var()] == q.Positive() {
 				agreed = q
 			}
+			held = held || s.theory != nil && s.theory.Holds(q)
 		}
 	}
 	switch {
+	case held:
+		s.held = true
+		return 0, false
 	case agreed >= 0:
 		return agreed, true
 	case first >= 0:
@@ -920,18 +945,28 @@ func (s *Solver) Solve() Result { return s.SolveAssuming(nil) }
 // Decisions justify a frontier instead of assigning every variable. The
 // frontier is the definitions (AddDef) of every head that is currently
 // true, in trail order, then every root clause; each decision picks the
-// first frontier clause no true literal satisfies and makes one of its
-// literals true, preferring the saved phase. When every frontier clause
-// holds and the theory's Check accepts the asserted literals, the answer
-// is Sat, with variables nothing needed left unassigned. That is sound:
-// complete the assignment by making every unassigned head false and
-// every unassigned theory variable take its value in the theory's model.
-// Root clauses and the definitions of true heads already hold; the
-// definitions of the other heads hold through their false heads; the
-// theory accepts the completion (see Theory); and the learned clauses
-// follow from the problem clauses and the theory, so they hold too.
-// ModelValue reports that completion, with the saved phase for every
-// other unassigned variable.
+// first frontier clause that is not justified and makes one of its
+// literals true, preferring the saved phase. A clause is justified when
+// a true literal satisfies it, or when one of its unassigned theory
+// literals holds in the theory's current model (Theory.Holds): the
+// theory already satisfies that order constraint, so deciding it would
+// only repeat the theory's work. The model moves as the search asserts
+// more literals, so a clause the model justified may lose that later.
+// Hence, before answering Sat, the search walks the whole frontier again
+// against the final model, decides the first clause that is no longer
+// justified, and carries on; it answers Sat only once a full walk finds
+// every frontier clause justified and the theory's Check accepts the
+// asserted literals, with variables nothing needed left unassigned.
+//
+// That is sound: complete the assignment by making every unassigned head
+// false and every unassigned theory variable take its value in the
+// theory's final model. Root clauses and the definitions of true heads
+// hold, through a true literal or a model-held theory literal that the
+// completion makes true; the definitions of the other heads hold through
+// their false heads; the theory accepts the completion (see Theory); and
+// the learned clauses follow from the problem clauses and the theory, so
+// they hold too. ModelValue reports that completion, with the saved
+// phase for every other unassigned variable.
 func (s *Solver) SolveAssuming(assumptions []Lit) Result {
 	s.assumps = assumptions
 	s.abortCause = AbortNone
@@ -953,6 +988,7 @@ func (s *Solver) SolveAssuming(assumptions []Lit) Result {
 		return Unsat
 	}
 	s.cur = cursor{}
+	s.held = false
 
 	var conflicts int64
 	restartBase := int64(100)
@@ -985,7 +1021,14 @@ func (s *Solver) SolveAssuming(assumptions []Lit) Result {
 				}
 				continue
 			}
-			if l, ok := s.pickBranch(); ok {
+			l, ok := s.pickBranch()
+			if !ok && s.held {
+				// The model justified clauses the cursor passed; walk the
+				// whole frontier again against the final model.
+				s.cur = cursor{}
+				l, ok = s.pickBranch()
+			}
+			if ok {
 				s.Stats.Decisions++
 				s.newLevel()
 				s.enqueue(l, nil)
@@ -1240,6 +1283,11 @@ func (s *Solver) saveModel() {
 		case val != Unknown:
 		case s.firstDef[v] != nil:
 			s.model[v] = False
+		case s.theory != nil && s.theory.Relevant(Var(v)):
+			s.model[v] = False
+			if s.theory.Holds(MkLit(Var(v), true)) {
+				s.model[v] = True
+			}
 		case s.phase[v]:
 			s.model[v] = True
 		default:
@@ -1250,8 +1298,8 @@ func (s *Solver) saveModel() {
 
 // ModelValue returns the value of v in the most recent Sat model. A
 // variable the search left unassigned reads False if it heads a
-// definition, and its saved phase otherwise; read a theory variable's
-// value from the theory's own model instead.
+// definition, its value in the theory's model if it is theory-relevant,
+// and its saved phase otherwise.
 func (s *Solver) ModelValue(v Var) Value {
 	if int(v) >= len(s.model) {
 		return Unknown

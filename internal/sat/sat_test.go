@@ -368,6 +368,9 @@ func (x *pairTheory) Pop(n int) {
 	x.asserted = x.asserted[:target]
 }
 
+// Holds reads the model, which leaves every unasserted variable false.
+func (x *pairTheory) Holds(l Lit) bool { return x.relevant[l.Var()] && !l.Positive() }
+
 func (x *pairTheory) Check() []Lit {
 	x.checks++
 	for _, p := range x.forbid {

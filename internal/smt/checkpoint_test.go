@@ -96,10 +96,10 @@ func TestCheckpointCanonicalModels(t *testing.T) {
 	}
 }
 
-// TestCheckpointAssertsRootTheory checks that the checkpoint carries the
-// root facts into the theory, and that a query asserts nothing it does
-// not need: after every Rollback, a guard-only query puts exactly its
-// own atoms into IDL — not the base chain again, and not the atoms of a
+// TestCheckpointAssertsRootTheory checks that the root facts stay in the
+// theory across Rollback, and that a query asserts nothing it does not
+// need: after every Rollback, a guard-only query puts exactly its own
+// atoms into IDL — not the base chain again, and not the atoms of a
 // guard defined in the base that the query never assumes.
 func TestCheckpointAssertsRootTheory(t *testing.T) {
 	s := NewSolver()

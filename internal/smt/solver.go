@@ -31,12 +31,14 @@ type Solver struct {
 
 // EncodeStats counts the work of the formula-to-clause translation,
 // mirroring sat.Stats (search) and idl.Stats (theory) for the encoding
-// layer: distinct IDL atoms interned as SAT variables, auxiliary Tseitin
-// variables allocated for shared composite nodes, and the clauses those
-// nodes expanded to. Because composite nodes are encoded once per shared
-// pointer, TseitinVars is exactly the number of distinct AND/OR DAG nodes
-// reaching the solver — the deduplicated formula size.
+// layer: atoms asserted as root theory facts, distinct IDL atoms interned
+// as SAT variables, auxiliary Tseitin variables allocated for shared
+// composite nodes, and the clauses those nodes expanded to. Because
+// composite nodes are encoded once per shared pointer, TseitinVars is
+// exactly the number of distinct AND/OR DAG nodes reaching the solver —
+// the deduplicated formula size.
 type EncodeStats struct {
+	TheoryFacts    int64 // atoms asserted as root IDL edges (no SAT variable)
 	InternedAtoms  int64 // distinct IDL atoms given SAT variables
 	TseitinVars    int64 // auxiliary variables for composite nodes
 	TseitinClauses int64 // clauses emitted by the Tseitin translation
@@ -44,6 +46,7 @@ type EncodeStats struct {
 
 // Add accumulates other into s.
 func (s *EncodeStats) Add(other EncodeStats) {
+	s.TheoryFacts += other.TheoryFacts
 	s.InternedAtoms += other.InternedAtoms
 	s.TseitinVars += other.TseitinVars
 	s.TseitinClauses += other.TseitinClauses
@@ -163,6 +166,13 @@ func (s *Solver) encode(f *Formula) sat.Lit {
 
 // Assert conjoins f to the solver's constraints. It returns sat.ErrUnsat
 // if the problem became trivially unsatisfiable while adding clauses.
+//
+// A bare atom, alone or as a conjunct (Φ_mhb's edges, a Φ_lock pair
+// pruning reduced to one ordering), becomes a root theory fact: an IDL
+// edge under the reserved tag idl.Fact, with no SAT variable and no unit
+// clause. The search never decides it, and theory conflicts leave it out
+// of their explanations. Facts follow the solver's Checkpoint and
+// Rollback like every other root constraint.
 func (s *Solver) Assert(f *Formula) error {
 	switch f.kind {
 	case kTrue:
@@ -177,7 +187,13 @@ func (s *Solver) Assert(f *Formula) error {
 		}
 		return nil
 	case kAtom:
-		return s.sat.AddClause(sat.MkLit(s.atomVar(f.atom), true))
+		s.estats.TheoryFacts++
+		if s.idl.Assert(f.atom.X, f.atom.Y, f.atom.C, idl.Fact) != nil {
+			// Every constraint on the cycle is a fact or a literal the
+			// SAT core holds at the root.
+			return s.sat.AddClause() // records root unsat
+		}
+		return nil
 	case kLit:
 		return s.sat.AddClause(f.lit)
 	case kOr:
@@ -248,11 +264,24 @@ func (t *theory) Assert(l sat.Lit) []sat.Lit {
 	if tags == nil {
 		return nil
 	}
-	confl := make([]sat.Lit, len(tags))
-	for i, tg := range tags {
-		confl[i] = sat.Lit(tg)
+	// The cycle contains l's own edge, so some literal remains once the
+	// facts are dropped.
+	confl := make([]sat.Lit, 0, len(tags))
+	for _, tg := range tags {
+		if tg != idl.Fact {
+			confl = append(confl, sat.Lit(tg))
+		}
 	}
 	return confl
+}
+
+// Holds evaluates l's atom on the current potentials, the IDL model.
+func (t *theory) Holds(l sat.Lit) bool {
+	if !t.Relevant(l.Var()) {
+		return false
+	}
+	a := t.atomOf[l.Var()]
+	return (t.s.idl.Value(a.X)-t.s.idl.Value(a.Y) <= a.C) == l.Positive()
 }
 
 func (t *theory) Push() { t.s.idl.Push() }

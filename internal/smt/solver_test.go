@@ -1,6 +1,7 @@
 package smt
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"time"
@@ -22,14 +23,25 @@ func TestSimpleOrderSat(t *testing.T) {
 	}
 }
 
+// TestCycleUnsat asserts a cycle of root facts: the closing fact makes
+// the solver unsatisfiable at the root, under any assumptions.
 func TestCycleUnsat(t *testing.T) {
 	s := NewSolver()
 	x, y, z := s.IntVar(), s.IntVar(), s.IntVar()
+	g := s.NewBoolLit()
+	if err := s.Implies(g, Less(x, z)); err != nil {
+		t.Fatal(err)
+	}
 	s.Assert(Less(x, y))
 	s.Assert(Less(y, z))
-	s.Assert(Less(z, x))
+	if err := s.Assert(Less(z, x)); !errors.Is(err, sat.ErrUnsat) {
+		t.Errorf("asserting the closing fact: err %v, want sat.ErrUnsat", err)
+	}
 	if r := s.Solve(); r != sat.Unsat {
 		t.Fatalf("Solve = %v, want unsat", r)
+	}
+	if r := s.SolveAssuming(g); r != sat.Unsat {
+		t.Errorf("SolveAssuming = %v, want unsat", r)
 	}
 }
 

@@ -7,19 +7,24 @@ import (
 )
 
 // TestEncodeStatsCountAtomsAndTseitin checks the encoder counters: one
-// interned variable per distinct atom, and Tseitin auxiliaries only for
-// composite subformulas that cannot be flattened into the parent.
+// theory fact per asserted bare atom, one interned variable per distinct
+// atom under a disjunction, and Tseitin auxiliaries only for composite
+// subformulas that cannot be flattened into the parent.
 func TestEncodeStatsCountAtomsAndTseitin(t *testing.T) {
 	s := NewSolver()
 	x, y, z := s.IntVar(), s.IntVar(), s.IntVar()
 
-	// Three distinct atoms, one repeated: interning must count 3, not 4.
+	// A flat conjunction of atoms, one repeated, asserts four root facts
+	// and gives none of them a SAT variable.
 	if err := s.Assert(And(Less(x, y), Less(y, z), Less(x, y), Less(x, z))); err != nil {
 		t.Fatal(err)
 	}
 	es := s.EncStats()
-	if es.InternedAtoms != 3 {
-		t.Errorf("InternedAtoms = %d, want 3", es.InternedAtoms)
+	if es.TheoryFacts != 4 || es.InternedAtoms != 0 {
+		t.Errorf("TheoryFacts, InternedAtoms = %d, %d, want 4, 0", es.TheoryFacts, es.InternedAtoms)
+	}
+	if vars, _, _ := s.Size(); vars != 0 {
+		t.Errorf("bool vars = %d, want 0 for a conjunction of facts", vars)
 	}
 	if es.TseitinVars != 0 {
 		t.Errorf("TseitinVars = %d, want 0 for a flat conjunction", es.TseitinVars)
@@ -40,9 +45,9 @@ func TestEncodeStatsCountAtomsAndTseitin(t *testing.T) {
 	if es.TseitinClauses == 0 {
 		t.Error("TseitinClauses = 0, want definition clauses for the auxiliaries")
 	}
-	// The two extra atoms (z<y, y<x) intern on first sight.
-	if es.InternedAtoms != 5 {
-		t.Errorf("InternedAtoms = %d, want 5", es.InternedAtoms)
+	// The four atoms under the disjunction intern on first sight.
+	if es.InternedAtoms != 4 {
+		t.Errorf("InternedAtoms = %d, want 4", es.InternedAtoms)
 	}
 
 	// Re-asserting the same formula DAG node hits the encoding cache
@@ -55,16 +60,21 @@ func TestEncodeStatsCountAtomsAndTseitin(t *testing.T) {
 		t.Errorf("cache miss on re-assert: %+v → %+v", before, got)
 	}
 
+	// The facts force x < y < z, so the disjunction needs its first
+	// branch.
 	if r := s.Solve(); r != sat.Sat {
 		t.Fatalf("Solve = %v, want sat", r)
+	}
+	if !(s.Value(x) < s.Value(y) && s.Value(y) < s.Value(z)) {
+		t.Errorf("model x=%d y=%d z=%d violates the facts", s.Value(x), s.Value(y), s.Value(z))
 	}
 }
 
 // TestEncodeStatsAdd checks the Add helper sums fieldwise.
 func TestEncodeStatsAdd(t *testing.T) {
-	a := EncodeStats{InternedAtoms: 1, TseitinVars: 2, TseitinClauses: 3}
-	a.Add(EncodeStats{InternedAtoms: 10, TseitinVars: 20, TseitinClauses: 30})
-	if a != (EncodeStats{InternedAtoms: 11, TseitinVars: 22, TseitinClauses: 33}) {
+	a := EncodeStats{TheoryFacts: 4, InternedAtoms: 1, TseitinVars: 2, TseitinClauses: 3}
+	a.Add(EncodeStats{TheoryFacts: 40, InternedAtoms: 10, TseitinVars: 20, TseitinClauses: 30})
+	if a != (EncodeStats{TheoryFacts: 44, InternedAtoms: 11, TseitinVars: 22, TseitinClauses: 33}) {
 		t.Errorf("Add = %+v", a)
 	}
 }

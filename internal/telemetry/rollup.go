@@ -20,7 +20,7 @@ func (c *Collector) AddSolver(s *smt.Solver) {
 	c.AddIDL(ts.Asserts, ts.NegativeCycles, ts.RepairSteps)
 	es := s.EncStats()
 	vars, clauses, _ := s.Size()
-	c.AddEncoding(es.InternedAtoms, es.TseitinVars, es.TseitinClauses,
+	c.AddEncoding(es.TheoryFacts, es.InternedAtoms, es.TseitinVars, es.TseitinClauses,
 		int64(vars), int64(clauses), int64(s.NumIntVars()))
 }
 

@@ -172,6 +172,7 @@ type Collector struct {
 	idlRepairs   atomic.Int64
 
 	// Encoding counters (mirrored by smt.EncodeStats) and sizes.
+	theoryFacts    atomic.Int64
 	internedAtoms  atomic.Int64
 	tseitinVars    atomic.Int64
 	tseitinClauses atomic.Int64
@@ -294,14 +295,15 @@ func (c *Collector) AddIDL(asserts, negCycles, repairSteps int64) {
 	c.idlRepairs.Add(repairSteps)
 }
 
-// AddEncoding rolls up one solver's encoding counters: interned IDL atoms,
-// Tseitin auxiliary variables and clauses (see smt.EncodeStats), and the
-// final encoding sizes (boolean variables, problem clauses, integer
-// variables).
-func (c *Collector) AddEncoding(atoms, tvars, tclauses, boolVars, clauses, intVars int64) {
+// AddEncoding rolls up one solver's encoding counters: root theory facts,
+// interned IDL atoms, Tseitin auxiliary variables and clauses (see
+// smt.EncodeStats), and the final encoding sizes (boolean variables,
+// problem clauses, integer variables).
+func (c *Collector) AddEncoding(facts, atoms, tvars, tclauses, boolVars, clauses, intVars int64) {
 	if c == nil {
 		return
 	}
+	c.theoryFacts.Add(facts)
 	c.internedAtoms.Add(atoms)
 	c.tseitinVars.Add(tvars)
 	c.tseitinClauses.Add(tclauses)
@@ -789,6 +791,7 @@ func (c *Collector) Snapshot() *Metrics {
 			IDLAsserts:        c.idlAsserts.Load(),
 			IDLNegativeCycles: c.idlNegCycles.Load(),
 			IDLRepairSteps:    c.idlRepairs.Load(),
+			TheoryFacts:       c.theoryFacts.Load(),
 			InternedAtoms:     c.internedAtoms.Load(),
 			TseitinVars:       c.tseitinVars.Load(),
 			TseitinClauses:    c.tseitinClauses.Load(),
@@ -992,6 +995,7 @@ type SolverCounters struct {
 	IDLNegativeCycles int64 `json:"idl_negative_cycles"`
 	IDLRepairSteps    int64 `json:"idl_repair_steps"`
 	// Encoder (smt.EncodeStats) and encoding sizes.
+	TheoryFacts    int64 `json:"theory_facts"`
 	InternedAtoms  int64 `json:"interned_atoms"`
 	TseitinVars    int64 `json:"tseitin_vars"`
 	TseitinClauses int64 `json:"tseitin_clauses"`

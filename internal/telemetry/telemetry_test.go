@@ -28,7 +28,7 @@ func TestNilCollectorIsInert(t *testing.T) {
 	c.BeginWindow(0, 0, 1, false).EndWindow(1, 1, 1)
 	c.AddSAT(sat.Stats{Decisions: 1})
 	c.AddIDL(1, 2, 3)
-	c.AddEncoding(1, 2, 3, 4, 5, 6)
+	c.AddEncoding(1, 2, 3, 4, 5, 6, 7)
 	c.CountOutcome(OutcomeSat)
 	c.CountEnumerated(10)
 	c.CountQuickCheckFiltered(1)
@@ -52,7 +52,7 @@ func TestCollectorAccumulates(t *testing.T) {
 		Restarts: 1, Learned: 2, TheoryProps: 30, TheoryConfl: 4})
 	c.AddSAT(sat.Stats{Decisions: 1})
 	c.AddIDL(100, 5, 50)
-	c.AddEncoding(7, 8, 9, 40, 41, 42)
+	c.AddEncoding(3, 7, 8, 9, 40, 41, 42)
 	c.CountOutcome(OutcomeSat)
 	c.CountOutcome(OutcomeUnsat)
 	c.CountOutcome(OutcomeUnsat)
@@ -75,7 +75,7 @@ func TestCollectorAccumulates(t *testing.T) {
 	if m.Solver.IDLAsserts != 100 || m.Solver.IDLNegativeCycles != 5 || m.Solver.IDLRepairSteps != 50 {
 		t.Errorf("idl counters = %+v", m.Solver)
 	}
-	if m.Solver.InternedAtoms != 7 || m.Solver.TseitinClauses != 9 || m.Solver.Solvers != 1 {
+	if m.Solver.TheoryFacts != 3 || m.Solver.InternedAtoms != 7 || m.Solver.TseitinClauses != 9 || m.Solver.Solvers != 1 {
 		t.Errorf("encoding counters = %+v", m.Solver)
 	}
 	o := m.Outcomes
@@ -155,7 +155,7 @@ func TestMetricsJSONRoundTrip(t *testing.T) {
 	c.addPhase(PhaseSolve, 123*time.Nanosecond)
 	c.AddSAT(sat.Stats{Decisions: 42, Learned: 7})
 	c.AddIDL(9, 1, 3)
-	c.AddEncoding(4, 5, 6, 7, 8, 9)
+	c.AddEncoding(3, 4, 5, 6, 7, 8, 9)
 	c.CountEnumerated(3)
 	c.CountOutcome(OutcomeSat)
 	c.CountOutcome(OutcomeTimeout)

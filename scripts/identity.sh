@@ -6,9 +6,7 @@
 # mode for every multi-window row: a -journal run stopped by
 # RVPREDICT_FAULTS=journal_append:1=crash, then -resumed. The canonical
 # report drops every *_ns key and build_info (and, under -pair-parallel,
-# bool_vars, clauses and rollbacks, which depend on worker timing; under
-# resume, the journal's bytes, which depend on the journaled elapsed
-# times).
+# bool_vars, clauses and rollbacks, which depend on worker timing).
 #
 #   scripts/identity.sh          # check the full matrix (derby included)
 #   scripts/identity.sh update   # rewrite testdata/identity.sum
