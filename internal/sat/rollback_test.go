@@ -8,19 +8,21 @@ import (
 )
 
 // solverState is a deep copy of everything Rollback promises to restore.
-// Clause pointers are kept as identities: a restored watcher or reason
-// must point at the very clause it pointed at after Checkpoint.
+// Clause references are kept as identities: a restored watcher or reason
+// must refer to the very clause it referred to after Checkpoint.
 type solverState struct {
 	watches    [][]watcher
-	clauses    []*clause
+	clauses    []cref
 	clauseLits [][]Lit
-	nextDefs   []*clause // clauses[i].nextDef
-	roots      []*clause
-	firstDef   []*clause
+	nextDefs   []cref // clauses[i]'s nextDef
+	roots      []cref
+	firstDef   []cref
 	nLearnts   int
+	nHdr       int
+	nArena     int
 	assign     []Value
 	level      []int32
-	reason     []*clause
+	reason     []cref
 	phase      []bool
 	trail      []Lit
 	trailLim   []int
@@ -37,6 +39,8 @@ func captureState(s *Solver) solverState {
 		roots:     slices.Clone(s.roots),
 		firstDef:  slices.Clone(s.firstDef),
 		nLearnts:  len(s.learnts),
+		nHdr:      len(s.hdr),
+		nArena:    len(s.arena),
 		assign:    slices.Clone(s.assign),
 		level:     slices.Clone(s.level),
 		reason:    slices.Clone(s.reason),
@@ -48,12 +52,12 @@ func captureState(s *Solver) solverState {
 		clauseInc: s.clauseInc,
 		rootUnsat: s.rootUnsat,
 	}
-	for i, ws := range s.watches {
-		st.watches[i] = slices.Clone(ws)
+	for i, wl := range s.watches {
+		st.watches[i] = slices.Clone(s.wpool[wl.off : wl.off+wl.n])
 	}
 	for _, c := range s.clauses {
-		st.clauseLits = append(st.clauseLits, slices.Clone(c.lits))
-		st.nextDefs = append(st.nextDefs, c.nextDef)
+		st.clauseLits = append(st.clauseLits, slices.Clone(s.lits(c)))
+		st.nextDefs = append(st.nextDefs, s.hdr[c].nextDef)
 	}
 	return st
 }
@@ -86,6 +90,8 @@ func stateDiff(want, got solverState) string {
 		return "definition index differs"
 	case want.nLearnts != got.nLearnts:
 		return fmt.Sprintf("%d learned clauses, want %d", got.nLearnts, want.nLearnts)
+	case want.nHdr != got.nHdr || want.nArena != got.nArena:
+		return fmt.Sprintf("%d clause headers and %d arena literals, want %d and %d", got.nHdr, got.nArena, want.nHdr, want.nArena)
 	case !slices.Equal(want.assign, got.assign):
 		return "assign differs"
 	case !slices.Equal(want.level, got.level):
@@ -163,6 +169,10 @@ func (t *amoTheory) Holds(l Lit) bool {
 		}
 	}
 	return val == l.Positive()
+}
+
+func (t *amoTheory) Model(l Lit) bool {
+	return slices.Contains(t.model, MkLit(l.Var(), true)) == l.Positive()
 }
 
 func (t *amoTheory) Check() []Lit {
@@ -318,8 +328,11 @@ func (f *rollbackFixture) padLearnts() {
 	base := s.clauses[:f.ck.nClauses]
 	for len(s.learnts) < maxLearnts {
 		src := base[f.rng.Intn(len(base))]
-		lits := append([]Lit{MkLit(f.vars[0], true), MkLit(f.vars[1], true)}, src.lits...)
-		c := &clause{lits: lits, learned: true, act: f.rng.Float64(), saved: s.epoch}
+		off := len(s.arena)
+		s.arena = append(s.arena, MkLit(f.vars[0], true), MkLit(f.vars[1], true))
+		s.arena = append(s.arena, s.lits(src)...)
+		c := s.newClause(off, true)
+		s.hdr[c].act = f.rng.Float64()
 		s.learnts = append(s.learnts, c)
 		s.watchClause(c)
 	}

@@ -84,7 +84,7 @@ func (v Value) neg() Value {
 // DPLL(T) style. The solver informs the theory of every assignment to a
 // theory-relevant literal, in trail order, and asks it to validate the
 // assignment once every clause the search must justify holds. All methods
-// are called from Solve and Checkpoint only.
+// but Model are called from Solve and Checkpoint only.
 //
 // The assignment the solver answers Sat on is partial: variables nothing
 // justified stay unassigned (see SolveAssuming). The theory must therefore
@@ -131,31 +131,52 @@ type Theory interface {
 	// returns, a theory wishing to expose model values should snapshot
 	// them during the successful Check call.
 	Check() (conflict []Lit)
+
+	// Model reports whether lit is true in the model the latest
+	// successful Check accepted. ModelValue asks it, after Solve has
+	// returned Sat, about the relevant variables the search left
+	// unassigned.
+	Model(lit Lit) bool
 }
 
 // ErrUnsat is returned by AddClause when the clause set became trivially
 // unsatisfiable at the root level.
 var ErrUnsat = errors.New("sat: formula is unsatisfiable at root level")
 
-type clause struct {
-	lits []Lit
+// cref is a clause reference: an index into Solver.hdr.
+type cref uint32
+
+const (
+	// noClause is the null reference: no reason, no next definition.
+	noClause cref = 0
+	// theoryConfl is the scratch clause that holds the latest theory
+	// conflict (Solver.conflLits) while it is analysed; it is never
+	// watched or stored.
+	theoryConfl cref = 1
+)
+
+// header describes one clause. Its literals are arena[off : off+n]; a
+// clause that reduceDB or Checkpoint deleted keeps its header with n == 0,
+// so the references of the clauses after it stay valid.
+type header struct {
+	off, n uint32
 	// nextDef links the definitions of one head, newest first, from
-	// Solver.firstDef; nil for root and learned clauses.
-	nextDef *clause
-	act     float64
-	// saved is the undo epoch (Solver.epoch) in which lits' checkpoint
-	// order was logged; a clause created since the last restore carries
-	// that restore's epoch, so it is never logged.
-	saved   uint32
+	// Solver.firstDef; noClause for root and learned clauses.
+	nextDef cref
 	learned bool
+	act     float64
 }
 
 type watcher struct {
-	c *clause
+	c cref
 	// blocker is a literal of c; if true, the clause is satisfied and the
 	// watch need not be inspected further.
 	blocker Lit
 }
+
+// watchList is one literal's watch list: wpool[off : off+n], with room
+// for cap watchers before it must move.
+type watchList struct{ off, n, cap uint32 }
 
 // Stats aggregates solver counters for benchmarks and diagnostics.
 type Stats struct {
@@ -196,20 +217,36 @@ const (
 // Solver is a CDCL SAT solver. The zero value is not usable; construct with
 // New. A Solver may be reused for multiple Solve calls with growing clause
 // sets (incremental use), but is not safe for concurrent use.
+//
+// Its state holds no Go pointers per clause, watcher or variable: every
+// clause's literals sit in one arena, clauses are referred to by index
+// (cref), and the watch lists share one pool. The collector never scans
+// it, and the undo log behind Rollback copies flat memory.
 type Solver struct {
-	clauses []*clause // problem clauses: root clauses and definitions
-	roots   []*clause // the root clauses among them, in order
-	learnts []*clause // learned clauses
+	arena   []Lit    // the literals of every clause, in creation order
+	hdr     []header // indexed by cref; entries 0 and 1 are reserved
+	clauses []cref   // problem clauses: root clauses and definitions
+	roots   []cref   // the root clauses among them, in order
+	learnts []cref   // learned clauses
 
 	// firstDef is the newest definition of each head (AddDef); the rest
-	// follow through clause.nextDef.
-	firstDef []*clause
+	// follow through header.nextDef.
+	firstDef []cref
 
-	watches [][]watcher // indexed by Lit
+	watches []watchList // indexed by Lit
+	wpool   []watcher   // the watch lists' storage
+	// watching is set once the lists exist. Until the first propagation
+	// (or Checkpoint) needs them, AddClause leaves clauses unwatched, and
+	// rebuildWatches then lays every list out in one pass: the lists
+	// appends in clause order would have built, without moving any.
+	watching bool
+	// wbase is the pool length the latest Checkpoint or rebuild left;
+	// lists placed or moved since sit above it.
+	wbase int
 
 	assign []Value // indexed by Var
 	level  []int32 // decision level per var
-	reason []*clause
+	reason []cref
 	phase  []bool // saved phase per var
 
 	trail    []Lit
@@ -226,6 +263,9 @@ type Solver struct {
 	held    bool
 
 	clauseInc float64
+
+	// conflLits holds the literals of theoryConfl.
+	conflLits []Lit
 
 	// assumps holds the literals assumed for the current Solve call; they
 	// are decided first, one per decision level.
@@ -249,7 +289,14 @@ type Solver struct {
 
 	abortCause AbortCause
 	rootUnsat  bool
+
+	// The latest Sat answer's assignment: the trail it was found with, and
+	// per variable the value the trail gave it (Unknown elsewhere).
+	// ModelValue completes the rest on demand. modelVars is the number of
+	// variables the model covers, 0 when there is none.
+	modelTrail []Lit
 	model      []Value
+	modelVars  int
 
 	// addMark is AddClause's duplicate/complement test: per variable,
 	// addGen<<1 | polarity of the literal the current call kept.
@@ -257,19 +304,18 @@ type Solver struct {
 	addGen  uint32
 
 	// The undo log behind Rollback. Checkpoint and every Rollback start a
-	// new epoch; a watch list or base clause stamped with an older epoch
-	// still holds its checkpoint contents and is copied into the log the
-	// first time it changes. Lists and clauses created since carry the
-	// current epoch and are never logged: Rollback drops them.
-	ck         *Checkpoint // the checkpoint the log is relative to
-	epoch      uint32
-	watchSaved []uint32    // per checkpoint Lit: epoch the list was last logged in
-	undoWatch  []watchSave // logged lists; their watchers follow each other in undoWatchW
-	undoWatchW []watcher
-	// Logged clauses' literal slices (kept instead of the clauses, to
-	// spare Rollback a load per clause); their contents follow each other
-	// in undoLits.
-	undoClause [][]Lit
+	// new epoch; a checkpoint watch list or clause stamped with an older
+	// epoch still holds its checkpoint contents and is copied into the log
+	// the first time it changes. Lists and clauses created since are never
+	// logged: Rollback drops them.
+	ck          *Checkpoint // the checkpoint the log is relative to
+	epoch       uint32
+	watchSaved  []uint32    // per checkpoint Lit: epoch the list was last logged in
+	clauseSaved []uint32    // per checkpoint cref: epoch its literal order was last logged in
+	undoWatch   []watchSave // logged lists; their watchers follow each other in undoWatchW
+	undoWatchW  []watcher
+	// Logged clauses; their literals follow each other in undoLits.
+	undoClause []cref
 	undoLits   []Lit
 	// undoDef logs, in order, each checkpoint head's first definition
 	// before a later AddDef replaced it.
@@ -279,16 +325,17 @@ type Solver struct {
 	watchLogStale bool
 }
 
-// watchSave is one logged watch list: its literal and length.
+// watchSave is one logged watch list: its literal and its place in the
+// pool.
 type watchSave struct {
-	lit Lit
-	n   int32
+	lit  Lit
+	list watchList
 }
 
 // defSave is one logged definition-index entry.
 type defSave struct {
 	head  Var
-	first *clause
+	first cref
 }
 
 // cursor is a position in the justification frontier, which has two
@@ -297,26 +344,28 @@ type defSave struct {
 // frontier clause before the cursor in either part is satisfied, or was
 // held by the theory's model when the cursor passed it.
 type cursor struct {
-	trail int     // next trail position whose definitions to visit
-	def   *clause // next definition of the head at trail position trail-1
-	root  int     // next root clause
+	trail int  // next trail position whose definitions to visit
+	def   cref // next definition of the head at trail position trail-1
+	root  int  // next root clause
 }
 
 // New returns an empty solver. If theory is nil the solver is a plain SAT
 // solver.
 func New(theory Theory) *Solver {
-	return &Solver{clauseInc: 1, theory: theory}
+	s := &Solver{clauseInc: 1, theory: theory, hdr: make([]header, 2)}
+	s.hdr[theoryConfl].learned = true
+	return s
 }
 
 // NewVar allocates a fresh variable.
 func (s *Solver) NewVar() Var {
 	v := Var(len(s.assign))
-	s.assign = append(s.assign, Unknown)
-	s.level = append(s.level, 0)
-	s.reason = append(s.reason, nil)
-	s.phase = append(s.phase, false)
-	s.firstDef = append(s.firstDef, nil)
-	s.watches = append(s.watches, nil, nil)
+	s.assign = append(grow(s.assign, 1), Unknown)
+	s.level = append(grow(s.level, 1), 0)
+	s.reason = append(grow(s.reason, 1), noClause)
+	s.phase = append(grow(s.phase, 1), false)
+	s.firstDef = append(grow(s.firstDef, 1), noClause)
+	s.watches = append(grow(s.watches, 2), watchList{}, watchList{})
 	return v
 }
 
@@ -343,6 +392,22 @@ func (s *Solver) value(l Lit) Value {
 	return v
 }
 
+// lits returns clause c's literals.
+func (s *Solver) lits(c cref) []Lit {
+	if c == theoryConfl {
+		return s.conflLits
+	}
+	h := &s.hdr[c]
+	return s.arena[h.off : h.off+h.n]
+}
+
+// newClause stores the literals arena[off:] as a clause.
+func (s *Solver) newClause(off int, learned bool) cref {
+	c := cref(len(s.hdr))
+	s.hdr = append(grow(s.hdr, 1), header{off: uint32(off), n: uint32(len(s.arena) - off), learned: learned})
+	return c
+}
+
 // AddClause adds a root clause at the root level: a clause every model
 // must satisfy, so the search justifies it in every query. Duplicate
 // literals are merged and tautologies dropped. Returns ErrUnsat if the
@@ -367,7 +432,8 @@ func (s *Solver) addClause(head Var, lits []Lit) error {
 		panic("sat: AddClause above root level")
 	}
 	// Normalise: sort-free dedup and tautology/falsified-literal removal,
-	// checked against per-variable marks of the literals kept so far.
+	// checked against per-variable marks of the literals kept so far. The
+	// kept literals go straight onto the arena's tail.
 	s.addGen++
 	if s.addGen == 1<<31 {
 		clear(s.addMark)
@@ -381,7 +447,7 @@ func (s *Solver) addClause(head Var, lits []Lit) error {
 	if head >= 0 {
 		n++
 	}
-	out := make([]Lit, 0, n)
+	off := len(s.arena)
 	for i := len(lits) - n; i < len(lits); i++ { // i == -1 is ¬head
 		l := MkLit(head, false)
 		if i >= 0 {
@@ -395,47 +461,51 @@ func (s *Solver) addClause(head Var, lits []Lit) error {
 		switch {
 		case m == mark|uint32(l&1):
 			continue // duplicate
-		case m&^1 == mark:
-			return nil // tautology
-		case s.value(l) == True:
-			return nil // already satisfied at root
+		case m&^1 == mark, s.value(l) == True:
+			s.arena = s.arena[:off]
+			return nil // tautology, or already satisfied at root
 		case s.value(l) == False:
 			continue // cannot contribute
 		}
 		s.addMark[v] = mark | uint32(l&1)
-		out = append(out, l)
+		s.arena = append(grow(s.arena, 1), l)
 	}
-	switch len(out) {
+	switch len(s.arena) - off {
 	case 0:
 		s.rootUnsat = true
 		return ErrUnsat
 	case 1:
-		s.enqueue(out[0], nil)
-		if s.propagate() != nil {
+		l := s.arena[off]
+		s.arena = s.arena[:off]
+		s.enqueue(l, noClause)
+		if s.propagate() != noClause {
 			s.rootUnsat = true
 			return ErrUnsat
 		}
 		return nil
 	}
-	c := &clause{lits: out, saved: s.epoch}
+	c := s.newClause(off, false)
 	s.clauses = append(s.clauses, c)
 	if head >= 0 && s.assign[head] == Unknown {
 		if s.ck != nil && int(head) < s.ck.nVars {
 			s.undoDef = append(s.undoDef, defSave{head, s.firstDef[head]})
 		}
-		c.nextDef = s.firstDef[head]
+		s.hdr[c].nextDef = s.firstDef[head]
 		s.firstDef[head] = c
 	} else {
 		s.roots = append(s.roots, c)
 	}
-	s.watchClause(c)
+	if s.watching {
+		s.watchClause(c)
+	}
 	return nil
 }
 
-func (s *Solver) watchClause(c *clause) {
+func (s *Solver) watchClause(c cref) {
 	// Watch the first two literals.
-	s.addWatch(c.lits[0].Neg(), watcher{c: c, blocker: c.lits[1]})
-	s.addWatch(c.lits[1].Neg(), watcher{c: c, blocker: c.lits[0]})
+	lits := s.lits(c)
+	s.addWatch(lits[0].Neg(), watcher{c: c, blocker: lits[1]})
+	s.addWatch(lits[1].Neg(), watcher{c: c, blocker: lits[0]})
 }
 
 // addWatch appends w to watch list l, logging the list first.
@@ -443,7 +513,26 @@ func (s *Solver) addWatch(l Lit, w watcher) {
 	if s.unsaved(l) {
 		s.saveWatches(l)
 	}
-	s.watches[l] = append(s.watches[l], w)
+	wl := &s.watches[l]
+	if wl.n == wl.cap {
+		s.growWatches(wl)
+	}
+	s.wpool[wl.off+wl.n] = w
+	wl.n++
+}
+
+// growWatches doubles a full watch list's room: in place if the list ends
+// the pool, else by moving it to the pool's end. The space it leaves is
+// reclaimed by the next Rollback, or the next rebuild.
+func (s *Solver) growWatches(wl *watchList) {
+	room := max(2, 2*wl.cap)
+	if int(wl.off+wl.cap) != len(s.wpool) {
+		off := uint32(len(s.wpool))
+		s.wpool = append(s.wpool, s.wpool[wl.off:wl.off+wl.n]...)
+		wl.off, wl.cap = off, wl.n
+	}
+	s.wpool = append(s.wpool, make([]watcher, room-wl.cap)...)
+	wl.cap = room
 }
 
 // unsaved reports whether watch list l still holds checkpoint contents
@@ -459,52 +548,111 @@ func (s *Solver) saveWatches(l Lit) {
 	if s.watchLogStale {
 		return
 	}
-	ws := s.watches[l]
-	s.undoWatch = logAppend(s.undoWatch, watchSave{lit: l, n: int32(len(ws))})
-	s.undoWatchW = logAppend(s.undoWatchW, ws...)
+	wl := s.watches[l]
+	s.undoWatch = append(grow(s.undoWatch, 1), watchSave{lit: l, list: wl})
+	s.undoWatchW = append(grow(s.undoWatchW, int(wl.n)), s.wpool[wl.off:wl.off+wl.n]...)
+}
+
+// unsavedLits reports whether clause c is a checkpoint clause whose
+// literal order the undo log lacks.
+func (s *Solver) unsavedLits(c cref) bool {
+	return int(c) < len(s.clauseSaved) && s.clauseSaved[c] != s.epoch
 }
 
 // saveLits logs c's literal order before its first reordering of the
-// epoch; callers test c.saved != s.epoch first.
-func (s *Solver) saveLits(c *clause) {
-	c.saved = s.epoch
-	s.undoClause = logAppend(s.undoClause, c.lits)
-	s.undoLits = logAppend(s.undoLits, c.lits...)
+// epoch; callers test s.unsavedLits(c) first.
+func (s *Solver) saveLits(c cref) {
+	s.clauseSaved[c] = s.epoch
+	lits := s.lits(c)
+	s.undoClause = append(grow(s.undoClause, 1), c)
+	s.undoLits = append(grow(s.undoLits, len(lits)), lits...)
 }
 
-// logAppend appends to an undo log, doubling its capacity when full. A
-// log keeps its capacity across epochs and tends to grow a little at each
-// new high, and append's gentler growth for large slices would then
-// reallocate it nearly every time.
-func logAppend[T any](log []T, elems ...T) []T {
-	if len(log)+len(elems) > cap(log) {
-		log = slices.Grow(log, len(log)+len(elems))
+// grow returns s with room for n more elements, at least doubling its
+// capacity when it must grow. append grows a large slice by a quarter, so
+// an array that grows from empty is copied about five times over, and the
+// copies it leaves behind drive the collector; every window's solver
+// grows its per-variable arrays, header table and arena from empty. The
+// undo logs keep their capacity across epochs and grow a little at each
+// new high, which append would meet with a reallocation nearly every
+// time.
+func grow[T any](s []T, n int) []T {
+	if n > cap(s)-len(s) {
+		return slices.Grow(s, len(s)+n)
 	}
-	return append(log, elems...)
+	return s
 }
 
 // rebuildWatches rebuilds every watch list from scratch: problem clauses
 // in order, then learned clauses. With no learned clauses this is the
-// canonical layout Checkpoint establishes. The rebuild rewrites lists
+// canonical layout Checkpoint establishes. The lists are laid out afresh
+// from the start of the pool, each with at least its old room, so the
+// space moved lists left behind is reclaimed. The rebuild rewrites lists
 // wholesale, so it marks the watch log stale.
 func (s *Solver) rebuildWatches() {
+	s.watching = true
 	s.watchLogStale = true
 	for i := range s.watches {
-		s.watches[i] = s.watches[i][:0]
+		s.watches[i].n = 0
+	}
+	count := func(c cref) {
+		lits := s.lits(c)
+		s.watches[lits[0].Neg()].n++
+		s.watches[lits[1].Neg()].n++
 	}
 	for _, c := range s.clauses {
-		s.watchClause(c)
+		count(c)
 	}
 	for _, c := range s.learnts {
-		s.watchClause(c)
+		count(c)
 	}
+	off := uint32(0)
+	for i := range s.watches {
+		wl := &s.watches[i]
+		wl.off, wl.cap, wl.n = off, max(wl.cap, wl.n), 0
+		off += wl.cap
+	}
+	s.wpool = slices.Grow(s.wpool[:0], int(off))[:off]
+	s.wbase = int(off)
+	fill := func(c cref) {
+		lits := s.lits(c)
+		for i, l := range lits[:2] {
+			wl := &s.watches[l.Neg()]
+			s.wpool[wl.off+wl.n] = watcher{c: c, blocker: lits[1-i]}
+			wl.n++
+		}
+	}
+	for _, c := range s.clauses {
+		fill(c)
+	}
+	for _, c := range s.learnts {
+		fill(c)
+	}
+}
+
+// compact slides the literals of the clauses still live down over those
+// of deleted ones, keeping every clause reference. Deletion only hits
+// learned clauses, which sit after every checkpoint clause, so the
+// literals of checkpoint clauses never move.
+func (s *Solver) compact() {
+	end := uint32(0)
+	for i := range s.hdr {
+		h := &s.hdr[i]
+		if h.n == 0 {
+			continue
+		}
+		copy(s.arena[end:], s.arena[h.off:h.off+h.n])
+		h.off = end
+		end += h.n
+	}
+	s.arena = s.arena[:end]
 }
 
 func (s *Solver) decisionLevel() int32 { return int32(len(s.trailLim)) }
 
 // enqueue assigns l true with the given reason clause and puts it on the
 // propagation queue. The caller must ensure l is currently unassigned.
-func (s *Solver) enqueue(l Lit, from *clause) {
+func (s *Solver) enqueue(l Lit, from cref) {
 	v := l.Var()
 	if l.Positive() {
 		s.assign[v] = True
@@ -518,34 +666,43 @@ func (s *Solver) enqueue(l Lit, from *clause) {
 }
 
 // propagate runs unit propagation to fixpoint; it returns the conflicting
-// clause, or nil.
-func (s *Solver) propagate() *clause {
+// clause, or noClause.
+func (s *Solver) propagate() cref {
+	if !s.watching {
+		s.rebuildWatches()
+	}
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead] // p is true; scan watchers of p (lit.Neg()==p watch list index p)
 		s.qhead++
 		s.Stats.Propagations++
-		// The list is compacted in place. Until its first change every
-		// watcher is rewritten onto itself, so the list still holds its
-		// old contents when that change logs it.
-		ws := s.watches[p]
+		// The list is compacted in place: j is where the next kept watcher
+		// goes. Until its first change every watcher is rewritten onto
+		// itself, so the list still holds its old contents when that
+		// change logs it. Moving a watcher to another list may move the
+		// pool, but never p's list, so positions are reread through
+		// s.wpool.
+		wl := s.watches[p]
 		logP := s.unsaved(p)
-		kept := ws[:0]
-		var conflict *clause
-		for wi := 0; wi < len(ws); wi++ {
-			w := ws[wi]
-			if conflict != nil {
-				kept = append(kept, ws[wi:]...)
+		j, end := wl.off, wl.off+wl.n
+		conflict := noClause
+		for i := wl.off; i < end; i++ {
+			w := s.wpool[i]
+			if conflict != noClause {
+				j += uint32(copy(s.wpool[j:end], s.wpool[i:end]))
 				break
 			}
 			if s.value(w.blocker) == True {
-				kept = append(kept, w)
+				s.wpool[j] = w
+				j++
 				continue
 			}
 			c := w.c
-			if len(c.lits) == 2 {
+			h := &s.hdr[c]
+			if h.n == 2 {
 				// A binary clause's blocker is its other literal: the
 				// clause is unit or conflicting as it stands.
-				kept = append(kept, w)
+				s.wpool[j] = w
+				j++
 				if s.value(w.blocker) == False {
 					conflict = c
 					s.qhead = len(s.trail)
@@ -554,36 +711,38 @@ func (s *Solver) propagate() *clause {
 				}
 				continue
 			}
+			lits := s.arena[h.off : h.off+h.n]
 			// Ensure the false literal (¬p) is lits[1].
 			np := p.Neg()
-			if c.lits[0] == np {
-				if c.saved != s.epoch {
+			if lits[0] == np {
+				if s.unsavedLits(c) {
 					s.saveLits(c)
 				}
-				c.lits[0], c.lits[1] = c.lits[1], c.lits[0]
+				lits[0], lits[1] = lits[1], lits[0]
 			}
-			first := c.lits[0]
+			first := lits[0]
 			if first != w.blocker && logP {
 				s.saveWatches(p) // the blocker is about to be rewritten
 				logP = false
 			}
 			if first != w.blocker && s.value(first) == True {
-				kept = append(kept, watcher{c: c, blocker: first})
+				s.wpool[j] = watcher{c: c, blocker: first}
+				j++
 				continue
 			}
 			// Look for a new literal to watch.
 			moved := false
-			for k := 2; k < len(c.lits); k++ {
-				if s.value(c.lits[k]) != False {
-					if c.saved != s.epoch {
+			for k := 2; k < len(lits); k++ {
+				if s.value(lits[k]) != False {
+					if s.unsavedLits(c) {
 						s.saveLits(c)
 					}
 					if logP {
 						s.saveWatches(p) // the watcher leaves p's list
 						logP = false
 					}
-					c.lits[1], c.lits[k] = c.lits[k], c.lits[1]
-					s.addWatch(c.lits[1].Neg(), watcher{c: c, blocker: first})
+					lits[1], lits[k] = lits[k], lits[1]
+					s.addWatch(lits[1].Neg(), watcher{c: c, blocker: first})
 					moved = true
 					break
 				}
@@ -592,7 +751,8 @@ func (s *Solver) propagate() *clause {
 				continue
 			}
 			// Clause is unit or conflicting.
-			kept = append(kept, watcher{c: c, blocker: first})
+			s.wpool[j] = watcher{c: c, blocker: first}
+			j++
 			if s.value(first) == False {
 				conflict = c
 				s.qhead = len(s.trail)
@@ -600,21 +760,21 @@ func (s *Solver) propagate() *clause {
 				s.enqueue(first, c)
 			}
 		}
-		s.watches[p] = kept
-		if conflict != nil {
+		s.watches[p].n = j - wl.off
+		if conflict != noClause {
 			return conflict
 		}
 	}
-	return nil
+	return noClause
 }
 
 // assertTheory forwards newly assigned theory-relevant literals to the
 // theory. It returns a theory conflict as a clause of negated asserted
-// literals, or nil.
-func (s *Solver) assertTheory() *clause {
+// literals, or noClause.
+func (s *Solver) assertTheory() cref {
 	if s.theory == nil {
 		s.thead = len(s.trail)
-		return nil
+		return noClause
 	}
 	for s.thead < len(s.trail) {
 		l := s.trail[s.thead]
@@ -628,25 +788,27 @@ func (s *Solver) assertTheory() *clause {
 			return s.conflictClause(confl)
 		}
 	}
-	return nil
+	return noClause
 }
 
-// conflictClause converts a theory conflict (a set of true literals) into a
-// clause asserting their negation.
-func (s *Solver) conflictClause(confl []Lit) *clause {
-	lits := make([]Lit, len(confl))
-	for i, l := range confl {
+// conflictClause converts a theory conflict (a set of true literals) into
+// the scratch clause theoryConfl, asserting their negation. Like a fresh
+// learned clause, it starts with no activity.
+func (s *Solver) conflictClause(confl []Lit) cref {
+	s.conflLits = s.conflLits[:0]
+	for _, l := range confl {
 		if s.value(l) != True {
 			panic("sat: theory conflict contains non-asserted literal " + l.String())
 		}
-		lits[i] = l.Neg()
+		s.conflLits = append(s.conflLits, l.Neg())
 	}
-	return &clause{lits: lits, learned: true, saved: s.epoch}
+	s.hdr[theoryConfl].act = 0
+	return theoryConfl
 }
 
 // analyze performs first-UIP conflict analysis, returning the learned
 // clause (with the asserting literal first) and the backjump level.
-func (s *Solver) analyze(confl *clause) ([]Lit, int32) {
+func (s *Solver) analyze(confl cref) ([]Lit, int32) {
 	learnt := []Lit{0} // slot 0 reserved for the asserting literal
 	seen := make(map[Var]bool)
 	counter := 0
@@ -655,11 +817,11 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int32) {
 
 	c := confl
 	for {
-		if c.learned {
+		if s.hdr[c].learned {
 			s.bumpClause(c)
 		}
 		// A reason clause holds the literal it implied, p, anywhere.
-		for _, q := range c.lits {
+		for _, q := range s.lits(c) {
 			v := q.Var()
 			if q == p || seen[v] || s.level[v] == 0 {
 				continue
@@ -684,7 +846,7 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int32) {
 			break
 		}
 		c = s.reason[p.Var()]
-		if c == nil {
+		if c == noClause {
 			panic("sat: decision literal reached before first UIP")
 		}
 	}
@@ -720,7 +882,7 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int32) {
 // the clause (one-step self-subsumption).
 func (s *Solver) redundant(q Lit, learnt []Lit) bool {
 	c := s.reason[q.Var()]
-	if c == nil {
+	if c == noClause {
 		return false
 	}
 	inClause := func(v Var) bool {
@@ -731,7 +893,7 @@ func (s *Solver) redundant(q Lit, learnt []Lit) bool {
 		}
 		return false
 	}
-	for _, l := range c.lits {
+	for _, l := range s.lits(c) {
 		if l.Var() == q.Var() {
 			continue
 		}
@@ -745,11 +907,12 @@ func (s *Solver) redundant(q Lit, learnt []Lit) bool {
 	return true
 }
 
-func (s *Solver) bumpClause(c *clause) {
-	c.act += s.clauseInc
-	if c.act > 1e20 {
+func (s *Solver) bumpClause(c cref) {
+	h := &s.hdr[c]
+	h.act += s.clauseInc
+	if h.act > 1e20 {
 		for _, l := range s.learnts {
-			l.act *= 1e-20
+			s.hdr[l].act *= 1e-20
 		}
 		s.clauseInc *= 1e-20
 	}
@@ -767,17 +930,17 @@ func (s *Solver) reduceDB() {
 	if len(s.learnts) < maxLearnts {
 		return
 	}
-	locked := make(map[*clause]bool, len(s.trail))
+	locked := make(map[cref]bool, len(s.trail))
 	for _, l := range s.trail {
-		if r := s.reason[l.Var()]; r != nil {
+		if r := s.reason[l.Var()]; r != noClause {
 			locked[r] = true
 		}
 	}
-	sorted := append([]*clause(nil), s.learnts...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].act > sorted[j].act })
-	keep := make(map[*clause]bool, len(sorted)/2)
+	sorted := slices.Clone(s.learnts)
+	sort.Slice(sorted, func(i, j int) bool { return s.hdr[sorted[i]].act > s.hdr[sorted[j]].act })
+	keep := make(map[cref]bool, len(sorted)/2)
 	for i, c := range sorted {
-		if i < len(sorted)/2 || len(c.lits) == 2 || locked[c] {
+		if i < len(sorted)/2 || s.hdr[c].n == 2 || locked[c] {
 			keep[c] = true
 		}
 	}
@@ -785,9 +948,12 @@ func (s *Solver) reduceDB() {
 	for _, c := range s.learnts {
 		if keep[c] {
 			kept = append(kept, c)
+		} else {
+			s.hdr[c].n = 0
 		}
 	}
 	s.learnts = kept
+	s.compact()
 	// Rebuild all watch lists (simpler than surgical removal and amortised
 	// over maxLearnts conflicts). This is the one change the undo log does
 	// not record; the next Rollback rebuilds the lists instead.
@@ -807,7 +973,7 @@ func (s *Solver) backtrack(level int32) {
 		v := s.trail[i].Var()
 		s.assign[v] = Unknown
 		s.level[v] = 0
-		s.reason[v] = nil
+		s.reason[v] = noClause
 	}
 	s.trail = s.trail[:limit]
 	s.trailLim = s.trailLim[:level]
@@ -836,7 +1002,7 @@ func (s *Solver) newLevel() {
 func (s *Solver) pickBranch() (l Lit, ok bool) {
 	cur := &s.cur
 	for {
-		for ; cur.def != nil; cur.def = cur.def.nextDef {
+		for ; cur.def != noClause; cur.def = s.hdr[cur.def].nextDef {
 			if l, ok := s.branchLit(cur.def); ok {
 				return l, true
 			}
@@ -862,10 +1028,10 @@ func (s *Solver) pickBranch() (l Lit, ok bool) {
 // when c is satisfied, or when one of its unassigned literals holds in
 // the theory's model. After propagation an unsatisfied clause has at
 // least two unassigned literals.
-func (s *Solver) branchLit(c *clause) (l Lit, ok bool) {
+func (s *Solver) branchLit(c cref) (l Lit, ok bool) {
 	first, agreed := Lit(-1), Lit(-1)
 	held := false
-	for _, q := range c.lits {
+	for _, q := range s.lits(c) {
 		switch s.value(q) {
 		case True:
 			return 0, false
@@ -971,6 +1137,7 @@ func (s *Solver) SolveAssuming(assumptions []Lit) Result {
 	s.assumps = assumptions
 	s.abortCause = AbortNone
 	defer func() { s.assumps = nil }()
+	s.clearModel()
 	if s.rootUnsat {
 		return Unsat
 	}
@@ -978,11 +1145,11 @@ func (s *Solver) SolveAssuming(assumptions []Lit) Result {
 		s.abortCause = AbortCancelled
 		return Aborted
 	}
-	if c := s.propagate(); c != nil {
+	if c := s.propagate(); c != noClause {
 		s.rootUnsat = true
 		return Unsat
 	}
-	if c := s.assertTheory(); c != nil {
+	if c := s.assertTheory(); c != noClause {
 		// A theory conflict at root level over root-level assignments.
 		s.rootUnsat = true
 		return Unsat
@@ -997,10 +1164,10 @@ func (s *Solver) SolveAssuming(assumptions []Lit) Result {
 
 	for {
 		confl := s.propagate()
-		if confl == nil {
+		if confl == noClause {
 			confl = s.assertTheory()
 		}
-		if confl == nil {
+		if confl == noClause {
 			if dl := int(s.decisionLevel()); dl < len(s.assumps) {
 				// Establish the next assumption as a decision.
 				p := s.assumps[dl]
@@ -1017,7 +1184,7 @@ func (s *Solver) SolveAssuming(assumptions []Lit) Result {
 				default:
 					s.Stats.Decisions++
 					s.newLevel()
-					s.enqueue(p, nil)
+					s.enqueue(p, noClause)
 				}
 				continue
 			}
@@ -1031,7 +1198,7 @@ func (s *Solver) SolveAssuming(assumptions []Lit) Result {
 			if ok {
 				s.Stats.Decisions++
 				s.newLevel()
-				s.enqueue(l, nil)
+				s.enqueue(l, noClause)
 				continue
 			}
 			// The frontier holds; ask the theory for a final verdict.
@@ -1041,7 +1208,7 @@ func (s *Solver) SolveAssuming(assumptions []Lit) Result {
 					confl = s.conflictClause(tc)
 				}
 			}
-			if confl == nil {
+			if confl == noClause {
 				s.saveModel()
 				s.backtrack(0)
 				return Sat
@@ -1054,7 +1221,7 @@ func (s *Solver) SolveAssuming(assumptions []Lit) Result {
 		conflicts++
 		s.Stats.Conflicts++
 		var top int32
-		for _, l := range confl.lits {
+		for _, l := range s.lits(confl) {
 			if s.level[l.Var()] > top {
 				top = s.level[l.Var()]
 			}
@@ -1097,10 +1264,12 @@ func (s *Solver) SolveAssuming(assumptions []Lit) Result {
 func (s *Solver) learn(lits []Lit) {
 	s.Stats.Learned++
 	if len(lits) == 1 {
-		s.enqueue(lits[0], nil)
+		s.enqueue(lits[0], noClause)
 		return
 	}
-	c := &clause{lits: lits, learned: true, saved: s.epoch}
+	off := len(s.arena)
+	s.arena = append(grow(s.arena, len(lits)), lits...)
+	c := s.newClause(off, true)
 	s.learnts = append(s.learnts, c)
 	s.watchClause(c)
 	s.enqueue(lits[0], c)
@@ -1121,17 +1290,22 @@ func (s *Solver) LastAbortCause() AbortCause { return s.abortCause }
 // solves which group in which order.
 //
 // A Checkpoint copies the phases, which any search rewrites wholesale.
-// The rest needs no copy. Watch lists and clause literal orders go to the
-// solver's undo log the first time they change, and so does a checkpoint
-// head's definition index when a later AddDef extends it. Root clauses
-// and the root trail only ever grow, and at the root level a variable is
-// assigned, and has a reason, exactly when it is on the trail, with level
-// 0 either way (backtracking resets levels); so undoing the trail entries
-// added since restores assignments, reasons and levels.
+// The rest needs no copy. Clauses and watch lists created since sit at
+// the tails of the arena, the header table and the watch pool, so
+// Rollback truncates them. Checkpoint watch lists and clause literal
+// orders go to the solver's undo log the first time they change, and so
+// does a checkpoint head's definition index when a later AddDef extends
+// it. Root clauses and the root trail only ever grow, and at the root
+// level a variable is assigned, and has a reason, exactly when it is on
+// the trail, with level 0 either way (backtracking resets levels); so
+// undoing the trail entries added since restores assignments, reasons
+// and levels.
 type Checkpoint struct {
 	nVars     int
 	nClauses  int
 	nRoots    int
+	nHdr      int
+	nArena    int
 	nTrail    int
 	qhead     int
 	thead     int
@@ -1145,7 +1319,7 @@ type Checkpoint struct {
 // between AddClause batches. Taking a checkpoint first propagates the
 // root facts, to the theory as well, so no query repeats that work; a
 // conflict leaves the checkpoint root-unsat. It also canonicalises the
-// live state: learned clauses are dropped and the watch lists rebuilt in
+// live state: learned clauses are deleted and the watch lists rebuilt in
 // clause order. That is exactly the state Rollback reproduces, so the
 // first query after Checkpoint starts from the same state as every query
 // after a Rollback. A new Checkpoint supersedes the solver's previous one.
@@ -1153,18 +1327,27 @@ func (s *Solver) Checkpoint() *Checkpoint {
 	if s.decisionLevel() != 0 {
 		panic("sat: Checkpoint above root level")
 	}
-	if !s.rootUnsat && (s.propagate() != nil || s.assertTheory() != nil) {
+	if !s.rootUnsat && (s.propagate() != noClause || s.assertTheory() != noClause) {
 		s.rootUnsat = true
 	}
-	s.learnts = s.learnts[:0]
+	if len(s.learnts) > 0 {
+		for _, c := range s.learnts {
+			s.hdr[c].n = 0
+		}
+		s.learnts = s.learnts[:0]
+		s.compact()
+	}
 	s.rebuildWatches()
-	s.model = s.model[:0]
+	s.clearModel()
 	s.abortCause = AbortNone
 	s.watchSaved = append(s.watchSaved[:0], make([]uint32, len(s.watches))...)
+	s.clauseSaved = append(s.clauseSaved[:0], make([]uint32, len(s.hdr))...)
 	s.ck = &Checkpoint{
 		nVars:     len(s.assign),
 		nClauses:  len(s.clauses),
 		nRoots:    len(s.roots),
+		nHdr:      len(s.hdr),
+		nArena:    len(s.arena),
 		nTrail:    len(s.trail),
 		qhead:     s.qhead,
 		thead:     s.thead,
@@ -1196,48 +1379,44 @@ func (s *Solver) Rollback(ck *Checkpoint) {
 	if ck != s.ck {
 		panic("sat: Rollback to a checkpoint other than the latest")
 	}
-	// Clauses: restore the logged literal orders, drop post-checkpoint
-	// clauses and forget every learned clause (they may mention discarded
+	// Clauses: restore the logged literal orders, then cut the clauses
+	// added since, learned ones included (they may mention discarded
 	// variables, and a canonical restart state must not depend on earlier
-	// searches).
+	// searches), off the arena and the header table.
 	off := 0
-	for _, lits := range s.undoClause {
-		off += copy(lits, s.undoLits[off:])
+	for _, c := range s.undoClause {
+		off += copy(s.lits(c), s.undoLits[off:])
 	}
-	// Dropped entries are cleared so the slices' spare capacity does not
-	// keep the discarded clauses and lists from the collector.
-	clear(s.clauses[ck.nClauses:])
+	s.arena = s.arena[:ck.nArena]
+	s.hdr = s.hdr[:ck.nHdr]
 	s.clauses = s.clauses[:ck.nClauses]
-	clear(s.roots[ck.nRoots:])
 	s.roots = s.roots[:ck.nRoots]
-	clear(s.learnts)
 	s.learnts = s.learnts[:0]
 	// Definitions: unlink the ones added to checkpoint heads, newest
 	// first, and drop the discarded variables' chains.
 	for i := len(s.undoDef) - 1; i >= 0; i-- {
 		s.firstDef[s.undoDef[i].head] = s.undoDef[i].first
 	}
-	clear(s.firstDef[ck.nVars:])
 	s.firstDef = s.firstDef[:ck.nVars]
 	// Watch lists: drop the discarded variables' lists, then put back the
-	// logged ones (or rebuild them all if the log went stale).
-	clear(s.watches[2*ck.nVars:])
+	// logged ones where they were and cut the pool to its checkpoint
+	// length (or rebuild every list if the log went stale).
 	s.watches = s.watches[:2*ck.nVars]
 	if s.watchLogStale {
 		s.rebuildWatches()
 	} else {
 		off = 0
 		for _, w := range s.undoWatch {
-			end := off + int(w.n)
-			s.watches[w.lit] = append(s.watches[w.lit][:0], s.undoWatchW[off:end]...)
-			off = end
+			s.watches[w.lit] = w.list
+			off += copy(s.wpool[w.list.off:w.list.off+w.list.n], s.undoWatchW[off:])
 		}
+		s.wpool = s.wpool[:s.wbase]
 	}
 	// Variables: unassign what the root trail gained, then truncate.
 	for _, l := range s.trail[ck.nTrail:] {
 		if v := l.Var(); int(v) < ck.nVars {
 			s.assign[v] = Unknown
-			s.reason[v] = nil
+			s.reason[v] = noClause
 		}
 	}
 	s.trail = s.trail[:ck.nTrail]
@@ -1245,18 +1424,17 @@ func (s *Solver) Rollback(ck *Checkpoint) {
 	s.qhead, s.thead = ck.qhead, ck.thead
 	s.assign = s.assign[:ck.nVars]
 	s.level = s.level[:ck.nVars]
-	clear(s.reason[ck.nVars:])
 	s.reason = s.reason[:ck.nVars]
 	s.phase = append(s.phase[:0], ck.phase...)
 	s.clauseInc = ck.clauseInc
 	s.rootUnsat = ck.rootUnsat
-	s.model = s.model[:0]
+	s.clearModel()
 	s.abortCause = AbortNone
 	s.newEpoch()
 }
 
-// newEpoch empties the undo log and starts a new epoch, so every current
-// watch list and problem clause counts as unlogged checkpoint state.
+// newEpoch empties the undo log and starts a new epoch, so every
+// checkpoint watch list and clause counts as unlogged.
 func (s *Solver) newEpoch() {
 	s.undoWatch = s.undoWatch[:0]
 	s.undoWatchW = s.undoWatchW[:0]
@@ -1267,42 +1445,57 @@ func (s *Solver) newEpoch() {
 	s.epoch++
 	if s.epoch == 0 { // wrapped: clear the stamps so none looks current
 		clear(s.watchSaved)
-		for _, c := range s.clauses {
-			c.saved = 0
-		}
+		clear(s.clauseSaved)
 		s.epoch = 1
 	}
 }
 
-// saveModel records the model ModelValue reports: the current
-// assignment, completed as SolveAssuming describes.
+// saveModel records the assignment of a Sat answer for ModelValue. The
+// cost is the trail's length, not the number of variables: only the
+// entries the previous answer set are reset.
 func (s *Solver) saveModel() {
-	s.model = append(s.model[:0], s.assign...)
-	for v, val := range s.model {
-		switch {
-		case val != Unknown:
-		case s.firstDef[v] != nil:
-			s.model[v] = False
-		case s.theory != nil && s.theory.Relevant(Var(v)):
-			s.model[v] = False
-			if s.theory.Holds(MkLit(Var(v), true)) {
-				s.model[v] = True
-			}
-		case s.phase[v]:
-			s.model[v] = True
-		default:
-			s.model[v] = False
-		}
+	s.clearModel()
+	if n := len(s.assign) - len(s.model); n > 0 {
+		s.model = append(s.model, make([]Value, n)...)
 	}
+	s.modelTrail = append(s.modelTrail, s.trail...)
+	for _, l := range s.trail {
+		s.model[l.Var()] = s.assign[l.Var()]
+	}
+	s.modelVars = len(s.assign)
 }
 
-// ModelValue returns the value of v in the most recent Sat model. A
-// variable the search left unassigned reads False if it heads a
-// definition, its value in the theory's model if it is theory-relevant,
-// and its saved phase otherwise.
+// clearModel forgets the latest Sat answer's assignment.
+func (s *Solver) clearModel() {
+	for _, l := range s.modelTrail {
+		s.model[l.Var()] = Unknown
+	}
+	s.modelTrail = s.modelTrail[:0]
+	s.modelVars = 0
+}
+
+// ModelValue returns the value of v in the model of the latest Solve
+// call, if it answered Sat; Unknown otherwise, and for variables
+// allocated since. A variable the search left unassigned reads False if
+// it heads a definition, its value in the theory's model (Theory.Model)
+// if it is theory-relevant, and its saved phase otherwise. The model
+// lasts until the next Solve, Checkpoint or Rollback.
 func (s *Solver) ModelValue(v Var) Value {
-	if int(v) >= len(s.model) {
+	if int(v) >= s.modelVars {
 		return Unknown
 	}
-	return s.model[v]
+	switch {
+	case s.model[v] != Unknown:
+		return s.model[v]
+	case s.firstDef[v] != noClause:
+		return False
+	case s.theory != nil && s.theory.Relevant(v):
+		if s.theory.Model(MkLit(v, true)) {
+			return True
+		}
+		return False
+	case s.phase[v]:
+		return True
+	}
+	return False
 }

@@ -108,7 +108,7 @@ func TestAddClauseNormalisation(t *testing.T) {
 			if err := s.AddClause(lits...); err != nil {
 				t.Fatal(err)
 			}
-			got := s.clauses[len(s.clauses)-1].lits
+			got := s.lits(s.clauses[len(s.clauses)-1])
 			if len(got) != n {
 				t.Fatalf("%d-literal clause normalised to %v", n, got)
 			}
@@ -370,6 +370,8 @@ func (x *pairTheory) Pop(n int) {
 
 // Holds reads the model, which leaves every unasserted variable false.
 func (x *pairTheory) Holds(l Lit) bool { return x.relevant[l.Var()] && !l.Positive() }
+
+func (x *pairTheory) Model(l Lit) bool { return x.Holds(l) }
 
 func (x *pairTheory) Check() []Lit {
 	x.checks++

@@ -14,14 +14,13 @@ type Solver struct {
 	sat   *sat.Solver
 	idl   *idl.Solver
 	th    *theory
-	atoms map[Atom]sat.Var     // interned atoms
+	atoms atomTable            // interned atoms
 	enc   map[*Formula]sat.Lit // Tseitin encodings of composite nodes
 
-	// atomLog and encLog record map insertions in order, so Rollback can
-	// delete exactly the entries added since a Checkpoint without
-	// iterating the whole map.
-	atomLog []Atom
-	encLog  []*Formula
+	// encLog records enc's insertions in order, so Rollback can delete
+	// exactly the entries added since a Checkpoint without iterating the
+	// whole map.
+	encLog []*Formula
 
 	estats EncodeStats
 
@@ -55,9 +54,8 @@ func (s *EncodeStats) Add(other EncodeStats) {
 // NewSolver returns an empty SMT solver.
 func NewSolver() *Solver {
 	s := &Solver{
-		idl:   idl.New(),
-		atoms: make(map[Atom]sat.Var),
-		enc:   make(map[*Formula]sat.Lit),
+		idl: idl.New(),
+		enc: make(map[*Formula]sat.Lit),
 	}
 	s.th = &theory{s: s}
 	s.sat = sat.New(s.th)
@@ -109,14 +107,12 @@ func (s *Solver) NumIntVars() int { return s.idl.NumVars() }
 // descent of the search follows the original schedule — a near-model of
 // every constraint except the race condition — instead of fighting it.
 func (s *Solver) atomVar(a Atom) sat.Var {
-	if v, ok := s.atoms[a]; ok {
+	v, found := s.atoms.intern(a, sat.Var(s.sat.NumVars()))
+	if found {
 		return v
 	}
-	v := s.sat.NewVar()
+	s.sat.NewVar() // allocates v, the next variable
 	s.sat.SetPhase(v, s.idl.Value(a.X)-s.idl.Value(a.Y) <= a.C)
-	s.atoms[a] = v
-	s.atomLog = append(s.atomLog, a)
-	s.th.register(v, a)
 	s.estats.InternedAtoms++
 	return v
 }
@@ -235,26 +231,13 @@ func (s *Solver) Value(x IntVar) int64 {
 // literals assert their atom x − y ≤ c; negative literals assert the
 // integer complement y − x ≤ −c − 1.
 type theory struct {
-	s        *Solver
-	relevant []bool // per sat.Var
-	atomOf   []Atom // per sat.Var
+	s *Solver
 }
 
-func (t *theory) register(v sat.Var, a Atom) {
-	for int(v) >= len(t.relevant) {
-		t.relevant = append(t.relevant, false)
-		t.atomOf = append(t.atomOf, Atom{})
-	}
-	t.relevant[v] = true
-	t.atomOf[v] = a
-}
-
-func (t *theory) Relevant(v sat.Var) bool {
-	return int(v) < len(t.relevant) && t.relevant[v]
-}
+func (t *theory) Relevant(v sat.Var) bool { return t.s.atoms.interned(v) }
 
 func (t *theory) Assert(l sat.Lit) []sat.Lit {
-	a := t.atomOf[l.Var()]
+	a := t.s.atoms.atomOf(l.Var())
 	var tags []idl.Tag
 	if l.Positive() {
 		tags = t.s.idl.Assert(a.X, a.Y, a.C, idl.Tag(l))
@@ -280,8 +263,17 @@ func (t *theory) Holds(l sat.Lit) bool {
 	if !t.Relevant(l.Var()) {
 		return false
 	}
-	a := t.atomOf[l.Var()]
+	a := t.s.atoms.atomOf(l.Var())
 	return (t.s.idl.Value(a.X)-t.s.idl.Value(a.Y) <= a.C) == l.Positive()
+}
+
+// Model evaluates l's atom on the potentials the last Check snapshotted.
+func (t *theory) Model(l sat.Lit) bool {
+	if !t.Relevant(l.Var()) || t.s.model == nil {
+		return false
+	}
+	a := t.s.atoms.atomOf(l.Var())
+	return (t.s.model[a.X]-t.s.model[a.Y] <= a.C) == l.Positive()
 }
 
 func (t *theory) Push() { t.s.idl.Push() }
@@ -324,7 +316,7 @@ func (s *Solver) Checkpoint() *Checkpoint {
 		sat:    s.sat.Checkpoint(),
 		idl:    s.idl.Checkpoint(),
 		nVars:  s.sat.NumVars(),
-		nAtoms: len(s.atomLog),
+		nAtoms: len(s.atoms.log),
 		nEnc:   len(s.encLog),
 	}
 }
@@ -336,18 +328,11 @@ func (s *Solver) Checkpoint() *Checkpoint {
 func (s *Solver) Rollback(ck *Checkpoint) {
 	s.sat.Rollback(ck.sat)
 	s.idl.Rollback(ck.idl)
-	for _, a := range s.atomLog[ck.nAtoms:] {
-		delete(s.atoms, a)
-	}
-	s.atomLog = s.atomLog[:ck.nAtoms]
+	s.atoms.truncate(ck.nAtoms, ck.nVars)
 	for _, f := range s.encLog[ck.nEnc:] {
 		delete(s.enc, f)
 	}
 	s.encLog = s.encLog[:ck.nEnc]
-	if len(s.th.relevant) > ck.nVars {
-		s.th.relevant = s.th.relevant[:ck.nVars]
-		s.th.atomOf = s.th.atomOf[:ck.nVars]
-	}
 	s.model = nil
 }
 

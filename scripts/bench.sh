@@ -5,7 +5,7 @@
 # median and minimum ns/op over the five runs, so performance regressions
 # show up as ordinary review diffs and run-to-run noise is visible. See
 # doc/performance.md. The output path is required: the committed snapshots
-# are baselines (CI gates against BENCH_28.json), and a run must never
+# are baselines (CI gates against BENCH_29.json), and a run must never
 # overwrite one by default.
 #
 # Usage:
