@@ -194,16 +194,16 @@ func (d *Detector) DetectContext(ctx context.Context, tr *trace.Trace) Result {
 			}
 			key := sigKey{w.Event(c.e1).Loc, w.Event(c.e3).Loc, w.Event(c.e2).Loc}
 			if seen[key] {
-				col.CountSigDedup(1)
+				col.Add(telemetry.SigDedup, 1)
 				continue
 			}
 			// MHB-ordered remotes can never move inside the region.
 			if mhb.Before(c.e3, c.e1) || mhb.Before(c.e2, c.e3) {
-				col.CountMHBFiltered()
+				col.Add(telemetry.MHBFiltered, 1)
 				continue
 			}
 			res.Candidates++
-			col.CountEnumerated(1)
+			col.Add(telemetry.Enumerated, 1)
 			query := wspan.Query(wi, c.e1+offset, c.e2+offset)
 			span = query.Child(telemetry.PhaseEncode, "encode")
 			g := s.NewBoolLit()

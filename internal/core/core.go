@@ -454,7 +454,7 @@ func (r *Runner) merge(wr windowResult) {
 		}
 	}
 	for range out.Failures {
-		r.d.opt.Telemetry.CountWindowFailure()
+		r.d.opt.Telemetry.Add(telemetry.WindowFailures, 1)
 	}
 	res.Failures = append(res.Failures, out.Failures...)
 	res.Cancelled = res.Cancelled || wr.cancelled
@@ -481,7 +481,7 @@ func (r *Runner) replay(out race.WindowOutcome) windowResult {
 			out.Races[i].Prov.Replayed = true
 		}
 	}
-	col.CountWindowReplayed()
+	col.Add(telemetry.JournalWindowsReplayed, 1)
 	wspan.EndReplayed(out.Candidates, out.Solved, len(out.Races), out.ElapsedNS)
 	return windowResult{out: out, status: WindowReplayed}
 }
@@ -549,8 +549,8 @@ func (r *Runner) analyze(ctx context.Context, w *trace.Trace, widx, offset int, 
 	acc := race.GroupAccesses(w)
 	candidates, dedup := acc.Count(w, seen)
 	esp.End()
-	col.CountEnumerated(candidates)
-	col.CountSigDedup(dedup)
+	col.Add(telemetry.Enumerated, int64(candidates))
+	col.Add(telemetry.SigDedup, int64(dedup))
 	out.Candidates = candidates
 
 	// Prefilters and signature grouping run up front; the pair
@@ -558,7 +558,7 @@ func (r *Runner) analyze(ctx context.Context, w *trace.Trace, widx, offset int, 
 	// PairParallelism > 1) and the results are collected below in
 	// canonical group order, so the window's outcome is deterministic.
 	groups, mhb := d.partition(wspan, w, acc, candidates-dedup, seen)
-	col.CountPairGroups(len(groups))
+	col.Add(telemetry.PairGroups, int64(len(groups)))
 	wc := &windowCtx{
 		ctx: ctx, w: w, mhb: mhb, widx: widx, offset: offset,
 		globalDeadline: r.deadline, cancel: func() bool { return ctx.Err() != nil },
@@ -612,7 +612,7 @@ func (r *Runner) analyze(ctx context.Context, w *trace.Trace, widx, offset int, 
 	// Counted per completed degraded window — candidates or not — so the
 	// gauge always agrees with Report.DegradedWindows.
 	if degraded && final {
-		col.CountDegradedWindow()
+		col.Add(telemetry.DegradedWindows, 1)
 		out.Degraded = true
 	}
 	out.ElapsedNS = int64(wspan.EndWindow(candidates, out.Solved, len(out.Races)))
@@ -653,7 +653,7 @@ func (ws *windowSolver) rollback(col *telemetry.Collector, parent *telemetry.Spa
 	ws.s.Rollback(ws.ck)
 	span.End()
 	ws.dirty = false
-	col.CountPairRollback()
+	col.Add(telemetry.PairRollbacks, 1)
 }
 
 func (d *Detector) newWindowSolver(w *trace.Trace, mhb *vc.MHB) *windowSolver {

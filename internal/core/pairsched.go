@@ -184,7 +184,7 @@ func (d *Detector) partition(wspan *telemetry.Span, w *trace.Trace, acc race.Acc
 			group(cop)
 		}
 	}
-	d.opt.Telemetry.CountQuickCheckFiltered(unseen - kept)
+	d.opt.Telemetry.Add(telemetry.QuickCheckFiltered, int64(unseen-kept))
 	d.triage(qc, w, sets, groups)
 	return groups, mhb
 }
@@ -250,7 +250,7 @@ func (d *Detector) solveGroups(wc *windowCtx, groups []*sigGroup) []*groupResult
 		if d.opt.Witness || g.proved != 0 {
 			dispatching++
 		}
-		col.CountWarmSkipped(len(g.cops) - d.warmCount(g))
+		col.Add(telemetry.WarmSkipped, int64(len(g.cops)-d.warmCount(g)))
 	}
 
 	results := make([]*groupResult, len(groups))
@@ -270,11 +270,11 @@ func (d *Detector) solveGroups(wc *windowCtx, groups []*sigGroup) []*groupResult
 	// worker's timeline lane: one group span per dequeue makes
 	// worker occupancy read directly off the trace.
 	runWorker := func(ws *windowSolver, lane int32) {
-		col.CountPairWorker()
+		col.Add(telemetry.PairWorkers, 1)
 		// Queue wait: how long after the queue opened this worker made its
 		// first claim — its replica construction plus any budget wait.
 		if col.Enabled() {
-			col.AddQueueWait(time.Since(queueOpen))
+			col.Add(telemetry.QueueWaitNS, int64(time.Since(queueOpen)))
 		}
 		for !stop.Load() {
 			i := int(cursor.Add(1)) - 1
@@ -284,7 +284,7 @@ func (d *Detector) solveGroups(wc *windowCtx, groups []*sigGroup) []*groupResult
 			gsp := col.Begin(telemetry.NoPhase, groupSpanName(col, "group", groups[i]), lane, wc.span)
 			results[i] = d.solveGroup(wc, ws, groups[i], gsp)
 			gsp.End()
-			col.CountGroupDone()
+			col.Add(telemetry.GroupsDone, 1)
 		}
 		if ws != nil {
 			col.AddSolver(ws.s)
@@ -309,7 +309,7 @@ func (d *Detector) solveGroups(wc *windowCtx, groups []*sigGroup) []*groupResult
 		var ws *windowSolver
 		if dispatching > 0 {
 			if k > 0 {
-				col.CountPairReplica()
+				col.Add(telemetry.PairReplicas, 1)
 			}
 			rsp := col.Begin(telemetry.PhaseEncode, "encode replica", lane, wc.span)
 			ws = d.buildReplica(wc, groups)
@@ -381,12 +381,12 @@ func (d *Detector) solveGroup(wc *windowCtx, ws *windowSolver, g *sigGroup, gsp 
 		// again would break the candidate-funnel identity the /metrics
 		// endpoint checks.
 		if gr.isRace {
-			col.CountPairSkip()
+			col.Add(telemetry.PairSkips, 1)
 			continue
 		}
 		if gr.budgetGone || (!wc.globalDeadline.IsZero() && time.Now().After(wc.globalDeadline)) {
 			gr.budgetGone = true
-			col.CountBudgetExhausted()
+			col.Add(telemetry.BudgetExhausted, 1)
 			continue
 		}
 		gr.solved++

@@ -79,9 +79,9 @@ func (d *Detector) triage(qc *telemetry.Span, w *trace.Trace, sets *lockset.Sets
 		for i, cop := range g.cops {
 			switch {
 			case d.opt.NoQuickCheck && !sets.Pass(cop.A, cop.B):
-				col.CountTriageDispatched()
+				col.Add(telemetry.TriageDispatched, 1)
 			case syncp.ConfirmSHB(shb, cop.A, cop.B):
-				col.CountTriageConfirmed(race.TierSHB)
+				col.Add(telemetry.TriageConfirmed, 1)
 				if g.proved < 0 {
 					g.proved, g.tier = i, race.TierSHB
 				}
@@ -103,10 +103,10 @@ func (d *Detector) triage(qc *telemetry.Span, w *trace.Trace, sets *lockset.Sets
 	for _, in := range rest {
 		cop := in.g.cops[in.i]
 		if !sidx.Check(cop.A, cop.B) {
-			col.CountTriageDispatched()
+			col.Add(telemetry.TriageDispatched, 1)
 			continue
 		}
-		col.CountTriageConfirmed(race.TierSyncP)
+		col.Add(telemetry.TriageSyncPConfirmed, 1)
 		if in.g.proved < 0 || in.i < in.g.proved {
 			in.g.proved, in.g.tier = in.i, race.TierSyncP
 		}

@@ -169,11 +169,11 @@ func (d *Detector) DetectContext(ctx context.Context, tr *trace.Trace) Result {
 				}
 				key := sigKey{p1[0], p1[1], p2[0], p2[1]}
 				if seen[key] {
-					col.CountSigDedup(1)
+					col.Add(telemetry.SigDedup, 1)
 					continue
 				}
 				res.Candidates++
-				col.CountEnumerated(1)
+				col.Add(telemetry.Enumerated, 1)
 				query := wspan.Query(wi, s1.acqB+offset, s2.acqB+offset)
 				ok, witness, outcome := d.check(w, mhb, s1, s2, cancel, query)
 				query.EndQuery(outcome, true)

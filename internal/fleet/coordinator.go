@@ -192,7 +192,7 @@ func NewCoordinator(opt CoordinatorOptions) (*Coordinator, error) {
 		}
 		c.jw = jw
 		if info.TornTail {
-			col.CountTornTailTruncated()
+			col.Add(telemetry.JournalTornTails, 1)
 		}
 		c.resumed = len(info.Outcomes) > 0
 		for _, out := range info.Outcomes {
@@ -352,7 +352,7 @@ func (c *Coordinator) finish(ln net.Listener) (rvpredict.Report, error) {
 func (c *Coordinator) sweepLocked(now time.Time) {
 	for id, l := range c.leases {
 		if now.After(l.deadline) {
-			c.col.CountLeaseExpired()
+			c.col.Add(telemetry.LeasesExpired, 1)
 			c.logf("fleet: lease %d (shard %d) expired", id, l.shard)
 			c.releaseLeaseLocked(id, true)
 		}
@@ -431,9 +431,9 @@ func (c *Coordinator) grantLocked(conn net.Conn, now time.Time) []byte {
 	}
 	c.leases[l.id] = l
 	c.shardLive[pick]++
-	c.col.CountLeaseGranted()
+	c.col.Add(telemetry.LeasesGranted, 1)
 	if c.attempts[pick] > 0 && !speculative {
-		c.col.CountLeaseReassigned()
+		c.col.Add(telemetry.LeasesReassigned, 1)
 	}
 	c.logf("fleet: lease %d: shard %d/%d (speculative=%t)", l.id, pick, c.opt.Shards, speculative)
 	return grantPayload(grant{
@@ -473,7 +473,7 @@ func (c *Coordinator) handleResult(conn net.Conn, body []byte) ([]byte, error) {
 		c.done[window] = true
 		c.doneCount++
 		if l := c.leases[leaseID]; l != nil && l.speculative {
-			c.col.CountSpeculativeWin()
+			c.col.Add(telemetry.SpeculativeWins, 1)
 		}
 		// The result is durable (appended and fsynced) but unacked —
 		// the exact instant coord_crash simulates dying at.
@@ -528,7 +528,7 @@ func (c *Coordinator) handleConn(conn net.Conn) {
 		}
 	}
 	if !errors.Is(err, errCleanShutdown) {
-		c.col.CountWorkerDisconnect()
+		c.col.Add(telemetry.WorkerDisconnects, 1)
 		c.logf("fleet: worker %q disconnected: %v", name, err)
 	}
 	c.mu.Unlock()

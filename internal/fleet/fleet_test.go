@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/faultinject"
 	"repro/internal/retry"
+	"repro/internal/telemetry"
 	"repro/internal/tracev2"
 	"repro/rvpredict"
 	"repro/trace"
@@ -171,12 +172,12 @@ func TestFleetCleanIdentity(t *testing.T) {
 		t.Errorf("fleet report differs from single-process run:\nfleet:  %s\nsingle: %s", got, want)
 	}
 	col := coord.Collector()
-	if col.LeasesGranted() == 0 {
+	if col.Load(telemetry.LeasesGranted) == 0 {
 		t.Error("no leases granted")
 	}
-	if col.SpeculativeWins() != 0 || col.LeasesExpired() != 0 {
+	if col.Load(telemetry.SpeculativeWins) != 0 || col.Load(telemetry.LeasesExpired) != 0 {
 		t.Errorf("clean run counted chaos: speculative=%d expired=%d",
-			col.SpeculativeWins(), col.LeasesExpired())
+			col.Load(telemetry.SpeculativeWins), col.Load(telemetry.LeasesExpired))
 	}
 }
 
@@ -387,7 +388,7 @@ func TestFleetDegradesToLocal(t *testing.T) {
 	if got := normalise(t, rep); got != want {
 		t.Errorf("degraded-local report differs from single-process run:\nlocal:  %s\nsingle: %s", got, want)
 	}
-	if coord.Collector().LeasesGranted() != 0 {
+	if coord.Collector().Load(telemetry.LeasesGranted) != 0 {
 		t.Error("leases granted with no workers")
 	}
 }
@@ -455,7 +456,7 @@ func TestFleetSpeculativeWin(t *testing.T) {
 	if got := normalise(t, rep); got != want {
 		t.Errorf("speculative report differs from single-process run:\nfleet:  %s\nsingle: %s", got, want)
 	}
-	if coord.Collector().SpeculativeWins() == 0 {
+	if coord.Collector().Load(telemetry.SpeculativeWins) == 0 {
 		t.Error("no speculative wins counted")
 	}
 }
@@ -528,10 +529,10 @@ func TestFleetLeaseExpiryReassign(t *testing.T) {
 		t.Errorf("expiry report differs from single-process run:\nfleet:  %s\nsingle: %s", got, want)
 	}
 	col := coord.Collector()
-	if col.LeasesExpired() == 0 {
+	if col.Load(telemetry.LeasesExpired) == 0 {
 		t.Error("no lease expiry counted")
 	}
-	if col.LeasesReassigned() == 0 {
+	if col.Load(telemetry.LeasesReassigned) == 0 {
 		t.Error("no lease reassignment counted")
 	}
 }

@@ -255,17 +255,32 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	m := s.opt.Collector.Snapshot()
+	col := s.opt.Collector
+	m := col.Snapshot()
 	var b strings.Builder
-	for _, def := range metricDefs {
-		samples := def.collect(s, m)
+	family := func(name, typ, help string, samples []sample) {
 		if len(samples) == 0 {
-			continue
+			return
 		}
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n", def.name, def.help, def.name, def.typ)
+		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
 		for _, sm := range samples {
-			fmt.Fprintf(&b, "%s%s %s\n", def.name, sm.labels,
+			fmt.Fprintf(&b, "%s%s %s\n", name, sm.labels,
 				strconv.FormatFloat(sm.value, 'g', -1, 64))
+		}
+	}
+	for k := range telemetry.NumCounters {
+		for _, def := range metricDefs {
+			if def.before == k {
+				family(def.name, def.typ, def.help, def.collect(s, m))
+			}
+		}
+		if d := k.Def(); d.Name != "" {
+			n := col.Load(k)
+			v := float64(n)
+			if strings.HasSuffix(d.Name, "_seconds_total") {
+				v = secs(n)
+			}
+			family(d.Name, d.Type, d.Help, one(v))
 		}
 	}
 	w.Write([]byte(b.String())) //nolint:errcheck
@@ -288,18 +303,21 @@ func escapeLabel(v string) string {
 	return r.Replace(v)
 }
 
-// metricDef describes one exported metric family: its name, Prometheus
-// type, help text, and how to collect its samples. The same table drives
-// /metrics and MetricNames, so the doc drift-guard test sees exactly what
-// a scrape sees.
+// metricDef describes one metric family that is not a single collector
+// counter: a labelled, computed or server-side family. It is exposed just
+// before the family of counter before, so /metrics keeps one exposition
+// order; every single-counter family comes from the counter table
+// (telemetry.Counter.Def). The same defs drive MetricNames, so the doc
+// drift-guard test sees exactly what a scrape sees.
 type metricDef struct {
 	name, typ, help string
+	before          telemetry.Counter
 	collect         func(s *Server, m *telemetry.Metrics) []sample
 }
 
 var metricDefs = []metricDef{
 	{"rvpredict_build_info", "gauge",
-		"Build metadata (module version and VCS revision) as labels; value is always 1.",
+		"Build metadata (module version and VCS revision) as labels; value is always 1.", telemetry.Decisions,
 		func(s *Server, _ *telemetry.Metrics) []sample {
 			return []sample{{
 				labels: fmt.Sprintf(`{version=%q,revision=%q}`,
@@ -308,17 +326,17 @@ var metricDefs = []metricDef{
 			}}
 		}},
 	{"rvpredict_windows_in_flight", "gauge",
-		"Analysis windows currently being solved.",
+		"Analysis windows currently being solved.", telemetry.Decisions,
 		func(s *Server, _ *telemetry.Metrics) []sample {
 			return one(float64(s.opt.Collector.WindowsInFlight()))
 		}},
 	{"rvpredict_pair_groups_queued", "gauge",
-		"Dispatched signature groups not yet fully handled by the pair scheduler.",
+		"Dispatched signature groups not yet fully handled by the pair scheduler.", telemetry.Decisions,
 		func(s *Server, _ *telemetry.Metrics) []sample {
 			return one(float64(s.opt.Collector.GroupsQueued()))
 		}},
 	{"rvpredict_budget_remaining_seconds", "gauge",
-		"Remaining global wall-clock budget; absent when the run has no budget.",
+		"Remaining global wall-clock budget; absent when the run has no budget.", telemetry.Decisions,
 		func(s *Server, _ *telemetry.Metrics) []sample {
 			if s.opt.BudgetRemaining == nil {
 				return nil
@@ -326,14 +344,14 @@ var metricDefs = []metricDef{
 			return one(s.opt.BudgetRemaining().Seconds())
 		}},
 	{"rvpredict_races_total", "counter",
-		"Races reported so far (one per distinct signature).",
+		"Races reported so far (one per distinct signature).", telemetry.Decisions,
 		func(s *Server, _ *telemetry.Metrics) []sample {
 			s.mu.Lock()
 			defer s.mu.Unlock()
 			return one(float64(len(s.races)))
 		}},
 	{"rvpredict_spans_dropped_total", "counter",
-		"Trace spans overwritten by span-ring wrap-around; absent when span tracing is off.",
+		"Trace spans overwritten by span-ring wrap-around; absent when span tracing is off.", telemetry.Decisions,
 		func(s *Server, _ *telemetry.Metrics) []sample {
 			r := s.opt.Collector.Spans()
 			if r == nil {
@@ -342,7 +360,7 @@ var metricDefs = []metricDef{
 			return one(float64(r.Dropped()))
 		}},
 	{"rvpredict_phase_seconds_total", "counter",
-		"Cumulative exclusive wall-clock time per pipeline phase; other is the run's time no phase covers.",
+		"Cumulative exclusive wall-clock time per pipeline phase; other is the run's time no phase covers.", telemetry.Decisions,
 		func(_ *Server, m *telemetry.Metrics) []sample {
 			p := m.Phases
 			phases := []struct {
@@ -360,24 +378,8 @@ var metricDefs = []metricDef{
 			}
 			return out
 		}},
-	{"rvpredict_solver_decisions_total", "counter", "CDCL decisions across all solver instances.",
-		func(_ *Server, m *telemetry.Metrics) []sample { return one(float64(m.Solver.Decisions)) }},
-	{"rvpredict_solver_propagations_total", "counter", "CDCL unit propagations across all solver instances.",
-		func(_ *Server, m *telemetry.Metrics) []sample { return one(float64(m.Solver.Propagations)) }},
-	{"rvpredict_solver_conflicts_total", "counter", "CDCL conflicts across all solver instances.",
-		func(_ *Server, m *telemetry.Metrics) []sample { return one(float64(m.Solver.Conflicts)) }},
-	{"rvpredict_solver_restarts_total", "counter", "CDCL restarts across all solver instances.",
-		func(_ *Server, m *telemetry.Metrics) []sample { return one(float64(m.Solver.Restarts)) }},
-	{"rvpredict_solver_learned_clauses_total", "counter", "Clauses learned across all solver instances.",
-		func(_ *Server, m *telemetry.Metrics) []sample { return one(float64(m.Solver.Learned)) }},
-	{"rvpredict_solver_theory_propagations_total", "counter", "IDL theory propagations across all solver instances.",
-		func(_ *Server, m *telemetry.Metrics) []sample { return one(float64(m.Solver.TheoryProps)) }},
-	{"rvpredict_solver_theory_conflicts_total", "counter", "IDL theory conflicts across all solver instances.",
-		func(_ *Server, m *telemetry.Metrics) []sample { return one(float64(m.Solver.TheoryConflicts)) }},
-	{"rvpredict_theory_facts_total", "counter", "Atoms asserted as root IDL facts, with no SAT variable, across all solver instances.",
-		func(_ *Server, m *telemetry.Metrics) []sample { return one(float64(m.Solver.TheoryFacts)) }},
 	{"rvpredict_queries_total", "counter",
-		"Solver queries by final outcome (sat, unsat, timeout, cancelled).",
+		"Solver queries by final outcome (sat, unsat, timeout, cancelled).", telemetry.Enumerated,
 		func(_ *Server, m *telemetry.Metrics) []sample {
 			o := m.Outcomes
 			outs := []struct {
@@ -392,104 +394,26 @@ var metricDefs = []metricDef{
 			}
 			return out
 		}},
-	{"rvpredict_candidates_enumerated_total", "counter", "Conflicting operation pairs enumerated.",
-		func(_ *Server, m *telemetry.Metrics) []sample { return one(float64(m.Outcomes.Enumerated)) }},
-	{"rvpredict_quick_check_filtered_total", "counter", "Candidates removed by the lockset/weak-HB quick check.",
-		func(_ *Server, m *telemetry.Metrics) []sample { return one(float64(m.Outcomes.QuickCheckFiltered)) }},
-	{"rvpredict_signature_dedup_total", "counter", "Candidates removed at partition time because their signature was already decided.",
-		func(_ *Server, m *telemetry.Metrics) []sample { return one(float64(m.Outcomes.SigDedupHits)) }},
-	{"rvpredict_mhb_filtered_total", "counter", "Candidates removed by a must-happen-before pre-check.",
-		func(_ *Server, m *telemetry.Metrics) []sample { return one(float64(m.Outcomes.MHBFiltered)) }},
 	{"rvpredict_queries_solved_total", "counter", "Solver queries issued, one per pair that reached the solver.",
+		telemetry.BudgetExhausted,
 		func(_ *Server, m *telemetry.Metrics) []sample { return one(float64(m.Outcomes.Solved)) }},
-	{"rvpredict_budget_exhausted_total", "counter", "Candidates skipped because the global wall-clock budget expired.",
-		func(_ *Server, m *telemetry.Metrics) []sample { return one(float64(m.Outcomes.BudgetExhausted)) }},
-	{"rvpredict_window_failures_total", "counter", "Window workers that panicked and were isolated.",
-		func(_ *Server, m *telemetry.Metrics) []sample { return one(float64(m.Outcomes.WindowFailures)) }},
-	{"rvpredict_pair_groups_total", "counter", "Signature groups dispatched to the pair scheduler.",
-		func(_ *Server, m *telemetry.Metrics) []sample { return one(float64(m.PairSched.Groups)) }},
-	{"rvpredict_pair_workers_total", "counter", "Pair workers that ran (coordinators included).",
-		func(_ *Server, m *telemetry.Metrics) []sample { return one(float64(m.PairSched.Workers)) }},
-	{"rvpredict_pair_replicas_total", "counter", "Replica window encodings built by extra pair workers.",
-		func(_ *Server, m *telemetry.Metrics) []sample { return one(float64(m.PairSched.Replicas)) }},
-	{"rvpredict_pair_rollbacks_total", "counter", "Solver rollbacks to the checkpointed window base.",
-		func(_ *Server, m *telemetry.Metrics) []sample { return one(float64(m.PairSched.Rollbacks)) }},
-	{"rvpredict_pair_skips_total", "counter", "Dispatched group instances skipped at solve time (verdict already decided).",
-		func(_ *Server, m *telemetry.Metrics) []sample { return one(float64(m.PairSched.SigSkips)) }},
-	{"rvpredict_pair_warm_skipped_total", "counter", "Group instances whose control-flow definitions the window base encoding left out.",
-		func(_ *Server, m *telemetry.Metrics) []sample { return one(float64(m.PairSched.WarmSkipped)) }},
-	{"rvpredict_pair_queue_wait_seconds_total", "counter", "Aggregate signature-group dispatch latency.",
-		func(_ *Server, m *telemetry.Metrics) []sample { return one(secs(m.PairSched.QueueWaitNS)) }},
-	{"rvpredict_triage_confirmed_total", "counter", "COPs confirmed as races by the SHB vector-clock triage tier.",
-		func(_ *Server, m *telemetry.Metrics) []sample { return one(float64(m.Triage.Confirmed)) }},
-	{"rvpredict_triage_syncp_confirmed_total", "counter", "COPs confirmed as races by the sync-preserving witness triage tier.",
-		func(_ *Server, m *telemetry.Metrics) []sample { return one(float64(m.Triage.SyncPConfirmed)) }},
-	{"rvpredict_triage_dispatched_total", "counter", "COPs the triage tier passed to the SMT scheduler.",
-		func(_ *Server, m *telemetry.Metrics) []sample { return one(float64(m.Triage.Dispatched)) }},
 	{"rvpredict_triage_fast_path_seconds_total", "counter", "Wall-clock time spent in the triage fast path.",
+		telemetry.JournalRecords,
 		func(_ *Server, m *telemetry.Metrics) []sample { return one(secs(m.Triage.FastPathNS)) }},
 	{"rvpredict_triage_shb_seconds_total", "counter", "Wall-clock time spent in the triage ladder's SHB rung.",
+		telemetry.JournalRecords,
 		func(_ *Server, m *telemetry.Metrics) []sample { return one(secs(m.Triage.SHBNS)) }},
 	{"rvpredict_triage_syncp_seconds_total", "counter", "Wall-clock time spent in the triage ladder's sync-preserving witness rung.",
+		telemetry.JournalRecords,
 		func(_ *Server, m *telemetry.Metrics) []sample { return one(secs(m.Triage.SyncPNS)) }},
-	{"rvpredict_journal_records_total", "counter", "Window records appended to the durable journal.",
-		func(_ *Server, m *telemetry.Metrics) []sample { return one(float64(m.Journal.RecordsWritten)) }},
-	{"rvpredict_journal_windows_replayed_total", "counter", "Windows replayed from the journal on resume.",
-		func(_ *Server, m *telemetry.Metrics) []sample { return one(float64(m.Journal.WindowsReplayed)) }},
-	{"rvpredict_journal_bytes_total", "counter", "Framed bytes written to the journal.",
-		func(_ *Server, m *telemetry.Metrics) []sample { return one(float64(m.Journal.Bytes)) }},
 	{"rvpredict_journal_fsync_seconds_total", "counter", "Cumulative journal fsync wall-clock time.",
+		telemetry.JournalTornTails,
 		func(_ *Server, m *telemetry.Metrics) []sample { return one(secs(m.Journal.FsyncNS)) }},
-	{"rvpredict_journal_torn_tails_total", "counter", "Torn journal tails truncated during recovery.",
-		func(_ *Server, m *telemetry.Metrics) []sample { return one(float64(m.Journal.TornTailTruncated)) }},
-	{"rvpredict_chunk_cache_hits_total", "counter", "Chunked-trace random accesses served from the decoded-chunk cache.",
-		func(s *Server, _ *telemetry.Metrics) []sample { return one(float64(s.opt.Collector.ChunkCacheHits())) }},
-	{"rvpredict_chunk_cache_misses_total", "counter", "Chunked-trace random accesses that decoded a chunk.",
-		func(s *Server, _ *telemetry.Metrics) []sample {
-			return one(float64(s.opt.Collector.ChunkCacheMisses()))
-		}},
-	{"rvpredict_mmap_bytes", "gauge", "Bytes of chunked trace currently memory-mapped (0 when the reader fell back to a heap copy).",
-		func(s *Server, _ *telemetry.Metrics) []sample { return one(float64(s.opt.Collector.MmapBytes())) }},
-	{"rvpredict_fleet_leases_granted_total", "counter", "Shard leases granted to fleet workers (including speculative duplicates).",
-		func(s *Server, _ *telemetry.Metrics) []sample {
-			return one(float64(s.opt.Collector.LeasesGranted()))
-		}},
-	{"rvpredict_fleet_leases_expired_total", "counter", "Fleet leases whose heartbeat deadline lapsed before the shard finished.",
-		func(s *Server, _ *telemetry.Metrics) []sample {
-			return one(float64(s.opt.Collector.LeasesExpired()))
-		}},
-	{"rvpredict_fleet_leases_reassigned_total", "counter", "Shards re-leased to another worker after an expiry or disconnect.",
-		func(s *Server, _ *telemetry.Metrics) []sample {
-			return one(float64(s.opt.Collector.LeasesReassigned()))
-		}},
-	{"rvpredict_fleet_speculative_wins_total", "counter", "Window outcomes won by a speculative duplicate lease (straggler hedging paid off).",
-		func(s *Server, _ *telemetry.Metrics) []sample {
-			return one(float64(s.opt.Collector.SpeculativeWins()))
-		}},
-	{"rvpredict_fleet_worker_disconnects_total", "counter", "Fleet worker connections that ended without a clean shutdown handshake.",
-		func(s *Server, _ *telemetry.Metrics) []sample {
-			return one(float64(s.opt.Collector.WorkerDisconnects()))
-		}},
-	{"rvpredict_windows_total", "counter", "Analysis windows recorded.",
+	{"rvpredict_windows_total", "counter", "Analysis windows recorded.", telemetry.SessionsRejected,
 		func(_ *Server, m *telemetry.Metrics) []sample { return one(float64(m.WindowCount)) }},
-	{"rvpredict_sessions_active", "gauge", "Streaming sessions currently open on the daemon.",
+	{"rvpredict_sessions_active", "gauge", "Streaming sessions currently open on the daemon.", telemetry.SessionsRejected,
 		func(s *Server, _ *telemetry.Metrics) []sample {
 			return one(float64(s.opt.Collector.SessionsActive()))
-		}},
-	{"rvpredict_sessions_rejected_total", "counter",
-		"Streaming clients turned away by admission control (session limit, busy token, draining, bad handshake).",
-		func(s *Server, _ *telemetry.Metrics) []sample {
-			return one(float64(s.opt.Collector.SessionsRejected()))
-		}},
-	{"rvpredict_ingest_backpressure_seconds_total", "counter",
-		"Wall-clock time streaming ingest spent blocked waiting for an analysis slot.",
-		func(s *Server, _ *telemetry.Metrics) []sample {
-			return one(secs(s.opt.Collector.IngestBackpressureNS()))
-		}},
-	{"rvpredict_degraded_windows_total", "counter",
-		"Windows analysed in degraded mode (SMT tier shed; sound-tier verdicts only).",
-		func(s *Server, _ *telemetry.Metrics) []sample {
-			return one(float64(s.opt.Collector.DegradedWindows()))
 		}},
 }
 
@@ -497,9 +421,14 @@ var metricDefs = []metricDef{
 // can expose. The doc drift-guard test asserts each appears in
 // doc/observability.md.
 func MetricNames() []string {
-	out := make([]string, len(metricDefs))
-	for i, def := range metricDefs {
-		out[i] = def.name
+	var out []string
+	for _, def := range metricDefs {
+		out = append(out, def.name)
+	}
+	for k := range telemetry.NumCounters {
+		if name := k.Def().Name; name != "" {
+			out = append(out, name)
+		}
 	}
 	sort.Strings(out)
 	return out

@@ -23,19 +23,19 @@ import (
 // confirmed + 3 SyncP-confirmed + 3 dispatched.
 func seedCollector() *telemetry.Collector {
 	col := telemetry.NewCollector()
-	col.CountEnumerated(12)
-	col.CountQuickCheckFiltered(1)
-	col.CountQuickCheckFiltered(1)
-	col.CountSigDedup(1)
+	col.Add(telemetry.Enumerated, 12)
+	col.Add(telemetry.QuickCheckFiltered, 1)
+	col.Add(telemetry.QuickCheckFiltered, 1)
+	col.Add(telemetry.SigDedup, 1)
 	for i := 0; i < 3; i++ {
-		col.CountTriageConfirmed(race.TierSHB)
+		col.Add(telemetry.TriageConfirmed, 1)
 	}
 	for i := 0; i < 3; i++ {
-		col.CountTriageConfirmed(race.TierSyncP)
-		col.CountTriageDispatched()
+		col.Add(telemetry.TriageSyncPConfirmed, 1)
+		col.Add(telemetry.TriageDispatched, 1)
 	}
-	col.CountPairGroups(4)
-	col.CountGroupDone()
+	col.Add(telemetry.PairGroups, 4)
+	col.Add(telemetry.GroupsDone, 1)
 	col.BeginWindow(0, 0, 12, false) // left open: one window in flight
 	col.CountOutcome(telemetry.OutcomeSat)
 	col.CountOutcome(telemetry.OutcomeUnsat)
@@ -307,11 +307,11 @@ func TestConcurrentScrapes(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 2000; i++ {
-				col.CountEnumerated(1)
-				col.CountTriageDispatched()
+				col.Add(telemetry.Enumerated, 1)
+				col.Add(telemetry.TriageDispatched, 1)
 				col.CountOutcome(telemetry.OutcomeUnsat)
 				sp := col.BeginWindow(w, i, 1, false)
-				col.CountPairSkip()
+				col.Add(telemetry.PairSkips, 1)
 				sp.EndWindow(1, 1, 0)
 				if i%50 == 0 {
 					s.AddRace(RaceView{A: i, B: i + 1,

@@ -181,7 +181,7 @@ func Create(path string, fp Fingerprint, opt Options) (*Writer, error) {
 		return nil, fmt.Errorf("journal: writing header: %w", err)
 	}
 	w := &Writer{f: f, opt: opt}
-	opt.Telemetry.CountJournalWrite(0, len(e.b))
+	opt.Telemetry.Add(telemetry.JournalBytes, int64(len(e.b)))
 	if err := w.sync(); err != nil {
 		f.Close()
 		return nil, err
@@ -211,7 +211,8 @@ func (w *Writer) Append(out race.WindowOutcome) error {
 	if _, err := w.f.Write(e.b); err != nil {
 		return fmt.Errorf("journal: appending window %d: %w", out.Window, err)
 	}
-	w.opt.Telemetry.CountJournalWrite(1, len(e.b))
+	w.opt.Telemetry.Add(telemetry.JournalRecords, 1)
+	w.opt.Telemetry.Add(telemetry.JournalBytes, int64(len(e.b)))
 	w.dirty = true
 	if fault == faultinject.FaultCrash {
 		// Die between two clean records: the full frame is durable.

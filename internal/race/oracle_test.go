@@ -6,7 +6,7 @@ import (
 	"repro/trace"
 )
 
-// EnumerateCOPs is the test oracle of EachCOP, CountCOPs and the
+// EnumerateCOPs is the test oracle of EachCOP, Accesses.Count and the
 // quick-check sweep (lockset.Sets.Survivors): it materialises every
 // conflicting operation pair of tr, grouped by location and then sorted
 // by (A, B). Accesses to volatile locations are skipped.

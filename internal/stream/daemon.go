@@ -290,7 +290,7 @@ func (d *Daemon) acquireSlot(ctx context.Context) (holding, degrade bool) {
 	default:
 	}
 	t0 := time.Now()
-	defer func() { d.col.AddIngestBackpressure(time.Since(t0)) }()
+	defer func() { d.col.Add(telemetry.IngestBackpressureNS, int64(time.Since(t0))) }()
 	if d.opt.DegradeAfter > 0 {
 		timer := time.NewTimer(d.opt.DegradeAfter)
 		defer timer.Stop()
@@ -327,7 +327,7 @@ func (d *Daemon) acquireRecoverySlot(ctx context.Context) bool {
 	default:
 	}
 	t0 := time.Now()
-	defer func() { d.col.AddIngestBackpressure(time.Since(t0)) }()
+	defer func() { d.col.Add(telemetry.IngestBackpressureNS, int64(time.Since(t0))) }()
 	select {
 	case d.slots <- struct{}{}:
 		return true
@@ -352,13 +352,13 @@ func (d *Daemon) admit(token string, c net.Conn) (release func(), code byte, msg
 	defer d.mu.Unlock()
 	switch {
 	case d.draining:
-		d.col.CountSessionRejected()
+		d.col.Add(telemetry.SessionsRejected, 1)
 		return nil, RejectDraining, "daemon is draining"
 	case d.active[token] != nil:
-		d.col.CountSessionRejected()
+		d.col.Add(telemetry.SessionsRejected, 1)
 		return nil, RejectBusyToken, "another connection owns this session"
 	case len(d.active) >= d.opt.MaxSessions:
-		d.col.CountSessionRejected()
+		d.col.Add(telemetry.SessionsRejected, 1)
 		return nil, RejectSessionLimit, fmt.Sprintf("session limit (%d) reached", d.opt.MaxSessions)
 	}
 	d.active[token] = c
@@ -399,7 +399,7 @@ func (d *Daemon) serveConn(c net.Conn) {
 	c.SetReadDeadline(time.Now().Add(d.opt.HandshakeTimeout))
 	token, err := readHello(br)
 	if err != nil {
-		d.col.CountSessionRejected()
+		d.col.Add(telemetry.SessionsRejected, 1)
 		d.writeDeadline(c)
 		writeReject(c, RejectBadHandshake, err.Error())
 		return
@@ -411,8 +411,8 @@ func (d *Daemon) serveConn(c net.Conn) {
 		writeReject(c, code, msg)
 		return
 	}
-	d.col.CountSessionStarted()
-	defer d.col.CountSessionFinished()
+	d.col.Add(telemetry.SessionsStarted, 1)
+	defer d.col.Add(telemetry.SessionsFinished, 1)
 
 	// A completed session's report survives as its durable artifact;
 	// reconnects (including a client whose report frame was lost in a

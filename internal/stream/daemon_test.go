@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/faultinject"
+	"repro/internal/telemetry"
 	"repro/internal/tracefile"
 	"repro/rvpredict"
 	"repro/trace"
@@ -67,7 +68,7 @@ func TestDegradeAfterTimeout(t *testing.T) {
 			t.Errorf("race %d,%d not flagged degraded", r.First, r.Second)
 		}
 	}
-	if d.col.IngestBackpressureNS() <= 0 {
+	if d.col.Load(telemetry.IngestBackpressureNS) <= 0 {
 		t.Error("no ingest backpressure accounted despite the saturated queue")
 	}
 }

@@ -363,7 +363,7 @@ func TestDegradationSoundness(t *testing.T) {
 	if rep.DegradedWindows == 0 || rep.DegradedWindows != rep.Windows {
 		t.Fatalf("degraded %d of %d windows, want all", rep.DegradedWindows, rep.Windows)
 	}
-	if got := d.Collector().DegradedWindows(); int(got) != rep.DegradedWindows {
+	if got := d.Collector().Load(telemetry.DegradedWindows); int(got) != rep.DegradedWindows {
 		t.Errorf("collector degraded gauge = %d, want %d", got, rep.DegradedWindows)
 	}
 	if len(rep.Races) == 0 {
@@ -427,7 +427,7 @@ func TestAdmissionControl(t *testing.T) {
 	}
 	expectReject(dial(), "holder", stream.RejectBusyToken)
 	expectReject(dial(), "other", stream.RejectSessionLimit)
-	if got := d.Collector().SessionsRejected(); got != 2 {
+	if got := d.Collector().Load(telemetry.SessionsRejected); got != 2 {
 		t.Errorf("sessions_rejected = %d, want 2", got)
 	}
 	if got := d.Collector().SessionsActive(); got != 1 {

@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/journal"
 	"repro/internal/race"
+	"repro/internal/telemetry"
 	"repro/rvpredict"
 	"repro/trace"
 )
@@ -130,7 +131,7 @@ func (d *Daemon) openSession(ctx context.Context, token string) (*session, error
 			} else {
 				s.jw = jw
 				if info.TornTail {
-					d.col.CountTornTailTruncated()
+					d.col.Add(telemetry.JournalTornTails, 1)
 				}
 				if len(info.Outcomes) > 0 {
 					s.resume = make(map[int]race.WindowOutcome, len(info.Outcomes))
@@ -150,7 +151,7 @@ func (d *Daemon) openSession(ctx context.Context, token string) (*session, error
 			return nil, err
 		}
 		if torn {
-			d.col.CountTornTailTruncated()
+			d.col.Add(telemetry.JournalTornTails, 1)
 		}
 		s.ingest = g
 		payloads = ps

@@ -15,13 +15,26 @@ func (c *Collector) AddSolver(s *smt.Solver) {
 	if c == nil {
 		return
 	}
-	c.AddSAT(s.Stats())
-	ts := s.TheoryStats()
-	c.AddIDL(ts.Asserts, ts.NegativeCycles, ts.RepairSteps)
-	es := s.EncStats()
+	st, ts, es := s.Stats(), s.TheoryStats(), s.EncStats()
 	vars, clauses, _ := s.Size()
-	c.AddEncoding(es.TheoryFacts, es.InternedAtoms, es.TseitinVars, es.TseitinClauses,
-		int64(vars), int64(clauses), int64(s.NumIntVars()))
+	c.counters[Decisions].Add(st.Decisions)
+	c.counters[Propagations].Add(st.Propagations)
+	c.counters[Conflicts].Add(st.Conflicts)
+	c.counters[Restarts].Add(st.Restarts)
+	c.counters[Learned].Add(st.Learned)
+	c.counters[TheoryProps].Add(st.TheoryProps)
+	c.counters[TheoryConflicts].Add(st.TheoryConfl)
+	c.counters[IDLAsserts].Add(ts.Asserts)
+	c.counters[IDLNegativeCycles].Add(ts.NegativeCycles)
+	c.counters[IDLRepairSteps].Add(ts.RepairSteps)
+	c.counters[TheoryFacts].Add(es.TheoryFacts)
+	c.counters[InternedAtoms].Add(es.InternedAtoms)
+	c.counters[TseitinVars].Add(es.TseitinVars)
+	c.counters[TseitinClauses].Add(es.TseitinClauses)
+	c.counters[BoolVars].Add(int64(vars))
+	c.counters[Clauses].Add(int64(clauses))
+	c.counters[IntVars].Add(int64(s.NumIntVars()))
+	c.counters[Solvers].Add(1)
 }
 
 // OutcomeOf translates a solver verdict into the telemetry outcome

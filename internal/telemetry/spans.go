@@ -220,7 +220,7 @@ func (s *Span) End() time.Duration {
 			c.windows = append(c.windows, x.record)
 			c.mu.Unlock()
 		}
-		c.windowsFinished.Add(1)
+		c.counters[WindowsFinished].Add(1)
 	}
 	if r := s.rec; r != nil {
 		ev := new(SpanEvent)
@@ -247,7 +247,7 @@ func (c *Collector) BeginWindow(widx, offset, events int, timed bool) *Span {
 		}
 		return &Span{start: time.Now()}
 	}
-	c.windowsStarted.Add(1)
+	c.counters[WindowsStarted].Add(1)
 	s := c.Begin(NoPhase, "window", WindowLane(widx), nil)
 	s.x = &spanPayload{
 		ev:     SpanEvent{Window: widx, Events: events},

@@ -33,8 +33,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/sat"
 )
 
 // Phase identifies one stage of the detection pipeline.
@@ -155,100 +153,8 @@ func (o Outcome) Aborted() bool {
 // state: every method returns immediately. Construct with NewCollector;
 // the zero value is also usable. All methods are safe for concurrent use.
 type Collector struct {
-	phases [numPhases]atomic.Int64 // nanoseconds per phase
-
-	// CDCL core counters (rolled up from sat.Stats per solver).
-	decisions    atomic.Int64
-	propagations atomic.Int64
-	conflicts    atomic.Int64
-	restarts     atomic.Int64
-	learned      atomic.Int64
-	theoryProps  atomic.Int64
-	theoryConfl  atomic.Int64
-
-	// IDL theory counters (mirrored by idl.Stats).
-	idlAsserts   atomic.Int64
-	idlNegCycles atomic.Int64
-	idlRepairs   atomic.Int64
-
-	// Encoding counters (mirrored by smt.EncodeStats) and sizes.
-	theoryFacts    atomic.Int64
-	internedAtoms  atomic.Int64
-	tseitinVars    atomic.Int64
-	tseitinClauses atomic.Int64
-	boolVars       atomic.Int64
-	clauses        atomic.Int64
-	intVars        atomic.Int64
-	solvers        atomic.Int64
-
-	// Query outcome tallies.
-	outSat       atomic.Int64
-	outUnsat     atomic.Int64
-	outTime      atomic.Int64
-	outCancelled atomic.Int64
-
-	// Resilience tallies: global-budget exhaustion and recovered
-	// window-worker panics.
-	budgetExhausted atomic.Int64
-	windowFailures  atomic.Int64
-
-	// Pipeline funnel tallies.
-	enumerated    atomic.Int64
-	quickFiltered atomic.Int64
-	sigDedups     atomic.Int64
-	mhbFiltered   atomic.Int64
-
-	// Pair-scheduler tallies (intra-window parallel COP solving).
-	pairGroups    atomic.Int64
-	pairWorkers   atomic.Int64
-	pairReplicas  atomic.Int64
-	pairRollbacks atomic.Int64
-	pairSkips     atomic.Int64
-	warmSkipped   atomic.Int64
-	queueWait     atomic.Int64
-
-	// Live gauges (never part of the Metrics snapshot: they describe the
-	// instant, not the run, and are read by the introspection server).
-	windowsStarted  atomic.Int64
-	windowsFinished atomic.Int64
-	groupsDone      atomic.Int64
-
-	// Streaming-daemon tallies (internal/stream): session lifecycle,
-	// admission rejects, ingest time lost to solver backpressure, and
-	// windows that shed the SMT tier under sustained pressure. Like the
-	// live gauges above they feed the introspection server only.
-	sessionsStarted  atomic.Int64
-	sessionsFinished atomic.Int64
-	sessionsRejected atomic.Int64
-	backpressureNS   atomic.Int64
-	degradedWindows  atomic.Int64
-
-	// Triage-tier tallies (sound fast paths before SMT, per ladder rung).
-	triConfirmed   atomic.Int64
-	triSPConfirmed atomic.Int64
-	triDispatched  atomic.Int64
-
-	// Durable-journal tallies (internal/journal).
-	journalRecords  atomic.Int64
-	journalBytes    atomic.Int64
-	journalReplayed atomic.Int64
-	journalTorn     atomic.Int64
-
-	// Out-of-core reader tallies (internal/tracev2).
-	chunkCacheHits   atomic.Int64
-	chunkCacheMisses atomic.Int64
-	mmapBytes        atomic.Int64
-
-	// Fleet tallies (internal/fleet): lease lifecycle and worker-fault
-	// accounting of the distributed shard coordinator. Introspection
-	// only, like the daemon tallies above — fault timing is
-	// non-deterministic, so none of these may reach the Metrics
-	// snapshot the identity tests compare.
-	leasesGranted     atomic.Int64
-	leasesExpired     atomic.Int64
-	leasesReassigned  atomic.Int64
-	speculativeWins   atomic.Int64
-	workerDisconnects atomic.Int64
+	phases   [numPhases]atomic.Int64 // nanoseconds per phase
+	counters [NumCounters]atomic.Int64
 
 	// spans is the optionally attached span recorder, root the open run
 	// span (spans.go).
@@ -266,500 +172,30 @@ func NewCollector() *Collector { return &Collector{} }
 // non-nil). Detectors use it to skip work that only feeds telemetry.
 func (c *Collector) Enabled() bool { return c != nil }
 
-// AddSAT rolls the CDCL core counters of one solver into the collector.
-// Call it once per solver lifetime (the per-window shared solver, or each
-// per-query solver on the ablation paths) — sat.Stats counters are
-// cumulative, so adding a live solver twice double-counts.
-func (c *Collector) AddSAT(st sat.Stats) {
-	if c == nil {
-		return
-	}
-	c.decisions.Add(st.Decisions)
-	c.propagations.Add(st.Propagations)
-	c.conflicts.Add(st.Conflicts)
-	c.restarts.Add(st.Restarts)
-	c.learned.Add(st.Learned)
-	c.theoryProps.Add(st.TheoryProps)
-	c.theoryConfl.Add(st.TheoryConfl)
-}
-
-// AddIDL rolls up the IDL theory counters of one solver (see idl.Stats;
-// the parameters mirror its fields to keep this package free of an idl
-// import cycle risk — idl must stay importable by sat-level code).
-func (c *Collector) AddIDL(asserts, negCycles, repairSteps int64) {
-	if c == nil {
-		return
-	}
-	c.idlAsserts.Add(asserts)
-	c.idlNegCycles.Add(negCycles)
-	c.idlRepairs.Add(repairSteps)
-}
-
-// AddEncoding rolls up one solver's encoding counters: root theory facts,
-// interned IDL atoms, Tseitin auxiliary variables and clauses (see
-// smt.EncodeStats), and the final encoding sizes (boolean variables,
-// problem clauses, integer variables).
-func (c *Collector) AddEncoding(facts, atoms, tvars, tclauses, boolVars, clauses, intVars int64) {
-	if c == nil {
-		return
-	}
-	c.theoryFacts.Add(facts)
-	c.internedAtoms.Add(atoms)
-	c.tseitinVars.Add(tvars)
-	c.tseitinClauses.Add(tclauses)
-	c.boolVars.Add(boolVars)
-	c.clauses.Add(clauses)
-	c.intVars.Add(intVars)
-	c.solvers.Add(1)
-}
-
 // CountOutcome tallies one solver-query outcome.
 func (c *Collector) CountOutcome(o Outcome) {
-	if c == nil {
+	if c == nil || o > OutcomeCancelled {
 		return
 	}
-	switch o {
-	case OutcomeSat:
-		c.outSat.Add(1)
-	case OutcomeUnsat:
-		c.outUnsat.Add(1)
-	case OutcomeTimeout:
-		c.outTime.Add(1)
-	case OutcomeCancelled:
-		c.outCancelled.Add(1)
-	}
-}
-
-// CountBudgetExhausted tallies one candidate skipped (not solved)
-// because the run's global wall-clock budget was exhausted.
-func (c *Collector) CountBudgetExhausted() {
-	if c == nil {
-		return
-	}
-	c.budgetExhausted.Add(1)
-}
-
-// CountWindowFailure tallies one window worker that panicked and was
-// isolated (its window's results are lost, the run continued).
-func (c *Collector) CountWindowFailure() {
-	if c == nil {
-		return
-	}
-	c.windowFailures.Add(1)
-}
-
-// CountEnumerated tallies n enumerated candidates (COPs, inversions,
-// triples).
-func (c *Collector) CountEnumerated(n int) {
-	if c == nil {
-		return
-	}
-	c.enumerated.Add(int64(n))
-}
-
-// CountQuickCheckFiltered tallies n candidates removed by the hybrid
-// quick-check prefilter.
-func (c *Collector) CountQuickCheckFiltered(n int) {
-	if c == nil {
-		return
-	}
-	c.quickFiltered.Add(int64(n))
-}
-
-// CountSigDedup tallies n candidates skipped because their signature was
-// already decided (seen-set hit, shared parallel verdict, or per-signature
-// attempt budget).
-func (c *Collector) CountSigDedup(n int) {
-	if c == nil {
-		return
-	}
-	c.sigDedups.Add(int64(n))
-}
-
-// CountMHBFiltered tallies one candidate discarded by a must-happen-before
-// pre-check without reaching the solver.
-func (c *Collector) CountMHBFiltered() {
-	if c == nil {
-		return
-	}
-	c.mhbFiltered.Add(1)
-}
-
-// CountPairGroups tallies n signature groups dispatched by the pair
-// scheduler (one group per distinct signature surviving the prefilters in
-// one window). Groups is deterministic — it depends only on the trace and
-// the options, never on worker timing.
-func (c *Collector) CountPairGroups(n int) {
-	if c == nil {
-		return
-	}
-	c.pairGroups.Add(int64(n))
-}
-
-// CountPairWorker tallies one pair worker that actually ran for a window
-// (including the coordinator when it solves inline). The count depends on
-// the global worker budget at window start, so it varies between runs.
-func (c *Collector) CountPairWorker() {
-	if c == nil {
-		return
-	}
-	c.pairWorkers.Add(1)
-}
-
-// CountPairReplica tallies one replica window encoding built for an extra
-// pair worker (base Φ_mhb + Φ_lock + CF definitions, rebuilt per worker).
-func (c *Collector) CountPairReplica() {
-	if c == nil {
-		return
-	}
-	c.pairReplicas.Add(1)
-}
-
-// CountPairRollback tallies one solver rollback to the window's
-// checkpointed base encoding (between signature groups).
-func (c *Collector) CountPairRollback() {
-	if c == nil {
-		return
-	}
-	c.pairRollbacks.Add(1)
-}
-
-// CountWarmSkipped tallies n group instances whose control-flow
-// definitions a window's base encoding left out, counted once per window
-// however many replicas it builds.
-func (c *Collector) CountWarmSkipped(n int) {
-	if c == nil {
-		return
-	}
-	c.warmSkipped.Add(int64(n))
-}
-
-// CountPairSkip tallies one dispatched signature-group instance skipped at
-// solve time because the group's verdict was already decided (an earlier
-// instance raced, a cross-slice shared verdict arrived, or the signature's
-// attempt budget ran out between dispatch and dequeue). Distinct from
-// CountSigDedup, which counts candidates deduplicated at partition time:
-// keeping the two apart is what makes the candidate funnel identity exact
-// (enumerated = filtered + deduped + confirmed + dispatched).
-func (c *Collector) CountPairSkip() {
-	if c == nil {
-		return
-	}
-	c.pairSkips.Add(1)
+	c.counters[QueriesSat+Counter(o)].Add(1)
 }
 
 // WindowsInFlight returns the number of windows currently being analysed.
 func (c *Collector) WindowsInFlight() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.windowsStarted.Load() - c.windowsFinished.Load()
-}
-
-// CountGroupDone marks one dispatched signature group fully handled
-// (solved, skipped, or abandoned); GroupsQueued derives the live queue
-// depth from it.
-func (c *Collector) CountGroupDone() {
-	if c == nil {
-		return
-	}
-	c.groupsDone.Add(1)
+	return c.Load(WindowsStarted) - c.Load(WindowsFinished)
 }
 
 // GroupsQueued returns the number of dispatched signature groups not yet
 // fully handled — the live depth of the pair-scheduler queues.
 func (c *Collector) GroupsQueued() int64 {
-	if c == nil {
-		return 0
-	}
-	n := c.pairGroups.Load() - c.groupsDone.Load()
-	if n < 0 {
-		return 0
-	}
-	return n
+	return max(c.Load(PairGroups)-c.Load(GroupsDone), 0)
 }
 
-// CountSessionStarted / CountSessionFinished move the sessions-active
-// gauge of the streaming daemon; a session counts as finished whether it
-// completed, failed or was suspended for later resume.
-func (c *Collector) CountSessionStarted() {
-	if c == nil {
-		return
-	}
-	c.sessionsStarted.Add(1)
-}
-
-// CountSessionFinished marks one streaming session no longer active.
-func (c *Collector) CountSessionFinished() {
-	if c == nil {
-		return
-	}
-	c.sessionsFinished.Add(1)
-}
-
-// SessionsActive returns the number of streaming sessions currently open.
+// SessionsActive returns the number of streaming sessions currently open;
+// a session counts as finished whether it completed, failed or was
+// suspended for later resume.
 func (c *Collector) SessionsActive() int64 {
-	if c == nil {
-		return 0
-	}
-	n := c.sessionsStarted.Load() - c.sessionsFinished.Load()
-	if n < 0 {
-		return 0
-	}
-	return n
-}
-
-// CountSessionRejected tallies one client turned away by admission
-// control (session limit reached, bad handshake, or drain in progress).
-func (c *Collector) CountSessionRejected() {
-	if c == nil {
-		return
-	}
-	c.sessionsRejected.Add(1)
-}
-
-// SessionsRejected returns the admission-reject tally.
-func (c *Collector) SessionsRejected() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.sessionsRejected.Load()
-}
-
-// AddIngestBackpressure accumulates wall-clock time a session's ingest
-// loop spent blocked because the solver queue was full — the time TCP
-// backpressure was being exerted on the client.
-func (c *Collector) AddIngestBackpressure(d time.Duration) {
-	if c == nil {
-		return
-	}
-	c.backpressureNS.Add(int64(d))
-}
-
-// IngestBackpressureNS returns the accumulated ingest backpressure time.
-func (c *Collector) IngestBackpressureNS() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.backpressureNS.Load()
-}
-
-// CountDegradedWindow tallies one window analysed in degraded mode (SMT
-// tier shed under sustained pressure; sound-tier verdicts only).
-func (c *Collector) CountDegradedWindow() {
-	if c == nil {
-		return
-	}
-	c.degradedWindows.Add(1)
-}
-
-// DegradedWindows returns the degraded-window tally.
-func (c *Collector) DegradedWindows() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.degradedWindows.Load()
-}
-
-// AddQueueWait accumulates one signature group's dispatch latency: the
-// wall-clock time from the window's queue opening until a worker dequeued
-// the group.
-func (c *Collector) AddQueueWait(d time.Duration) {
-	if c == nil {
-		return
-	}
-	c.queueWait.Add(int64(d))
-}
-
-// CountTriageConfirmed tallies one COP the triage ladder soundly proves
-// racy, so its solver query may be skipped, attributed to the cheapest
-// rung that proves it: "shb" (epoch/clock fast path) or "syncp"
-// (sync-preserving witness). Unknown tiers count as "shb" defensively.
-func (c *Collector) CountTriageConfirmed(tier string) {
-	if c == nil {
-		return
-	}
-	if tier == "syncp" {
-		c.triSPConfirmed.Add(1)
-	} else {
-		c.triConfirmed.Add(1)
-	}
-}
-
-// CountTriageDispatched tallies one COP the triage ladder could not
-// prove — or, under the NoQuickCheck ablation, a quick-check failure it
-// never classifies — dispatched to the SMT pair scheduler unchanged.
-func (c *Collector) CountTriageDispatched() {
-	if c == nil {
-		return
-	}
-	c.triDispatched.Add(1)
-}
-
-// CountJournalWrite tallies one write to the durable window journal:
-// records is 1 for a window record, 0 for the header, and bytes the
-// framed size written.
-func (c *Collector) CountJournalWrite(records int, bytes int) {
-	if c == nil {
-		return
-	}
-	c.journalRecords.Add(int64(records))
-	c.journalBytes.Add(int64(bytes))
-}
-
-// CountWindowReplayed tallies one window whose journaled outcome was
-// replayed on resume instead of being re-analysed — the window issued no
-// solver queries this run.
-func (c *Collector) CountWindowReplayed() {
-	if c == nil {
-		return
-	}
-	c.journalReplayed.Add(1)
-}
-
-// CountChunkCacheHit tallies one random-access event lookup served from
-// an already-decoded chunk (internal/tracev2's report-rendering path).
-func (c *Collector) CountChunkCacheHit() {
-	if c == nil {
-		return
-	}
-	c.chunkCacheHits.Add(1)
-}
-
-// CountChunkCacheMiss tallies one random-access lookup that had to
-// decode its chunk from the mapped file.
-func (c *Collector) CountChunkCacheMiss() {
-	if c == nil {
-		return
-	}
-	c.chunkCacheMisses.Add(1)
-}
-
-// ChunkCacheHits returns the chunk-cache hit tally.
-func (c *Collector) ChunkCacheHits() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.chunkCacheHits.Load()
-}
-
-// ChunkCacheMisses returns the chunk-cache miss tally.
-func (c *Collector) ChunkCacheMisses() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.chunkCacheMisses.Load()
-}
-
-// SetMmapBytes records the bytes of trace file currently mapped into
-// the address space (0 when the reader fell back to an in-memory read).
-func (c *Collector) SetMmapBytes(n int64) {
-	if c == nil {
-		return
-	}
-	c.mmapBytes.Store(n)
-}
-
-// MmapBytes returns the mapped trace bytes gauge.
-func (c *Collector) MmapBytes() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.mmapBytes.Load()
-}
-
-// CountLeaseGranted tallies one window-shard lease handed to a fleet
-// worker (speculative re-executions included).
-func (c *Collector) CountLeaseGranted() {
-	if c == nil {
-		return
-	}
-	c.leasesGranted.Add(1)
-}
-
-// LeasesGranted returns the granted-lease tally.
-func (c *Collector) LeasesGranted() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.leasesGranted.Load()
-}
-
-// CountLeaseExpired tallies one lease whose deadline lapsed without a
-// renewing heartbeat (worker stalled, crashed or disconnected).
-func (c *Collector) CountLeaseExpired() {
-	if c == nil {
-		return
-	}
-	c.leasesExpired.Add(1)
-}
-
-// LeasesExpired returns the expired-lease tally.
-func (c *Collector) LeasesExpired() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.leasesExpired.Load()
-}
-
-// CountLeaseReassigned tallies one shard put back on the pending queue
-// for another worker after its lease expired or its worker vanished.
-func (c *Collector) CountLeaseReassigned() {
-	if c == nil {
-		return
-	}
-	c.leasesReassigned.Add(1)
-}
-
-// LeasesReassigned returns the reassigned-lease tally.
-func (c *Collector) LeasesReassigned() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.leasesReassigned.Load()
-}
-
-// CountSpeculativeWin tallies one window whose first valid result came
-// from a speculative re-execution lease rather than the original one.
-func (c *Collector) CountSpeculativeWin() {
-	if c == nil {
-		return
-	}
-	c.speculativeWins.Add(1)
-}
-
-// SpeculativeWins returns the speculative-win tally.
-func (c *Collector) SpeculativeWins() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.speculativeWins.Load()
-}
-
-// CountWorkerDisconnect tallies one fleet worker connection lost before
-// the coordinator released it.
-func (c *Collector) CountWorkerDisconnect() {
-	if c == nil {
-		return
-	}
-	c.workerDisconnects.Add(1)
-}
-
-// WorkerDisconnects returns the lost-worker tally.
-func (c *Collector) WorkerDisconnects() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.workerDisconnects.Load()
-}
-
-// CountTornTailTruncated tallies one torn journal tail (truncated or
-// corrupt final region) detected and truncated away during recovery.
-func (c *Collector) CountTornTailTruncated() {
-	if c == nil {
-		return
-	}
-	c.journalTorn.Add(1)
+	return max(c.Load(SessionsStarted)-c.Load(SessionsFinished), 0)
 }
 
 // Snapshot returns the collector's current totals as a Metrics value. The
@@ -768,6 +204,7 @@ func (c *Collector) Snapshot() *Metrics {
 	if c == nil {
 		return nil
 	}
+	n := func(k Counter) int64 { return c.counters[k].Load() }
 	m := &Metrics{
 		Phases: PhaseNanos{
 			TraceScan:  c.phases[PhaseTraceScan].Load(),
@@ -781,59 +218,59 @@ func (c *Collector) Snapshot() *Metrics {
 			Other:      c.phases[PhaseOther].Load(),
 		},
 		Solver: SolverCounters{
-			Decisions:         c.decisions.Load(),
-			Propagations:      c.propagations.Load(),
-			Conflicts:         c.conflicts.Load(),
-			Restarts:          c.restarts.Load(),
-			Learned:           c.learned.Load(),
-			TheoryProps:       c.theoryProps.Load(),
-			TheoryConflicts:   c.theoryConfl.Load(),
-			IDLAsserts:        c.idlAsserts.Load(),
-			IDLNegativeCycles: c.idlNegCycles.Load(),
-			IDLRepairSteps:    c.idlRepairs.Load(),
-			TheoryFacts:       c.theoryFacts.Load(),
-			InternedAtoms:     c.internedAtoms.Load(),
-			TseitinVars:       c.tseitinVars.Load(),
-			TseitinClauses:    c.tseitinClauses.Load(),
-			BoolVars:          c.boolVars.Load(),
-			Clauses:           c.clauses.Load(),
-			IntVars:           c.intVars.Load(),
-			Solvers:           c.solvers.Load(),
+			Decisions:         n(Decisions),
+			Propagations:      n(Propagations),
+			Conflicts:         n(Conflicts),
+			Restarts:          n(Restarts),
+			Learned:           n(Learned),
+			TheoryProps:       n(TheoryProps),
+			TheoryConflicts:   n(TheoryConflicts),
+			IDLAsserts:        n(IDLAsserts),
+			IDLNegativeCycles: n(IDLNegativeCycles),
+			IDLRepairSteps:    n(IDLRepairSteps),
+			TheoryFacts:       n(TheoryFacts),
+			InternedAtoms:     n(InternedAtoms),
+			TseitinVars:       n(TseitinVars),
+			TseitinClauses:    n(TseitinClauses),
+			BoolVars:          n(BoolVars),
+			Clauses:           n(Clauses),
+			IntVars:           n(IntVars),
+			Solvers:           n(Solvers),
 		},
 		Outcomes: OutcomeTally{
-			Sat:                c.outSat.Load(),
-			Unsat:              c.outUnsat.Load(),
-			Timeout:            c.outTime.Load(),
-			Cancelled:          c.outCancelled.Load(),
-			Enumerated:         c.enumerated.Load(),
-			QuickCheckFiltered: c.quickFiltered.Load(),
-			SigDedupHits:       c.sigDedups.Load(),
-			MHBFiltered:        c.mhbFiltered.Load(),
-			BudgetExhausted:    c.budgetExhausted.Load(),
-			WindowFailures:     c.windowFailures.Load(),
+			Sat:                n(QueriesSat),
+			Unsat:              n(QueriesUnsat),
+			Timeout:            n(QueriesTimeout),
+			Cancelled:          n(QueriesCancelled),
+			Enumerated:         n(Enumerated),
+			QuickCheckFiltered: n(QuickCheckFiltered),
+			SigDedupHits:       n(SigDedup),
+			MHBFiltered:        n(MHBFiltered),
+			BudgetExhausted:    n(BudgetExhausted),
+			WindowFailures:     n(WindowFailures),
 		},
 		PairSched: PairSchedCounters{
-			Groups:      c.pairGroups.Load(),
-			Workers:     c.pairWorkers.Load(),
-			Replicas:    c.pairReplicas.Load(),
-			Rollbacks:   c.pairRollbacks.Load(),
-			SigSkips:    c.pairSkips.Load(),
-			WarmSkipped: c.warmSkipped.Load(),
-			QueueWaitNS: c.queueWait.Load(),
+			Groups:      n(PairGroups),
+			Workers:     n(PairWorkers),
+			Replicas:    n(PairReplicas),
+			Rollbacks:   n(PairRollbacks),
+			SigSkips:    n(PairSkips),
+			WarmSkipped: n(WarmSkipped),
+			QueueWaitNS: n(QueueWaitNS),
 		},
 		Triage: TriageCounters{
-			Confirmed:      c.triConfirmed.Load(),
-			SyncPConfirmed: c.triSPConfirmed.Load(),
-			Dispatched:     c.triDispatched.Load(),
+			Confirmed:      n(TriageConfirmed),
+			SyncPConfirmed: n(TriageSyncPConfirmed),
+			Dispatched:     n(TriageDispatched),
 			SHBNS:          c.phases[PhaseSHB].Load(),
 			SyncPNS:        c.phases[PhaseSyncP].Load(),
 		},
 		Journal: JournalCounters{
-			RecordsWritten:    c.journalRecords.Load(),
-			WindowsReplayed:   c.journalReplayed.Load(),
-			Bytes:             c.journalBytes.Load(),
+			RecordsWritten:    n(JournalRecords),
+			WindowsReplayed:   n(JournalWindowsReplayed),
+			Bytes:             n(JournalBytes),
 			FsyncNS:           c.phases[PhaseJournalFsync].Load(),
-			TornTailTruncated: c.journalTorn.Load(),
+			TornTailTruncated: n(JournalTornTails),
 		},
 	}
 	m.Triage.FastPathNS = m.Triage.SHBNS + m.Triage.SyncPNS
@@ -933,13 +370,12 @@ type PairSchedCounters struct {
 	Replicas  int64 `json:"replicas"`
 	Rollbacks int64 `json:"rollbacks"`
 	// SigSkips counts dispatched group instances skipped at solve time
-	// because their signature's verdict was already decided. Deterministic
-	// for sequential and pair-parallel runs; under window parallelism the
-	// cross-slice verdict share makes it timing-dependent.
+	// because an earlier instance of their group raced. Deterministic:
+	// windows are analysed in isolation, also under -parallel.
 	SigSkips int64 `json:"sig_skips"`
-	// WarmSkipped counts group instances within their attempt budget
-	// whose control-flow definitions the window's base encoding left out:
-	// those at or past the group's first ladder-proved instance.
+	// WarmSkipped counts group instances whose control-flow definitions
+	// the window's base encoding left out: those at or past the group's
+	// first ladder-proved instance.
 	// Deterministic, counted once per window whatever the worker count.
 	WarmSkipped int64 `json:"warm_skipped"`
 	QueueWaitNS int64 `json:"queue_wait_ns"`

@@ -6,8 +6,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"repro/internal/sat"
 )
 
 // TestNilCollectorIsInert drives every recording method through a nil
@@ -26,14 +24,15 @@ func TestNilCollectorIsInert(t *testing.T) {
 	}
 	span.Query(0, 1, 2).EndQuery(OutcomeSat, true)
 	c.BeginWindow(0, 0, 1, false).EndWindow(1, 1, 1)
-	c.AddSAT(sat.Stats{Decisions: 1})
-	c.AddIDL(1, 2, 3)
-	c.AddEncoding(1, 2, 3, 4, 5, 6, 7)
+	c.Add(Decisions, 1)
+	c.Set(MmapBytes, 1)
 	c.CountOutcome(OutcomeSat)
-	c.CountEnumerated(10)
-	c.CountQuickCheckFiltered(1)
-	c.CountSigDedup(1)
-	c.CountMHBFiltered()
+	if n := c.Load(Decisions); n != 0 {
+		t.Errorf("nil collector Load = %d, want 0", n)
+	}
+	if n := c.WindowsInFlight() + c.GroupsQueued() + c.SessionsActive(); n != 0 {
+		t.Errorf("nil collector gauges sum to %d, want 0", n)
+	}
 	if m := c.Snapshot(); m != nil {
 		t.Errorf("nil collector Snapshot = %+v, want nil", m)
 	}
@@ -48,20 +47,26 @@ func TestCollectorAccumulates(t *testing.T) {
 	}
 	c.addPhase(PhaseTraceScan, 5*time.Millisecond)
 	c.addPhase(PhaseSolve, 7*time.Millisecond)
-	c.AddSAT(sat.Stats{Decisions: 10, Propagations: 20, Conflicts: 3,
-		Restarts: 1, Learned: 2, TheoryProps: 30, TheoryConfl: 4})
-	c.AddSAT(sat.Stats{Decisions: 1})
-	c.AddIDL(100, 5, 50)
-	c.AddEncoding(3, 7, 8, 9, 40, 41, 42)
+	c.Add(Decisions, 10)
+	c.Add(Decisions, 1)
+	c.Add(TheoryConflicts, 4)
+	c.Add(IDLAsserts, 100)
+	c.Add(IDLNegativeCycles, 5)
+	c.Add(IDLRepairSteps, 50)
+	c.Add(TheoryFacts, 3)
+	c.Add(InternedAtoms, 7)
+	c.Add(TseitinClauses, 9)
+	c.Add(Solvers, 1)
 	c.CountOutcome(OutcomeSat)
 	c.CountOutcome(OutcomeUnsat)
 	c.CountOutcome(OutcomeUnsat)
 	c.CountOutcome(OutcomeTimeout)
 	c.CountOutcome(OutcomeCancelled)
-	c.CountEnumerated(6)
-	c.CountQuickCheckFiltered(1)
-	c.CountSigDedup(1)
-	c.CountMHBFiltered()
+	c.CountOutcome(Outcome(9)) // not an outcome: ignored
+	c.Add(Enumerated, 6)
+	c.Add(QuickCheckFiltered, 1)
+	c.Add(SigDedup, 1)
+	c.Add(MHBFiltered, 1)
 	c.windowDone(WindowRecord{Offset: 100, Events: 50, Findings: 1})
 	c.windowDone(WindowRecord{Offset: 0, Events: 100, Findings: 2})
 
@@ -104,9 +109,10 @@ func TestCollectorConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				c.AddSAT(sat.Stats{Decisions: 1})
-				c.AddIDL(1, 0, 2)
-				c.CountEnumerated(1)
+				c.Add(Decisions, 1)
+				c.Add(IDLAsserts, 1)
+				c.Add(IDLRepairSteps, 2)
+				c.Add(Enumerated, 1)
 				c.CountOutcome(OutcomeUnsat)
 				c.addPhase(PhaseSolve, time.Nanosecond)
 			}
@@ -153,10 +159,11 @@ func TestSpanMeasures(t *testing.T) {
 func TestMetricsJSONRoundTrip(t *testing.T) {
 	c := NewCollector()
 	c.addPhase(PhaseSolve, 123*time.Nanosecond)
-	c.AddSAT(sat.Stats{Decisions: 42, Learned: 7})
-	c.AddIDL(9, 1, 3)
-	c.AddEncoding(3, 4, 5, 6, 7, 8, 9)
-	c.CountEnumerated(3)
+	c.Add(Decisions, 42)
+	c.Add(Learned, 7)
+	c.Add(IDLAsserts, 9)
+	c.Add(TseitinClauses, 6)
+	c.Add(Enumerated, 3)
 	c.CountOutcome(OutcomeSat)
 	c.CountOutcome(OutcomeTimeout)
 	c.windowDone(WindowRecord{Offset: 0, Events: 10, Candidates: 3, Solved: 2, Findings: 1, ElapsedNS: 555})
@@ -203,7 +210,7 @@ func TestMetricsJSONRoundTrip(t *testing.T) {
 func TestNonTimingStripsOnlyTiming(t *testing.T) {
 	c := NewCollector()
 	c.addPhase(PhaseSolve, time.Second)
-	c.AddSAT(sat.Stats{Decisions: 5})
+	c.Add(Decisions, 5)
 	c.windowDone(WindowRecord{Offset: 0, Events: 4, ElapsedNS: 999})
 	m := c.Snapshot()
 	nt := m.NonTiming()

@@ -400,7 +400,7 @@ func (r *Reader) Close() error {
 // AttachTelemetry points chunk-cache and mmap accounting at c.
 func (r *Reader) AttachTelemetry(c *telemetry.Collector) {
 	r.col = c
-	c.SetMmapBytes(r.mapped)
+	c.Set(telemetry.MmapBytes, r.mapped)
 }
 
 // NumEvents returns the trace's event count.
@@ -447,11 +447,11 @@ func (r *Reader) chunk(c int) ([]trace.Event, error) {
 		if r.cache[i].idx == c {
 			r.tick++
 			r.cache[i].tick = r.tick
-			r.col.CountChunkCacheHit()
+			r.col.Add(telemetry.ChunkCacheHits, 1)
 			return r.cache[i].events, nil
 		}
 	}
-	r.col.CountChunkCacheMiss()
+	r.col.Add(telemetry.ChunkCacheMisses, 1)
 	victim := 0
 	for i := 1; i < len(r.cache); i++ {
 		if r.cache[i].tick < r.cache[victim].tick {

@@ -114,7 +114,7 @@ func TestRandomAccess(t *testing.T) {
 			t.Fatalf("Event(%d) = %v, want %v", i, e, tr.Event(i))
 		}
 	}
-	misses := col.ChunkCacheMisses()
+	misses := col.Load(telemetry.ChunkCacheMisses)
 	if misses == 0 {
 		t.Fatal("expected chunk cache misses from strided access")
 	}
@@ -123,7 +123,7 @@ func TestRandomAccess(t *testing.T) {
 			t.Fatalf("Event(%d): %v", i, err)
 		}
 	}
-	if col.ChunkCacheHits() == 0 {
+	if col.Load(telemetry.ChunkCacheHits) == 0 {
 		t.Error("dense re-read produced no cache hits")
 	}
 }

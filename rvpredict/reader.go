@@ -244,7 +244,7 @@ func MergeJournal(ctx context.Context, opt Options, journalPath string) (Report,
 		return Report{}, err
 	}
 	if info.TornTail {
-		col.CountTornTailTruncated()
+		col.Add(telemetry.JournalTornTails, 1)
 	}
 	opt.resumeWindows = outcomesByWindow(info.Outcomes)
 	return run(ctx, nil, opt, true)

@@ -514,7 +514,7 @@ func attachJournalWriter(opt *Options, fp journal.Fingerprint, col *telemetry.Co
 			return nil, err
 		}
 		if info.TornTail {
-			col.CountTornTailTruncated()
+			col.Add(telemetry.JournalTornTails, 1)
 		}
 		opt.resumeWindows = outcomesByWindow(info.Outcomes)
 	} else {
