@@ -8,6 +8,7 @@
 package main
 
 import (
+	_ "embed"
 	"fmt"
 	"log"
 
@@ -15,72 +16,19 @@ import (
 	"repro/rvpredict"
 )
 
-// Three philosophers; the first two pick up their forks in opposite
-// orders (a real deadlock); the third follows a global order.
-const unsafeTable = `lock f1, f2, f3;
-shared meals;
-thread table {
-  fork p1;
-  fork p2;
-  fork p3;
-  join p1;
-  join p2;
-  join p3;
-  print meals;
-}
-thread p1 {
-  lock f1;
-  lock f2;
-  meals = meals + 1;
-  unlock f2;
-  unlock f1;
-}
-thread p2 {
-  lock f2;
-  lock f1;
-  meals = meals + 1;
-  unlock f1;
-  unlock f2;
-}
-thread p3 {
-  lock f2;
-  lock f3;
-  meals = meals + 1;
-  unlock f3;
-  unlock f2;
-}`
+// unsafeTable: three philosophers; the first two pick up their forks in
+// opposite orders (a real deadlock); the third follows a global order.
+//
+//go:embed unsafe.ml
+var unsafeTable string
 
-// The same table with a waiter: every philosopher asks permission (a gate
-// lock) before picking up forks, which prevents the inversion from ever
-// deadlocking — a classic lockset-style false positive that the
-// constraint-based detector proves safe.
-const waiterTable = `lock f1, f2, waiter;
-shared meals;
-thread table {
-  fork p1;
-  fork p2;
-  join p1;
-  join p2;
-  print meals;
-}
-thread p1 {
-  lock waiter;
-  lock f1;
-  lock f2;
-  meals = meals + 1;
-  unlock f2;
-  unlock f1;
-  unlock waiter;
-}
-thread p2 {
-  lock waiter;
-  lock f2;
-  lock f1;
-  meals = meals + 1;
-  unlock f1;
-  unlock f2;
-  unlock waiter;
-}`
+// waiterTable: the same table with a waiter. Every philosopher asks
+// permission (a gate lock) before picking up forks, which prevents the
+// inversion from ever deadlocking — a classic lockset-style false positive
+// that the constraint-based detector proves safe.
+//
+//go:embed waiter.ml
+var waiterTable string
 
 func analyse(name, src string) {
 	prog, err := minilang.Compile(src)

@@ -4,9 +4,13 @@
 # example and the 21 Table 1 rows at tracegen's defaults, in the -json,
 # -witness, -parallel 2, -pair-parallel 2 and .rvc2 modes, plus a resume
 # mode for every multi-window row: a -journal run stopped by
-# RVPREDICT_FAULTS=journal_append:1=crash, then -resumed. The canonical
-# report drops every *_ns key and build_info (and, under -pair-parallel,
-# bool_vars, clauses and rollbacks, which depend on worker timing).
+# RVPREDICT_FAULTS=journal_append:1=crash, then -resumed. The same rows
+# plus the example programs under examples/philosophers and
+# examples/account also get -deadlock and -atomicity reports, with and
+# without -witness. The canonical report drops every *_ns key and
+# build_info (under -pair-parallel also bool_vars, clauses and
+# rollbacks, which depend on worker timing, and in the deadlock and
+# atomicity modes the telemetry block).
 #
 #   scripts/identity.sh          # check the full matrix (derby included)
 #   scripts/identity.sh update   # rewrite testdata/identity.sum
