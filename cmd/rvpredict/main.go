@@ -423,31 +423,55 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return foundExit(len(rep.Races))
 	}
 
-	if *deadlocks {
+	if *deadlocks || *atomicity {
 		mtr, err := materialise()
 		if err != nil {
 			fmt.Fprintln(stderr, "rvpredict:", err)
 			return 2
 		}
-		rep := rvpredict.DetectDeadlocksContext(ctx, mtr, opt)
+		// One finding per line, with its witness prefix when requested.
+		var (
+			rep         any
+			header      string
+			found       []string
+			witnesses   [][]int
+			interrupted bool
+			tel         *rvpredict.Telemetry
+		)
+		if *deadlocks {
+			r := rvpredict.DetectDeadlocksContext(ctx, mtr, opt)
+			rep, interrupted, tel = r, r.Interrupted, r.Telemetry
+			header = fmt.Sprintf("deadlocks: %d (of %d candidate inversions) in %v",
+				len(r.Deadlocks), r.Candidates, r.Elapsed.Round(time.Millisecond))
+			for _, d := range r.Deadlocks {
+				found, witnesses = append(found, d.Description), append(witnesses, d.Witness)
+			}
+		} else {
+			r := rvpredict.DetectAtomicityViolationsContext(ctx, mtr, opt)
+			rep, interrupted, tel = r, r.Interrupted, r.Telemetry
+			header = fmt.Sprintf("atomicity violations: %d (of %d candidates) in %v",
+				len(r.Violations), r.Candidates, r.Elapsed.Round(time.Millisecond))
+			for _, v := range r.Violations {
+				found, witnesses = append(found, v.Description), append(witnesses, v.Witness)
+			}
+		}
 		err = deliver(func(w io.Writer) error {
 			if *jsonOut {
 				return emitJSON(w, rep)
 			}
-			fmt.Fprintf(w, "deadlocks: %d (of %d candidate inversions) in %v\n",
-				len(rep.Deadlocks), rep.Candidates, rep.Elapsed.Round(time.Millisecond))
-			for i, d := range rep.Deadlocks {
-				fmt.Fprintf(w, "  #%d %s\n", i+1, d.Description)
-				if *witness && d.Witness != nil {
+			fmt.Fprintln(w, header)
+			for i, desc := range found {
+				fmt.Fprintf(w, "  #%d %s\n", i+1, desc)
+				if *witness && witnesses[i] != nil {
 					fmt.Fprintf(w, "     witness prefix:")
-					for _, idx := range d.Witness {
+					for _, idx := range witnesses[i] {
 						fmt.Fprintf(w, " %d", idx)
 					}
 					fmt.Fprintln(w)
 				}
 			}
 			if *stats {
-				printTelemetry(w, rep.Telemetry)
+				printTelemetry(w, tel)
 			}
 			return nil
 		})
@@ -455,43 +479,11 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "rvpredict:", err)
 			return 2
 		}
-		if rep.Interrupted {
+		if interrupted {
 			fmt.Fprintln(stderr, "rvpredict: interrupted; partial results above")
 			return exitInterrupted
 		}
-		return foundExit(len(rep.Deadlocks))
-	}
-
-	if *atomicity {
-		mtr, err := materialise()
-		if err != nil {
-			fmt.Fprintln(stderr, "rvpredict:", err)
-			return 2
-		}
-		rep := rvpredict.DetectAtomicityViolationsContext(ctx, mtr, opt)
-		err = deliver(func(w io.Writer) error {
-			if *jsonOut {
-				return emitJSON(w, rep)
-			}
-			fmt.Fprintf(w, "atomicity violations: %d (of %d candidates) in %v\n",
-				len(rep.Violations), rep.Candidates, rep.Elapsed.Round(time.Millisecond))
-			for i, v := range rep.Violations {
-				fmt.Fprintf(w, "  #%d %s\n", i+1, v.Description)
-			}
-			if *stats {
-				printTelemetry(w, rep.Telemetry)
-			}
-			return nil
-		})
-		if err != nil {
-			fmt.Fprintln(stderr, "rvpredict:", err)
-			return 2
-		}
-		if rep.Interrupted {
-			fmt.Fprintln(stderr, "rvpredict: interrupted; partial results above")
-			return exitInterrupted
-		}
-		return foundExit(len(rep.Violations))
+		return foundExit(len(found))
 	}
 
 	switch strings.ToLower(*algoName) {

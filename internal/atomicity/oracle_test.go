@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/trace"
 )
 
@@ -186,16 +187,15 @@ func randomRegionTrace(rng *rand.Rand) *trace.Trace {
 
 func TestAtomicityAgreesWithOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	det := New(Options{SolveTimeout: 30 * time.Second})
 	checked := 0
 	for iter := 0; iter < 400; iter++ {
 		tr := randomRegionTrace(rng)
 		for i := 0; i < tr.Len(); i++ {
 			tr.Events()[i].Loc = trace.Loc(i + 1) // unique locs: no dedup
 		}
-		res := det.Detect(tr)
+		res := detect(t, tr, core.Options{SolveTimeout: 30 * time.Second, Witness: true})
 		found := make(map[[3]int]bool)
-		for _, v := range res.Violations {
+		for _, v := range res.Races {
 			found[[3]int{v.First, v.Remote, v.Second}] = true
 		}
 		for _, c := range candidates(tr) {

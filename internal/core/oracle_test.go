@@ -328,12 +328,14 @@ func allCOPs(tr *trace.Trace) []race.COP {
 	return out
 }
 
-// partitionAll partitions every candidate of tr, none of whose
+// raceGroup is a signature group of the race kind.
+type raceGroup = Group[race.COP, race.Signature]
+
+// partitionAll partitions every candidate of tr under opt, none of whose
 // signatures is seen yet.
-func (d *Detector) partitionAll(tr *trace.Trace) ([]*sigGroup, *vc.MHB) {
-	acc := race.GroupAccesses(tr)
-	n, _ := acc.Count(tr, nil)
-	return d.partition(nil, tr, acc, n, nil)
+func partitionAll(opt Options, tr *trace.Trace) ([]*raceGroup, *vc.MHB) {
+	var fn Funnel
+	return raceKind{opt: opt}.Partition(nil, tr, nil, &fn)
 }
 
 func TestDetectorAgreesWithOracle(t *testing.T) {

@@ -22,11 +22,11 @@ import (
 func TestWarmPrefixReplay(t *testing.T) {
 	tr := mixedWindowTrace(t)
 	for _, witness := range []bool{false, true} {
-		d := New(Options{Witness: witness})
-		groups, mhb := d.partitionAll(tr)
+		r := NewRunner(Options{Witness: witness}, Isolated)
+		groups, mhb := partitionAll(r.opt, tr)
 		wc := &windowCtx{ctx: context.Background(), w: tr, mhb: mhb,
 			cancel: func() bool { return false }}
-		ws := d.buildReplica(wc, groups)
+		ws := r.buildReplica(wc, groups)
 		baseVars, baseClauses, _ := ws.s.Size()
 
 		// memo lists the events whose cf currently has a literal.
@@ -42,13 +42,13 @@ func TestWarmPrefixReplay(t *testing.T) {
 		base := memo()
 		prepared := 0
 		for _, g := range groups {
-			for _, cop := range g.cops[:d.warmCount(g)] {
+			for _, cop := range g.Cands[:r.warmCount(g)] {
 				prepare := func() (sat.Lit, int) {
 					ws.rollback(nil, nil)
 					ws.dirty = true
 					guard, ok := ws.prepare(cop, nil)
 					if !ok {
-						t.Fatalf("witness=%v group %v: prepare %v failed", witness, g.sig, cop)
+						t.Fatalf("witness=%v group %v: prepare %v failed", witness, g.Sig, cop)
 					}
 					_, clauses, _ := ws.s.Size()
 					return guard, clauses
@@ -56,19 +56,19 @@ func TestWarmPrefixReplay(t *testing.T) {
 				g1, c1 := prepare()
 				if after := memo(); !reflect.DeepEqual(after, base) {
 					t.Errorf("witness=%v group %v: preparing %v changed the cf memo from %d to %d entries",
-						witness, g.sig, cop, len(base), len(after))
+						witness, g.Sig, cop, len(base), len(after))
 				}
 				if c1 <= baseClauses {
-					t.Errorf("witness=%v group %v: preparing %v added no clause", witness, g.sig, cop)
+					t.Errorf("witness=%v group %v: preparing %v added no clause", witness, g.Sig, cop)
 				}
 				if g2, c2 := prepare(); g1 != g2 || c1 != c2 {
 					t.Errorf("witness=%v group %v: replay of %v after rollback: guard %v/%v, clauses %d/%d",
-						witness, g.sig, cop, g1, g2, c1, c2)
+						witness, g.Sig, cop, g1, g2, c1, c2)
 				}
 				ws.rollback(nil, nil)
 				if vars, clauses, _ := ws.s.Size(); vars != baseVars || clauses != baseClauses {
 					t.Errorf("witness=%v group %v: rollback left %d vars / %d clauses, base is %d / %d",
-						witness, g.sig, vars, clauses, baseVars, baseClauses)
+						witness, g.Sig, vars, clauses, baseVars, baseClauses)
 				}
 				prepared++
 			}

@@ -49,7 +49,8 @@ import (
 )
 
 // triage classifies every instance of groups (window-local, canonical
-// group order) and sets each group's first proved instance and its tier.
+// group order), tallies it in one of fn's triage bins, and sets each
+// group's first proved instance and its tier.
 // The ladder is stateless per pair, so it runs rung by rung, one phase
 // span each under the quick-check span qc: the SHB rung over every
 // instance, then the syncp rung over the instances SHB left. A group's
@@ -63,27 +64,26 @@ import (
 // instance is dispatched unclassified. The SHB rung is O(1) per pair
 // (FastTrack-style epochs against full clocks); the witness rung scans
 // the pair's trace span once.
-func (d *Detector) triage(qc *telemetry.Span, w *trace.Trace, sets *lockset.Sets, groups []*sigGroup) {
+func (k raceKind) triage(qc *telemetry.Span, w *trace.Trace, sets *lockset.Sets, groups []*Group[race.COP, race.Signature], fn *Funnel) {
 	if len(groups) == 0 {
 		return
 	}
-	col := d.opt.Telemetry
 	type instance struct {
-		g *sigGroup
+		g *Group[race.COP, race.Signature]
 		i int
 	}
 	var rest []instance
 	span := qc.Child(telemetry.PhaseSHB, "shb")
 	shb := hb.SHBClocks(w)
 	for _, g := range groups {
-		for i, cop := range g.cops {
+		for i, cop := range g.Cands {
 			switch {
-			case d.opt.NoQuickCheck && !sets.Pass(cop.A, cop.B):
-				col.Add(telemetry.TriageDispatched, 1)
+			case k.opt.NoQuickCheck && !sets.Pass(cop.A, cop.B):
+				fn.Dispatched++
 			case syncp.ConfirmSHB(shb, cop.A, cop.B):
-				col.Add(telemetry.TriageConfirmed, 1)
-				if g.proved < 0 {
-					g.proved, g.tier = i, race.TierSHB
+				fn.Confirmed++
+				if g.Proved < 0 {
+					g.Proved, g.Tier = i, race.TierSHB
 				}
 			default:
 				rest = append(rest, instance{g, i})
@@ -101,14 +101,14 @@ func (d *Detector) triage(qc *telemetry.Span, w *trace.Trace, sets *lockset.Sets
 	defer sr.Release() // the witness index borrows these clocks
 	sidx := syncp.NewIndex(w, sr)
 	for _, in := range rest {
-		cop := in.g.cops[in.i]
+		cop := in.g.Cands[in.i]
 		if !sidx.Check(cop.A, cop.B) {
-			col.Add(telemetry.TriageDispatched, 1)
+			fn.Dispatched++
 			continue
 		}
-		col.Add(telemetry.TriageSyncPConfirmed, 1)
-		if in.g.proved < 0 || in.i < in.g.proved {
-			in.g.proved, in.g.tier = in.i, race.TierSyncP
+		fn.SyncPConfirmed++
+		if in.g.Proved < 0 || in.i < in.g.Proved {
+			in.g.Proved, in.g.Tier = in.i, race.TierSyncP
 		}
 	}
 }

@@ -8,6 +8,7 @@
 package encode
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/smt"
@@ -430,22 +431,28 @@ func (e *Encoder) Witness(a, b int) []int {
 	va, vb := e.s.Value(e.vars[a]), e.s.Value(e.vars[b])
 	if vb < va {
 		a, b = b, a
-		va, vb = vb, va
-	}
-	type ev struct {
-		idx int
-		val int64
+		vb = va
 	}
 	// Include events valued strictly below the later pair member. In
 	// explicit-adjacency mode (vb = va+1) this admits ties with the earlier
 	// member, which may carry a true e<b atom; in merged mode (va = vb)
 	// ties are unconstrained against the pair and are left out.
+	out := slices.DeleteFunc(e.Prefix(vb), func(i int) bool { return i == a })
+	return append(out, a, b)
+}
+
+// Prefix returns, after a satisfiable solve, the events whose order value
+// is below bound, sorted by (value, trace index): the schedule prefix the
+// model orders before that point. It is the witness of the deadlock and
+// atomicity query kinds.
+func (e *Encoder) Prefix(bound int64) []int {
+	type ev struct {
+		idx int
+		val int64
+	}
 	var pre []ev
 	for i := range e.vars {
-		if i == a || i == b {
-			continue
-		}
-		if v := e.s.Value(e.vars[i]); v < vb {
+		if v := e.s.Value(e.vars[i]); v < bound {
 			pre = append(pre, ev{idx: i, val: v})
 		}
 	}
@@ -455,9 +462,9 @@ func (e *Encoder) Witness(a, b int) []int {
 		}
 		return pre[i].idx < pre[j].idx
 	})
-	out := make([]int, 0, len(pre)+2)
-	for _, p := range pre {
-		out = append(out, p.idx)
+	out := make([]int, len(pre))
+	for i, p := range pre {
+		out[i] = p.idx
 	}
-	return append(out, a, b)
+	return out
 }

@@ -142,10 +142,14 @@ func (s *Server) Close() error {
 //	enumerated = quick_check_filtered + signature_dedup + mhb_filtered
 //	           + triage_confirmed + triage_syncp_confirmed + dispatched
 //
-// holds exactly in every configuration: partition classifies every
-// enumerated candidate into exactly one of those bins (solve-time skips
-// count separately as pair_skips; the NoQuickCheck ablation counts its
-// quick-check failures as dispatched).
+// holds in every configuration and for every query kind: a window's
+// Partition puts each enumerated candidate in exactly one of those bins
+// (solve-time skips count separately as pair_skips; the NoQuickCheck
+// ablation counts its quick-check failures as dispatched). The Runner
+// adds a window's bins in one step, so the identity is exact at
+// quiescence — between windows of a sequential run, as at its
+// window-completion hook — but a snapshot taken while a window publishes
+// can see it broken.
 type Funnel struct {
 	Enumerated           int64 `json:"candidates_enumerated"`
 	QuickCheckFiltered   int64 `json:"quick_check_filtered"`

@@ -11,9 +11,10 @@ polls /metrics until the run ends. Passes when:
     scraper would reject on);
   * at least one scrape satisfies the candidate-funnel identity
     (enumerated = quick_check + dedup + mhb + triage tiers + dispatched)
-    with a non-zero candidate count — scrapes landing inside a window's
-    classification phase may transiently run ahead, so the identity is
-    required of some scrape, not all;
+    with a non-zero candidate count — a scrape landing while a window
+    publishes its funnel counters may see the identity off by that
+    window's share, so the identity is required of some scrape, not
+    all;
   * the final JSON report carries a provenance tier on every race;
   * the -trace-out file is valid Chrome trace-event JSON (complete or
     metadata events only, non-negative timestamps).
@@ -21,6 +22,7 @@ polls /metrics until the run ends. Passes when:
 Exit status 0 on success, 1 with a diagnostic on any failure.
 """
 
+import http.client
 import json
 import re
 import subprocess
@@ -109,8 +111,10 @@ def main():
         try:
             with urllib.request.urlopen(f"http://{addr}/metrics", timeout=2) as resp:
                 body = resp.read().decode()
-        except OSError:
-            break  # server closed: the run ended
+        except (OSError, http.client.HTTPException):
+            # The server closed, possibly mid-response (IncompleteRead):
+            # the run ended.
+            break
         values = parse_prom(body)
         scrapes += 1
         if funnel_holds(values):
