@@ -190,7 +190,7 @@ func TestCFSizeLinear(t *testing.T) {
 			t.Fatal(err)
 		}
 		_, before, _ := s.Size()
-		if err := NewCF(enc, s).AssertControlFlow(tr.Len() - 1); err != nil {
+		if err := s.Assert(NewCF(enc, s).ControlFlow(tr.Len() - 1)); err != nil {
 			t.Fatal(err)
 		}
 		_, after, _ := s.Size()

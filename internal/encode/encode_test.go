@@ -240,7 +240,7 @@ func verdict(tr *trace.Trace, a, b int, merged bool) bool {
 	if !merged && enc.AssertAdjacent(a, b) != nil {
 		return false
 	}
-	if cf.AssertControlFlow(a) != nil || cf.AssertControlFlow(b) != nil {
+	if s.Assert(cf.ControlFlow(a)) != nil || s.Assert(cf.ControlFlow(b)) != nil {
 		return false
 	}
 	return s.Solve() == sat.Sat
