@@ -51,7 +51,7 @@ func TestFigure1DetectsOnlyLine3Line10(t *testing.T) {
 	}
 	// The witness must be a valid schedule ending with the racing pair.
 	r := res.Races[0]
-	if err := race.ValidateWitness(tr, r.Witness, r.A, r.B); err != nil {
+	if err := race.ValidateWitness(tr, r.Witness, r.A, r.B, 0); err != nil {
 		t.Errorf("invalid witness: %v (witness %v)", err, r.Witness)
 	}
 }
@@ -77,7 +77,7 @@ func TestFigure2CaseNoBranchIsRace(t *testing.T) {
 		t.Errorf("case ¿: race (1,4) not detected; races: %v", res.Races)
 	}
 	for _, r := range res.Races {
-		if err := race.ValidateWitness(tr, r.Witness, r.A, r.B); err != nil {
+		if err := race.ValidateWitness(tr, r.Witness, r.A, r.B, 0); err != nil {
 			t.Errorf("invalid witness: %v", err)
 		}
 	}
@@ -238,7 +238,7 @@ func TestWitnessesAlwaysValid(t *testing.T) {
 				t.Error("witness requested but missing")
 				continue
 			}
-			if err := race.ValidateWitness(tr, r.Witness, r.A, r.B); err != nil {
+			if err := race.ValidateWitness(tr, r.Witness, r.A, r.B, 0); err != nil {
 				t.Errorf("invalid witness %v: %v", r.Witness, err)
 			}
 		}

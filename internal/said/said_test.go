@@ -51,7 +51,7 @@ func TestPlainRaceWithWitness(t *testing.T) {
 		t.Fatalf("want 1 race, got %v", res.Races)
 	}
 	r := res.Races[0]
-	if err := race.ValidateWitness(tr, r.Witness, r.A, r.B); err != nil {
+	if err := race.ValidateWitness(tr, r.Witness, r.A, r.B, 0); err != nil {
 		t.Errorf("invalid witness: %v", err)
 	}
 }

@@ -150,7 +150,7 @@ func TestFigure1EndToEndRace(t *testing.T) {
 	if got.First != 6 || got.Second != 19 {
 		t.Errorf("race signature = %v, want lines (6,19)", got)
 	}
-	if err := race.ValidateWitness(tr, res.Races[0].Witness, res.Races[0].A, res.Races[0].B); err != nil {
+	if err := race.ValidateWitness(tr, res.Races[0].Witness, res.Races[0].A, res.Races[0].B, 0); err != nil {
 		t.Errorf("witness invalid: %v", err)
 	}
 }
