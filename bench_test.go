@@ -138,6 +138,9 @@ func BenchmarkDetect(b *testing.B) {
 			b.ReportMetric(float64(m.Solver.Propagations), "propagations")
 			b.ReportMetric(float64(m.Solver.Conflicts), "conflicts")
 			b.ReportMetric(float64(m.Outcomes.Solved), "queries")
+			// Propagation bookkeeping, which only /metrics exports.
+			b.ReportMetric(float64(col.Load(telemetry.WatchMoves)), "watch_moves")
+			b.ReportMetric(float64(col.Load(telemetry.UndoLogEntries)), "undo_log_entries")
 			// Clauses of the window encodings: the size of what the
 			// replicas encode, informational next to the queries gate.
 			b.ReportMetric(float64(m.Solver.Clauses), "clauses")

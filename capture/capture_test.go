@@ -69,7 +69,7 @@ func TestCapturedRaceDetected(t *testing.T) {
 		if r.Locations[0] == "worker:data" && r.Locations[1] == "main:data" ||
 			r.Locations[1] == "worker:data" && r.Locations[0] == "main:data" {
 			found = true
-			if err := rvpredict.CheckWitness(tr, r.Witness, r.First, r.Second); err != nil {
+			if err := rvpredict.CheckWitness(tr, r.Witness, r.First, r.Second, 0); err != nil {
 				t.Errorf("invalid witness: %v", err)
 			}
 		}

@@ -40,12 +40,13 @@ func main() {
 		log.Fatal(err)
 	}
 
-	report := rvpredict.Detect(tr, rvpredict.Options{Witness: true})
+	opt := rvpredict.Options{Witness: true}
+	report := rvpredict.Detect(tr, opt)
 	fmt.Printf("checked %d conflicting pairs in %d window(s)\n",
 		report.PairsChecked, report.Windows)
 	for _, r := range report.Races {
 		fmt.Println("RACE:", r.Description)
-		if err := rvpredict.CheckWitness(tr, r.Witness, r.First, r.Second); err != nil {
+		if err := rvpredict.CheckWitness(tr, r.Witness, r.First, r.Second, opt.WindowSize); err != nil {
 			log.Fatal("invalid witness: ", err)
 		}
 		fmt.Println("  witness schedule that makes the accesses adjacent:")

@@ -26,7 +26,9 @@
 package atomicity
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -124,6 +126,10 @@ type candidate struct {
 // second access.
 type signature [3]trace.Loc
 
+func (c candidate) sig(tr *trace.Trace) signature {
+	return signature{tr.Event(c.e1).Loc, tr.Event(c.e3).Loc, tr.Event(c.e2).Loc}
+}
+
 type kind struct{}
 
 // Partition enumerates the window's unserializable triples in canonical
@@ -133,19 +139,16 @@ type kind struct{}
 // MHB is computed only once some candidate is unseen.
 func (kind) Partition(wspan *telemetry.Span, w *trace.Trace, seen map[signature]bool, fn *core.Funnel) ([]*core.Group[candidate, signature], *vc.MHB) {
 	span := wspan.Child(telemetry.PhaseEnumerate, "enumerate")
-	cands := candidates(w)
+	cands, deduped := candidates(w, seen)
 	span.End()
+	fn.Enumerated += len(cands) + deduped
+	fn.SigDedup += deduped
 	var (
 		gr  core.Grouper[candidate, signature]
 		mhb *vc.MHB
 	)
 	for _, c := range cands {
-		fn.Enumerated++
-		sig := signature{w.Event(c.e1).Loc, w.Event(c.e3).Loc, w.Event(c.e2).Loc}
-		if seen[sig] {
-			fn.SigDedup++
-			continue
-		}
+		sig := c.sig(w)
 		if mhb == nil {
 			span = wspan.Child(telemetry.PhaseMHB, "mhb")
 			mhb = vc.ComputeMHB(w)
@@ -187,37 +190,45 @@ func (kind) Sig(v Violation) signature { return v.sig }
 // candidates enumerates unserializable triples: per critical section, per
 // location with ≥ 2 accesses, the (first, last) local access pair against
 // every remote access whose thread does not also hold the region's lock at
-// that access.
-func candidates(tr *trace.Trace) []candidate {
-	// Per-location accesses, and per-event set of held locks.
+// that access. A triple whose signature is in seen is counted in deduped
+// but not built.
+func candidates(tr *trace.Trace, seen map[signature]bool) (out []candidate, deduped int) {
+	// Per-location accesses, each with the locks its thread held. A
+	// thread's held set is replaced, never changed in place, at every
+	// acquire and release, so accesses share it without a copy.
 	byAddr := make(map[trace.Addr][]access)
-	heldAt := make(map[int]map[trace.Addr]bool)
-	cur := make(map[trace.TID]map[trace.Addr]bool)
+	held := make(map[trace.TID][]trace.Addr)
 	for i := 0; i < tr.Len(); i++ {
 		e := tr.Event(i)
 		switch e.Op {
 		case trace.OpAcquire:
-			if cur[e.Tid] == nil {
-				cur[e.Tid] = make(map[trace.Addr]bool)
+			if hs := held[e.Tid]; !slices.Contains(hs, e.Addr) {
+				held[e.Tid] = append(slices.Clip(hs), e.Addr)
 			}
-			cur[e.Tid][e.Addr] = true
 		case trace.OpRelease:
-			delete(cur[e.Tid], e.Addr)
+			if hs := held[e.Tid]; slices.Contains(hs, e.Addr) {
+				held[e.Tid] = slices.DeleteFunc(slices.Clone(hs), func(l trace.Addr) bool { return l == e.Addr })
+			}
 		case trace.OpRead, trace.OpWrite:
 			if !tr.Volatile(e.Addr) {
-				byAddr[e.Addr] = append(byAddr[e.Addr], access{idx: i, tid: e.Tid})
-				if len(cur[e.Tid]) > 0 {
-					hs := make(map[trace.Addr]bool, len(cur[e.Tid]))
-					for l := range cur[e.Tid] {
-						hs[l] = true
-					}
-					heldAt[i] = hs
-				}
+				byAddr[e.Addr] = append(byAddr[e.Addr], access{idx: i, tid: e.Tid, held: held[e.Tid]})
 			}
 		}
 	}
+	// add keeps the triple (e1, remote, e2) if it is unserializable and
+	// its signature unseen.
+	add := func(e1, e2 int, remote access, lock trace.Addr, split bool) {
+		if !unserializable(tr.Event(e1).Op, tr.Event(remote.idx).Op, tr.Event(e2).Op) {
+			return
+		}
+		c := candidate{e1: e1, e2: e2, e3: remote.idx, lock: lock, split: split}
+		if seen[c.sig(tr)] {
+			deduped++
+			return
+		}
+		out = append(out, c)
+	}
 
-	var out []candidate
 	sections := tr.CriticalSections()
 	for _, cs := range sections {
 		if cs.Acquire < 0 || cs.Release < 0 {
@@ -247,14 +258,9 @@ func candidates(tr *trace.Trace) []candidate {
 				continue
 			}
 			for _, acc := range byAddr[a] {
-				if acc.tid == cs.Tid {
-					continue
-				}
-				if heldAt[acc.idx][cs.Lock] {
-					continue // same lock held: can never interleave
-				}
-				if unserializable(tr.Event(e1).Op, tr.Event(acc.idx).Op, tr.Event(e2).Op) {
-					out = append(out, candidate{e1: e1, e2: e2, e3: acc.idx, lock: cs.Lock})
+				// A remote holding the region's lock can never interleave.
+				if acc.tid != cs.Tid && !slices.Contains(acc.held, cs.Lock) {
+					add(e1, e2, acc, cs.Lock, false)
 				}
 			}
 		}
@@ -274,33 +280,33 @@ func candidates(tr *trace.Trace) []candidate {
 		}
 		key := threadLock{tid: cs.Tid, lock: cs.Lock}
 		if p, ok := prev[key]; ok {
-			out = append(out, splitCandidates(tr, byAddr, p, cs)...)
+			splitCandidates(tr, byAddr, p, cs, add)
 		}
 		prev[key] = cs
 	}
 
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].e1 != out[j].e1 {
-			return out[i].e1 < out[j].e1
-		}
-		if out[i].e2 != out[j].e2 {
-			return out[i].e2 < out[j].e2
-		}
-		return out[i].e3 < out[j].e3
+	// Stable, so triples that differ only in their lock keep the order
+	// they were found in, whatever seen filtered out.
+	slices.SortStableFunc(out, func(a, b candidate) int {
+		return cmp.Or(cmp.Compare(a.e1, b.e1), cmp.Compare(a.e2, b.e2), cmp.Compare(a.e3, b.e3))
 	})
-	return out
+	return out, deduped
 }
 
-// access is one shared-memory access site (event index and thread).
+// access is one shared-memory access site: event index, thread, and the
+// locks the thread held.
 type access struct {
-	idx int
-	tid trace.TID
+	idx  int
+	tid  trace.TID
+	held []trace.Addr
 }
 
 // splitCandidates pairs the last access of each location in section s1
 // with the first access of the same location in the thread's next section
-// s2 on the same lock, against every remote access.
-func splitCandidates(tr *trace.Trace, byAddr map[trace.Addr][]access, s1, s2 trace.CriticalSection) []candidate {
+// s2 on the same lock, against every remote access, and hands each triple
+// to add.
+func splitCandidates(tr *trace.Trace, byAddr map[trace.Addr][]access, s1, s2 trace.CriticalSection,
+	add func(e1, e2 int, remote access, lock trace.Addr, split bool)) {
 	lastIn := make(map[trace.Addr]int)
 	for i := s1.Acquire + 1; i < s1.Release; i++ {
 		e := tr.Event(i)
@@ -322,19 +328,14 @@ func splitCandidates(tr *trace.Trace, byAddr map[trace.Addr][]access, s1, s2 tra
 		}
 	}
 	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	var out []candidate
 	for _, a := range addrs {
 		e1, e2 := lastIn[a], firstIn[a]
 		for _, acc := range byAddr[a] {
-			if acc.tid == s1.Tid {
-				continue
-			}
-			if unserializable(tr.Event(e1).Op, tr.Event(acc.idx).Op, tr.Event(e2).Op) {
-				out = append(out, candidate{e1: e1, e2: e2, e3: acc.idx, lock: s1.Lock, split: true})
+			if acc.tid != s1.Tid {
+				add(e1, e2, acc, s1.Lock, true)
 			}
 		}
 	}
-	return out
 }
 
 // queries are a window encoding's atomicity hooks.

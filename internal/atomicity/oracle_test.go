@@ -2,10 +2,12 @@ package atomicity
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/workloads"
 	"repro/trace"
 )
 
@@ -198,7 +200,8 @@ func TestAtomicityAgreesWithOracle(t *testing.T) {
 		for _, v := range res.Races {
 			found[[3]int{v.First, v.Remote, v.Second}] = true
 		}
-		for _, c := range candidates(tr) {
+		cands, _ := candidates(tr, nil)
+		for _, c := range cands {
 			want := oracleSandwich(tr, c.e1, c.e3, c.e2)
 			got := found[[3]int{c.e1, c.e3, c.e2}]
 			if got != want {
@@ -220,4 +223,53 @@ func dump(tr *trace.Trace) string {
 		s += tr.Event(i).String() + "\n"
 	}
 	return s
+}
+
+// TestCandidatesSkipSeen checks the enumeration's dedup: with a seen set,
+// candidates builds exactly the triples of unseen signatures, in the
+// order it builds them with none seen, and counts the rest.
+func TestCandidatesSkipSeen(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	trs := []*trace.Trace{}
+	for range 20 {
+		trs = append(trs, randomRegionTrace(rng))
+	}
+	for _, spec := range workloads.Rows() {
+		if spec.Name == "derby" {
+			spec.Events = 10000
+			tr, _ := workloads.Build(spec)
+			trs = append(trs, tr)
+		}
+	}
+	hits := 0
+	for i, tr := range trs {
+		all, deduped := candidates(tr, nil)
+		if deduped != 0 {
+			t.Fatalf("trace %d: %d dedup hits with nothing seen", i, deduped)
+		}
+		// Every other signature, in order of first appearance, is seen.
+		seen := make(map[signature]bool)
+		var order []signature
+		for _, c := range all {
+			if _, ok := seen[c.sig(tr)]; !ok {
+				seen[c.sig(tr)] = len(order)%2 == 0
+				order = append(order, c.sig(tr))
+			}
+		}
+		var want []candidate
+		for _, c := range all {
+			if !seen[c.sig(tr)] {
+				want = append(want, c)
+			}
+		}
+		got, deduped := candidates(tr, seen)
+		if !slices.Equal(got, want) || deduped != len(all)-len(want) {
+			t.Fatalf("trace %d: %d candidates and %d dedup hits, want %d and %d",
+				i, len(got), deduped, len(want), len(all)-len(want))
+		}
+		hits += deduped
+	}
+	if hits < 1000 {
+		t.Fatalf("only %d dedup hits: fixtures too small", hits)
+	}
 }

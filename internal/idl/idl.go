@@ -103,10 +103,33 @@ func (s *Solver) NewVar() VarID { return s.NewVarAt(0) }
 func (s *Solver) NewVarAt(hint int64) VarID {
 	v := VarID(len(s.pot))
 	s.pot = append(s.pot, hint)
-	s.out = append(s.out, nil)
+	if len(s.out) < cap(s.out) {
+		// Reuse the adjacency list a rolled-back or reset variable left.
+		s.out = s.out[:v+1]
+		s.out[v] = s.out[v][:0]
+	} else {
+		s.out = append(s.out, nil)
+	}
 	s.gamma = append(s.gamma, 0)
 	s.parent = append(s.parent, -1)
 	return v
+}
+
+// Reset empties the solver into the state New leaves but keeps the
+// capacity of its arrays, the adjacency lists of its variables included,
+// so a solver reused for a new constraint system grows none of them again
+// until the system outgrows the previous one. Stats are cleared too.
+func (s *Solver) Reset() {
+	s.pot = s.pot[:0]
+	s.edges = s.edges[:0]
+	s.out = s.out[:0]
+	s.marks = s.marks[:0]
+	s.gamma = s.gamma[:0]
+	s.parent = s.parent[:0]
+	s.heap.reset()
+	s.dirty = s.dirty[:0]
+	s.undo = s.undo[:0]
+	s.Stats = Stats{}
 }
 
 // NumVars returns the number of allocated variables.

@@ -2,6 +2,7 @@ package idl
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -325,5 +326,57 @@ func TestNewVarAtSeedsFeasible(t *testing.T) {
 	}
 	if s.Value(vars[0]) != 0 || s.Value(vars[n-1]) != int64(n-1) {
 		t.Error("seeded values must be the hints when no repair was needed")
+	}
+}
+
+// TestResetMatchesFresh checks that a Reset solver is a new one: fed the
+// same variables, assertions, pushes, pops and rollbacks after a larger
+// run of its own, it keeps the same adjacency lists and potentials and
+// returns the same conflicts and Stats as a solver from New.
+func TestResetMatchesFresh(t *testing.T) {
+	drive := func(s *Solver, seed int64, n int) (conflicts [][]Tag) {
+		rng := rand.New(rand.NewSource(seed))
+		for range n {
+			s.NewVarAt(int64(rng.Intn(n)))
+		}
+		for i := 0; i+1 < n; i += 2 {
+			conflicts = append(conflicts, s.Assert(VarID(i), VarID(i+1), -1, Tag(-i)))
+		}
+		ck := s.Checkpoint()
+		for round := range 4 {
+			for i := range 3 * n {
+				x, y := VarID(rng.Intn(n)), VarID(rng.Intn(n))
+				if i%5 == 0 {
+					s.Push()
+				}
+				conflicts = append(conflicts, s.Assert(x, y, int64(rng.Intn(7)-4), Tag(i)))
+			}
+			if round%2 == 0 {
+				s.Pop(1)
+			} else {
+				s.Rollback(ck)
+				s.NewVarAt(3) // a variable past the checkpoint reuses a list
+			}
+		}
+		return conflicts
+	}
+	fresh := New()
+	want := drive(fresh, 1, 20)
+	reused := New()
+	drive(reused, 2, 60)
+	reused.Reset()
+	got := drive(reused, 1, 20)
+	for i := range want {
+		if !slices.Equal(got[i], want[i]) {
+			t.Fatalf("assertion %d: conflict %v, want %v", i, got[i], want[i])
+		}
+	}
+	if !slices.Equal(reused.pot, fresh.pot) || reused.Stats != fresh.Stats || len(reused.out) != len(fresh.out) {
+		t.Fatalf("potentials, stats or variables differ: %v %+v, want %v %+v", reused.pot, reused.Stats, fresh.pot, fresh.Stats)
+	}
+	for v := range fresh.out {
+		if !slices.Equal(reused.out[v], fresh.out[v]) {
+			t.Fatalf("variable %d: adjacency %v, want %v", v, reused.out[v], fresh.out[v])
+		}
 	}
 }

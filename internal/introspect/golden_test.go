@@ -28,7 +28,8 @@ func seedEveryCounter() *telemetry.Collector {
 	}{
 		{telemetry.Decisions, 101}, {telemetry.Propagations, 102}, {telemetry.Conflicts, 103},
 		{telemetry.Restarts, 104}, {telemetry.Learned, 105}, {telemetry.TheoryProps, 106},
-		{telemetry.TheoryConflicts, 107}, {telemetry.IDLAsserts, 108},
+		{telemetry.TheoryConflicts, 107}, {telemetry.WatchMoves, 126},
+		{telemetry.UndoLogEntries, 127}, {telemetry.IDLAsserts, 108},
 		{telemetry.IDLNegativeCycles, 109}, {telemetry.IDLRepairSteps, 110},
 		{telemetry.TheoryFacts, 111}, {telemetry.InternedAtoms, 112}, {telemetry.TseitinVars, 113},
 		{telemetry.TseitinClauses, 114}, {telemetry.BoolVars, 115}, {telemetry.Clauses, 116},

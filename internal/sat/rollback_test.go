@@ -200,13 +200,22 @@ type rollbackFixture struct {
 }
 
 func newRollbackFixture(seed int64, nVars, nClauses int, theory bool) *rollbackFixture {
-	f := &rollbackFixture{rng: rand.New(rand.NewSource(seed))}
+	f := &rollbackFixture{}
 	if theory {
 		f.th = &amoTheory{nRel: Var(min(nVars, 8))}
 		f.s = New(f.th)
 	} else {
 		f.s = New(nil)
 	}
+	f.build(seed, nVars, nClauses)
+	return f
+}
+
+// build encodes a random base formula on f's solver, which must be empty,
+// solves it once and checkpoints it.
+func (f *rollbackFixture) build(seed int64, nVars, nClauses int) {
+	f.rng = rand.New(rand.NewSource(seed))
+	f.vars = nil
 	for i := 0; i < nVars; i++ {
 		f.vars = append(f.vars, f.s.NewVar())
 	}
@@ -226,7 +235,6 @@ func newRollbackFixture(seed int64, nVars, nClauses int, theory bool) *rollbackF
 	f.s.AddClause(f.randLit())
 	f.s.Solve() // leaves learned clauses and a saved phase for Checkpoint to canonicalise
 	f.checkpoint()
-	return f
 }
 
 // checkpoint takes a new checkpoint and captures the state it leaves.

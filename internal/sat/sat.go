@@ -16,6 +16,22 @@
 // is true in the theory's current model (Theory.Holds), so the search
 // never decides an order constraint the theory already satisfies; before
 // answering Sat it re-checks the whole frontier against the final model.
+//
+// A definition ¬h ∨ k1 ∨ … ∨ kn of three or more literals is stored with
+// ¬h last, so its two watches sit on body literals. The search makes h
+// true exactly when it starts justifying the definition, and with ¬h
+// watched every such step would move a watcher off ¬h and log the list
+// for Rollback. The two-watched-literal invariant needs only two watches
+// that are not false (or a satisfied clause, or a unit or conflict that
+// propagation has seen); a false ¬h is simply not one of them, so a
+// watched body literal that becomes false picks ¬h as its replacement
+// only while h is unassigned, and otherwise makes the clause unit on the
+// other body watch, as for any clause. The body keeps its order, so the
+// frontier branches on the same literals either way.
+//
+// A solver is Reset rather than rebuilt to decide a new formula: Reset
+// empties it and keeps the capacity of every array, so the next formula
+// regrows none of them until it outgrows the previous one.
 package sat
 
 import (
@@ -187,6 +203,11 @@ type Stats struct {
 	Learned      int64
 	TheoryProps  int64
 	TheoryConfl  int64
+	// WatchMoves counts watchers propagation moved to another literal's
+	// list; UndoLogEntries counts the watch lists, clause literal orders
+	// and definition-index entries the undo log recorded.
+	WatchMoves     int64
+	UndoLogEntries int64
 }
 
 // Add accumulates other into s (used when rolling several solvers' stats
@@ -199,6 +220,8 @@ func (s *Stats) Add(other Stats) {
 	s.Learned += other.Learned
 	s.TheoryProps += other.TheoryProps
 	s.TheoryConfl += other.TheoryConfl
+	s.WatchMoves += other.WatchMoves
+	s.UndoLogEntries += other.UndoLogEntries
 }
 
 // AbortCause says why a Solve call returned Aborted.
@@ -357,6 +380,48 @@ func New(theory Theory) *Solver {
 	return s
 }
 
+// Reset empties the solver into the state New leaves, with the same
+// theory, but keeps the capacity of its arrays: the arena, the header
+// table, the watch pool and lists, the per-variable arrays, the trail and
+// the undo log. A solver reused for a new formula grows none of them
+// again until the formula outgrows the previous one. Deadline, Cancel,
+// Stats and the checkpoint are cleared too.
+func (s *Solver) Reset() {
+	s.clearModel()
+	*s = Solver{
+		arena:       s.arena[:0],
+		hdr:         append(s.hdr[:0], header{}, header{learned: true}),
+		clauses:     s.clauses[:0],
+		roots:       s.roots[:0],
+		learnts:     s.learnts[:0],
+		firstDef:    s.firstDef[:0],
+		watches:     s.watches[:0],
+		wpool:       s.wpool[:0],
+		assign:      s.assign[:0],
+		level:       s.level[:0],
+		reason:      s.reason[:0],
+		phase:       s.phase[:0],
+		trail:       s.trail[:0],
+		trailLim:    s.trailLim[:0],
+		cursors:     s.cursors[:0],
+		clauseInc:   1,
+		conflLits:   s.conflLits[:0],
+		theory:      s.theory,
+		modelTrail:  s.modelTrail,
+		model:       s.model,
+		addMark:     s.addMark,
+		addGen:      s.addGen,
+		epoch:       s.epoch,
+		watchSaved:  s.watchSaved[:0],
+		clauseSaved: s.clauseSaved[:0],
+		undoWatch:   s.undoWatch[:0],
+		undoWatchW:  s.undoWatchW[:0],
+		undoClause:  s.undoClause[:0],
+		undoLits:    s.undoLits[:0],
+		undoDef:     s.undoDef[:0],
+	}
+}
+
 // NewVar allocates a fresh variable.
 func (s *Solver) NewVar() Var {
 	v := Var(len(s.assign))
@@ -484,10 +549,19 @@ func (s *Solver) addClause(head Var, lits []Lit) error {
 		}
 		return nil
 	}
+	if head >= 0 && s.assign[head] == Unknown && len(s.arena)-off >= 3 {
+		// Store ¬head last, so both watches sit on the body and making
+		// head true moves no watcher (see the package doc).
+		body := s.arena[off:]
+		nh := body[0]
+		copy(body, body[1:])
+		body[len(body)-1] = nh
+	}
 	c := s.newClause(off, false)
 	s.clauses = append(s.clauses, c)
 	if head >= 0 && s.assign[head] == Unknown {
 		if s.ck != nil && int(head) < s.ck.nVars {
+			s.Stats.UndoLogEntries++
 			s.undoDef = append(s.undoDef, defSave{head, s.firstDef[head]})
 		}
 		s.hdr[c].nextDef = s.firstDef[head]
@@ -548,6 +622,7 @@ func (s *Solver) saveWatches(l Lit) {
 	if s.watchLogStale {
 		return
 	}
+	s.Stats.UndoLogEntries++
 	wl := s.watches[l]
 	s.undoWatch = append(grow(s.undoWatch, 1), watchSave{lit: l, list: wl})
 	s.undoWatchW = append(grow(s.undoWatchW, int(wl.n)), s.wpool[wl.off:wl.off+wl.n]...)
@@ -563,6 +638,7 @@ func (s *Solver) unsavedLits(c cref) bool {
 // epoch; callers test s.unsavedLits(c) first.
 func (s *Solver) saveLits(c cref) {
 	s.clauseSaved[c] = s.epoch
+	s.Stats.UndoLogEntries++
 	lits := s.lits(c)
 	s.undoClause = append(grow(s.undoClause, 1), c)
 	s.undoLits = append(grow(s.undoLits, len(lits)), lits...)
@@ -742,6 +818,7 @@ func (s *Solver) propagate() cref {
 						logP = false
 					}
 					lits[1], lits[k] = lits[k], lits[1]
+					s.Stats.WatchMoves++
 					s.addWatch(lits[1].Neg(), watcher{c: c, blocker: first})
 					moved = true
 					break

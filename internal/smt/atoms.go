@@ -99,6 +99,15 @@ func (t *atomTable) grow() {
 	}
 }
 
+// reset deletes every atom but keeps the table's size, so a table
+// reused for a new formula does not grow again through the sizes it has
+// already reached.
+func (t *atomTable) reset() {
+	clear(t.slots)
+	t.log = t.log[:0]
+	t.idx = t.idx[:0]
+}
+
 // truncate deletes the atoms interned after the first n, and the
 // variables from nVars on.
 func (t *atomTable) truncate(n, nVars int) {

@@ -7,9 +7,12 @@ import (
 	"repro/internal/sat"
 )
 
-// Solver decides boolean combinations of IDL atoms by DPLL(T). A solver is
-// single-use per query in the race-detection pipeline (one per COP), though
-// adding further assertions after a Solve and re-solving is supported.
+// Solver decides boolean combinations of IDL atoms by DPLL(T). The
+// race-detection pipeline uses one solver per analysis window: the
+// window's base is asserted once and checkpointed, each query adds its
+// guarded constraints and is rolled back after its solve (Checkpoint,
+// Rollback), and a finished window's solver is Reset and reused for a
+// later window.
 type Solver struct {
 	sat   *sat.Solver
 	idl   *idl.Solver
@@ -60,6 +63,22 @@ func NewSolver() *Solver {
 	s.th = &theory{s: s}
 	s.sat = sat.New(s.th)
 	return s
+}
+
+// Reset empties the solver into the state NewSolver leaves, keeping the
+// capacity of the SAT core's, the IDL solver's and the atom table's
+// arrays and of the Tseitin map, so a solver reused for the next window
+// regrows none of them (see sat.Solver.Reset). Deadline, cancellation
+// poll and statistics are cleared too.
+func (s *Solver) Reset() {
+	s.sat.Reset()
+	s.idl.Reset()
+	s.atoms.reset()
+	clear(s.enc)
+	clear(s.encLog[:cap(s.encLog)]) // let the collector have the old formulas
+	s.encLog = s.encLog[:0]
+	s.estats = EncodeStats{}
+	s.model = nil
 }
 
 // SetDeadline aborts the search at the first conflict past t.

@@ -21,6 +21,8 @@ const (
 	Learned
 	TheoryProps
 	TheoryConflicts
+	WatchMoves
+	UndoLogEntries
 	// TheoryFacts and the rest of the encoding block mirror
 	// smt.EncodeStats and the final encoding sizes; Solvers counts the
 	// solvers rolled up.
@@ -142,6 +144,10 @@ var counterDefs = [NumCounters]CounterDef{
 		"IDL theory propagations across all solver instances."},
 	TheoryConflicts: {"rvpredict_solver_theory_conflicts_total", "counter",
 		"IDL theory conflicts across all solver instances."},
+	WatchMoves: {"rvpredict_solver_watch_moves_total", "counter",
+		"Watchers unit propagation moved to another literal's watch list, across all solver instances."},
+	UndoLogEntries: {"rvpredict_solver_undo_log_entries_total", "counter",
+		"Watch lists, clause literal orders and definition-index entries the rollback undo log recorded, across all solver instances."},
 	TheoryFacts: {"rvpredict_theory_facts_total", "counter",
 		"Atoms asserted as root IDL facts, with no SAT variable, across all solver instances."},
 	Enumerated: {"rvpredict_candidates_enumerated_total", "counter",

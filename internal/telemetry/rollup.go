@@ -24,6 +24,8 @@ func (c *Collector) AddSolver(s *smt.Solver) {
 	c.counters[Learned].Add(st.Learned)
 	c.counters[TheoryProps].Add(st.TheoryProps)
 	c.counters[TheoryConflicts].Add(st.TheoryConfl)
+	c.counters[WatchMoves].Add(st.WatchMoves)
+	c.counters[UndoLogEntries].Add(st.UndoLogEntries)
 	c.counters[IDLAsserts].Add(ts.Asserts)
 	c.counters[IDLNegativeCycles].Add(ts.NegativeCycles)
 	c.counters[IDLRepairSteps].Add(ts.RepairSteps)

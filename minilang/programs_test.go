@@ -112,7 +112,7 @@ func TestPetersonFlagsRace(t *testing.T) {
 	}
 	rep := rvpredict.Detect(tr, rvpredict.Options{Witness: true})
 	for _, r := range rep.Races {
-		if err := rvpredict.CheckWitness(tr, r.Witness, r.First, r.Second); err != nil {
+		if err := rvpredict.CheckWitness(tr, r.Witness, r.First, r.Second, 0); err != nil {
 			t.Errorf("invalid witness for %s: %v", r.Description, err)
 		}
 	}

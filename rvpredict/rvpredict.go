@@ -663,13 +663,17 @@ func newCollector(opt Options) *telemetry.Collector {
 	return c
 }
 
-// CheckWitness validates a witness schedule as a reordering of the whole
-// trace: program order, fork/join, wait/notify and lock discipline must
-// hold and the racing pair must come last. It returns nil for a valid
-// witness. A race of a later window of a windowed run has a witness of
-// that window only, which this check rejects.
-func CheckWitness(tr *trace.Trace, witness []int, first, second int) error {
-	return race.ValidateWitness(tr, witness, first, second, 0)
+// CheckWitness validates a race's witness schedule against the window of
+// tr it came from: the witness must reorder that window's events with
+// program order, fork/join, wait/notify and lock discipline holding, and
+// the racing pair must come last. windowSize is the run's
+// Options.WindowSize, with the same meaning (0 is the default 10000, a
+// negative size one whole-trace window), so a race of a later window is
+// checked against that window's events only. It returns nil for a valid
+// witness.
+func CheckWitness(tr *trace.Trace, witness []int, first, second, windowSize int) error {
+	size := Options{WindowSize: windowSize}.normalise().WindowSize
+	return race.ValidateWitness(tr, witness, first, second, race.WindowStart(first, size))
 }
 
 // DeadlockReport is the result of DetectDeadlocks.

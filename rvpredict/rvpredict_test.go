@@ -61,8 +61,42 @@ func TestDetectReportFields(t *testing.T) {
 	if r.Witness == nil {
 		t.Fatal("witness requested but absent")
 	}
-	if err := rvpredict.CheckWitness(tr, r.Witness, r.First, r.Second); err != nil {
+	if err := rvpredict.CheckWitness(tr, r.Witness, r.First, r.Second, 0); err != nil {
 		t.Errorf("witness invalid: %v", err)
+	}
+}
+
+// TestCheckWitnessLaterWindow checks CheckWitness on the witnesses of a
+// windowed run: three rounds of one unprotected write/read pair, one
+// round per 8-event window at distinct locations, give a race per window,
+// and each witness, which reorders only its own window's events, passes
+// when checked against that window.
+func TestCheckWitnessLaterWindow(t *testing.T) {
+	b := trace.NewBuilder()
+	for i := range 3 {
+		l := trace.Loc(10 * (i + 1))
+		b.At(0).Acquire(1, 9)
+		b.At(l).Write(1, 5, int64(i+1))
+		b.At(0).Release(1, 9)
+		b.At(0).Acquire(2, 9)
+		b.At(0).Release(2, 9)
+		b.At(l+1).Read(2, 5)
+		b.At(0).Branch(1)
+		b.At(0).Branch(2)
+	}
+	tr := b.Trace()
+	opt := rvpredict.Options{Witness: true, WindowSize: 8}
+	rep := rvpredict.Detect(tr, opt)
+	if rep.Windows != 3 || len(rep.Races) != 3 {
+		t.Fatalf("%d windows, races %v; want 3 windows, a race in each", rep.Windows, rep.Races)
+	}
+	for _, r := range rep.Races {
+		if err := rvpredict.CheckWitness(tr, r.Witness, r.First, r.Second, opt.WindowSize); err != nil {
+			t.Errorf("%s (window %d): %v", r.Description, r.First/8, err)
+		}
+	}
+	if r := rep.Races[2]; rvpredict.CheckWitness(tr, r.Witness, r.First, r.Second, -1) == nil {
+		t.Error("a window-2 witness passed as a reordering of the whole trace")
 	}
 }
 
