@@ -549,10 +549,10 @@ func BenchmarkParallelDetect(b *testing.B) {
 }
 
 // BenchmarkPairParallelDetect measures the intra-window pair scheduler on
-// a single-window workload — the regime window-level parallelism cannot
-// touch (one window ⇒ one window worker) and where pair workers carry all
-// the speedup. The workload plants many distinct signatures so the solve
-// queue has real group structure to distribute.
+// a single-window workload — the regime window workers cannot touch (one
+// window ⇒ one window worker), so Parallelism spends its workers on the
+// window's pairs. The workload plants many distinct signatures so the
+// solve queue has real group structure to distribute.
 func BenchmarkPairParallelDetect(b *testing.B) {
 	spec := workloads.Spec{
 		Name: "pairpar", Workers: 8, Events: 3000, Window: 3000, Seed: 7,
@@ -563,7 +563,7 @@ func BenchmarkPairParallelDetect(b *testing.B) {
 	for _, pp := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("pairworkers=%d", pp), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				core.New(core.Options{WindowSize: spec.Window, PairParallelism: pp,
+				core.New(core.Options{WindowSize: spec.Window, Parallelism: pp,
 					SolveTimeout: time.Minute}).Detect(tr)
 			}
 		})

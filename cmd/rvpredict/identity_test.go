@@ -43,23 +43,23 @@ var (
 const identitySum = "../../testdata/identity.sum"
 
 // identityModes are the report modes of the matrix. chunked runs the
-// trace converted to .rvc2; pairParallel marks the mode whose solver
-// sizes and rollback counts depend on worker timing; resume runs the
+// trace converted to .rvc2; parallel marks the -parallel mode, whose two
+// workers solve the pairs of a one-window row, so that its solver sizes
+// and rollback counts depend on worker timing; resume runs the
 // trace with -journal in a child process that an injected crash stops
 // right after its second window append, then reports the -resume run
 // over that journal (multi-window rows only: a one-window run never
 // reaches the second append).
 var identityModes = []struct {
-	name         string
-	args         []string
-	chunked      bool
-	pairParallel bool
-	resume       bool
+	name     string
+	args     []string
+	chunked  bool
+	parallel bool
+	resume   bool
 }{
 	{name: "json", args: []string{"-json"}},
 	{name: "witness", args: []string{"-json", "-witness"}},
-	{name: "parallel2", args: []string{"-json", "-parallel", "2"}},
-	{name: "pairparallel2", args: []string{"-json", "-pair-parallel", "2"}, pairParallel: true},
+	{name: "parallel2", args: []string{"-json", "-parallel", "2"}, parallel: true},
 	{name: "rvc2", args: []string{"-json"}, chunked: true},
 	{name: "resume", args: []string{"-json"}, resume: true},
 }
@@ -196,8 +196,8 @@ func readIdentitySum(t *testing.T) map[string]string {
 // TestIdentityDigests runs the CLI in-process over every (row, mode) of
 // the matrix and compares the canonical report's SHA-256 with the
 // committed digest (the resume mode's crashed run is a re-exec'd child). By default it checks example and the rows that run
-// in seconds; -identity-all adds the real-system rows. The
-// -pair-parallel 2 digests need at least two CPUs: the pair scheduler
+// in seconds; -identity-all adds the real-system rows. The -parallel 2
+// digests of one-window rows need at least two CPUs: the pair scheduler
 // caps its workers at GOMAXPROCS, and the worker and solver counts are
 // in the report.
 func TestIdentityDigests(t *testing.T) {
@@ -205,12 +205,12 @@ func TestIdentityDigests(t *testing.T) {
 	if !*identityUpdate {
 		want = readIdentitySum(t)
 	}
-	pairParallel := runtime.GOMAXPROCS(0) >= 2
+	twoCPUs := runtime.GOMAXPROCS(0) >= 2
 	switch {
-	case !pairParallel && *identityUpdate:
+	case !twoCPUs && *identityUpdate:
 		t.Fatal("regenerating the identity matrix needs GOMAXPROCS >= 2")
-	case !pairParallel:
-		t.Log("GOMAXPROCS < 2: skipping the pairparallel2 mode")
+	case !twoCPUs:
+		t.Log("GOMAXPROCS < 2: skipping the parallel2 mode of one-window rows")
 	}
 	got := make(map[string]string)
 	check := func(key string, report []byte, drop map[string]bool) {
@@ -255,7 +255,8 @@ func TestIdentityDigests(t *testing.T) {
 		writeIdentityTrace(t, chunked, tr, true)
 		multiWindow := tr.Len() > identityWindow
 		for _, m := range identityModes {
-			if m.pairParallel && !pairParallel || m.resume && !multiWindow {
+			pairLevel := m.parallel && !multiWindow
+			if pairLevel && !twoCPUs || m.resume && !multiWindow {
 				continue
 			}
 			key := row + "/" + m.name
@@ -278,7 +279,7 @@ func TestIdentityDigests(t *testing.T) {
 				t.Fatalf("%s: exit %d: %s", key, code, stderr.String())
 			}
 			var drop map[string]bool
-			if m.pairParallel {
+			if pairLevel {
 				drop = map[string]bool{"bool_vars": true, "clauses": true, "rollbacks": true}
 			}
 			check(key, stdout.Bytes(), drop)

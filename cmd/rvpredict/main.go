@@ -98,8 +98,7 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		algoName   = fs.String("algo", "rv", "algorithm: rv, said, cp, hb or qc")
 		window     = fs.Int("window", 10000, "window size in events (0 = whole trace)")
 		timeout    = fs.Duration("timeout", 60*time.Second, "per-pair solver timeout")
-		parallel   = fs.Int("parallel", 0, "analyse windows with this many workers (rv only)")
-		pairPar    = fs.Int("pair-parallel", 0, "solve pairs inside each window with this many workers (rv only; deterministic)")
+		parallel   = fs.Int("parallel", 0, "workers: this many windows at once, or this many pair workers on a trace's only window or on each -worker window (rv, -deadlock, -atomicity; deterministic)")
 		witness    = fs.Bool("witness", false, "print a witness schedule per race")
 		dump       = fs.Bool("dump", false, "dump the trace instead of analysing it")
 		deadlocks  = fs.Bool("deadlock", false, "predict lock-inversion deadlocks instead of races")
@@ -107,7 +106,7 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		stats      = fs.Bool("stats", false, "print pipeline and solver statistics after the report")
 		jsonOut    = fs.Bool("json", false, "emit the full report (with telemetry) as JSON on stdout")
 		progress   = fs.Bool("progress", false, "trace per-window progress on stderr while analysing")
-		budget     = fs.Duration("budget", 0, "global wall-clock budget for the whole run (0 = unbounded; rv only)")
+		budget     = fs.Duration("budget", 0, "global wall-clock budget for the whole run (0 = unbounded; rv, -deadlock, -atomicity)")
 		journalTo  = fs.String("journal", "", "checkpoint completed windows to `file` for crash-safe resume (rv only)")
 		resume     = fs.Bool("resume", false, "replay windows already checkpointed in the -journal file instead of re-analysing them")
 		outPath    = fs.String("out", "", "write the report to `file` atomically (temp file + rename) instead of stdout")
@@ -275,15 +274,14 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		ws = -1 // whole trace
 	}
 	opt := rvpredict.Options{
-		WindowSize:      ws,
-		SolveTimeout:    *timeout,
-		GlobalBudget:    *budget,
-		Parallelism:     *parallel,
-		PairParallelism: *pairPar,
-		Witness:         *witness,
-		Telemetry:       *stats || *jsonOut,
-		Journal:         *journalTo,
-		Resume:          *resume,
+		WindowSize:   ws,
+		SolveTimeout: *timeout,
+		GlobalBudget: *budget,
+		Parallelism:  *parallel,
+		Witness:      *witness,
+		Telemetry:    *stats || *jsonOut,
+		Journal:      *journalTo,
+		Resume:       *resume,
 	}
 	// RVPREDICT_FAULTS carries a deterministic fault script (see
 	// faultinject.ParseScript) into the pipeline — the hook the re-exec
@@ -756,7 +754,7 @@ func printTelemetry(w io.Writer, t *rvpredict.Telemetry) {
 // line per window that reached a verdict, and one per noteworthy query
 // verdict (findings and solver aborts; unsat is the quiet common case),
 // each stamped with the time since analysis began. Spans end
-// concurrently under -parallel and -pair-parallel; w serialises whole
+// concurrently under -parallel; w serialises whole
 // lines.
 func progressPrinter(w io.Writer) func(rvpredict.SpanEvent) {
 	start := time.Now()

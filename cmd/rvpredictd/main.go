@@ -65,7 +65,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		window       = fs.Int("window", 10000, "window size in events (0 = single window per session; unbounded memory)")
 		solve        = fs.Duration("solve", 60*time.Second, "per-pair solver timeout")
 		witness      = fs.Bool("witness", false, "include a witness schedule per race")
-		pairPar      = fs.Int("pair-parallel", 0, "solve pairs inside each window with this many workers (deterministic)")
+		parallel     = fs.Int("parallel", 0, "solve the pairs inside each window with this many workers (deterministic)")
 		maxSessions  = fs.Int("max-sessions", 16, "admission limit on concurrent sessions")
 		maxWindows   = fs.Int("max-windows", 0, "windows in SMT analysis at once across all sessions (0 = GOMAXPROCS)")
 		degradeAfter = fs.Duration("degrade-after", 0, "shed the SMT tier for a window after blocking this long on a solver slot (0 = never degrade)")
@@ -97,11 +97,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		ws = -1 // whole stream as one window
 	}
 	detect := rvpredict.Options{
-		Algorithm:       rvpredict.MaximalCF,
-		WindowSize:      ws,
-		SolveTimeout:    *solve,
-		Witness:         *witness,
-		PairParallelism: *pairPar,
+		Algorithm:    rvpredict.MaximalCF,
+		WindowSize:   ws,
+		SolveTimeout: *solve,
+		Witness:      *witness,
+		Parallelism:  *parallel,
 	}
 
 	var inj *faultinject.Injector

@@ -96,7 +96,7 @@ func TestWindowOutcomeHookMatchesResult(t *testing.T) {
 func TestWindowOutcomeHookParallel(t *testing.T) {
 	withProcs(t, 4)
 	tr := pairRichTrace()
-	baseline := matrixResult(t, tr, 0, 0)
+	baseline := matrixResult(t, tr, 24)
 	res, outs := collectOutcomes(t, tr, Options{WindowSize: 24, Parallelism: 4})
 	if len(outs) != baseline.Windows {
 		t.Fatalf("hook fired for %d windows, want %d", len(outs), baseline.Windows)

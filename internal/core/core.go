@@ -98,29 +98,19 @@ type Options struct {
 	// NoPruning disables the ≺-based constraint reductions of Section 3.2
 	// (ablation knob; results are unchanged, formulas grow).
 	NoPruning bool
-	// Parallelism > 1 analyses up to that many windows concurrently, each
+	// Parallelism > 1 spends that many workers on one of two levels,
+	// chosen by the window count alone. Run over a source of two or more
+	// windows analyses up to Parallelism windows concurrently, each
 	// Isolated (see SigState), and merges their outcomes in window order,
 	// so the race.Result — races, witnesses, counters — is the same for
 	// every worker count, and equals the reader and fleet report of the
 	// same trace. A sequential run may carry signature verdicts across
 	// windows instead, which changes COPsChecked, never the races, when a
-	// signature recurs.
+	// signature recurs. A window analysed alone — the only window of Run's
+	// source, or one pushed through RunWindow — solves its signature
+	// groups on up to Parallelism pair workers instead (see pairsched.go),
+	// which changes no finding, witness or counter of the result.
 	Parallelism int
-	// PairParallelism > 1 solves the candidate pairs *inside* each window
-	// concurrently with that many workers, each owning a replica of the
-	// window encoding fed from a shared queue of signature groups. Unlike
-	// Parallelism, pair-level parallelism is fully deterministic: the
-	// prefilters and signature dedup run before dispatch, every group is
-	// solved from the same checkpointed base encoding, and results merge
-	// in canonical order, so the race.Result (races, witnesses, counters)
-	// is bit-identical to the PairParallelism ≤ 1 run — absent real
-	// wall-clock solver timeouts, which are inherently timing-dependent.
-	// The total number of concurrent solving workers across both levels is
-	// bounded by max(Parallelism, PairParallelism), and the workers per
-	// window are additionally capped at GOMAXPROCS — pair solving is
-	// CPU-bound, so a worker beyond the core count could never repay its
-	// replica's construction cost.
-	PairParallelism int
 	// Telemetry, when non-nil, accumulates phase timings, solver counters,
 	// outcome tallies and per-window records. The collector is safe to
 	// share across Parallelism workers, and enabling it changes no
@@ -290,11 +280,6 @@ type KindRunner[C any, S comparable, F any] struct {
 	opt   Options
 	kind  Kind[C, S, F]
 	state SigState
-	// budget is the run-wide worker budget, capacity
-	// max(Parallelism, PairParallelism, 1): window coordinators
-	// block-acquire a slot, extra pair workers spawn only when a slot is
-	// free (see solveGroups).
-	budget chan struct{}
 	// timed forces per-window wall-clock measurement even without
 	// telemetry or a completion hook: RunWindow's callers consume the
 	// outcome's ElapsedNS directly. Run leaves it off, so an
@@ -321,11 +306,10 @@ type Runner = KindRunner[race.COP, race.Signature, race.Race]
 // journal plumbing and apply to race detection only (NewRunner).
 func NewKindRunner[C any, S comparable, F any](k Kind[C, S, F], opt Options, state SigState) *KindRunner[C, S, F] {
 	return &KindRunner[C, S, F]{
-		opt:    opt,
-		kind:   k,
-		state:  state,
-		budget: make(chan struct{}, max(opt.Parallelism, opt.PairParallelism, 1)),
-		seen:   make(map[S]bool),
+		opt:   opt,
+		kind:  k,
+		state: state,
+		seen:  make(map[S]bool),
 	}
 }
 
@@ -357,7 +341,8 @@ var errStopWindows = errors.New("core: stop window iteration")
 // Parallelism ≤ 1 one window is analysed at a time under the runner's
 // SigState; with more, up to Parallelism windows are analysed
 // concurrently, each Isolated, so the merged result does not depend on
-// the worker count. The first window cut short by cancellation or the
+// the worker count; a source that yields one window only gets it
+// analysed alone (see runParallel). The first window cut short by cancellation or the
 // global budget stops the source. Run returns the source's own error,
 // if any; the result so far stays in Result.
 func (r *KindRunner[C, S, F]) Run(ctx context.Context, source func(func(w *trace.Trace, widx, offset int) error) error) error {
@@ -389,12 +374,20 @@ func (r *KindRunner[C, S, F]) Run(ctx context.Context, source func(func(w *trace
 
 // runParallel analyses up to Parallelism windows at a time, each
 // Isolated, and merges them in source order on the calling goroutine as
-// soon as every earlier window has merged.
+// soon as every earlier window has merged. It holds the first window
+// until a second one arrives: if the source ends first, that window is
+// analysed alone, its pairs on Parallelism workers, since window workers
+// would leave all but one of them idle.
 func (r *KindRunner[C, S, F]) runParallel(ctx context.Context, source func(func(w *trace.Trace, widx, offset int) error) error) error {
 	var (
 		pending []chan windowResult[F] // windows in flight, in source order
 		slots   = make(chan struct{}, r.opt.Parallelism)
 		cut     atomic.Bool
+		n       int // windows the source yielded
+		first   struct {
+			w            *trace.Trace
+			widx, offset int
+		}
 	)
 	// mergeDone merges the finished windows at the head of pending,
 	// waiting for each one when wait is set.
@@ -414,7 +407,7 @@ func (r *KindRunner[C, S, F]) runParallel(ctx context.Context, source func(func(
 			r.merge(wr)
 		}
 	}
-	err := source(func(w *trace.Trace, widx, offset int) error {
+	start := func(w *trace.Trace, widx, offset int) error {
 		mergeDone(false)
 		if cut.Load() {
 			return errStopWindows
@@ -423,7 +416,7 @@ func (r *KindRunner[C, S, F]) runParallel(ctx context.Context, source func(func(
 		done := make(chan windowResult[F], 1)
 		pending = append(pending, done)
 		go func() {
-			wr := r.analyze(ctx, w, widx, offset, false, nil)
+			wr := r.analyze(ctx, w, widx, offset, false, nil, 1)
 			if wr.status == WindowCut {
 				cut.Store(true)
 			}
@@ -431,7 +424,23 @@ func (r *KindRunner[C, S, F]) runParallel(ctx context.Context, source func(func(
 			done <- wr
 		}()
 		return nil
+	}
+	err := source(func(w *trace.Trace, widx, offset int) error {
+		n++
+		switch n {
+		case 1:
+			first.w, first.widx, first.offset = w, widx, offset
+			return nil
+		case 2:
+			if err := start(first.w, first.widx, first.offset); err != nil {
+				return err
+			}
+		}
+		return start(w, widx, offset)
 	})
+	if n == 1 {
+		r.step(ctx, first.w, first.widx, first.offset, false)
+	}
 	mergeDone(true)
 	return err
 }
@@ -443,8 +452,8 @@ func (r *KindRunner[C, S, F]) runParallel(ctx context.Context, source func(func(
 // coordinates for every status: fresh verdicts (WindowAnalyzed, also
 // delivered to OnWindowDone), journal replays (WindowReplayed, races
 // stamped Replayed, hook not re-fired) and cuts (WindowCut, partial,
-// must not be persisted). Parallelism and GlobalBudget do not apply;
-// PairParallelism does, within the window. With degraded set the SMT
+// must not be persisted). GlobalBudget does not apply; Parallelism
+// does, as the window's pair workers. With degraded set the SMT
 // tier is shed — see analyze.
 func (r *KindRunner[C, S, F]) RunWindow(ctx context.Context, w *trace.Trace, widx, offset int, degraded bool) (race.OutcomeOf[F], WindowStatus) {
 	if ctx == nil {
@@ -455,13 +464,14 @@ func (r *KindRunner[C, S, F]) RunWindow(ctx context.Context, w *trace.Trace, wid
 	return wr.out, wr.status
 }
 
-// step analyses one window under the runner's SigState and merges it.
+// step analyses one window alone, under the runner's SigState and with
+// Parallelism pair workers, and merges it.
 func (r *KindRunner[C, S, F]) step(ctx context.Context, w *trace.Trace, widx, offset int, degraded bool) windowResult[F] {
 	var seen map[S]bool
 	if r.state == Carried {
 		seen = r.seen
 	}
-	wr := r.analyze(ctx, w, widx, offset, degraded, seen)
+	wr := r.analyze(ctx, w, widx, offset, degraded, seen, r.opt.Parallelism)
 	r.merge(wr)
 	return wr
 }
@@ -519,14 +529,15 @@ func (r *KindRunner[C, S, F]) merge(wr windowResult[F]) {
 }
 
 // analyze runs one window, whose first event sits at the given
-// whole-trace offset, to a verdict; seen holds the signatures to skip
-// (nil when Isolated). A journaled window is replayed instead. With
+// whole-trace offset, to a verdict, its signature groups solved on up to
+// workers pair workers; seen holds the signatures to skip (nil when
+// Isolated). A journaled window is replayed instead. With
 // degraded set, the SMT tier is shed: only instances a sound fast path
 // proved are reported (flagged Degraded in provenance and in the
 // outcome), the other instances are shed and counted
 // in PairsShed, and no solver query is issued — the verdict stays sound
 // but is no longer maximal.
-func (r *KindRunner[C, S, F]) analyze(ctx context.Context, w *trace.Trace, widx, offset int, degraded bool, seen map[S]bool) (wr windowResult[F]) {
+func (r *KindRunner[C, S, F]) analyze(ctx context.Context, w *trace.Trace, widx, offset int, degraded bool, seen map[S]bool, workers int) (wr windowResult[F]) {
 	col := r.opt.Telemetry
 	// Resume: a journaled window is replayed before the cancellation and
 	// budget gates — replay is free and its results are already durable.
@@ -583,7 +594,7 @@ func (r *KindRunner[C, S, F]) analyze(ctx context.Context, w *trace.Trace, widx,
 
 	// The kind enumerates, prefilters and groups the window's candidates
 	// by signature; the pair scheduler then solves the groups (in
-	// parallel when PairParallelism > 1) and the results are collected
+	// parallel when workers > 1) and the results are collected
 	// below in canonical group order, so the window's outcome is
 	// deterministic.
 	var fn Funnel
@@ -614,7 +625,7 @@ func (r *KindRunner[C, S, F]) analyze(ctx context.Context, w *trace.Trace, widx,
 			out.Races = append(out.Races, r.kind.Entry(g, Hit{K: g.Proved, Window: widx, Offset: offset, Degraded: true}))
 		}
 	case len(groups) > 0 && ctx.Err() == nil:
-		for _, gr := range r.solveGroups(wc, groups) {
+		for _, gr := range r.solveGroups(wc, groups, workers) {
 			if gr == nil {
 				continue
 			}

@@ -78,93 +78,122 @@ func withProcs(t *testing.T, n int) {
 	}
 }
 
-// matrixResult runs detection with the given window/pair parallelism and
-// zeroes the timing field so results can be compared bit-for-bit.
-func matrixResult(t *testing.T, tr *trace.Trace, par, pairPar int) race.Result {
+// matrixResult runs sequential detection over windows of the given size,
+// the baseline of the parallelism matrix, and zeroes the timing field so
+// results can be compared bit-for-bit.
+func matrixResult(t *testing.T, tr *trace.Trace, window int) race.Result {
 	t.Helper()
-	res := detect(t, tr, Options{
-		WindowSize:      24,
-		Parallelism:     par,
-		PairParallelism: pairPar,
-	})
+	res := detect(t, tr, Options{WindowSize: window})
 	res.Elapsed = 0
 	return res
 }
 
-// TestPairParallelMatrixDeterminism is the pair scheduler's acceptance
-// test: the full race.Result — races in order, signatures, witnesses,
-// counters, flags — must be bit-identical across every combination of
-// window parallelism and pair parallelism, and across repeated runs of the
-// same combination. Run under -race in CI, this is also the data-race
-// check for the worker pool.
+// pushWindows pushes tr's windows one at a time through RunWindow, as a
+// daemon session or a fleet worker does, with a witness request like
+// detect's. Each window is analysed alone, so its pairs go to
+// Parallelism workers. The first cut window ends the run.
+func pushWindows(ctx context.Context, tr *trace.Trace, opt Options, state SigState) race.Result {
+	opt.Witness = true
+	r := NewRunner(opt, state)
+	race.EachWindow(tr, opt.WindowSize, func(w *trace.Trace, widx, offset int) error {
+		if _, st := r.RunWindow(ctx, w, widx, offset, false); st == WindowCut {
+			return errStopWindows
+		}
+		return nil
+	})
+	return r.Result()
+}
+
+// TestPairParallelMatrixDeterminism is the acceptance test of both
+// parallelism levels: the full race.Result — races in order, signatures,
+// witnesses, counters, flags — must be bit-identical for every
+// Parallelism and across repeated runs, on a multi-window trace (window
+// workers) and on the same trace as one window (pair workers). Run under
+// -race in CI, this is also the data-race check for both worker pools.
 func TestPairParallelMatrixDeterminism(t *testing.T) {
 	withProcs(t, 4)
 	tr := pairRichTrace()
-	baseline := matrixResult(t, tr, 0, 0)
-	if len(baseline.Races) == 0 {
-		t.Fatal("expected races in the fixture")
-	}
-	if baseline.Windows != 4 {
-		t.Fatalf("Windows = %d, want 4 (fixture drifted)", baseline.Windows)
-	}
-	// Every surviving group is racy by construction (the lock-protected
-	// pairs are removed by the quick check before grouping).
-	wantGroups := int64(len(sigs(baseline)))
-	for _, par := range []int{1, 4} {
-		for _, pairPar := range []int{1, 4} {
+	for _, fx := range []struct {
+		name           string
+		window, nWinds int
+	}{{"multi-window", 24, 4}, {"one-window", 0, 1}} {
+		baseline := matrixResult(t, tr, fx.window)
+		if len(baseline.Races) == 0 {
+			t.Fatalf("%s: expected races in the fixture", fx.name)
+		}
+		if baseline.Windows != fx.nWinds {
+			t.Fatalf("%s: Windows = %d, want %d (fixture drifted)", fx.name, baseline.Windows, fx.nWinds)
+		}
+		// Every surviving group is racy by construction (the lock-protected
+		// pairs are removed by the quick check before grouping).
+		wantGroups := int64(len(sigs(baseline)))
+		for _, par := range []int{1, 2, 4} {
 			for run := 0; run < 2; run++ {
 				col := telemetry.NewCollector()
-				res := detect(t, tr, Options{
-					WindowSize:      24,
-					Parallelism:     par,
-					PairParallelism: pairPar,
-					Telemetry:       col,
-				})
+				res := detect(t, tr, Options{WindowSize: fx.window, Parallelism: par, Telemetry: col})
 				res.Elapsed = 0
 				if !reflect.DeepEqual(res, baseline) {
-					t.Errorf("par %d × pairPar %d run %d: result differs from sequential baseline\n got %+v\nwant %+v",
-						par, pairPar, run, res, baseline)
+					t.Errorf("%s: par %d run %d: result differs from sequential baseline\n got %+v\nwant %+v",
+						fx.name, par, run, res, baseline)
 				}
 				if g := col.Snapshot().PairSched.Groups; g != wantGroups {
-					t.Errorf("par %d × pairPar %d: groups = %d, want %d",
-						par, pairPar, g, wantGroups)
+					t.Errorf("%s: par %d: groups = %d, want %d", fx.name, par, g, wantGroups)
 				}
 			}
 		}
 	}
 }
 
+// TestParallelismPicksOneLevel: Parallelism 2 spends its workers on
+// windows when the trace has several, building no replica, and on the
+// pairs of the only window when it has one, building one replica for the
+// second worker.
+func TestParallelismPicksOneLevel(t *testing.T) {
+	withProcs(t, 2)
+	for _, fx := range []struct {
+		window   int
+		replicas int64
+	}{{24, 0}, {0, 1}} {
+		col := telemetry.NewCollector()
+		detect(t, pairRichTrace(), Options{WindowSize: fx.window, Parallelism: 2, Telemetry: col})
+		if got := col.Snapshot().PairSched.Replicas; got != fx.replicas {
+			t.Errorf("window %d: pair replicas = %d, want %d", fx.window, got, fx.replicas)
+		}
+	}
+}
+
 // TestPairParallelTelemetryDeterministic: the outcome tallies, group
-// counts and window records of a window-sequential run must be
-// bit-identical whether pairs are solved inline or by four workers. The
-// solver-stack counters are excluded: each extra worker builds a replica
-// encoding, so encoding sizes legitimately scale with the (timing-
-// dependent) worker count.
+// counts and window records of windows pushed through RunWindow must be
+// bit-identical whether their pairs are solved inline or by four
+// workers. The solver-stack counters are excluded: each extra worker
+// builds a replica encoding, so encoding sizes legitimately scale with
+// the (timing-dependent) worker count.
 func TestPairParallelTelemetryDeterministic(t *testing.T) {
 	withProcs(t, 4)
 	tr := pairRichTrace()
-	snap := func(pairPar int) telemetry.Metrics {
+	snap := func(par int) telemetry.Metrics {
 		col := telemetry.NewCollector()
-		detect(t, tr, Options{WindowSize: 24, PairParallelism: pairPar, Telemetry: col})
+		pushWindows(context.Background(), tr, Options{WindowSize: 24, Parallelism: par, Telemetry: col}, Carried)
 		m := col.Snapshot().NonTiming()
 		m.Solver = telemetry.SolverCounters{}
 		return m
 	}
 	want := snap(1)
-	for _, pairPar := range []int{1, 4} {
-		if got := snap(pairPar); !reflect.DeepEqual(got, want) {
-			t.Errorf("pairPar %d: non-timing telemetry differs:\n got %+v\nwant %+v",
-				pairPar, got, want)
-		}
+	if got := snap(4); !reflect.DeepEqual(got, want) {
+		t.Errorf("par 4: non-timing telemetry differs:\n got %+v\nwant %+v", got, want)
 	}
 }
 
 // TestPairParallelCancellationMidWindow cancels the run as soon as window
-// 0 completes, across the full parallelism matrix: the partial report must
-// contain window 0's exact verdicts and never a non-baseline race.
+// 0 completes, sequentially, on four window workers and with windows
+// pushed to four pair workers each: the partial report must contain
+// window 0's exact verdicts and never a non-baseline race. Then it
+// cancels the one-window run at its first query verdict, while four pair
+// workers share the window: the report must be flagged Cancelled and hold
+// baseline races only.
 func TestPairParallelCancellationMidWindow(t *testing.T) {
 	withProcs(t, 4)
-	baseline := matrixResult(t, pairRichTrace(), 0, 0)
+	baseline := matrixResult(t, pairRichTrace(), 24)
 	byWin := make(map[int]map[race.Signature]bool)
 	winOf := func(idx int) int { return idx / 24 }
 	for _, r := range baseline.Races {
@@ -176,48 +205,71 @@ func TestPairParallelCancellationMidWindow(t *testing.T) {
 	}
 	all := sigs(baseline)
 
-	for _, par := range []int{0, 4} {
-		for _, pairPar := range []int{0, 4} {
-			ctx, cancel := context.WithCancel(context.Background())
-			res := New(Options{
-				WindowSize:      24,
-				Parallelism:     par,
-				PairParallelism: pairPar,
-				Witness:         true,
-				Telemetry:       cancelAfterWindow(0, cancel),
-			}).DetectContext(ctx, pairRichTrace())
+	for _, mode := range []struct {
+		name   string
+		par    int
+		pushed bool
+	}{{"sequential", 0, false}, {"window workers", 4, false}, {"pair workers", 4, true}} {
+		ctx, cancel := context.WithCancel(context.Background())
+		opt := Options{WindowSize: 24, Parallelism: mode.par, Witness: true, Telemetry: cancelAfterWindow(0, cancel)}
+		var res race.Result
+		if mode.pushed {
+			res = pushWindows(ctx, pairRichTrace(), opt, Carried)
+		} else {
+			res = New(opt).DetectContext(ctx, pairRichTrace())
+		}
+		cancel()
+		if !res.Cancelled {
+			t.Fatalf("%s: Cancelled = false after mid-run cancel", mode.name)
+		}
+		got := make(map[int]map[race.Signature]bool)
+		for _, r := range res.Races {
+			w := winOf(r.A)
+			if got[w] == nil {
+				got[w] = make(map[race.Signature]bool)
+			}
+			got[w][r.Sig] = true
+			if !all[r.Sig] {
+				t.Errorf("%s: non-baseline race %v", mode.name, r.Sig)
+			}
+		}
+		if !reflect.DeepEqual(got[0], byWin[0]) {
+			t.Errorf("%s: window 0 = %v, want %v", mode.name, got[0], byWin[0])
+		}
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	col := telemetry.NewCollector()
+	col.AttachSpans(telemetry.NewSpanRecorder(-1, func(ev telemetry.SpanEvent) {
+		if ev.Kind == telemetry.SpanQuery {
 			cancel()
-			if !res.Cancelled {
-				t.Fatalf("par %d × pairPar %d: Cancelled = false after mid-run cancel", par, pairPar)
-			}
-			got := make(map[int]map[race.Signature]bool)
-			for _, r := range res.Races {
-				w := winOf(r.A)
-				if got[w] == nil {
-					got[w] = make(map[race.Signature]bool)
-				}
-				got[w][r.Sig] = true
-				if !all[r.Sig] {
-					t.Errorf("par %d × pairPar %d: non-baseline race %v", par, pairPar, r.Sig)
-				}
-			}
-			if !reflect.DeepEqual(got[0], byWin[0]) {
-				t.Errorf("par %d × pairPar %d: window 0 = %v, want %v",
-					par, pairPar, got[0], byWin[0])
-			}
+		}
+	}))
+	res := New(Options{Parallelism: 4, Witness: true, Telemetry: col}).DetectContext(ctx, pairRichTrace())
+	if !res.Cancelled {
+		t.Fatal("one window: Cancelled = false after a cancel at the first query")
+	}
+	if col.Snapshot().PairSched.Replicas == 0 {
+		t.Error("one window: no extra pair worker was spawned")
+	}
+	for _, r := range res.Races {
+		if !all[r.Sig] {
+			t.Errorf("one window: non-baseline race %v", r.Sig)
 		}
 	}
 }
 
-// TestPairParallelPanicIsolation scripts a panic on one of window 2's
-// solver queries while four pair workers share the window: the pool stops,
+// TestPairParallelPanicIsolation pushes the windows through RunWindow and
+// scripts a panic on one of window 2's solver queries while four pair
+// workers share the window: the pool stops,
 // the window is dropped whole (all-or-nothing, so the result set stays
 // deterministic), the failure is recorded once, and every other window is
 // intact.
 func TestPairParallelPanicIsolation(t *testing.T) {
 	withProcs(t, 4)
 	tr := pairRichTrace()
-	baseline := matrixResult(t, tr, 0, 0)
+	baseline := matrixResult(t, tr, 24)
 	byWin := make(map[int]map[race.Signature]bool)
 	for _, r := range baseline.Races {
 		w := r.A / 24
@@ -228,12 +280,12 @@ func TestPairParallelPanicIsolation(t *testing.T) {
 	}
 	inj := faultinject.New().Script(faultinject.Scoped(faultinject.PointSolve, 2), 0, faultinject.FaultPanic)
 	col := telemetry.NewCollector()
-	res := detect(t, tr, Options{
-		WindowSize:      24,
-		PairParallelism: 4,
-		FaultInjector:   inj,
-		Telemetry:       col,
-	})
+	res := pushWindows(context.Background(), tr, Options{
+		WindowSize:    24,
+		Parallelism:   4,
+		FaultInjector: inj,
+		Telemetry:     col,
+	}, Carried)
 
 	if len(res.Failures) != 1 {
 		t.Fatalf("Failures = %+v, want exactly one", res.Failures)
@@ -266,7 +318,8 @@ func TestPairParallelPanicIsolation(t *testing.T) {
 }
 
 // TestPairParallelTwoPassRetry: an unscoped injected timeout under four
-// pair workers lands on whichever query a worker solves first, so the
+// pair workers (windows pushed through RunWindow) lands on whichever
+// query a worker solves first, so the
 // dropped pair varies from run to run. Whatever it hits, the timeout must
 // be one plain abort — no second pass re-solves it — seen once by the
 // telemetry, and may cost at most one signature of the baseline, adding
@@ -275,15 +328,15 @@ func TestPairParallelPanicIsolation(t *testing.T) {
 func TestPairParallelTwoPassRetry(t *testing.T) {
 	withProcs(t, 4)
 	tr := pairRichTrace()
-	baseline := matrixResult(t, tr, 0, 0)
+	baseline := matrixResult(t, tr, 24)
 	inj := faultinject.New().Script(faultinject.PointSolve, 0, faultinject.FaultTimeout)
 	col := telemetry.NewCollector()
-	res := detect(t, tr, Options{
-		WindowSize:      24,
-		PairParallelism: 4,
-		FaultInjector:   inj,
-		Telemetry:       col,
-	})
+	res := pushWindows(context.Background(), tr, Options{
+		WindowSize:    24,
+		Parallelism:   4,
+		FaultInjector: inj,
+		Telemetry:     col,
+	}, Carried)
 
 	if res.SolverAborts != 1 {
 		t.Fatalf("SolverAborts = %d, want 1", res.SolverAborts)
@@ -311,8 +364,8 @@ func TestPairParallelTwoPassRetry(t *testing.T) {
 // racy pair is, with the witness detect requests, its window's only solver
 // query; the timeout is injected there. It must count exactly one solver
 // abort and one timeout outcome, drop that pair's race, leave every other
-// window's races intact, and give the same race.Result whether the four
-// pair-rich windows are solved inline or by four pair workers.
+// window's races intact, and give the same race.Result whether the
+// pushed windows' pairs are solved inline or by four pair workers.
 func TestPairParallelSolverAbort(t *testing.T) {
 	withProcs(t, 4)
 	b := trace.NewBuilder()
@@ -324,48 +377,47 @@ func TestPairParallelSolverAbort(t *testing.T) {
 		b.At(904).Branch(2)
 	}
 	tr := b.Trace()
-	baseline := matrixResult(t, tr, 0, 0)
+	baseline := matrixResult(t, tr, 24)
 	if baseline.Windows != 5 || !sigs(baseline)[sig(901, 902)] {
 		t.Fatalf("fixture drifted: %d windows, races %v", baseline.Windows, sigs(baseline))
 	}
 	var results []race.Result
-	for _, pairPar := range []int{1, 4} {
+	for _, par := range []int{1, 4} {
 		inj := faultinject.New().Script(faultinject.Scoped(faultinject.PointSolve, 4), 0, faultinject.FaultTimeout)
 		col := telemetry.NewCollector()
-		res := detect(t, tr, Options{
-			WindowSize:      24,
-			PairParallelism: pairPar,
-			FaultInjector:   inj,
-			Telemetry:       col,
-		})
-		res.Elapsed = 0
+		res := pushWindows(context.Background(), tr, Options{
+			WindowSize:    24,
+			Parallelism:   par,
+			FaultInjector: inj,
+			Telemetry:     col,
+		}, Carried)
 		if res.SolverAborts != 1 {
-			t.Errorf("pairPar %d: SolverAborts = %d, want 1", pairPar, res.SolverAborts)
+			t.Errorf("par %d: SolverAborts = %d, want 1", par, res.SolverAborts)
 		}
 		m := col.Snapshot()
 		if m.Outcomes.Timeout != 1 {
-			t.Errorf("pairPar %d: timeout outcomes = %d, want 1", pairPar, m.Outcomes.Timeout)
+			t.Errorf("par %d: timeout outcomes = %d, want 1", par, m.Outcomes.Timeout)
 		}
-		if pairPar > 1 && m.PairSched.Replicas == 0 {
-			t.Errorf("pairPar %d: no extra pair worker was spawned", pairPar)
+		if par > 1 && m.PairSched.Replicas == 0 {
+			t.Errorf("par %d: no extra pair worker was spawned", par)
 		}
 		want := sigs(baseline)
 		delete(want, sig(901, 902))
 		if got := sigs(res); !reflect.DeepEqual(got, want) {
-			t.Errorf("pairPar %d: races = %v, want the baseline's without the aborted pair %v", pairPar, got, want)
+			t.Errorf("par %d: races = %v, want the baseline's without the aborted pair %v", par, got, want)
 		}
 		results = append(results, res)
 	}
 	if !reflect.DeepEqual(results[0], results[1]) {
-		t.Errorf("pairPar 4 result differs from pairPar 1:\n got %+v\nwant %+v", results[1], results[0])
+		t.Errorf("par 4 result differs from par 1:\n got %+v\nwant %+v", results[1], results[0])
 	}
 }
 
 // TestRecurringSignatureDeterminism: on a trace whose location pairs race
 // again in every window, window parallelism analyses each window Isolated
-// and merges in window order, so every Parallelism × PairParallelism
-// combination must give a race.Result bit-identical to the Isolated
-// sequential runner's. The Carried sequential run must report the same
+// and merges in window order, so every Parallelism, and every pair worker
+// count of an Isolated runner's pushed windows, must give a race.Result
+// bit-identical to the Isolated sequential runner's. The Carried sequential run must report the same
 // races with strictly fewer COPsChecked — the proof that the fixture
 // really recurs, and that carrying changes work, never verdicts.
 func TestRecurringSignatureDeterminism(t *testing.T) {
@@ -391,14 +443,13 @@ func TestRecurringSignatureDeterminism(t *testing.T) {
 		t.Fatalf("no SMT-tier race among %+v (fixture drifted)", want.Races)
 	}
 	for _, par := range []int{2, 4} {
-		for _, pairPar := range []int{1, 4} {
-			got := detect(t, tr, Options{WindowSize: fixtures.RecurringBlock,
-				Parallelism: par, PairParallelism: pairPar})
-			got.Elapsed = 0
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("par %d × pairPar %d: result differs from the isolated sequential runner\n got %+v\nwant %+v",
-					par, pairPar, got, want)
-			}
+		got := detect(t, tr, Options{WindowSize: fixtures.RecurringBlock, Parallelism: par})
+		got.Elapsed = 0
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("par %d: result differs from the isolated sequential runner\n got %+v\nwant %+v", par, got, want)
+		}
+		if got := pushWindows(context.Background(), tr, Options{WindowSize: fixtures.RecurringBlock, Parallelism: par}, Isolated); !reflect.DeepEqual(got, want) {
+			t.Errorf("pushed, par %d: result differs from the isolated sequential runner\n got %+v\nwant %+v", par, got, want)
 		}
 	}
 	carried := detect(t, tr, Options{WindowSize: fixtures.RecurringBlock})

@@ -2,9 +2,10 @@
 // replicated window solvers and deterministic merging.
 //
 // Window parallelism (Runner.Run) cannot help a trace that produces one
-// big window. This file fans the candidate instances of one window out
-// over Options.PairParallelism workers while keeping the window's outcome
-// bit-identical to solving them one by one on a single windowSolver:
+// big window. This file fans the candidate instances of a window analysed
+// alone (Options.Parallelism) out over pair workers while keeping the
+// window's outcome bit-identical to solving them one by one on a single
+// windowSolver:
 //
 //   - The unit of work is a signature group (Group): every instance of
 //     one signature surviving the kind's prefilters, in enumeration
@@ -31,10 +32,9 @@
 //
 // Real wall-clock solver timeouts are inherently timing-dependent; the
 // determinism guarantee is: absent solver aborts, a window's outcome is
-// identical for every PairParallelism, and — windows being Isolated under
-// Parallelism > 1 and merged in window order — the full result is
-// identical for every Parallelism ≥ 2 and PairParallelism combination, and
-// to the sequential run's wherever no signature recurs across windows.
+// identical for every pair worker count, so a window analysed alone gives
+// the sequential run's outcome for every Parallelism. Only one level is
+// ever active: windows analysed side by side solve their pairs inline.
 package core
 
 import (
@@ -107,38 +107,17 @@ func (r *KindRunner[C, S, F]) buildReplica(wc *windowCtx, groups []*Group[C, S])
 	return ws
 }
 
-// acquireBudget blocks until a global worker-budget slot is free and
-// returns its release. The budget (max of window and pair parallelism) is
-// shared by window coordinators and extra pair workers; coordinators
-// block-acquire (the cap is ≥ Parallelism, so they always progress), extra
-// pair workers only spawn on tryAcquireBudget.
-func (r *KindRunner[C, S, F]) acquireBudget() func() {
-	r.budget <- struct{}{}
-	return func() { <-r.budget }
-}
-
-func (r *KindRunner[C, S, F]) tryAcquireBudget() bool {
-	select {
-	case r.budget <- struct{}{}:
-		return true
-	default:
-		return false
-	}
-}
-
 // solveGroups runs the window's groups to completion and returns their
-// results in canonical group order. With PairParallelism ≤ 1 (or at most
-// one group that can reach the solver) everything runs inline on the
-// caller; otherwise up to PP−1 extra workers are spawned, gated on the
-// global worker budget. When no group can reach the solver, no replica is
+// results in canonical group order. With workers ≤ 1 (or at most one
+// group that can reach the solver) everything runs inline on the caller;
+// otherwise up to workers−1 extra workers are spawned. When no group can
+// reach the solver, no replica is
 // built: the coordinator records the fast-path verdicts alone. A panic on any
 // worker stops the pool, is re-raised on the caller and handled by the
 // window-level isolation in analyze; the window then contributes no
 // results (deterministic drop — see race.WindowFailure).
-func (r *KindRunner[C, S, F]) solveGroups(wc *windowCtx, groups []*Group[C, S]) []*groupResult[F] {
+func (r *KindRunner[C, S, F]) solveGroups(wc *windowCtx, groups []*Group[C, S], workers int) []*groupResult[F] {
 	col := r.opt.Telemetry
-	release := r.acquireBudget()
-	defer release()
 
 	// Only groups that can reach the solver need a replica and a worker:
 	// all of them with a witness request, else those whose first instance
@@ -170,7 +149,7 @@ func (r *KindRunner[C, S, F]) solveGroups(wc *windowCtx, groups []*Group[C, S]) 
 	runWorker := func(ws *windowSolver[C], lane int32) {
 		col.Add(telemetry.PairWorkers, 1)
 		// Queue wait: how long after the queue opened this worker made its
-		// first claim — its replica construction plus any budget wait.
+		// first claim — its replica construction.
 		if col.Enabled() {
 			col.Add(telemetry.QueueWaitNS, int64(time.Since(queueOpen)))
 		}
@@ -217,25 +196,18 @@ func (r *KindRunner[C, S, F]) solveGroups(wc *windowCtx, groups []*Group[C, S]) 
 		runWorker(ws, lane)
 	}
 
-	pp := r.opt.PairParallelism
 	// Pair solving is CPU-bound and every extra worker must pay for a full
 	// replica encoding before it contributes, so workers beyond the
 	// schedulable core count can never win that investment back: cap the
 	// pool at GOMAXPROCS, and at the groups that can reach the solver (a
 	// fast-pathed group needs no replica). Results are identical for any
 	// worker count — the cap only trims overhead.
-	if procs := runtime.GOMAXPROCS(0); pp > procs {
-		pp = procs
-	}
+	workers = min(workers, runtime.GOMAXPROCS(0), dispatching)
 	var wg sync.WaitGroup
-	for k := 1; k < pp && k < dispatching; k++ {
-		if !r.tryAcquireBudget() {
-			break
-		}
+	for k := 1; k < workers; k++ {
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
-			defer func() { <-r.budget }()
 			guarded(k)
 		}(k)
 	}

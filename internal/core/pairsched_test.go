@@ -90,10 +90,10 @@ func TestLadderSettledWindowBuildsNoSolver(t *testing.T) {
 		Name: "ladder-settled", Workers: 3, Events: 240, Window: 10000,
 		Seed: 950, Motifs: workloads.MotifCounts{Plain: 3},
 	})
-	run := func(witness bool, pairPar int) (race.Result, *telemetry.Metrics) {
+	run := func(witness bool, par int) (race.Result, *telemetry.Metrics) {
 		col := telemetry.NewCollector()
 		res := New(Options{WindowSize: 10000, Witness: witness,
-			PairParallelism: pairPar, Telemetry: col}).Detect(tr)
+			Parallelism: par, Telemetry: col}).Detect(tr)
 		res.Elapsed = 0
 		return res, col.Snapshot()
 	}
@@ -102,18 +102,18 @@ func TestLadderSettledWindowBuildsNoSolver(t *testing.T) {
 		t.Fatalf("witness run: %d races (want %d) on %d solvers (want > 0)",
 			len(solved.Races), ex.RV, solvedM.Solver.Solvers)
 	}
-	for _, pairPar := range []int{1, 4} {
-		res, m := run(false, pairPar)
+	for _, par := range []int{1, 4} {
+		res, m := run(false, par)
 		if m.Solver.Solvers != 0 || m.PairSched.Replicas != 0 {
-			t.Errorf("pairPar %d: %d solvers, %d replicas, want none", pairPar,
+			t.Errorf("par %d: %d solvers, %d replicas, want none", par,
 				m.Solver.Solvers, m.PairSched.Replicas)
 		}
 		if m.PairSched.WarmSkipped != m.PairSched.Groups {
-			t.Errorf("pairPar %d: warm_skipped = %d, want one per group (%d)", pairPar,
+			t.Errorf("par %d: warm_skipped = %d, want one per group (%d)", par,
 				m.PairSched.WarmSkipped, m.PairSched.Groups)
 		}
 		if !sameVerdicts(res, solved) {
-			t.Errorf("pairPar %d: result differs from the witness run\n got %+v\nwant %+v", pairPar, res, solved)
+			t.Errorf("par %d: result differs from the witness run\n got %+v\nwant %+v", par, res, solved)
 		}
 	}
 }

@@ -28,8 +28,8 @@ func TestSpareSolversMatchNew(t *testing.T) {
 		{"pair-rich", pairRichTrace(), 24},
 		{"mixed-window", mixedWindowTrace(t), 250},
 	} {
-		for _, pairPar := range []int{1, 2} {
-			opt := Options{WindowSize: fx.size, PairParallelism: pairPar, Witness: true}
+		for _, par := range []int{1, 2} {
+			opt := Options{WindowSize: fx.size, Parallelism: par, Witness: true}
 			run := func(reuse bool) ([]race.Race, telemetry.Metrics) {
 				col := telemetry.NewCollector()
 				o := opt
@@ -54,7 +54,7 @@ func TestSpareSolversMatchNew(t *testing.T) {
 					t.Fatalf("%s: no spare solver after the run", fx.name)
 				}
 				m := col.Snapshot().NonTiming()
-				if pairPar > 1 {
+				if par > 1 {
 					m.Solver.BoolVars, m.Solver.Clauses = 0, 0
 				}
 				return races, m
@@ -65,10 +65,10 @@ func TestSpareSolversMatchNew(t *testing.T) {
 				t.Fatalf("%s: fixture drifted: %d races, %d solvers", fx.name, len(newRaces), newM.Solver.Solvers)
 			}
 			if !reflect.DeepEqual(spareRaces, newRaces) {
-				t.Errorf("%s, pairPar %d: findings differ with spare solvers\n got %+v\nwant %+v", fx.name, pairPar, spareRaces, newRaces)
+				t.Errorf("%s, par %d: findings differ with spare solvers\n got %+v\nwant %+v", fx.name, par, spareRaces, newRaces)
 			}
 			if !reflect.DeepEqual(spareM, newM) {
-				t.Errorf("%s, pairPar %d: telemetry differs with spare solvers\n got %+v\nwant %+v", fx.name, pairPar, spareM, newM)
+				t.Errorf("%s, par %d: telemetry differs with spare solvers\n got %+v\nwant %+v", fx.name, par, spareM, newM)
 			}
 		}
 	}

@@ -92,7 +92,7 @@ func triageResult(tr *trace.Trace, window int, opt Options) race.Result {
 // replay mark on a clean run, and solver stats only when the SMT tier
 // confirmed it. The matrix's DeepEqual then extends the bit-identity
 // contract to the whole Provenance struct: provenance must not depend
-// on Parallelism or PairParallelism.
+// on Parallelism, at either of its levels.
 func assertProvenance(t *testing.T, label string, res race.Result, window int) {
 	t.Helper()
 	for _, r := range res.Races {
@@ -137,7 +137,8 @@ func sameVerdicts(a, b race.Result) bool {
 // TestTriageBitIdentityMatrix is the triage ladder's acceptance test:
 // the full race.Result — races in order, signatures, witnesses,
 // COPsChecked, per-race provenance, flags — must be bit-identical to the
-// sequential run under every Parallelism × PairParallelism combination,
+// sequential run under every Parallelism, window workers on the
+// multi-window fixture and pair workers on the one-window ones,
 // across every planted race motif, with and without witness schedules.
 // A witness request sends the ladder-proved pairs to the solver instead
 // of the fast path, so the two runs must agree on every verdict and tier.
@@ -154,13 +155,11 @@ func TestTriageBitIdentityMatrix(t *testing.T) {
 				t.Fatalf("%s: expected races in the fixture", tc.name)
 			}
 			assertProvenance(t, tc.name+"/baseline", base, tc.window)
-			for _, par := range []int{1, 4} {
-				for _, pairPar := range []int{1, 4} {
-					got := triageResult(tc.tr, tc.window, Options{Witness: witness, Parallelism: par, PairParallelism: pairPar})
-					if !reflect.DeepEqual(got, base) {
-						t.Errorf("%s: witness=%v par %d × pairPar %d: result differs from the sequential run\n got %+v\nwant %+v",
-							tc.name, witness, par, pairPar, got, base)
-					}
+			for _, par := range []int{1, 2, 4} {
+				got := triageResult(tc.tr, tc.window, Options{Witness: witness, Parallelism: par})
+				if !reflect.DeepEqual(got, base) {
+					t.Errorf("%s: witness=%v par %d: result differs from the sequential run\n got %+v\nwant %+v",
+						tc.name, witness, par, got, base)
 				}
 			}
 		}

@@ -78,7 +78,7 @@ const (
 // durable journal rather than re-derived.
 //
 // Everything except Replayed is deterministic — bit-identical across
-// Parallelism, PairParallelism and resume (test-enforced by the triage
+// Parallelism, at both its levels, and resume (test-enforced by the triage
 // identity matrix); Tier, Window and the race itself also agree with and
 // without a witness request. Replayed is operational metadata: a
 // resumed run legitimately differs from a clean one there, exactly like

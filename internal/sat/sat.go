@@ -326,6 +326,10 @@ type Solver struct {
 	addMark []uint32
 	addGen  uint32
 
+	// seen is analyze's per-variable mark. Every mark is cleared before
+	// analyze returns, so it is all false between conflicts.
+	seen []bool
+
 	// The undo log behind Rollback. Checkpoint and every Rollback start a
 	// new epoch; a checkpoint watch list or clause stamped with an older
 	// epoch still holds its checkpoint contents and is copied into the log
@@ -411,6 +415,7 @@ func (s *Solver) Reset() {
 		model:       s.model,
 		addMark:     s.addMark,
 		addGen:      s.addGen,
+		seen:        s.seen[:0],
 		epoch:       s.epoch,
 		watchSaved:  s.watchSaved[:0],
 		clauseSaved: s.clauseSaved[:0],
@@ -430,6 +435,7 @@ func (s *Solver) NewVar() Var {
 	s.reason = append(grow(s.reason, 1), noClause)
 	s.phase = append(grow(s.phase, 1), false)
 	s.firstDef = append(grow(s.firstDef, 1), noClause)
+	s.seen = append(grow(s.seen, 1), false)
 	s.watches = append(grow(s.watches, 2), watchList{}, watchList{})
 	return v
 }
@@ -887,7 +893,7 @@ func (s *Solver) conflictClause(confl []Lit) cref {
 // clause (with the asserting literal first) and the backjump level.
 func (s *Solver) analyze(confl cref) ([]Lit, int32) {
 	learnt := []Lit{0} // slot 0 reserved for the asserting literal
-	seen := make(map[Var]bool)
+	seen := s.seen
 	counter := 0
 	var p Lit = -1
 	idx := len(s.trail) - 1
@@ -928,6 +934,11 @@ func (s *Solver) analyze(confl cref) ([]Lit, int32) {
 		}
 	}
 	learnt[0] = p.Neg()
+	// The marks left are exactly the variables of learnt[1:]: every mark
+	// at the current level was cleared when its literal was resolved.
+	for _, q := range learnt[1:] {
+		seen[q.Var()] = false
+	}
 
 	// Conflict clause minimisation: drop literals whose negations are
 	// implied by the remainder of the clause through their reasons.
@@ -1502,6 +1513,7 @@ func (s *Solver) Rollback(ck *Checkpoint) {
 	s.assign = s.assign[:ck.nVars]
 	s.level = s.level[:ck.nVars]
 	s.reason = s.reason[:ck.nVars]
+	s.seen = s.seen[:ck.nVars]
 	s.phase = append(s.phase[:0], ck.phase...)
 	s.clauseInc = ck.clauseInc
 	s.rootUnsat = ck.rootUnsat

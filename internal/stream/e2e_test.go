@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -173,6 +174,45 @@ func TestStreamMatchesBatch(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestStreamParallelMatchesSequential: a daemon whose Detect options set
+// Parallelism 2 solves the pairs of each session window on two workers.
+// Its report — races, witnesses, counters — and its candidate funnel and
+// outcome counters must equal a sequential daemon's, over many windows
+// and over one. Only the solver sizes and the worker counts may differ.
+func TestStreamParallelMatchesSequential(t *testing.T) {
+	if old := runtime.GOMAXPROCS(0); old < 2 {
+		runtime.GOMAXPROCS(2)
+		t.Cleanup(func() { runtime.GOMAXPROCS(old) })
+	}
+	tr := richTrace()
+	for _, window := range []int{24, -1} {
+		t.Run(fmt.Sprintf("window=%d", window), func(t *testing.T) {
+			run := func(par int) (*rvpredict.Report, *telemetry.Metrics) {
+				col := telemetry.NewCollector()
+				opt := rvpredict.Options{WindowSize: window, Witness: true, Parallelism: par}
+				_, addr := startDaemon(t, stream.Options{StateDir: t.TempDir(), Detect: opt, Collector: col})
+				return normalize(streamed(t, addr, "tok", tr, 5)), col.Snapshot()
+			}
+			want, wantM := run(0)
+			got, gotM := run(2)
+			if len(want.Races) == 0 {
+				t.Fatal("fixture found no races; the comparison is vacuous")
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("Parallelism 2 report differs from the sequential one:\n got %+v\nwant %+v", got, want)
+			}
+			if gotM.Outcomes != wantM.Outcomes || gotM.Triage.Dispatched != wantM.Triage.Dispatched ||
+				gotM.PairSched.Groups != wantM.PairSched.Groups || gotM.PairSched.SigSkips != wantM.PairSched.SigSkips {
+				t.Errorf("Parallelism 2 funnel differs:\n got %+v %+v\nwant %+v %+v",
+					gotM.Outcomes, gotM.PairSched, wantM.Outcomes, wantM.PairSched)
+			}
+			if gotM.PairSched.Replicas == 0 {
+				t.Error("Parallelism 2 built no replica: no window had a second pair worker")
+			}
+		})
 	}
 }
 

@@ -59,8 +59,9 @@ const (
 	BudgetExhausted
 	WindowFailures
 
-	// Pair scheduler. PairGroups is deterministic; PairWorkers,
-	// PairReplicas and PairRollbacks depend on the worker budget. PairSkips
+	// Pair scheduler. PairGroups is deterministic; PairWorkers and
+	// PairReplicas depend on the pair worker count, which GOMAXPROCS caps,
+	// and PairRollbacks on which worker solved which group. PairSkips
 	// counts dispatched group instances skipped at solve time because an
 	// earlier instance of the group raced (kept apart from SigDedup so the
 	// funnel identity is exact). WarmSkipped counts group instances whose

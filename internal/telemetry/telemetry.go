@@ -315,7 +315,7 @@ func (m *Metrics) NonTiming() Metrics {
 	out := *m
 	out.Phases = PhaseNanos{}
 	// Groups is deterministic, but worker/replica/rollback counts depend on
-	// the global worker budget and queue timing, so they are zeroed along
+	// the pair worker count and queue timing, so they are zeroed along
 	// with the queue-wait clock.
 	out.PairSched.Workers = 0
 	out.PairSched.Replicas = 0

@@ -36,7 +36,7 @@ const DefaultSpanCapacity = telemetry.DefaultSpanCapacity
 // NewSpanRecorder returns a recorder holding the most recent capacity
 // spans (0 selects DefaultSpanCapacity, a negative capacity keeps no
 // ring). onEnd, when non-nil, receives every span as it ends, possibly
-// concurrently (Parallelism, PairParallelism), so it must serialise
+// concurrently (window or pair workers under Parallelism), so it must serialise
 // internally and stay cheap.
 func NewSpanRecorder(capacity int, onEnd func(SpanEvent)) *SpanRecorder {
 	return telemetry.NewSpanRecorder(capacity, onEnd)

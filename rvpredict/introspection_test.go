@@ -12,9 +12,10 @@ import (
 	"repro/trace"
 )
 
-// hammerFixture builds a many-window racy trace (one write/read and one
-// write/write race per 8-event block) so a window- and pair-parallel run
-// has real concurrent work while the scrapers hammer the server.
+// hammerFixture builds a racy trace (one write/read and one write/write
+// race per 8-event block), many windows at window size 8 and one window
+// whole, so a parallel run has real concurrent work on window workers and
+// on pair workers while the scrapers hammer the server.
 func hammerFixture(blocks int) *trace.Trace {
 	b := trace.NewBuilder()
 	for i := 0; i < blocks; i++ {
@@ -34,18 +35,24 @@ func hammerFixture(blocks int) *trace.Trace {
 }
 
 // TestIntrospectionConcurrentWithDetection is the -race hammer for the
-// whole observation surface at once: window- and pair-parallel detection
-// updates the collector's counters and the span ring while parallel
-// goroutines scrape /metrics and /races mid-run. Run under -race in CI,
-// it proves live scraping cannot race or perturb detection; the report
-// must come out identical to an unobserved run's.
+// whole observation surface at once: parallel detection, on window
+// workers and then on pair workers, updates the collector's counters and
+// the span ring while parallel goroutines scrape /metrics and /races
+// mid-run. Run under -race in CI, it proves live scraping cannot race or
+// perturb detection; the report must come out identical to an
+// unobserved run's.
 func TestIntrospectionConcurrentWithDetection(t *testing.T) {
+	for _, window := range []int{8, -1} {
+		hammerIntrospection(t, window)
+	}
+}
+
+func hammerIntrospection(t *testing.T, window int) {
 	tr := hammerFixture(64)
 	base := rvpredict.Options{
-		WindowSize:      8,
-		Witness:         true,
-		Parallelism:     2,
-		PairParallelism: 2,
+		WindowSize:  window,
+		Witness:     true,
+		Parallelism: 2,
 	}
 	quiet, err := rvpredict.Run(nil, tr, base)
 	if err != nil {
@@ -119,7 +126,7 @@ func TestIntrospectionConcurrentWithDetection(t *testing.T) {
 	// provenance are attributed at merge time, identically with or
 	// without the servers attached.
 	if !reflect.DeepEqual(observed.Races, quiet.Races) {
-		t.Errorf("observation changed the result:\n got %+v\nwant %+v", observed.Races, quiet.Races)
+		t.Errorf("window %d: observation changed the result:\n got %+v\nwant %+v", window, observed.Races, quiet.Races)
 	}
 	if len(opt.Spans.Events()) == 0 {
 		t.Error("span recorder captured nothing")

@@ -21,7 +21,6 @@ func TestValidateRejectsEachBadCombination(t *testing.T) {
 	}{
 		{"window size below -1", rvpredict.Options{WindowSize: -2}, "WindowSize"},
 		{"negative parallelism", rvpredict.Options{Parallelism: -1}, "Parallelism"},
-		{"negative pair parallelism", rvpredict.Options{PairParallelism: -3}, "PairParallelism"},
 		{"negative global budget", rvpredict.Options{GlobalBudget: -1}, "GlobalBudget"},
 		{"resume without a journal", rvpredict.Options{Resume: true}, "Resume"},
 		{"journal on a non-RV algorithm", rvpredict.Options{Journal: "j", Algorithm: rvpredict.HappensBefore}, "Journal"},
@@ -80,7 +79,7 @@ func TestValidateAcceptsDefinedOptions(t *testing.T) {
 		{"unbounded solver", rvpredict.Options{SolveTimeout: -1}},
 		{"journal with defaults", rvpredict.Options{Journal: "j"}},
 		{"resume with journal", rvpredict.Options{Journal: "j", Resume: true}},
-		{"full parallel matrix", rvpredict.Options{Parallelism: 8, PairParallelism: 8}},
+		{"full parallel matrix", rvpredict.Options{Parallelism: 8}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -70,8 +70,8 @@ func tornJournal(t *testing.T, tr *trace.Trace) []byte {
 }
 
 // TestResumeMatrixBitIdentical is the journal's acceptance test: a journal
-// torn mid-record, resumed under every parallelism combination, must
-// produce a report identical to that combination's uninterrupted run —
+// torn mid-record, resumed under every Parallelism, must
+// produce a report identical to that setting's uninterrupted run —
 // replaying the intact windows without re-entering the solver. It runs
 // over resumeFixture ("triage") and over one fixture per provenance tier:
 // races no rung proves ("notriage"), and races the shb and syncp rungs
@@ -92,16 +92,14 @@ func TestResumeMatrixBitIdentical(t *testing.T) {
 	}
 
 	type combo struct {
-		name         string
-		par, pairPar int
-		fx           int
+		name string
+		par  int
+		fx   int
 	}
 	var combos []combo
-	for _, par := range []int{0, 2} {
-		for _, pairPar := range []int{0, 2} {
-			for i, fx := range cases {
-				combos = append(combos, combo{name: fx.name, par: par, pairPar: pairPar, fx: i})
-			}
+	for _, par := range []int{0, 1, 2, 4} {
+		for i, fx := range cases {
+			combos = append(combos, combo{name: fx.name, par: par, fx: i})
 		}
 	}
 
@@ -109,7 +107,7 @@ func TestResumeMatrixBitIdentical(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			tr, torn, tier := cases[c.fx].tr, torn[c.fx], cases[c.fx].tier
 			base := runOpts()
-			base.Parallelism, base.PairParallelism = c.par, c.pairPar
+			base.Parallelism = c.par
 			clean, err := rvpredict.Run(nil, tr, base)
 			if err != nil {
 				t.Fatalf("clean run failed: %v", err)
@@ -140,13 +138,13 @@ func TestResumeMatrixBitIdentical(t *testing.T) {
 			// intact windows replayed, and the lost window re-journaled.
 			jm := resumed.Telemetry.Journal
 			if jm.TornTailTruncated < 1 {
-				t.Errorf("par %d × pairPar %d: torn_tail_truncated = %d, want ≥ 1", c.par, c.pairPar, jm.TornTailTruncated)
+				t.Errorf("par %d: torn_tail_truncated = %d, want ≥ 1", c.par, jm.TornTailTruncated)
 			}
 			if jm.WindowsReplayed != 3 {
-				t.Errorf("par %d × pairPar %d: windows_replayed = %d, want 3", c.par, c.pairPar, jm.WindowsReplayed)
+				t.Errorf("par %d: windows_replayed = %d, want 3", c.par, jm.WindowsReplayed)
 			}
 			if jm.RecordsWritten < 1 {
-				t.Errorf("par %d × pairPar %d: records_written = %d, want ≥ 1 (the lost window re-journals)", c.par, c.pairPar, jm.RecordsWritten)
+				t.Errorf("par %d: records_written = %d, want ≥ 1 (the lost window re-journals)", c.par, jm.RecordsWritten)
 			}
 
 			// Replayed windows never re-enter the solver. The witness
@@ -157,8 +155,8 @@ func TestResumeMatrixBitIdentical(t *testing.T) {
 				t.Fatal("clean run issued no solver queries (fixture drifted)")
 			}
 			if rs >= cs {
-				t.Errorf("par %d × pairPar %d: resume solved %d queries, want strictly fewer than the clean run's %d",
-					c.par, c.pairPar, rs, cs)
+				t.Errorf("par %d: resume solved %d queries, want strictly fewer than the clean run's %d",
+					c.par, rs, cs)
 			}
 
 			// Races from the three replayed windows must say so; the
@@ -169,8 +167,8 @@ func TestResumeMatrixBitIdentical(t *testing.T) {
 			for _, r := range resumed.Races {
 				wantReplay := r.Provenance.Window < 3
 				if r.Provenance.Replayed != wantReplay {
-					t.Errorf("par %d × pairPar %d: race %d,%d replayed = %t, want %t",
-						c.par, c.pairPar, r.First, r.Second, r.Provenance.Replayed, wantReplay)
+					t.Errorf("par %d: race %d,%d replayed = %t, want %t",
+						c.par, r.First, r.Second, r.Provenance.Replayed, wantReplay)
 				}
 			}
 
@@ -185,8 +183,8 @@ func TestResumeMatrixBitIdentical(t *testing.T) {
 				resumedCmp.Races[i].Provenance.Replayed = false
 			}
 			if !reflect.DeepEqual(resumedCmp, cleanCmp) {
-				t.Errorf("par %d × pairPar %d: resumed report differs:\n got %+v\nwant %+v",
-					c.par, c.pairPar, resumedCmp, cleanCmp)
+				t.Errorf("par %d: resumed report differs:\n got %+v\nwant %+v",
+					c.par, resumedCmp, cleanCmp)
 			}
 
 			// After the resume the journal must be whole again: every
@@ -243,7 +241,7 @@ func TestResumeFingerprintMismatch(t *testing.T) {
 	t.Run("observational options resume fine", func(t *testing.T) {
 		ok := opt
 		ok.Resume = true
-		ok.Parallelism, ok.PairParallelism = 2, 2
+		ok.Parallelism = 2
 		ok.JournalGroupCommit = 1 // sync every append
 		if _, err := rvpredict.Run(nil, resumeFixture(), ok); err != nil {
 			t.Fatalf("resume under different observational options failed: %v", err)

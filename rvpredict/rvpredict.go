@@ -135,21 +135,18 @@ type Options struct {
 	GlobalBudget time.Duration
 	// Witness requests a witness schedule per race (SMT techniques only).
 	Witness bool
-	// Parallelism > 1 analyses trace windows concurrently with that many
-	// workers (MaximalCF, deadlock and atomicity), on every trace source. Each window is
-	// analysed with fresh signature state and the outcomes merge in window
-	// order, so the report is deterministic and identical to the reader
-	// and fleet report of the same trace; it differs from a sequential
-	// in-memory run only in PairsChecked, and only when a signature
-	// recurs across windows.
+	// Parallelism > 1 runs that many workers (MaximalCF, deadlock and
+	// atomicity), on every trace source. A trace of two or more windows
+	// has its windows analysed concurrently, each with fresh signature
+	// state, and the outcomes merge in window order, so the report is
+	// deterministic and identical to the reader and fleet report of the
+	// same trace; it differs from a sequential in-memory run only in
+	// PairsChecked, and only when a signature recurs across windows. A
+	// window analysed alone — the trace's only window, or one a daemon
+	// session or fleet worker analyses — has its candidate pairs solved
+	// concurrently instead, and the report is bit-identical to the
+	// sequential run's (see core.Options.Parallelism).
 	Parallelism int
-	// PairParallelism > 1 solves the candidate pairs inside each window
-	// concurrently with that many workers (as Parallelism). It is the
-	// knob for traces that produce one large window, where Parallelism
-	// alone cannot help; the report is bit-identical to the sequential
-	// run (see core.Options.PairParallelism). The two knobs compose under
-	// one worker budget of max(Parallelism, PairParallelism).
-	PairParallelism int
 	// Telemetry attaches a Telemetry metrics snapshot to the report:
 	// phase timings, solver counters and outcome tallies. Collection is
 	// allocation-light but not free; leave it off on hot paths. Enabling
@@ -266,9 +263,6 @@ func (o Options) Validate() error {
 	if o.Parallelism < 0 {
 		return &OptionsError{Field: "Parallelism", Reason: fmt.Sprintf("%d; worker counts cannot be negative", o.Parallelism)}
 	}
-	if o.PairParallelism < 0 {
-		return &OptionsError{Field: "PairParallelism", Reason: fmt.Sprintf("%d; worker counts cannot be negative", o.PairParallelism)}
-	}
 	if o.GlobalBudget < 0 {
 		return &OptionsError{Field: "GlobalBudget", Reason: "negative; use 0 for an unbounded run"}
 	}
@@ -292,7 +286,7 @@ func (o Options) Validate() error {
 // exactly the options that change what a window's outcome contains —
 // algorithm, windowing, solver budgets and witness production — and
 // deliberately excludes the options guaranteed result-identical
-// (Parallelism, PairParallelism) plus everything observational
+// (Parallelism) plus everything observational
 // (telemetry, tracing, the journal knobs themselves), so a journal
 // written under one parallelism setting resumes under any other. Options are normalised first: equivalent spellings (zero vs the
 // explicit default) hash equal.
@@ -338,12 +332,11 @@ func (o Options) Normalised() Options { return o.normalise() }
 // (unbounded) and a 0 to the default — so CoreOptions does not do it.
 func (o Options) CoreOptions() core.Options {
 	return core.Options{
-		WindowSize:      o.WindowSize,
-		SolveTimeout:    o.SolveTimeout,
-		GlobalBudget:    o.GlobalBudget,
-		Witness:         o.Witness,
-		Parallelism:     o.Parallelism,
-		PairParallelism: o.PairParallelism,
+		WindowSize:   o.WindowSize,
+		SolveTimeout: o.SolveTimeout,
+		GlobalBudget: o.GlobalBudget,
+		Witness:      o.Witness,
+		Parallelism:  o.Parallelism,
 	}
 }
 
@@ -372,7 +365,7 @@ func (o Options) ResultFingerprint() string { return o.fingerprintString() }
 // solver ran — what the query cost. The tier comes from the window's
 // triage partition, which classifies every pair once, so provenance is
 // identical whichever execution strategy produced the report
-// (sequential, window- or pair-parallel, resumed from a journal); only
+// (sequential, parallel, resumed from a journal); only
 // the operational Replayed flag reflects how this particular run
 // obtained the window.
 type Provenance = race.Provenance

@@ -5,7 +5,7 @@
 # median and minimum ns/op over the five runs, so performance regressions
 # show up as ordinary review diffs and run-to-run noise is visible. See
 # doc/performance.md. The output path is required: the committed snapshots
-# are baselines (CI gates against BENCH_29.json), and a run must never
+# are baselines (CI gates against BENCH_32.json), and a run must never
 # overwrite one by default.
 #
 # Usage:
@@ -41,6 +41,12 @@ if [[ $# -ne 1 ]]; then
 fi
 out="$1"
 benchtime="${BENCHTIME:-3x}"
+# The default families: BenchmarkDetect (every Table 1 row, sequential),
+# BenchmarkPairParallelDetect (one window; its pairworkers=N
+# sub-benchmarks set Parallelism N, so N pair workers share the window's
+# pairs), BenchmarkJournalDetect,
+# BenchmarkTelemetryOverhead, BenchmarkStreamIngest and
+# BenchmarkChunkedDetect.
 bench="${BENCH:-^(BenchmarkDetect|BenchmarkPairParallelDetect|BenchmarkJournalDetect|BenchmarkTelemetryOverhead|BenchmarkStreamIngest|BenchmarkChunkedDetect)$}"
 
 tmp="$(mktemp)"
